@@ -7,16 +7,18 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
+    GridTooLarge,
     InvalidSpec,
     MissingSourceOrSink,
     NegativeCost,
     ParseError,
     SinkUnreachable,
 )
+from .oracle_limits import enumeration_cap
 from .rational import RatLike, format_rat, rat
 
 Edge = tuple[str, str]
@@ -164,6 +166,46 @@ def shortest_to_sink(g: TaskGraph) -> DistanceMap:
     return DistanceMap(dist=dist, successor=succ)
 
 
+def path_cost(g: TaskGraph, path: Sequence[str]) -> Fraction:
+    return sum((g.cost(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0))
+
+
+def all_paths(g: TaskGraph) -> list[tuple[str, ...]]:
+    """Every source-sink path in depth-first order (heads ascending).
+
+    Raises GridTooLarge once the count passes the enumeration cap.
+    """
+    cap = enumeration_cap()
+    paths: list[tuple[str, ...]] = []
+
+    def walk(prefix: list[str]) -> None:
+        if len(paths) > cap:
+            raise GridTooLarge(f"more than {cap} source-sink paths")
+        u = prefix[-1]
+        if u == g.sink:
+            paths.append(tuple(prefix))
+            return
+        for head, _ in g.out_edges(u):
+            walk(prefix + [head])
+
+    walk([g.source])
+    return paths
+
+
+def path_pairs_by_cost(g: TaskGraph) -> list[tuple[Fraction, tuple[str, ...], tuple[str, ...]]]:
+    """Every (total cost, P, Q) over ordered source-sink path pairs, ascending.
+
+    Raises GridTooLarge when the number of pairs passes the enumeration cap.
+    """
+    paths = all_paths(g)
+    if len(paths) ** 2 > enumeration_cap():
+        raise GridTooLarge(f"{len(paths) ** 2} path pairs exceed the cap")
+    costs = [path_cost(g, p) for p in paths]
+    return sorted(
+        (cp + cq, p, q) for p, cp in zip(paths, costs) for q, cq in zip(paths, costs)
+    )
+
+
 @dataclass(frozen=True)
 class FanSpec:
     """Parameters of the n-fan family: spine of free hops, exits costing c^i."""
@@ -270,7 +312,9 @@ def random_task_graph(
     some source-to-sink path. Costs are small rationals, occasionally zero.
     """
     n = rng.randint(min_vertices, max_vertices)
-    names = ["s"] + [chr(ord("a") + i) for i in range(n - 2)] + ["t"]
+    # Letters a..r, then numbered names: the letters s and t are the terminals.
+    inner = [chr(ord("a") + i) if i < 18 else f"n{i}" for i in range(n - 2)]
+    names = ["s"] + inner + ["t"]
     dens = (1, 2, 4, 5, 10)
     edges: dict[Edge, Fraction] = {}
 

@@ -5,19 +5,22 @@ most k chunks across the whole graph, where an edge split into j pieces
 consumes j and an untouched edge consumes 0. The agent's default edge at a
 vertex (its unaided choice, lexicographic at ties) never needs budget; any
 other edge needs at least a 1-chunk marker so ties break toward it.
+
+Every planner, here and in multi_agent, finds its path with one budgeted
+cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Literal, Mapping, Optional
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, simulate_plan
 from .edge_chunk import min_chunks_to_beat, optimal_edge_chunking
 from .errors import InvalidParams
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
-from .graph import DistanceMap, TaskGraph, shortest_to_sink, validate
+from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
 
 
 @dataclass(frozen=True)
@@ -63,41 +66,64 @@ def chunk_budget_needed(
     v: str,
     k_max: int,
 ) -> Optional[int]:
-    """Chunks needed to route the agent through (u, v); 0 for the default edge."""
+    """Chunks needed to route the agent through (u, v); 0 for the default edge.
+
+    None when no k_max-chunking persuades, which is every other edge at k_max 0.
+    """
     if pers.default[u] == v:
         return 0
+    if k_max == 0:
+        return None
     return min_chunks_to_beat(g, dist, (u, v), b, pers.alpha[u], k_max)
 
 
-def _reconstruct_local(
-    g: TaskGraph,
-    dist: DistanceMap,
-    usable: set[tuple[str, str]],
-) -> tuple[tuple[str, ...], Fraction]:
-    """Cheapest source-sink path over usable edges (DP over topological order)."""
-    order = validate(g)
-    cost: dict[str, Fraction] = {g.sink: Fraction(0)}
-    succ: dict[str, str] = {}
-    for u in reversed(order):
+CostTable = dict[tuple[str, int], Fraction]
+Choices = dict[tuple[str, int], tuple[str, int]]
+
+
+def cheapest_paths(
+    g: TaskGraph, need: Mapping[Edge, Optional[int]], k: int
+) -> tuple[CostTable, Choices]:
+    """Cheapest u-to-sink cost using at most i chunks, for every u and i <= k.
+
+    need[e] is the number of chunks edge e consumes, None if e is unusable.
+    table[(u, i)] is absent when no usable path fits in i chunks; choice[(u, i)]
+    is the (head, chunks used) of the first edge. Ties break on (cost, chunks
+    used, head). A local budget is this DP at k = 0 with every usable edge
+    charged 0, so its ties break on (cost, head).
+    """
+    table: CostTable = {(g.sink, i): Fraction(0) for i in range(k + 1)}
+    choice: Choices = {}
+    for u in reversed(validate(g)):
         if u == g.sink:
             continue
-        best: Optional[Fraction] = None
-        best_head: Optional[str] = None
-        for head, c in g.out_edges(u):
-            if (u, head) not in usable or head not in cost:
-                continue
-            total = c + cost[head]
-            if best is None or total < best:
-                best, best_head = total, head
-        if best is not None:
-            cost[u] = best
-            succ[u] = best_head  # type: ignore[assignment]
-    if g.source not in cost:
-        raise InvalidParams("no persuadable path survives pruning")  # pragma: no cover
-    path = [g.source]
+        for i in range(k + 1):
+            best: Optional[tuple[Fraction, int, str]] = None
+            for head, c in g.out_edges(u):
+                l = need[(u, head)]
+                if l is None or l > i or (head, i - l) not in table:
+                    continue
+                cand = (c + table[(head, i - l)], l, head)
+                if best is None or cand < best:
+                    best = cand
+            if best is not None:
+                table[(u, i)] = best[0]
+                choice[(u, i)] = (best[2], best[1])
+    return table, choice
+
+
+def walk_choices(
+    g: TaskGraph, choice: Choices, u: str, i: int
+) -> tuple[tuple[str, ...], list[tuple[Edge, int]]]:
+    """Follow choice from (u, i) to the sink: the path and each edge's chunks."""
+    path = [u]
+    steps: list[tuple[Edge, int]] = []
     while path[-1] != g.sink:
-        path.append(succ[path[-1]])
-    return tuple(path), cost[g.source]
+        head, used = choice[(path[-1], i)]
+        steps.append(((path[-1], head), used))
+        path.append(head)
+        i -= used
+    return tuple(path), steps
 
 
 def chunk_graph_local(
@@ -114,18 +140,18 @@ def chunk_graph_local(
         raise InvalidParams("local budget needs k >= 1")
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
-    usable: set[tuple[str, str]] = set()
+    need: dict[Edge, Optional[int]] = {}
     for u, v, _ in g.edges:
         if pers.default[u] == v:
-            usable.add((u, v))
+            need[(u, v)] = 0
             continue
         _, report = optimal_edge_chunking(g, dist, (u, v), b, k)
-        if report.bottleneck <= pers.alpha[u]:
-            usable.add((u, v))
-    path, predicted = _reconstruct_local(g, dist, usable)
+        need[(u, v)] = 0 if report.bottleneck <= pers.alpha[u] else None
+    table, choice = cheapest_paths(g, need, 0)
+    path, _ = walk_choices(g, choice, g.source, 0)
+    predicted = table[(g.source, 0)]
     chunkings = []
-    for i in range(len(path) - 1):
-        u, v = path[i], path[i + 1]
+    for u, v in zip(path, path[1:]):
         if pers.default[u] == v:
             continue
         chunking, _ = optimal_edge_chunking(g, dist, (u, v), b, k)
@@ -147,76 +173,31 @@ def chunk_graph_global(
 ) -> tuple[ChunkPlan, TraversalTrace]:
     """Optimal plan under a global budget of k chunks in total.
 
-    cost[u][i] is the cheapest u-to-sink cost reachable with at most i chunks;
-    each edge contributes its minimal persuading chunk count (0 for the
-    default edge). Chunking a default edge is never useful for one agent, so
-    that option is omitted from the min.
+    Each edge consumes its minimal persuading chunk count (0 for the default
+    edge). Chunking a default edge is never useful for one agent, so that
+    option is omitted.
     """
     if k < 0:
         raise InvalidParams("global budget needs k >= 0")
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
-    table, choice = global_cost_table(g, dist, pers, b, k)
-    path: list[str] = [g.source]
-    budget = k
-    chunk_alloc: list[tuple[str, str, int]] = []
-    while path[-1] != g.sink:
-        head, used = choice[(path[-1], budget)]
-        if used:
-            chunk_alloc.append((path[-1], head, used))
-        path.append(head)
-        budget -= used
-    chunkings = []
-    for u, v, l in chunk_alloc:
-        chunking, _ = optimal_edge_chunking(g, dist, (u, v), b, l)
-        chunkings.append(chunking)
+    need = {
+        (u, v): chunk_budget_needed(g, dist, pers, b, u, v, k) for u, v, _ in g.edges
+    }
+    table, choice = cheapest_paths(g, need, k)
+    path, steps = walk_choices(g, choice, g.source, k)
+    chunkings = [optimal_edge_chunking(g, dist, e, b, l)[0] for e, l in steps if l]
     predicted = table[(g.source, k)]
     plan = ChunkPlan(
         chunkings=tuple(chunkings),
         mode="global",
         k=k,
-        planned_paths=(tuple(path),),
+        planned_paths=(path,),
         predicted_cost=predicted,
         biases=(b,),
     )
-    trace = _simulate_and_check(g, plan, b, tuple(path), predicted)
+    trace = _simulate_and_check(g, plan, b, path, predicted)
     return plan, trace
-
-
-def global_cost_table(
-    g: TaskGraph,
-    dist: DistanceMap,
-    pers: Persuasion,
-    b: Fraction,
-    k: int,
-) -> tuple[dict[tuple[str, int], Fraction], dict[tuple[str, int], tuple[str, int]]]:
-    """Fill cost[u, i] backward over a topological order; return table + choices."""
-    order = validate(g)
-    needed: dict[tuple[str, str], Optional[int]] = {}
-    for u, v, _ in g.edges:
-        needed[(u, v)] = chunk_budget_needed(g, dist, pers, b, u, v, k) if k else (
-            0 if pers.default[u] == v else None
-        )
-    table: dict[tuple[str, int], Fraction] = {}
-    choice: dict[tuple[str, int], tuple[str, int]] = {}
-    for i in range(k + 1):
-        table[(g.sink, i)] = Fraction(0)
-    for u in reversed(order):
-        if u == g.sink:
-            continue
-        for i in range(k + 1):
-            best: Optional[tuple[Fraction, int, str]] = None
-            for head, c in g.out_edges(u):
-                l = needed[(u, head)]
-                if l is None or l > i or (head, i - l) not in table:
-                    continue
-                cand = (c + table[(head, i - l)], l, head)
-                if best is None or cand < best:
-                    best = cand
-            if best is not None:
-                table[(u, i)] = best[0]
-                choice[(u, i)] = (best[2], best[1])
-    return table, choice
 
 
 def _simulate_and_check(

@@ -11,9 +11,8 @@ simulation disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, simulate_plan
@@ -26,23 +25,30 @@ from .edge_chunk import (
 )
 from .errors import (
     DeadEnd,
-    GridTooLarge,
     InfeasibleChunking,
     InvalidParams,
     TakerRefuses,
 )
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
-from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
+from .graph import (
+    DistanceMap,
+    Edge,
+    TaskGraph,
+    path_cost,
+    path_pairs_by_cost,
+    shortest_to_sink,
+    validate,
+)
 from .graph_chunk import (
     BudgetSpec,
     Persuasion,
+    cheapest_paths,
     chunk_budget_needed,
     chunk_graph_global,
     chunk_graph_local,
-    global_cost_table,
     persuasion_profile,
+    walk_choices,
 )
-from .oracle_limits import enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,6 @@ class AgentSet:
     """Strictly increasing biases, all > 1."""
 
     biases: tuple[Fraction, ...]
-    _alpha_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.biases:
@@ -67,12 +72,7 @@ class AgentSet:
     def alpha(
         self, g: TaskGraph, dist: DistanceMap, idx: int, u: str, exclude_head: str
     ) -> Optional[Fraction]:
-        key = (idx, u, exclude_head)
-        if key not in self._alpha_cache:
-            self._alpha_cache[key] = outside_alpha(
-                g, dist, self.biases[idx], u, exclude_head
-            )
-        return self._alpha_cache[key]
+        return outside_alpha(g, dist, self.biases[idx], u, exclude_head)
 
 
 def outside_alpha(
@@ -445,8 +445,11 @@ def same_path_feasible(
 def min_chunks_same_path(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
 ) -> Optional[int]:
-    """Least l <= k_max every agent accepts (feasibility is monotone in l)."""
-    if not same_path_feasible(g, dist, edge, agents, k_max):
+    """Least l <= k_max every agent accepts (feasibility is monotone in l).
+
+    None when no l works, which includes k_max 0.
+    """
+    if k_max == 0 or not same_path_feasible(g, dist, edge, agents, k_max):
         return None
     lo, hi = 1, k_max
     while lo < hi:
@@ -476,7 +479,6 @@ class CompatEntry:
 @dataclass(frozen=True)
 class CompatibilitySet:
     u: str
-    y: str
     entries: dict[tuple[str, str], CompatEntry]
 
 
@@ -538,51 +540,29 @@ def compatible_pairs(
     g: TaskGraph,
     dist: DistanceMap,
     u: str,
-    y: str,
     b1: Fraction,
     b2: Fraction,
     budget: BudgetSpec,
 ) -> CompatibilitySet:
-    """Successor pairs (v, z) persuadable from (u, y), with witnesses.
+    """Successor pairs (v, z) both types can be persuaded to take from u.
 
-    Distinct tails are independent; a shared tail needs either one chunking
-    both types take (same successor) or a validated pair of splits. Global
-    mode records minimal chunk counts (per-column binary search over the
-    monotone feasibility matrix for splits).
+    One successor needs one chunking both types take; distinct successors
+    need a validated pair of splits. Global mode records minimal chunk
+    counts (per-column binary search over the monotone feasibility matrix
+    for splits).
     """
     k = budget.k
     pers1 = persuasion_profile(g, dist, b1)
     pers2 = persuasion_profile(g, dist, b2)
     agents = AgentSet((b1, b2)) if b1 < b2 else None
     entries: dict[tuple[str, str], CompatEntry] = {}
-    if u != y:
-        for v, _ in g.out_edges(u):
-            l1 = chunk_budget_needed(g, dist, pers1, b1, u, v, k) if k else (
-                0 if pers1.default[u] == v else None
-            )
-            if l1 is None:
-                continue
-            for z, _ in g.out_edges(y):
-                l2 = chunk_budget_needed(g, dist, pers2, b2, y, z, k) if k else (
-                    0 if pers2.default[y] == z else None
-                )
-                if l2 is None:
-                    continue
-                wit: list[Chunking] = []
-                if l1:
-                    wit.append(optimal_edge_chunking(g, dist, (u, v), b1, l1)[0])
-                if l2:
-                    wit.append(optimal_edge_chunking(g, dist, (y, z), b2, l2)[0])
-                entries[(v, z)] = CompatEntry(v, z, l1 + l2, tuple(wit))
-        return CompatibilitySet(u, y, entries)
-
     for v, _ in g.out_edges(u):
         for z, _ in g.out_edges(u):
             if v == z:
                 if pers1.default[u] == v and pers2.default[u] == v:
                     entries[(v, v)] = CompatEntry(v, v, 0, ())
                     continue
-                if agents is None or k == 0:  # b1 == b2 handled by the caller
+                if agents is None:  # b1 == b2 handled by the caller
                     continue
                 if budget.mode == "global":
                     l = min_chunks_same_path(g, dist, (u, v), agents, k)
@@ -600,7 +580,7 @@ def compatible_pairs(
                 )
                 if entry is not None:
                     entries[(v, z)] = entry
-    return CompatibilitySet(u, y, entries)
+    return CompatibilitySet(u, entries)
 
 
 def _best_split_entry(
@@ -657,27 +637,6 @@ def _best_split_entry(
 # ---------------------------------------------------------------------------
 
 
-def path_cost(g: TaskGraph, path: Sequence[str]) -> Fraction:
-    return sum((g.cost(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0))
-
-
-def _all_paths(g: TaskGraph, cap: int) -> list[tuple[str, ...]]:
-    paths: list[tuple[str, ...]] = []
-
-    def walk(prefix: list[str]) -> None:
-        if len(paths) > cap:
-            raise GridTooLarge(f"more than {cap} source-sink paths")
-        u = prefix[-1]
-        if u == g.sink:
-            paths.append(tuple(prefix))
-            return
-        for head, _ in g.out_edges(u):
-            walk(prefix + [head])
-
-    walk([g.source])
-    return paths
-
-
 def joint_simulate(
     g: TaskGraph, plan: ChunkPlan, biases: Sequence[Fraction]
 ) -> list[TraversalTrace]:
@@ -713,12 +672,12 @@ def _pair_plan(
         nonlocal total
         if pers.default[u] == v:
             return True
-        l = chunk_budget_needed(g, dist, pers, b, u, v, k) if k else None
+        l = chunk_budget_needed(g, dist, pers, b, u, v, k)
         if l is None:
             return False
         use = l if budget.mode == "global" else k
         chunkings[(u, v)] = optimal_edge_chunking(g, dist, (u, v), b, use)[0]
-        total += use if budget.mode == "local" else l
+        total += use
         return True
 
     for u, v in next_p.items():
@@ -731,8 +690,6 @@ def _pair_plan(
                     if not solo(u, v, b1, pers1):
                         return None
                     continue
-                if k == 0:
-                    return None
                 l = (
                     min_chunks_same_path(g, dist, (u, v), agents, k)
                     if budget.mode == "global"
@@ -818,20 +775,21 @@ def two_agent_plan(
             traces = joint_simulate(g, plan, (b1, b2))
             return plan, (traces[0], traces[1])
     # Fallback: exhaustive static search (always contains the default pair).
-    best_plan: Optional[ChunkPlan] = None
-    paths = _all_paths(g, enumeration_cap())
-    pairs = sorted(
-        product(paths, paths),
-        key=lambda pq: (path_cost(g, pq[0]) + path_cost(g, pq[1]), pq),
-    )
-    for P, Q in pairs:
+    for _, P, Q in path_pairs_by_cost(g):
         plan = _pair_plan(g, dist, b1, b2, P, Q, budget, pers1, pers2)
         if plan is not None:
-            best_plan = plan
-            break
-    assert best_plan is not None, "default biased paths must always validate"
-    traces = joint_simulate(g, best_plan, (b1, b2))
-    return best_plan, (traces[0], traces[1])
+            traces = joint_simulate(g, plan, (b1, b2))
+            return plan, (traces[0], traces[1])
+    raise AssertionError("default biased paths must always validate")  # pragma: no cover
+
+
+def _charge(budget: BudgetSpec, l: Optional[int]) -> Optional[int]:
+    """Chunks a usable edge needing l takes from the cheapest-path DP's budget.
+
+    A local budget runs the DP at budget 0 with every usable edge charged 0,
+    so the DP's own budget is _charge(budget, budget.k).
+    """
+    return l if l is None or budget.mode == "global" else 0
 
 
 def _two_agent_dp(
@@ -845,234 +803,86 @@ def _two_agent_dp(
 ) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Value recurrence over position pairs; returns the argmin path pair."""
     k = budget.k
-    order = validate(g)
+    levels = _charge(budget, k)
     t = g.sink
-
-    def need(pers: Persuasion, b: Fraction, u: str, v: str) -> Optional[int]:
-        if pers.default[u] == v:
-            return 0
-        if k == 0:
-            return None
-        return chunk_budget_needed(g, dist, pers, b, u, v, k)
-
     l1: dict[Edge, Optional[int]] = {}
     l2: dict[Edge, Optional[int]] = {}
     for u, v, _ in g.edges:
-        l1[(u, v)] = need(pers1, b1, u, v)
-        l2[(u, v)] = need(pers2, b2, u, v)
+        l1[(u, v)] = _charge(budget, chunk_budget_needed(g, dist, pers1, b1, u, v, k))
+        l2[(u, v)] = _charge(budget, chunk_budget_needed(g, dist, pers2, b2, u, v, k))
+    solo1, choice1 = cheapest_paths(g, l1, levels)
+    solo2, choice2 = cheapest_paths(g, l2, levels)
 
-    pair_sets: dict[str, CompatibilitySet] = {}
-    for u in g.vertices:
-        if u != t and g.out_edges(u):
-            pair_sets[u] = compatible_pairs(g, dist, u, u, b1, b2, budget)
-
-    if budget.mode == "local":
-        solo1 = _solo_cost_table(g, dist, l1)
-        solo2 = _solo_cost_table(g, dist, l2)
-        budgets = [0]
-
-        def solo_val(table, u: str, i: int) -> Optional[Fraction]:
-            return table.get(u)
-
-    else:
-        pers_t1 = global_cost_table(g, dist, pers1, b1, k)[0]
-        pers_t2 = global_cost_table(g, dist, pers2, b2, k)[0]
-        budgets = list(range(k + 1))
-
-        def solo_val(table, u: str, i: int) -> Optional[Fraction]:
-            return table.get((u, i))
-
-        solo1, solo2 = pers_t1, pers_t2
+    def moves(u: str, y: str) -> list[tuple[Fraction, int, str, str, int]]:
+        """(step cost, rank, next u, next y, chunks) of every joint move."""
+        if u == y:
+            entries = compatible_pairs(g, dist, u, b1, b2, budget).entries
+            return [
+                (g.cost(u, v) + g.cost(u, z), 0, v, z, _charge(budget, e.chunk_count))
+                for (v, z), e in sorted(entries.items())
+            ]
+        out: list[tuple[Fraction, int, str, str, int]] = []
+        l = l2.get((y, u))
+        if l is not None:  # A2 joins A1 at u
+            out.append((g.cost(y, u), 1, u, u, l))
+        l = l1.get((u, y))
+        if l is not None:  # A1 joins A2 at y
+            out.append((g.cost(u, y), 2, y, y, l))
+        for v, cv in g.out_edges(u):
+            la = l1[(u, v)]
+            if v == y or la is None:
+                continue
+            for z, cz in g.out_edges(y):
+                lb = l2[(y, z)]
+                if z == u or lb is None:
+                    continue
+                out.append((cv + cz, 3, v, z, la + lb))
+        return out
 
     value: dict[tuple[str, str, int], Fraction] = {}
-    move: dict[tuple[str, str, int], tuple] = {}
-    rev = [u for u in reversed(order)]
+    move: dict[tuple[str, str, int], tuple[str, str, int]] = {}
+    rev = list(reversed(validate(g)))
     for u in rev:
         for y in rev:
-            for i in budgets:
-                if u == t and y == t:
-                    value[(u, y, i)] = Fraction(0)
-                    continue
-                if y == t:
-                    val = solo_val(solo1, u, i)
-                    if val is not None:
-                        value[(u, y, i)] = val
-                        move[(u, y, i)] = ("solo1",)
-                    continue
-                if u == t:
-                    val = solo_val(solo2, y, i)
-                    if val is not None:
-                        value[(u, y, i)] = val
-                        move[(u, y, i)] = ("solo2",)
-                    continue
-                best: Optional[tuple[Fraction, int, tuple]] = None
-                if u == y:
-                    for (v, z), entry in sorted(pair_sets[u].entries.items()):
-                        l = entry.chunk_count if budget.mode == "global" else 0
-                        if l > i:
-                            continue
-                        key = (v, z, i - l)
-                        if key not in value:
-                            continue
-                        cand = (
-                            g.cost(u, v) + g.cost(u, z) + value[key],
-                            0,
-                            ("pair", v, z, l),
-                        )
-                        if best is None or cand < best:
-                            best = cand
-                else:
-                    lu = l2.get((y, u))
-                    if g.has_edge(y, u) and lu is not None:
-                        l = lu if budget.mode == "global" else 0
-                        if l <= i and (u, u, i - l) in value:
-                            cand = (
-                                g.cost(y, u) + value[(u, u, i - l)],
-                                1,
-                                ("join2", lu),
-                            )
-                            if best is None or cand < best:
-                                best = cand
-                    lv = l1.get((u, y))
-                    if g.has_edge(u, y) and lv is not None:
-                        l = lv if budget.mode == "global" else 0
-                        if l <= i and (y, y, i - l) in value:
-                            cand = (
-                                g.cost(u, y) + value[(y, y, i - l)],
-                                2,
-                                ("join1", lv),
-                            )
-                            if best is None or cand < best:
-                                best = cand
-                    for v, _ in g.out_edges(u):
-                        if v == y:
-                            continue
-                        la = l1.get((u, v))
-                        if la is None:
-                            continue
-                        for z, _ in g.out_edges(y):
-                            if z == u:
-                                continue
-                            lb = l2.get((y, z))
-                            if lb is None:
-                                continue
-                            l = la + lb if budget.mode == "global" else 0
-                            if l > i or (v, z, i - l) not in value:
-                                continue
-                            cand = (
-                                g.cost(u, v) + g.cost(y, z) + value[(v, z, i - l)],
-                                3,
-                                ("both", v, z, la, lb),
-                            )
-                            if best is None or cand < best:
-                                best = cand
+            if u == t or y == t:
+                solo, w = (solo1, u) if y == t else (solo2, y)
+                for i in range(levels + 1):
+                    if (w, i) in solo:
+                        value[(u, y, i)] = solo[(w, i)]
+                continue
+            cands = moves(u, y)
+            for i in range(levels + 1):
+                best: Optional[tuple[Fraction, int, str, str, int]] = None
+                for step, rank, v, z, l in cands:
+                    if l > i or (v, z, i - l) not in value:
+                        continue
+                    cand = (step + value[(v, z, i - l)], rank, v, z, l)
+                    if best is None or cand < best:
+                        best = cand
                 if best is not None:
                     value[(u, y, i)] = best[0]
-                    move[(u, y, i)] = best[2]
+                    move[(u, y, i)] = best[2:]
 
-    start = (g.source, g.source, budgets[-1])
-    if start not in value:
+    u = y = g.source
+    i = levels
+    if (u, y, i) not in value:
         return None
-    # Walk the recorded moves into the two realized paths.
-    P: list[str] = [g.source]
-    Q: list[str] = [g.source]
-    u, y, i = start
-    guard = 0
-    while not (u == t and y == t):
-        guard += 1
-        if guard > 10 * len(order) ** 2:  # pragma: no cover - safety net
-            return None
-        mv = move.get((u, y, i))
-        if mv is None:
-            return None
-        if mv[0] == "solo1":
-            P.extend(_solo_path(g, dist, l1, solo1, budget, u, i))
-            u = t
-            continue
-        if mv[0] == "solo2":
-            Q.extend(_solo_path(g, dist, l2, solo2, budget, y, i))
-            y = t
-            continue
-        if mv[0] == "pair":
-            _, v, z, l = mv
+    # Walk the recorded joint moves until one type reaches the sink; the
+    # other then follows its own cheapest path.
+    P: list[str] = [u]
+    Q: list[str] = [y]
+    while u != t and y != t:
+        v, z, l = move[(u, y, i)]
+        if v != u:
             P.append(v)
+        if z != y:
             Q.append(z)
-            u, y, i = v, z, i - (l if budget.mode == "global" else 0)
-            continue
-        if mv[0] == "join2":
-            l = mv[1] if budget.mode == "global" else 0
-            Q.append(u)
-            y = u
-            i -= l
-            continue
-        if mv[0] == "join1":
-            l = mv[1] if budget.mode == "global" else 0
-            P.append(y)
-            u = y
-            i -= l
-            continue
-        _, v, z, la, lb = mv
-        P.append(v)
-        Q.append(z)
-        u, y = v, z
-        if budget.mode == "global":
-            i -= la + lb
+        u, y, i = v, z, i - l
+    if u != t:
+        P.extend(walk_choices(g, choice1, u, i)[0][1:])
+    if y != t:
+        Q.extend(walk_choices(g, choice2, y, i)[0][1:])
     return tuple(P), tuple(Q)
-
-
-def _solo_cost_table(
-    g: TaskGraph, dist: DistanceMap, l: dict[Edge, Optional[int]]
-) -> dict[str, Fraction]:
-    order = validate(g)
-    cost: dict[str, Fraction] = {g.sink: Fraction(0)}
-    for u in reversed(order):
-        if u == g.sink:
-            continue
-        best: Optional[Fraction] = None
-        for head, c in g.out_edges(u):
-            if l[(u, head)] is None or head not in cost:
-                continue
-            total = c + cost[head]
-            if best is None or total < best:
-                best = total
-        if best is not None:
-            cost[u] = best
-    return cost
-
-
-def _solo_path(
-    g: TaskGraph,
-    dist: DistanceMap,
-    l: dict[Edge, Optional[int]],
-    table,
-    budget: BudgetSpec,
-    u: str,
-    i: int,
-) -> list[str]:
-    """Continuation of one agent's cheapest persuadable path from u."""
-    path: list[str] = []
-    while u != g.sink:
-        best: Optional[tuple[Fraction, int, str]] = None
-        for head, c in g.out_edges(u):
-            lu = l[(u, head)]
-            if lu is None:
-                continue
-            if budget.mode == "global":
-                if lu > i or (head, i - lu) not in table:
-                    continue
-                cand = (c + table[(head, i - lu)], lu, head)
-            else:
-                if head not in table:
-                    continue
-                cand = (c + table[head], 0, head)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        path.append(best[2])
-        if budget.mode == "global":
-            i -= best[1]
-        u = best[2]
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -1085,9 +895,11 @@ def m_agent_single_path_plan(
 ) -> tuple[ChunkPlan, tuple[str, ...]]:
     """Cheapest single path every agent type can be persuaded to follow.
 
-    Local mode prunes edges with no chunking all types accept; global mode
-    runs the budgeted recurrence with each edge's minimal group chunk count.
-    Every agent is simulated on the final plan.
+    Each edge needs its minimal group chunk count (0 when it is every type's
+    default); a local budget keeps the edges some k-chunking serves and
+    chunks each non-default edge on the path into k. Raises
+    InfeasibleChunking when no path survives. Every agent is simulated on
+    the final plan.
     """
     if agents.m == 1:
         b = agents.biases[0]
@@ -1099,96 +911,37 @@ def m_agent_single_path_plan(
     dist = shortest_to_sink(g)
     perss = [persuasion_profile(g, dist, b) for b in agents.biases]
     k = budget.k
-
-    def group_need(u: str, v: str) -> Optional[int]:
-        if all(p.default[u] == v for p in perss):
-            return 0
-        if k == 0:
-            return None
-        return min_chunks_same_path(g, dist, (u, v), agents, k)
-
     need: dict[Edge, Optional[int]] = {}
     for u, v, _ in g.edges:
-        need[(u, v)] = group_need(u, v)
-
-    if budget.mode == "local":
-        cost = _solo_cost_table(g, dist, need)
-        if g.source not in cost:
-            raise AssertionError("default path must survive")  # pragma: no cover
-        path = [g.source]
-        while path[-1] != g.sink:
-            u = path[-1]
-            best = min(
-                (c + cost[head], head)
-                for head, c in g.out_edges(u)
-                if need[(u, head)] is not None and head in cost
-            )
-            path.append(best[1])
-        predicted = cost[g.source]
-        alloc = {
-            (path[i], path[i + 1]): k
-            for i in range(len(path) - 1)
-            if need[(path[i], path[i + 1])] != 0
-        }
-    else:
-        table, choice = _group_global_table(g, dist, need, k)
-        if (g.source, k) not in table:
-            raise AssertionError("default path must survive")  # pragma: no cover
-        path = [g.source]
-        alloc = {}
-        budget_left = k
-        while path[-1] != g.sink:
-            head, used = choice[(path[-1], budget_left)]
-            if used:
-                alloc[(path[-1], head)] = used
-            path.append(head)
-            budget_left -= used
-        predicted = table[(g.source, k)]
-
+        if all(p.default[u] == v for p in perss):
+            need[(u, v)] = 0
+        else:
+            need[(u, v)] = min_chunks_same_path(g, dist, (u, v), agents, k)
+    levels = _charge(budget, k)
+    table, choice = cheapest_paths(
+        g, {e: _charge(budget, l) for e, l in need.items()}, levels
+    )
+    if (g.source, levels) not in table:
+        raise InfeasibleChunking("no path every type can be persuaded to follow")
+    path, _ = walk_choices(g, choice, g.source, levels)
+    predicted = table[(g.source, levels)]
     chunkings = tuple(
-        chunk_same_path(g, dist, edge, agents, l) for edge, l in sorted(alloc.items())
+        chunk_same_path(g, dist, e, agents, k if budget.mode == "local" else need[e])
+        for e in sorted(zip(path, path[1:]))
+        if need[e]
     )
     plan = ChunkPlan(
         chunkings=chunkings,
         mode=budget.mode,
         k=k,
-        planned_paths=(tuple(path),) * agents.m,
+        planned_paths=(path,) * agents.m,
         predicted_cost=predicted * agents.m,
         biases=agents.biases,
     )
     for b in agents.biases:
         trace, cg = simulate_plan(g, plan, BiasProfile(b))
-        if original_path(cg, trace.path) != tuple(path) or trace.total != predicted:
+        if original_path(cg, trace.path) != path or trace.total != predicted:
             raise AssertionError(
                 f"type {b} deviates from the shared path"
             )  # pragma: no cover - invariant
-    return plan, tuple(path)
-
-
-def _group_global_table(
-    g: TaskGraph,
-    dist: DistanceMap,
-    need: dict[Edge, Optional[int]],
-    k: int,
-) -> tuple[dict[tuple[str, int], Fraction], dict[tuple[str, int], tuple[str, int]]]:
-    order = validate(g)
-    table: dict[tuple[str, int], Fraction] = {}
-    choice: dict[tuple[str, int], tuple[str, int]] = {}
-    for i in range(k + 1):
-        table[(g.sink, i)] = Fraction(0)
-    for u in reversed(order):
-        if u == g.sink:
-            continue
-        for i in range(k + 1):
-            best: Optional[tuple[Fraction, int, str]] = None
-            for head, c in g.out_edges(u):
-                l = need[(u, head)]
-                if l is None or l > i or (head, i - l) not in table:
-                    continue
-                cand = (c + table[(head, i - l)], l, head)
-                if best is None or cand < best:
-                    best = cand
-            if best is not None:
-                table[(u, i)] = best[0]
-                choice[(u, i)] = (best[2], best[1])
-    return table, choice
+    return plan, path

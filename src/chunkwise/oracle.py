@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .agent import BiasProfile, simulate_plan
@@ -29,7 +28,10 @@ from .graph import (
     Edge,
     FanSpec,
     TaskGraph,
+    all_paths,
     make_n_fan,
+    path_cost,
+    path_pairs_by_cost,
     shortest_to_sink,
 )
 from .graph_chunk import BudgetSpec, Persuasion, persuasion_profile
@@ -229,30 +231,6 @@ def independent_min_bottleneck(
 # ---------------------------------------------------------------------------
 
 
-def _all_simple_paths(g: TaskGraph) -> list[tuple[str, ...]]:
-    cap = enumeration_cap()
-    paths: list[tuple[str, ...]] = []
-
-    def walk(prefix: list[str]) -> None:
-        if len(paths) > cap:
-            raise GridTooLarge(f"more than {cap} source-sink paths")
-        u = prefix[-1]
-        if u == g.sink:
-            paths.append(tuple(prefix))
-            return
-        for head, _ in g.out_edges(u):
-            walk(prefix + [head])
-
-    walk([g.source])
-    return paths
-
-
-def _path_cost(g: TaskGraph, path: Sequence[str]) -> Fraction:
-    return sum(
-        (g.cost(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0)
-    )
-
-
 def brute_force_graph_plan(
     g: TaskGraph, b: Fraction, budget: BudgetSpec
 ) -> tuple[Fraction, ChunkPlan]:
@@ -267,7 +245,7 @@ def brute_force_graph_plan(
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
     best: Optional[tuple[Fraction, ChunkPlan]] = None
-    for path in sorted(_all_simple_paths(g), key=lambda p: (_path_cost(g, p), p)):
+    for path in sorted(all_paths(g), key=lambda p: (path_cost(g, p), p)):
         plan = _oracle_path_plan(g, dist, pers, b, path, budget)
         if plan is None:
             continue
@@ -311,7 +289,7 @@ def _oracle_path_plan(
         mode=budget.mode,
         k=budget.k,
         planned_paths=(tuple(path),),
-        predicted_cost=_path_cost(g, path),
+        predicted_cost=path_cost(g, path),
         biases=(b,),
     )
 
@@ -325,19 +303,13 @@ def brute_force_two_agent_plan(
     dist = shortest_to_sink(g)
     pers1 = persuasion_profile(g, dist, b1)
     pers2 = persuasion_profile(g, dist, b2)
-    paths = _all_simple_paths(g)
-    if len(paths) ** 2 > enumeration_cap():
-        raise GridTooLarge(f"{len(paths) ** 2} path pairs exceed the cap")
     best: Optional[tuple[Fraction, ChunkPlan]] = None
-    for P, Q in sorted(
-        product(paths, paths),
-        key=lambda pq: (_path_cost(g, pq[0]) + _path_cost(g, pq[1]), pq),
-    ):
-        if best is not None and _path_cost(g, P) + _path_cost(g, Q) >= best[0]:
+    for cost, P, Q in path_pairs_by_cost(g):
+        if best is not None and cost >= best[0]:
             break
         plan = _pair_plan(g, dist, b1, b2, P, Q, budget, pers1, pers2)
         if plan is not None:
-            best = (_path_cost(g, P) + _path_cost(g, Q), plan)
+            best = (cost, plan)
     assert best is not None
     return best
 

@@ -23,6 +23,7 @@ from .multi_agent import (
 )
 from .oracle import (
     GridSpec,
+    _compositions,
     brute_force_edge_chunking,
     brute_force_graph_plan,
     brute_force_two_agent_plan,
@@ -106,8 +107,8 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
         budget = BudgetSpec(mode, k)
         plan, traces = two_agent_plan(g, b1, b2, budget)
         sims += 1
-        for trace, path in zip(traces, plan.planned_paths):
-            _, cg = simulate_plan(g, plan, BiasProfile(b1))
+        for b, path in zip((b1, b2), plan.planned_paths):
+            trace, cg = simulate_plan(g, plan, BiasProfile(b))
             if original_path(cg, trace.path) != path:
                 failures.append(f"trial {trial}: two-agent plan fails joint simulation")
                 break
@@ -155,7 +156,7 @@ def _split_dominates_grid(
     alpha1 = outside_alpha(g, dist, b1, *edge)
     unit = ctx.x / d
     best_grid = None
-    for comp in _grid_compositions(d, k):
+    for comp in _compositions(d, k):
         chunks = tuple(m * unit for m in comp)
         p1 = perceived_chunk_costs(ctx, chunks, b1)
         if alpha1 is not None and max(p1) > alpha1:
@@ -164,15 +165,6 @@ def _split_dominates_grid(
         if best_grid is None or p2 > best_grid:
             best_grid = p2
     return best_grid is None or repelled >= best_grid
-
-
-def _grid_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _grid_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -110,6 +110,30 @@ def test_chunk_graph_single_path(s32_path, capsys):
     assert payload["planned_paths"] == [["u", "z", "t"], ["u", "z", "t"]]
 
 
+def test_chunk_graph_single_path_infeasible_is_data(tmp_path, capsys):
+    graph = tmp_path / "split.json"
+    graph.write_text(
+        json.dumps(
+            {
+                "vertices": ["s", "a", "b", "t"],
+                "edges": [
+                    {"from": "s", "to": "a", "cost": "1"},
+                    {"from": "a", "to": "t", "cost": "10"},
+                    {"from": "s", "to": "b", "cost": "3"},
+                    {"from": "b", "to": "t", "cost": "3"},
+                ],
+                "source": "s",
+                "sink": "t",
+            }
+        )
+    )
+    code, out, _ = run(
+        capsys, "chunk-graph", "-g", str(graph), "--biases", "2,10", "-k", "1", "--single-path"
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "InfeasibleChunking"
+
+
 def test_split_edge(s32_path, capsys):
     code, out, _ = run(
         capsys,

@@ -116,6 +116,17 @@ def test_round_trip_random_graphs():
         assert h.edges == g.edges and h.vertices == g.vertices
 
 
+def test_random_graphs_past_twenty_vertices():
+    # Inner vertices are named a..r, then by number: never "s" or "t".
+    rng = random.Random(6)
+    for n in range(21, 41):
+        g = random_task_graph(rng, min_vertices=n, max_vertices=n)
+        assert len(g.vertices) == n
+        assert g.vertices[:19] == ("s",) + tuple("abcdefghijklmnopqr")
+        assert len(validate(g)) == n
+        shortest_to_sink(g)
+
+
 def test_decimal_cost_parses_exactly():
     g = load_graph(
         b'{"vertices":["s","t"],"edges":[{"from":"s","to":"t","cost":"0.1"}],'

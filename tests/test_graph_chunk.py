@@ -17,12 +17,58 @@ from chunkwise import (
 )
 from chunkwise.errors import InvalidParams
 from chunkwise.expansion import original_path
-from chunkwise.graph_chunk import persuasion_profile
+from chunkwise.graph import all_paths, path_cost
+from chunkwise.graph_chunk import cheapest_paths, persuasion_profile, walk_choices
 from chunkwise.oracle import brute_force_graph_plan
 from conftest import series_gadgets
 
 B2 = Fraction(2)
 F = Fraction
+
+
+def test_cheapest_paths_matches_path_enumeration():
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_task_graph(rng, min_vertices=3, max_vertices=7)
+        k = rng.randint(0, 3)
+        need = {
+            (u, v): rng.choice((None, 0, 0, *range(1, k + 1))) for u, v, _ in g.edges
+        }
+        table, choice = cheapest_paths(g, need, k)
+        # Every vertex is reachable from the source, so the u-to-sink paths
+        # are exactly the suffixes of source-sink paths.
+        suffixes = {p[p.index(u):] for p in all_paths(g) for u in p}
+        for u in g.vertices:
+            for i in range(k + 1):
+                costs = [
+                    path_cost(g, p)
+                    for p in suffixes
+                    if p[0] == u
+                    and all(need[e] is not None for e in zip(p, p[1:]))
+                    and sum(need[e] for e in zip(p, p[1:])) <= i
+                ]
+                assert table.get((u, i)) == (min(costs) if costs else None)
+                if costs:
+                    path, steps = walk_choices(g, choice, u, i)
+                    assert path[0] == u and path[-1] == g.sink
+                    assert path_cost(g, path) == table[(u, i)]
+                    assert [e for e, _ in steps] == list(zip(path, path[1:]))
+                    assert all(used == need[e] for e, used in steps)
+                    assert sum(used for _, used in steps) <= i
+
+
+def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
+    # Charging every edge 0 at budget 0 breaks ties on (cost, least head),
+    # the same rule as the unbudgeted distances.
+    rng = random.Random(32)
+    for _ in range(40):
+        g = random_task_graph(rng, min_vertices=3, max_vertices=8)
+        dist = shortest_to_sink(g)
+        table, choice = cheapest_paths(g, {(u, v): 0 for u, v, _ in g.edges}, 0)
+        for u in g.vertices:
+            assert table[(u, 0)] == dist[u]
+            if u != g.sink:
+                assert choice[(u, 0)] == (dist.successor[u], 0)
 
 
 def test_local_k3_chunks_only_the_cheap_detour(s32):

@@ -206,6 +206,28 @@ def test_same_path_infeasible_cases(s32):
     assert "negative" in exc.value.reason
 
 
+def test_same_path_agent_set_reused_across_graphs():
+    # Outside options belong to the graph, not to the AgentSet: a set first
+    # used where z->t costs 10 must see z->t at 1 on the second graph.
+    def graph(zt):
+        return TaskGraph(
+            ["u", "v", "z", "t"],
+            [("u", "v", 6), ("v", "t", 1), ("u", "z", 1), ("z", "t", zt)],
+            "u",
+            "t",
+        )
+
+    agents = AgentSet((B2, F(3)))
+    g10 = graph(10)
+    chunking = chunk_same_path(g10, shortest_to_sink(g10), ("u", "v"), agents, 3)
+    assert chunking.chunks == (0, 2, 4)
+    g1 = graph(1)
+    with pytest.raises(InfeasibleChunking):
+        chunk_same_path(g1, shortest_to_sink(g1), ("u", "v"), AgentSet((B2, F(3))), 3)
+    with pytest.raises(InfeasibleChunking):
+        chunk_same_path(g1, shortest_to_sink(g1), ("u", "v"), agents, 3)
+
+
 def test_same_path_feasibility_monotone_and_binary_search(s32):
     dist = shortest_to_sink(s32)
     agents = AgentSet((B2, F(5, 2)))
@@ -281,16 +303,9 @@ def test_same_path_matches_grid_exactly_on_aligned_instances():
 # ---------------------------------------------------------------------------
 
 
-def test_compatible_pairs_distinct_tails_are_independent(s32):
-    dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "v", "z", B2, F(5, 2), BudgetSpec("local", 3))
-    assert ("t", "t") in cs.entries
-    assert cs.entries[("t", "t")].chunk_count == 0
-
-
 def test_compatible_pairs_shared_tail_split(s32):
     dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "u", "u", B2, F(10), BudgetSpec("local", 3))
+    cs = compatible_pairs(s32, dist, "u", B2, F(10), BudgetSpec("local", 3))
     assert ("v", "z") in cs.entries
     entry = cs.entries[("v", "z")]
     # A2's default is z, so only (u, v) carries a witness chunking.
@@ -301,13 +316,13 @@ def test_compatible_pairs_shared_tail_split(s32):
 
 def test_compatible_pairs_same_edge_infeasible_absent(s32):
     dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "u", "u", B2, F(3), BudgetSpec("local", 3))
+    cs = compatible_pairs(s32, dist, "u", B2, F(3), BudgetSpec("local", 3))
     assert ("v", "v") not in cs.entries
 
 
 def test_compatible_pairs_global_minimal_counts(s32):
     dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "u", "u", B2, F(10), BudgetSpec("global", 3))
+    cs = compatible_pairs(s32, dist, "u", B2, F(10), BudgetSpec("global", 3))
     entry = cs.entries[("v", "z")]
     assert entry.chunk_count == 3  # (u,v) needs all three; (u,z) is default
     assert cs.entries[("z", "z")].chunk_count == 0
@@ -371,6 +386,30 @@ def test_m_agent_two_types_on_s32(s32):
     plan, path = m_agent_single_path_plan(s32, AgentSet((B2, F(3))), BudgetSpec("local", 3))
     assert path == ("u", "z", "t")
     assert plan.chunkings == ()
+
+
+def _split_defaults_graph():
+    # Bias 2 defaults to s->b (perceives 9 vs 12), bias 10 to s->a (20 vs 33).
+    return TaskGraph(
+        ["s", "a", "b", "t"],
+        [("s", "a", 1), ("a", "t", 10), ("s", "b", 3), ("b", "t", 3)],
+        "s",
+        "t",
+    )
+
+
+@pytest.mark.parametrize("mode,k", [("local", 1), ("global", 1), ("global", 0)])
+def test_m_agent_no_shared_path_is_infeasible(mode, k):
+    agents = AgentSet((B2, F(10)))
+    with pytest.raises(InfeasibleChunking, match="no path every type"):
+        m_agent_single_path_plan(_split_defaults_graph(), agents, BudgetSpec(mode, k))
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_m_agent_two_chunks_share_the_cheap_path(mode):
+    agents = AgentSet((B2, F(10)))
+    _, path = m_agent_single_path_plan(_split_defaults_graph(), agents, BudgetSpec(mode, 2))
+    assert path == ("s", "b", "t")
 
 
 def test_m_agent_random_all_types_follow():
@@ -438,7 +477,8 @@ def test_two_agent_global_budget_concentrates_where_it_pays(s32):
 def test_m_agent_single_path_matches_exhaustive_paths():
     # Exhaustive enumeration over candidate shared paths, each validated by
     # simulating every type, must agree with the planner exactly.
-    from chunkwise.multi_agent import _all_paths, min_chunks_same_path
+    from chunkwise.graph import all_paths
+    from chunkwise.multi_agent import min_chunks_same_path
     from chunkwise.graph_chunk import persuasion_profile
 
     rng = random.Random(808)
@@ -454,7 +494,7 @@ def test_m_agent_single_path_matches_exhaustive_paths():
         cost = plan.predicted_cost / agents.m
         perss = [persuasion_profile(g, dist, b) for b in agents.biases]
         best = None
-        for cand in _all_paths(g, 10_000):
+        for cand in all_paths(g):
             chunkings = []
             total_chunks = 0
             ok = True
