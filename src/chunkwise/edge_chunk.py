@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
-from .errors import InvalidParams, NoAlternative, UnknownEdge
+from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
 
 
@@ -188,9 +189,11 @@ def optimal_edge_chunking(
 ) -> tuple[Chunking, ChunkingReport]:
     """Minimize the bottleneck over all k-chunkings of one edge.
 
-    Generates the closed-form candidate set below, evaluates each exactly,
-    and returns the argmin (ties: smaller tau, then lexicographically smaller
-    chunk vector):
+    Screens the closed-form candidate set below by each candidate's exact
+    bottleneck, also in closed form, then builds and evaluates only the
+    candidates tied at the minimum and returns the argmin of (bottleneck,
+    tau, chunk vector). There are O(k) candidates and each costs O(1)
+    exact operations to screen, so a call is O(k) in `Fraction` operations.
 
     * chain on a shortest path (or no outside option): the geometric chunking,
       provably optimal;
@@ -203,50 +206,75 @@ def optimal_edge_chunking(
     """
     _check_params(b, k)
     ctx = edge_context(g, dist, edge)
-    x = ctx.x
-    candidates: list[tuple[Fraction, ...]] = []
-    if k == 1:
-        candidates.append((x,))
-    else:
-        d = None if ctx.outside is None else x + ctx.cost_to_sink - ctx.outside
-        if d is None or d <= 0:
-            candidates.append(chunk_shortest_edge(x, b, k))
-        elif d > x:
-            y_star = (d + (b - 1) * x) / (b * k)
-            y = min(y_star, x / (k - 1))
-            candidates.append((y,) * (k - 1) + (x - (k - 1) * y,))
-        else:
-            q = (b - 1) / b
-            for tau in range(1, k):
-                head = (d / tau,) * tau
-                candidates.append(head + chunk_shortest_edge(x - d, b, k - tau))
-                alpha0 = b * d / tau + ctx.outside
-                beta0 = (x - d) / (1 - q ** (k - tau)) + ctx.cost_to_sink
-                if beta0 > alpha0:
-                    if tau == 1:
-                        candidates.append(chunk_shortest_edge(x, b, k))
-                    else:
-                        z_tau = 1 - q ** (k - tau + 1)
-                        y_star = (d * z_tau + (1 - z_tau) * x) / (tau - 1 + z_tau * b)
-                        y = min(y_star, d / (tau - 1))
-                        candidates.append(
-                            (y,) * (tau - 1)
-                            + chunk_shortest_edge(x - (tau - 1) * y, b, k - tau + 1)
-                        )
-            y = min((d + (b - 1) * x) / (b * k), d / (k - 1), x / (k - 1))
-            candidates.append((y,) * (k - 1) + (x - (k - 1) * y,))
-
-    best: tuple[Fraction, int, tuple[Fraction, ...]] | None = None
-    best_report: ChunkingReport | None = None
-    for chunks in candidates:
-        chunking = Chunking(*edge, chunks)
+    screened = list(_candidates(ctx, b, k))
+    low = min(bottleneck for bottleneck, _ in screened)
+    evaluated: list[tuple[Chunking, ChunkingReport]] = []
+    for bottleneck, build in screened:
+        if bottleneck != low:
+            continue
+        chunking = Chunking(*edge, build())
         report = evaluate_chunking(g, dist, chunking, b)
-        key = (report.bottleneck, report.tau, chunks)
-        if best is None or key < best:
-            best = key
-            best_report = report
-    assert best is not None and best_report is not None
-    return Chunking(*edge, best[2]), best_report
+        if report.bottleneck != bottleneck:
+            raise InvariantViolation(
+                f"candidate {chunking.chunks} of {edge} evaluates to bottleneck "
+                f"{report.bottleneck}, its closed form gives {bottleneck}"
+            )
+        evaluated.append((chunking, report))
+    return min(evaluated, key=lambda cr: (cr[1].bottleneck, cr[1].tau, cr[0].chunks))
+
+
+Candidate = tuple[Fraction, Callable[[], tuple[Fraction, ...]]]
+
+
+def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
+    """The optimizer's candidates as (exact bottleneck, builder of the chunks).
+
+    Every candidate is h equal head chunks y followed by the geometric
+    chunking of the remaining mass M = x - h*y over the last k - h chunks,
+    with h*y <= delta whenever h > 0. So each head chain vertex leaves through
+    the outside option and perceives b*y + outside, the geometric tail's last
+    chunk perceives M/(1 - q^(k-h)) + c(v->t) with q = (b-1)/b, and no tail
+    chunk perceives more: the bottleneck is the larger of the two.
+    """
+    x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
+    q = (b - 1) / b
+
+    def shape(h: int, y: Fraction, q_tail: Fraction) -> Candidate:
+        # q_tail is q**(k-h), passed in so the loop below can share its powers.
+        tail = (x - h * y) / (1 - q_tail) + c
+        bottleneck = tail if h == 0 else max(b * y + o, tail)
+        return bottleneck, partial(_head_then_geometric, x, b, k, h, y)
+
+    d = None if o is None else x + c - o
+    if k == 1 or d is None or d <= 0:
+        yield shape(0, Fraction(0), q**k)
+    elif d > x:
+        y_star = (d + (b - 1) * x) / (b * k)
+        yield shape(k - 1, min(y_star, x / (k - 1)), q)
+    else:
+        qpow = [Fraction(1)]  # qpow[j] = q**j
+        for _ in range(k):
+            qpow.append(qpow[-1] * q)
+        for tau in range(1, k):
+            # Head-heavy: shape(tau, d/tau), whose two perceived costs are these.
+            alpha0 = b * d / tau + o
+            beta0 = (x - d) / (1 - qpow[k - tau]) + c
+            yield max(alpha0, beta0), partial(_head_then_geometric, x, b, k, tau, d / tau)
+            if beta0 > alpha0:
+                if tau == 1:
+                    yield shape(0, Fraction(0), qpow[k])
+                else:
+                    z_tau = 1 - qpow[k - tau + 1]
+                    y_star = (d * z_tau + (1 - z_tau) * x) / (tau - 1 + z_tau * b)
+                    yield shape(tau - 1, min(y_star, d / (tau - 1)), qpow[k - tau + 1])
+        y = min((d + (b - 1) * x) / (b * k), d / (k - 1), x / (k - 1))
+        yield shape(k - 1, y, q)
+
+
+def _head_then_geometric(
+    x: Fraction, b: Fraction, k: int, h: int, y: Fraction
+) -> tuple[Fraction, ...]:
+    return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
 
 
 def min_chunks_to_beat(

@@ -89,5 +89,9 @@ class TakerRefuses(ChunkwiseError):
     """Even the taker-optimal chunking exceeds the taker's outside option."""
 
 
+class InvariantViolation(ChunkwiseError):
+    """An internal invariant failed: a bug in the package, not in the input."""
+
+
 class GridTooLarge(ChunkwiseError):
     """Brute-force enumeration would exceed the configured cap."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Literal, Mapping, Optional
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, simulate_plan
-from .edge_chunk import min_chunks_to_beat, optimal_edge_chunking
+from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
 from .errors import InvalidParams
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
 from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
@@ -141,21 +141,18 @@ def chunk_graph_local(
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
     need: dict[Edge, Optional[int]] = {}
+    chunked: dict[Edge, Chunking] = {}  # optimal k-chunking of each non-default edge
     for u, v, _ in g.edges:
         if pers.default[u] == v:
             need[(u, v)] = 0
             continue
-        _, report = optimal_edge_chunking(g, dist, (u, v), b, k)
+        chunking, report = optimal_edge_chunking(g, dist, (u, v), b, k)
         need[(u, v)] = 0 if report.bottleneck <= pers.alpha[u] else None
+        chunked[(u, v)] = chunking
     table, choice = cheapest_paths(g, need, 0)
     path, _ = walk_choices(g, choice, g.source, 0)
     predicted = table[(g.source, 0)]
-    chunkings = []
-    for u, v in zip(path, path[1:]):
-        if pers.default[u] == v:
-            continue
-        chunking, _ = optimal_edge_chunking(g, dist, (u, v), b, k)
-        chunkings.append(chunking)
+    chunkings = [chunked[e] for e in zip(path, path[1:]) if e in chunked]
     plan = ChunkPlan(
         chunkings=tuple(chunkings),
         mode="local",

@@ -27,6 +27,7 @@ from .errors import (
     DeadEnd,
     InfeasibleChunking,
     InvalidParams,
+    InvariantViolation,
     TakerRefuses,
 )
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
@@ -280,7 +281,12 @@ def _flipped_intermediate_caps(
     return caps
 
 
-def _assert_split_postconditions(
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantViolation(message)
+
+
+def _check_split_postconditions(
     ctx: EdgeContext,
     xs: list[Fraction],
     ti: int,
@@ -292,11 +298,13 @@ def _assert_split_postconditions(
         return
     total_other = sum(xs) - xs[ti]
     if total_other > 0:
-        assert _p(ctx, xs, ti, bt) == alpha, "target chunk not pinned at alpha"
+        _require(_p(ctx, xs, ti, bt) == alpha, "target chunk not pinned at alpha")
     if forward:
         if sum(xs[ti + 1 :]) > 0:
             for j in range(ti + 1):
-                assert _p(ctx, xs, j, bt) == alpha, "head chunk below alpha with tail mass left"
+                _require(
+                    _p(ctx, xs, j, bt) == alpha, "head chunk below alpha with tail mass left"
+                )
     else:
         if sum(xs[:ti]) > 0 and xs[ti] > 0:
             # Tail chunks sit at alpha unless raising any of them further
@@ -304,8 +312,9 @@ def _assert_split_postconditions(
             for j in range(ti + 1, len(xs)):
                 if _p(ctx, xs, j, bt) == alpha:
                     continue
-                assert _tail_increase_blocked(ctx, xs, ti, j, bt, alpha), (
-                    "tail chunk below alpha while more could be siphoned"
+                _require(
+                    _tail_increase_blocked(ctx, xs, ti, j, bt, alpha),
+                    "tail chunk below alpha while more could be siphoned",
                 )
 
 
@@ -356,7 +365,7 @@ def chunk_split(
             f"optimal {k}-chunking bottleneck {base_report.bottleneck} exceeds {alpha}"
         )
     ctx = edge_context(g, dist, edge)
-    best: Optional[tuple[Fraction, int, tuple[Fraction, ...]]] = None
+    splits: list[tuple[Fraction, int, tuple[Fraction, ...]]] = []
     for ti in range(k):
         xs = list(base.chunks)
         _phase_head_siphon(ctx, xs, ti, bt, alpha)
@@ -365,16 +374,13 @@ def chunk_split(
             _phase_exchange_forward(ctx, xs, ti, bt, alpha)
         else:
             _phase_exchange_flipped(ctx, xs, ti, bt, alpha)
-        assert sum(xs) == ctx.x, "siphon phases must conserve mass"
-        assert all(x >= 0 for x in xs), "siphon phases must keep chunks nonnegative"
-        _assert_split_postconditions(ctx, xs, ti, bt, alpha, forward)
+        _require(sum(xs) == ctx.x, "siphon phases must conserve mass")
+        _require(all(x >= 0 for x in xs), "siphon phases must keep chunks nonnegative")
+        _check_split_postconditions(ctx, xs, ti, bt, alpha, forward)
         chunks = tuple(xs)
-        repelled = max(perceived_chunk_costs(ctx, chunks, br))
-        key = (-repelled, ti, chunks)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return Chunking(*edge, best[2]), -best[0]
+        splits.append((-max(perceived_chunk_costs(ctx, chunks, br)), ti, chunks))
+    neg_repelled, _, chunks = min(splits)
+    return Chunking(*edge, chunks), -neg_repelled
 
 
 # ---------------------------------------------------------------------------

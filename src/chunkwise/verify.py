@@ -28,7 +28,7 @@ from .oracle import (
     brute_force_graph_plan,
     brute_force_two_agent_plan,
 )
-from .errors import TakerRefuses
+from .errors import InfeasibleChunking, TakerRefuses
 
 SuiteResult = tuple[bool, list[str]]
 
@@ -98,7 +98,7 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
     """Joint-simulation soundness, oracle equality, and split dominance."""
     rng = random.Random(seed)
     failures = []
-    sims = dp_checks = split_checks = 0
+    sims = dp_checks = split_checks = infeasible = 0
     for trial in range(trials):
         g, dist = _random_graph_with_dist(rng, 6)
         b1 = _random_bias(rng)
@@ -120,12 +120,16 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
                 f"trial {trial} ({mode}): two-agent {pair_cost} != oracle {oracle_cost}"
             )
         agents = AgentSet((b1, b2))
-        mplan, mpath = m_agent_single_path_plan(g, agents, budget)
-        for b in agents.biases:
-            trace, cg = simulate_plan(g, mplan, BiasProfile(b))
-            if original_path(cg, trace.path) != mpath:
-                failures.append(f"trial {trial}: single-path plan fails for b={b}")
-                break
+        try:
+            mplan, mpath = m_agent_single_path_plan(g, agents, budget)
+        except InfeasibleChunking:
+            infeasible += 1  # no path both types can be persuaded to share
+        else:
+            for b in agents.biases:
+                trace, cg = simulate_plan(g, mplan, BiasProfile(b))
+                if original_path(cg, trace.path) != mpath:
+                    failures.append(f"trial {trial}: single-path plan fails for b={b}")
+                    break
         edges = [e[:2] for e in g.edges if e[0] != g.sink]
         if edges:
             edge = edges[rng.randrange(len(edges))]
@@ -136,6 +140,7 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
     lines = [
         f"multi-agent: {sims} joint sims, {dp_checks} oracle comparisons, "
         f"{split_checks} split dominance checks, {len(failures)} violations"
+        + (f", {infeasible} infeasible" if infeasible else "")
     ]
     lines += failures[:5]
     return ok, lines

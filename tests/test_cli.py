@@ -185,6 +185,17 @@ def test_verify_suites_pass(capsys):
     assert out.count("[ok]") == 3
 
 
+def test_verify_multi_agent_counts_infeasible_single_paths(capsys):
+    # At k=1 some drawn graphs have no path both types can be persuaded to
+    # share; the suite counts them instead of aborting on the first one.
+    code, out, _ = run(
+        capsys, "verify", "--suite", "multi-agent", "--seed", "0", "--trials", "25", "-k", "1"
+    )
+    assert code == 0
+    assert out.startswith("[ok] multi-agent: 25 joint sims")
+    assert out.rstrip().endswith("0 violations, 2 infeasible")
+
+
 def test_experiment_cost_ratio_csv(capsys):
     code, out, _ = run(
         capsys, "experiment", "cost-ratio", "-b", "2", "-c", "9/8", "-k", "3", "--n-max", "4"

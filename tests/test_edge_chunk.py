@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkwise import (
     Chunking,
+    TaskGraph,
     chunk_shortest_edge,
     delta,
     evaluate_chunking,
@@ -17,6 +20,7 @@ from chunkwise import (
     shortest_to_sink,
 )
 from chunkwise.agent import chunking_perceived_by_expansion
+from chunkwise.edge_chunk import _candidates, edge_context
 from chunkwise.errors import InvalidParams, NoAlternative
 from chunkwise.oracle import GridSpec, brute_force_edge_chunking, independent_min_bottleneck
 
@@ -335,3 +339,43 @@ def test_optimal_bottleneck_monotone_in_k_random():
             if prev is not None:
                 assert rep.bottleneck <= prev
             prev = rep.bottleneck
+
+
+@st.composite
+def _edge_queries(draw):
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        g = random_task_graph(random.Random(seed), min_vertices=3, max_vertices=8)
+        edge = draw(st.sampled_from([e[:2] for e in g.edges if e[0] != g.sink]))
+    else:
+        # One edge (u, v) and one outside route: draws every delta regime.
+        cost = st.fractions(min_value=0, max_value=40, max_denominator=12)
+        x, c, o = draw(cost), draw(cost), draw(cost)
+        g = TaskGraph(
+            ["u", "v", "z", "t"],
+            [("u", "v", x), ("v", "t", c), ("u", "z", 0), ("z", "t", o)],
+            "u",
+            "t",
+        )
+        edge = ("u", "v")
+    b = draw(st.fractions(min_value=F(7, 6), max_value=8, max_denominator=6))
+    return g, edge, b, draw(st.integers(1, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_queries())
+def test_candidate_screen_is_exact(query):
+    # The optimizer fully evaluates only the candidates whose closed-form
+    # bottleneck ties the minimum; that is sound only if every closed form
+    # is exact. Evaluate every candidate here and compare.
+    g, edge, b, k = query
+    dist = shortest_to_sink(g)
+    keys = []
+    for bottleneck, build in _candidates(edge_context(g, dist, edge), b, k):
+        chunking = Chunking(*edge, build())
+        report = evaluate_chunking(g, dist, chunking, b)
+        assert report.bottleneck == bottleneck
+        keys.append((report.bottleneck, report.tau, chunking.chunks))
+    chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
+    assert (report.bottleneck, report.tau, chunking.chunks) == min(keys)
+    assert report.bottleneck == independent_min_bottleneck(g, dist, edge, b, k)

@@ -23,7 +23,12 @@ from chunkwise import (
     two_agent_plan,
 )
 from chunkwise.edge_chunk import edge_context, perceived_chunk_costs
-from chunkwise.errors import InfeasibleChunking, InvalidParams, TakerRefuses
+from chunkwise.errors import (
+    InfeasibleChunking,
+    InvalidParams,
+    InvariantViolation,
+    TakerRefuses,
+)
 from chunkwise.expansion import ChunkPlan, original_path
 from chunkwise.multi_agent import (
     min_chunks_same_path,
@@ -525,3 +530,19 @@ def test_m_agent_single_path_matches_exhaustive_paths():
             if best is None or cand_cost < best:
                 best = cand_cost
         assert best == cost
+
+
+def test_chunk_split_mass_loss_is_an_invariant_violation(s32, monkeypatch):
+    # The split's checks must not vanish under python -O.
+    import chunkwise.multi_agent as ma
+
+    siphon = ma._phase_tail_siphon
+
+    def leaky(ctx, xs, ti, bt, alpha):
+        siphon(ctx, xs, ti, bt, alpha)
+        xs[-1] += 1
+
+    monkeypatch.setattr(ma, "_phase_tail_siphon", leaky)
+    dist = shortest_to_sink(s32)
+    with pytest.raises(InvariantViolation, match="conserve mass"):
+        chunk_split(s32, dist, ("u", "v"), B2, F(10), 3, taker=1)

@@ -54,6 +54,20 @@ def test_edge_chunking_no_superquadratic_blowup_in_k():
         assert t128 <= 8 * max(t64, floor / 4)  # quadratic predicts 4x
 
 
+def test_interior_delta_edge_chunking_is_linear_in_k(s32):
+    # s32's (u, v) has 0 < delta <= x, the branch with ~2k candidates: each
+    # must be screened in O(1) exact operations, not evaluated in O(k).
+    dist = shortest_to_sink(s32)
+
+    def run(k):
+        return lambda: optimal_edge_chunking(s32, dist, ("u", "v"), B2, k)
+
+    t128 = _timed(run(128))
+    t256 = _timed(run(256))
+    assert t256 < 0.25
+    assert t256 <= 4 * t128  # quadratic predicts 4x; linear predicts 2x
+
+
 def test_two_agent_global_no_supercubic_blowup():
     def chain_graph(n: int) -> TaskGraph:
         names = [f"n{i:02d}" for i in range(n)] + ["t"]
