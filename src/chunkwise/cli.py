@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -252,20 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", required=True, help="exit growth factor, exact rational > 1")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     add_common(p, graph=False)
-    p.set_defaults(func=cmd_fan)
 
     p = sub.add_parser("simulate", help="walk a biased agent and emit its trace")
     add_common(p)
     p.add_argument("-b", "--bias", required=True)
     p.add_argument("--plan", help="chunk plan JSON to install first")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("chunk-edge", help="optimally chunk one edge")
     add_common(p)
     p.add_argument("-e", "--edge", required=True, help="tail,head")
     p.add_argument("-b", "--bias", required=True)
     p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=cmd_chunk_edge)
 
     p = sub.add_parser("chunk-graph", help="plan chunks across the whole graph")
     add_common(p)
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--single-path", action="store_true", help="force all types onto one path"
     )
-    p.set_defaults(func=cmd_chunk_graph)
 
     p = sub.add_parser("split-edge", help="chunk an edge so the types separate")
     add_common(p)
@@ -283,14 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--biases", required=True, help="low,high")
     p.add_argument("--taker", type=int, choices=(1, 2), default=1)
     p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=cmd_split_edge)
 
     p = sub.add_parser("same-path-edge", help="chunk an edge every type accepts")
     add_common(p)
     p.add_argument("-e", "--edge", required=True)
     p.add_argument("--biases", required=True)
     p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=cmd_same_path_edge)
 
     p = sub.add_parser("verify", help="run randomized oracle cross-checks")
     p.add_argument(
@@ -300,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-d", type=int, default=64)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="emit experiment CSVs")
     p.add_argument("which", choices=("cost-ratio", "chunks-needed"))
@@ -310,19 +304,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: building the subcommand tree costs more than
+    # most commands. Parsing leaves the parser unchanged, and argparse looks
+    # up sys.stdout and sys.stderr when it writes, so reuse is invisible.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # The command is looked up on every call, not stored in the cached
+    # parser, so a cmd_* function replaced on this module (by a tracer or a
+    # test) still runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (InvalidParams, ParseError, FileNotFoundError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

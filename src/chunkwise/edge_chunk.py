@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
@@ -277,6 +278,30 @@ def _head_then_geometric(
     return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
 
 
+def greedy_masses(ctx: EdgeContext, b: Fraction, cap: Fraction) -> Iterator[Fraction]:
+    """Most mass l chunks can carry with every perceived cost <= cap, l = 1, 2, ...
+
+    Fills from the last chunk backwards, each chunk as large as the cap allows
+    given the mass M_l already behind it: M_1 = (cap - c(v->t))/b and
+    M_{l+1} = M_l + (cap - min(outside, M_l + c(v->t)))/b. Maximal by the
+    suffix-sum exchange argument. Yields nothing when cap < c(v->t), since even
+    a zero-mass final chunk breaks the cap; otherwise never stops.
+    """
+    c, o = ctx.cost_to_sink, ctx.outside
+    if cap < c:
+        return
+    mass = (cap - c) / b
+    while True:
+        yield mass
+        through = mass + c
+        step = (cap - (through if o is None else min(o, through))) / b
+        if step < 0:
+            raise InvariantViolation(
+                f"greedy step {step} went negative although cap {cap} >= c(v->t) {c}"
+            )
+        mass += step
+
+
 def min_chunks_to_beat(
     g: TaskGraph,
     dist: DistanceMap,
@@ -287,27 +312,19 @@ def min_chunks_to_beat(
 ) -> Optional[int]:
     """Least l <= k_max whose optimal l-chunking bottleneck is <= alpha.
 
-    Returns None when even k_max chunks cannot reach alpha. The optimal
-    bottleneck is non-increasing in l (prepend a zero chunk), so binary
-    search applies.
+    Returns None when even k_max chunks cannot reach alpha. Some l-chunking
+    keeps every perceived cost within alpha exactly when the greedy mass
+    M_l >= x (pad the greedy fill with zero head chunks), so one pass of
+    `greedy_masses` answers it in O(k_max) exact operations, with no
+    optimization.
     """
     if k_max < 1:
         raise InvalidParams("k_max must be >= 1")
-
-    def beats(l: int) -> bool:
-        _, report = optimal_edge_chunking(g, dist, edge, b, l)
-        return report.bottleneck <= alpha
-
-    if not beats(k_max):
-        return None
-    lo, hi = 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if beats(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    ctx = edge_context(g, dist, edge)
+    for l, mass in enumerate(islice(greedy_masses(ctx, b, alpha), k_max), start=1):
+        if mass >= ctx.x:
+            return l
+    return None
 
 
 def _check_params(b: Fraction, k: int) -> None:

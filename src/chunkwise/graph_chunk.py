@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Literal, Mapping, Optional
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, simulate_plan
-from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
-from .errors import InvalidParams
+from .edge_chunk import min_chunks_to_beat, optimal_edge_chunking
+from .errors import InvalidParams, InvariantViolation
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
 from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
 
@@ -131,28 +131,29 @@ def chunk_graph_local(
 ) -> tuple[ChunkPlan, TraversalTrace]:
     """Optimal plan when every edge may carry up to k chunks.
 
-    Prunes edges whose optimal k-chunking bottleneck exceeds the tail's
-    unaided perceived cost, shortest-paths the survivors, then chunks each
-    non-default edge on that path. The returned trace is the simulated agent
-    on the expanded graph; its cost equals the DP value exactly.
+    Prunes edges no k-chunking persuades the agent through (their optimal
+    k-chunking bottleneck exceeds the tail's unaided perceived cost, decided
+    by `chunk_budget_needed`), shortest-paths the survivors, then optimally
+    k-chunks each non-default edge on that path, and only those. The returned
+    trace is the simulated agent on the expanded graph; its cost equals the DP
+    value exactly.
     """
     if k < 1:
         raise InvalidParams("local budget needs k >= 1")
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
-    need: dict[Edge, Optional[int]] = {}
-    chunked: dict[Edge, Chunking] = {}  # optimal k-chunking of each non-default edge
-    for u, v, _ in g.edges:
-        if pers.default[u] == v:
-            need[(u, v)] = 0
-            continue
-        chunking, report = optimal_edge_chunking(g, dist, (u, v), b, k)
-        need[(u, v)] = 0 if report.bottleneck <= pers.alpha[u] else None
-        chunked[(u, v)] = chunking
+    need = {
+        (u, v): None if chunk_budget_needed(g, dist, pers, b, u, v, k) is None else 0
+        for u, v, _ in g.edges
+    }
     table, choice = cheapest_paths(g, need, 0)
     path, _ = walk_choices(g, choice, g.source, 0)
     predicted = table[(g.source, 0)]
-    chunkings = [chunked[e] for e in zip(path, path[1:]) if e in chunked]
+    chunkings = [
+        optimal_edge_chunking(g, dist, (u, v), b, k)[0]
+        for u, v in zip(path, path[1:])
+        if pers.default[u] != v
+    ]
     plan = ChunkPlan(
         chunkings=tuple(chunkings),
         mode="local",
@@ -206,12 +207,12 @@ def _simulate_and_check(
 ) -> TraversalTrace:
     trace, cg = simulate_plan(g, plan, BiasProfile(b))
     realized = original_path(cg, trace.path)
-    if realized != path or trace.total != predicted:  # pragma: no cover - invariant
-        raise AssertionError(
+    if realized != path or trace.total != predicted:
+        raise InvariantViolation(
             f"plan/trace mismatch: planned {path} at {predicted}, "
             f"agent took {realized} at {trace.total}"
         )
     for ch in plan.chunkings:
         if not walk_follows_chunking(trace.path, cg.chain_of(ch.edge)):
-            raise AssertionError(f"planned chunking of {ch.edge} was abandoned")
+            raise InvariantViolation(f"planned chunking of {ch.edge} was abandoned")
     return trace

@@ -403,9 +403,22 @@ def chunk_same_path(
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
+    steps = _same_path_fill(g, dist, edge, agents, k)
+    return Chunking(*edge, (Fraction(0),) * (k - len(steps)) + tuple(reversed(steps)))
+
+
+def _same_path_fill(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
+) -> list[Fraction]:
+    """chunk_same_path's chunks, from the last back to the one covering x.
+
+    The chunks in front of the covering one are zero. The fill reads k only
+    to stop after k chunks, so the least chunk count every type accepts is
+    the length of one fill at the largest k.
+    """
     ctx = edge_context(g, dist, edge)
     alphas = [agents.alpha(g, dist, i, edge[0], edge[1]) for i in range(agents.m)]
-    xs = [Fraction(0)] * k
+    steps: list[Fraction] = []
     placed = Fraction(0)
     for i in range(k - 1, -1, -1):
         if i == k - 1:
@@ -429,9 +442,9 @@ def chunk_same_path(
         else:
             x_i = ctx.x - placed
         if placed + x_i >= ctx.x:
-            xs[i] = ctx.x - placed
-            return Chunking(*edge, tuple(xs))
-        xs[i] = x_i
+            steps.append(ctx.x - placed)
+            return steps
+        steps.append(x_i)
         placed += x_i
     raise InfeasibleChunking(
         f"mass deficit: {k} chunks can carry at most {placed} of {ctx.x}"
@@ -451,20 +464,16 @@ def same_path_feasible(
 def min_chunks_same_path(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
 ) -> Optional[int]:
-    """Least l <= k_max every agent accepts (feasibility is monotone in l).
+    """Least l <= k_max every agent accepts, from one greedy fill at k_max.
 
     None when no l works, which includes k_max 0.
     """
-    if k_max == 0 or not same_path_feasible(g, dist, edge, agents, k_max):
+    if k_max == 0:
         return None
-    lo, hi = 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if same_path_feasible(g, dist, edge, agents, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    try:
+        return len(_same_path_fill(g, dist, edge, agents, k_max))
+    except InfeasibleChunking:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +795,7 @@ def two_agent_plan(
         if plan is not None:
             traces = joint_simulate(g, plan, (b1, b2))
             return plan, (traces[0], traces[1])
-    raise AssertionError("default biased paths must always validate")  # pragma: no cover
+    raise InvariantViolation("the default biased paths failed to validate")
 
 
 def _charge(budget: BudgetSpec, l: Optional[int]) -> Optional[int]:
@@ -947,7 +956,5 @@ def m_agent_single_path_plan(
     for b in agents.biases:
         trace, cg = simulate_plan(g, plan, BiasProfile(b))
         if original_path(cg, trace.path) != path or trace.total != predicted:
-            raise AssertionError(
-                f"type {b} deviates from the shared path"
-            )  # pragma: no cover - invariant
+            raise InvariantViolation(f"type {b} deviates from the shared path")
     return plan, path

@@ -1,10 +1,13 @@
 """Independent brute-force verifiers and the quantitative experiments.
 
-The edge oracle enumerates grid chunkings with scaled-integer arithmetic.
-The graph oracle enumerates candidate paths, decides per-edge persuadability
-with a greedy max-mass iteration that shares nothing with the optimizer's
-candidate formulas, builds witness chunkings from the saturated profile, and
-validates every winner by full expansion and simulation.
+The edge oracle enumerates grid chunkings with scaled-integer arithmetic;
+`independent_min_bottleneck` inverts the greedy max-mass fill, which shares
+nothing with the optimizer's candidate formulas. The graph oracle enumerates
+candidate paths and decides per-edge persuadability as "optimal l-chunking
+bottleneck <= alpha" for l = 1, 2, ..., so it shares nothing with the greedy
+fill the planners decide it with. It builds witness chunkings from the
+saturated greedy profile and validates every winner by full expansion and
+simulation.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .agent import BiasProfile, simulate_plan
@@ -19,9 +23,11 @@ from .edge_chunk import (
     Chunking,
     EdgeContext,
     edge_context,
+    greedy_masses,
+    optimal_edge_chunking,
     selective_bias_closed_form,
 )
-from .errors import GridTooLarge, InvalidParams
+from .errors import GridTooLarge, InvalidParams, InvariantViolation
 from .expansion import ChunkPlan, original_path
 from .graph import (
     DistanceMap,
@@ -87,7 +93,8 @@ def brute_force_edge_chunking(
     L = math.lcm(*denoms)
     # All integers below; perceived costs are scaled by L * b.denominator.
     qL = q * L
-    assert qL.denominator == 1
+    if qL.denominator != 1:
+        raise InvariantViolation(f"grid unit {q} scaled by {L} is not an integer")
     q_i = qL.numerator
     cv_i = int(ctx.cost_to_sink * L)
     out_i = None if ctx.outside is None else int(ctx.outside * L)
@@ -110,13 +117,14 @@ def brute_force_edge_chunking(
         if best_val is None or val < best_val:
             best_val = val
             best_comp = comp
-    assert best_val is not None and best_comp is not None
+    if best_val is None or best_comp is None:
+        raise InvariantViolation(f"no grid chunking of {edge} was evaluated")
     chunks = tuple(m * q for m in best_comp)
     return Chunking(*edge, chunks), Fraction(best_val, L * bd)
 
 
 # ---------------------------------------------------------------------------
-# Independent persuadability: greedy max mass under a perceived-cost cap
+# The greedy-mass inverse and its witness chunkings
 # ---------------------------------------------------------------------------
 
 
@@ -125,56 +133,30 @@ def max_mass_under_cap(
 ) -> Optional[Fraction]:
     """Largest total cost k chunks can carry with every perceived cost <= beta.
 
-    Built from the back: M_{j+1} = M_j + (beta - min(outside, M_j + c_v))/b.
-    None when even a zero-mass final chunk breaks the cap. Maximal by the
-    suffix-sum exchange argument, independent of the optimizer's closed forms.
+    The k-th mass of `edge_chunk.greedy_masses`; None when even a zero-mass
+    final chunk breaks the cap.
     """
-    if beta < ctx.cost_to_sink:
-        return None
-    mass = (beta - ctx.cost_to_sink) / b
-    for _ in range(k - 1):
-        through = mass + ctx.cost_to_sink
-        floor = through if ctx.outside is None else min(ctx.outside, through)
-        step = (beta - floor) / b
-        assert step >= 0, "greedy step went negative despite beta >= c_v"
-        mass += step
-    return mass
-
-
-def persuadable(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, b: Fraction, alpha: Fraction, k: int
-) -> bool:
-    """Does some k-chunking keep every perceived chunk cost within alpha?"""
-    ctx = edge_context(g, dist, edge)
-    if ctx.outside is None:
-        return True
-    mass = max_mass_under_cap(ctx, b, alpha, k)
-    return mass is not None and mass >= ctx.x
+    return next(islice(greedy_masses(ctx, b, beta), k - 1, None), None)
 
 
 def saturated_chunking(
     g: TaskGraph, dist: DistanceMap, edge: Edge, b: Fraction, beta: Fraction, k: int
 ) -> Optional[Chunking]:
-    """Witness chunking with all perceived costs <= beta, from the greedy fill."""
+    """Witness chunking with all perceived costs <= beta, from the greedy fill.
+
+    Its last chunks are the greedy steps, the one that reaches the edge cost
+    is cut short, and the chunks before it are zero. None when k greedy
+    chunks cannot carry the edge.
+    """
     ctx = edge_context(g, dist, edge)
-    if beta < ctx.cost_to_sink:
-        return None
-    xs = [Fraction(0)] * k
+    steps: list[Fraction] = []  # from the last chunk backwards
     placed = Fraction(0)
-    for i in range(k - 1, -1, -1):
-        if i == k - 1:
-            floor = ctx.cost_to_sink
-        else:
-            through = placed + ctx.cost_to_sink
-            floor = through if ctx.outside is None else min(ctx.outside, through)
-        step = (beta - floor) / b
-        if step < 0:
-            return None
-        if placed + step >= ctx.x:
-            xs[i] = ctx.x - placed
-            return Chunking(*edge, tuple(xs))
-        xs[i] = step
-        placed += step
+    for mass in islice(greedy_masses(ctx, b, beta), k):
+        if mass >= ctx.x:
+            steps.append(ctx.x - placed)
+            return Chunking(*edge, (Fraction(0),) * (k - len(steps)) + tuple(reversed(steps)))
+        steps.append(mass - placed)
+        placed = mass
     return None
 
 
@@ -186,8 +168,13 @@ def min_chunks_independent(
     alpha: Fraction,
     k_max: int,
 ) -> Optional[int]:
+    """Least l <= k_max whose optimal l-chunking bottleneck is <= alpha.
+
+    Asks the optimizer for every l in turn, so it shares nothing with the
+    greedy recurrence that `edge_chunk.min_chunks_to_beat` answers this with.
+    """
     for l in range(1, k_max + 1):
-        if persuadable(g, dist, edge, b, alpha, l):
+        if optimal_edge_chunking(g, dist, edge, b, l)[1].bottleneck <= alpha:
             return l
     return None
 
@@ -222,7 +209,8 @@ def independent_min_bottleneck(
         beta = (x - c) / a
         if max_mass_under_cap(ctx, b, beta, k) == x and (best is None or beta < best):
             best = beta
-    assert best is not None, "no branch pattern solved the mass equation"
+    if best is None:
+        raise InvariantViolation(f"no branch pattern solved the mass equation for {edge}")
     return best
 
 
@@ -237,10 +225,11 @@ def brute_force_graph_plan(
     """Minimal simulated agent cost over exhaustively enumerated paths.
 
     For each candidate path, each non-default edge needs its minimal
-    persuading chunk count (decided by the independent greedy iteration);
-    witness chunkings come from the saturated profile at the tail's
-    threshold. Every candidate plan is validated by full simulation before
-    its cost counts.
+    persuading chunk count, the least l whose optimal l-chunking bottleneck
+    is within the tail's threshold (`min_chunks_independent`); witness
+    chunkings come from the saturated greedy profile at that threshold.
+    Every candidate plan is validated by full simulation before its cost
+    counts.
     """
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
@@ -255,7 +244,8 @@ def brute_force_graph_plan(
         cost = trace.total
         if best is None or cost < best[0]:
             best = (cost, plan)
-    assert best is not None, "the default biased path always validates"
+    if best is None:
+        raise InvariantViolation("the default biased path failed to validate")
     return best
 
 
@@ -310,7 +300,8 @@ def brute_force_two_agent_plan(
         plan = _pair_plan(g, dist, b1, b2, P, Q, budget, pers1, pers2)
         if plan is not None:
             best = (cost, plan)
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("the default path pair failed to validate")
     return best
 
 

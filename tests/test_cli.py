@@ -318,3 +318,27 @@ def test_verify_exit_code_on_violation(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "edge-oracle", "--trials", "1")
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_main_reuses_one_parser(s32_path, capsys, monkeypatch):
+    # main parses with one parser per process; repeated calls must give the
+    # exit codes and bytes that a freshly built parser gives.
+    import chunkwise.cli as cli
+
+    cases = [
+        ("chunk-edge", "-g", str(s32_path), "-e", "u,v", "-b", "2"),  # -k missing
+        ("chunk-edge", "-g", str(s32_path), "-e", "u,v", "-b", "2", "-k", "3"),
+        ("--help",),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in cases]
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert "required: -k" in fresh[0][2] and fresh[2][1].startswith("usage: chunkwise")
+    for _ in range(3):
+        assert [run(capsys, *argv) for argv in cases] == fresh
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    # The cached parser does not pin the command functions.
+    monkeypatch.setattr(cli, "cmd_chunk_edge", lambda args: 7)
+    assert run(capsys, *cases[1]) == (7, "", "")

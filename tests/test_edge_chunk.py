@@ -379,3 +379,32 @@ def test_candidate_screen_is_exact(query):
     chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
     assert (report.bottleneck, report.tau, chunking.chunks) == min(keys)
     assert report.bottleneck == independent_min_bottleneck(g, dist, edge, b, k)
+
+
+@st.composite
+def _persuasion_queries(draw):
+    if draw(st.booleans()):
+        g, edge, _, _ = draw(_edge_queries())
+    else:
+        # The only way out of u, possibly at zero cost: no outside option.
+        cost = st.fractions(min_value=0, max_value=40, max_denominator=12)
+        g = TaskGraph(["u", "v", "t"], [("u", "v", draw(cost)), ("v", "t", draw(cost))], "u", "t")
+        edge = ("u", "v")
+    b = draw(st.fractions(min_value=F(7, 6), max_value=8, max_denominator=6))
+    k_max = draw(st.integers(1, 9))
+    dist = shortest_to_sink(g)
+    bottlenecks = [
+        optimal_edge_chunking(g, dist, edge, b, l)[1].bottleneck for l in range(1, k_max + 1)
+    ]
+    # Thresholds at every exact optimum, at c(v->t), and just off each.
+    at = draw(st.sampled_from(bottlenecks + [dist[edge[1]]]))
+    alpha = at + draw(st.sampled_from((0, F(1, 10**9), -F(1, 10**9))))
+    return g, dist, edge, b, alpha, k_max, bottlenecks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_persuasion_queries())
+def test_min_chunks_to_beat_is_least_optimal_bottleneck_within_alpha(query):
+    g, dist, edge, b, alpha, k_max, bottlenecks = query
+    expected = next((l for l, bn in enumerate(bottlenecks, start=1) if bn <= alpha), None)
+    assert min_chunks_to_beat(g, dist, edge, b, alpha, k_max) == expected

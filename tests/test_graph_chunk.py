@@ -15,10 +15,11 @@ from chunkwise import (
     simulate_plan,
     traverse,
 )
-from chunkwise.errors import InvalidParams
+from chunkwise.errors import InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
 from chunkwise.graph import all_paths, path_cost
 from chunkwise.graph_chunk import cheapest_paths, persuasion_profile, walk_choices
+from chunkwise.multi_agent import AgentSet, m_agent_single_path_plan
 from chunkwise.oracle import brute_force_graph_plan
 from conftest import series_gadgets
 
@@ -240,3 +241,69 @@ def test_matches_oracle_on_tie_heavy_integer_graphs():
             _, trace = planner(g, b, k)
             oracle_cost, _ = brute_force_graph_plan(g, b, BudgetSpec(mode, k))
             assert trace.total == oracle_cost
+
+
+def test_optimizer_runs_only_for_the_chunked_plan_edges(monkeypatch):
+    # min_chunks_to_beat decides persuadability without optimizing; the
+    # planners then optimize each chunked edge of their plan exactly once.
+    import chunkwise.edge_chunk as ec
+    import chunkwise.graph_chunk as gc
+
+    calls = []
+    optimize = ec.optimal_edge_chunking
+
+    def counted(*args):
+        calls.append(args[2])
+        return optimize(*args)
+
+    monkeypatch.setattr(ec, "optimal_edge_chunking", counted)
+    monkeypatch.setattr(gc, "optimal_edge_chunking", counted)
+    g = series_gadgets()
+    dist = shortest_to_sink(g)
+    for u, v, _ in g.edges:
+        for alpha in (F(60), F(76), F(100)):
+            ec.min_chunks_to_beat(g, dist, (u, v), B2, alpha, 8)
+    assert calls == []
+    rng = random.Random(5)
+    graphs = [g] + [random_task_graph(rng, min_vertices=4, max_vertices=9) for _ in range(20)]
+    chunked = 0
+    for h in graphs:
+        for planner, k in (
+            (chunk_graph_local, 3), (chunk_graph_global, 3), (chunk_graph_global, 6)
+        ):
+            calls.clear()
+            plan, _ = planner(h, B2, k)
+            assert sorted(calls) == sorted(c.edge for c in plan.chunkings)
+            chunked += len(plan.chunkings)
+    assert chunked > 0
+
+
+@pytest.mark.parametrize(
+    "module, plan",
+    [
+        ("graph_chunk", lambda g: chunk_graph_local(g, B2, 3)),
+        ("graph_chunk", lambda g: chunk_graph_global(g, B2, 3)),
+        (
+            "multi_agent",
+            lambda g: m_agent_single_path_plan(g, AgentSet((B2, F(3))), BudgetSpec("local", 3)),
+        ),
+    ],
+    ids=["local", "global", "m-agent"],
+)
+def test_simulation_deviating_from_the_plan_is_an_invariant_violation(
+    s32, monkeypatch, module, plan
+):
+    # The planners' final simulation checks must not vanish under python -O.
+    import dataclasses
+    import importlib
+
+    mod = importlib.import_module(f"chunkwise.{module}")
+    simulate = mod.simulate_plan
+
+    def deviating(*args, **kwargs):
+        trace, cg = simulate(*args, **kwargs)
+        return dataclasses.replace(trace, total=trace.total + 1), cg
+
+    monkeypatch.setattr(mod, "simulate_plan", deviating)
+    with pytest.raises(InvariantViolation):
+        plan(s32)
