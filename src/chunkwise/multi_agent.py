@@ -4,14 +4,21 @@ Splitting two agents at one vertex works by reshaping a chunking the taker
 still accepts until the other type's perceived cost of one chunk is as high
 as possible. Keeping m agents on one edge is a greedy fill from the last
 chunk backwards. Graph-level planning pairs these with the single-agent
-machinery; every emitted plan is validated by jointly simulating all agents,
-with an exhaustive path-pair fallback when the optimistic recurrence and the
-simulation disagree.
+machinery; every emitted plan is validated by simulating each agent type on
+it, with an exhaustive path-pair fallback when the optimistic recurrence and
+the simulation disagree.
+
+The two-agent planner builds one `JointMoves` table per call: both
+persuasion profiles, both types' per-edge chunk needs, and every move out
+of a vertex (joint, same-edge or solo) with its witness chunkings, each
+computed on first use. Its DP (through `compatible_pairs`), its static pair
+plans, its exhaustive fallback and `oracle.brute_force_two_agent_plan` all
+read that one table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
@@ -42,7 +49,6 @@ from .graph import (
 )
 from .graph_chunk import (
     BudgetSpec,
-    Persuasion,
     cheapest_paths,
     chunk_budget_needed,
     chunk_graph_global,
@@ -477,24 +483,151 @@ def min_chunks_same_path(
 
 
 # ---------------------------------------------------------------------------
-# Compatibility sets for the two-agent planner
+# Joint moves for the two-agent planner
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CompatEntry:
-    """One jointly achievable successor pair with its witness chunkings."""
+class Move:
+    """How the types at one vertex leave it: chunks used and witness chunkings."""
 
-    v: str
-    z: str
     chunk_count: int
     witnesses: tuple[Chunking, ...]
 
 
-@dataclass(frozen=True)
-class CompatibilitySet:
-    u: str
-    entries: dict[tuple[str, str], CompatEntry]
+class JointMoves:
+    """Every move the two-agent planner asks about for one (g, b1 < b2, budget).
+
+    Both persuasion profiles and both types' per-edge chunk needs are
+    computed on construction. A move, and each `chunk_split` behind one, is
+    computed on first use and kept on this object, never on the module, so
+    its memory goes with the planner or oracle call that built it.
+    """
+
+    def __init__(self, g: TaskGraph, b1: Fraction, b2: Fraction, budget: BudgetSpec) -> None:
+        self.g = g
+        self.budget = budget
+        self.dist = shortest_to_sink(g)
+        self.pers = tuple(persuasion_profile(g, self.dist, b) for b in (b1, b2))
+        self.agents = AgentSet((b1, b2))
+        # need[t][e]: chunks routing type t alone through e (see chunk_budget_needed)
+        self.need = tuple(
+            {
+                (u, v): chunk_budget_needed(g, self.dist, pers, b, u, v, budget.k)
+                for u, v, _ in g.edges
+            }
+            for pers, b in zip(self.pers, (b1, b2))
+        )
+        self._moves: dict[tuple[str, Optional[str], Optional[str]], Optional[Move]] = {}
+        self._splits: dict[tuple[Edge, int, int], Optional[Chunking]] = {}
+
+    def move(self, u: str, v: Optional[str], z: Optional[str]) -> Optional[Move]:
+        """A1 leaves u by (u, v) while A2 leaves it by (u, z); None if impossible.
+
+        v or z is None when that type does not pass u, and the other type is
+        then persuaded alone.
+        """
+        key = (u, v, z)
+        if key not in self._moves:
+            if z is None:
+                found = self._solo(0, u, v)
+            elif v is None:
+                found = self._solo(1, u, z)
+            elif v == z:
+                found = self._same_edge(u, v)
+            else:
+                found = self._split(u, v, z)
+            self._moves[key] = found
+        return self._moves[key]
+
+    def _solo(self, t: int, u: str, v: str) -> Optional[Move]:
+        l = self.need[t][(u, v)]
+        if not l:  # unusable, or type t's own default edge
+            return None if l is None else Move(0, ())
+        use = l if self.budget.mode == "global" else self.budget.k
+        b = self.agents.biases[t]
+        return Move(use, (optimal_edge_chunking(self.g, self.dist, (u, v), b, use)[0],))
+
+    def _same_edge(self, u: str, v: str) -> Optional[Move]:
+        if all(pers.default[u] == v for pers in self.pers):
+            return Move(0, ())
+        k = self.budget.k
+        if self.budget.mode == "global":
+            l = min_chunks_same_path(self.g, self.dist, (u, v), self.agents, k)
+            if l is None:
+                return None
+        else:
+            l = k
+        try:
+            return Move(l, (chunk_same_path(self.g, self.dist, (u, v), self.agents, l),))
+        except InfeasibleChunking:
+            return None
+
+    def _split(self, u: str, v: str, z: str) -> Optional[Move]:
+        """Cheapest validated pair of splits sending A1 to v and A2 to z."""
+        k = self.budget.k
+        if self.budget.mode == "local":
+            for i, j in ((0, 0), (0, k), (k, 0), (k, k)):
+                wit = self._split_witnesses(u, v, z, i, j)
+                if wit is not None:
+                    return Move(i + j, wit)
+            return None
+        # Global: the feasibility matrix is monotone in each coordinate (an
+        # i-chunking can always be emulated with i+1 chunks), so the cheapest
+        # feasible row per column is found by binary search.
+        best: Optional[Move] = None
+        for j in range(0, k + 1):
+            wit_hi = self._split_witnesses(u, v, z, k, j)
+            if wit_hi is None:
+                continue
+            lo, hi = 0, k
+            found = (k, wit_hi)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                wit = self._split_witnesses(u, v, z, mid, j)
+                if wit is not None:
+                    found = (mid, wit)
+                    hi = mid
+                else:
+                    lo = mid + 1
+            if best is None or found[0] + j < best.chunk_count:
+                best = Move(found[0] + j, found[1])
+        return best
+
+    def _split_witnesses(
+        self, u: str, v: str, z: str, i: int, j: int
+    ) -> Optional[tuple[Chunking, ...]]:
+        """Witnesses for A1 taking (u,v) with i chunks while A2 takes (u,z) with j.
+
+        i or j of zero means the edge is left alone (only sensible when it is
+        that agent's unaided choice). Both chunkings are installed together and
+        validated by simulating both agents from u under the shared tie rule.
+        """
+        witnesses: list[Chunking] = []
+        for t, head, chunks in ((0, v, i), (1, z, j)):
+            if chunks == 0:
+                if self.pers[t].default[u] != head:
+                    return None
+                continue
+            ch = self._chunk_split((u, head), chunks, t + 1)
+            if ch is None:
+                return None
+            witnesses.append(ch)
+        for b, head in zip(self.agents.biases, (v, z)):
+            if not _first_move_ok(self.g, witnesses, b, u, head):
+                return None
+        return tuple(witnesses)
+
+    def _chunk_split(self, edge: Edge, k: int, taker: Literal[1, 2]) -> Optional[Chunking]:
+        """chunk_split's chunking, or None when the taker refuses it."""
+        key = (edge, k, taker)
+        if key not in self._splits:
+            b1, b2 = self.agents.biases
+            try:
+                self._splits[key] = chunk_split(self.g, self.dist, edge, b1, b2, k, taker)[0]
+            except TakerRefuses:
+                self._splits[key] = None
+        return self._splits[key]
 
 
 def _first_move_ok(
@@ -513,138 +646,16 @@ def _first_move_ok(
     return len(trace.path) > 1 and trace.path[1] == target
 
 
-def _split_pair_feasible(
-    g: TaskGraph,
-    dist: DistanceMap,
-    u: str,
-    v: str,
-    z: str,
-    b1: Fraction,
-    b2: Fraction,
-    i: int,
-    j: int,
-    pers1: Persuasion,
-    pers2: Persuasion,
-) -> Optional[tuple[Chunking, ...]]:
-    """Witnesses for A1 taking (u,v) with i chunks while A2 takes (u,z) with j.
-
-    i or j of zero means the edge is left alone (only sensible when it is
-    that agent's unaided choice). Both chunkings are installed together and
-    validated by simulating both agents from u under the shared tie rule.
-    """
-    witnesses: list[Chunking] = []
-    try:
-        if i > 0:
-            witnesses.append(chunk_split(g, dist, (u, v), b1, b2, i, taker=1)[0])
-        elif pers1.default.get(u) != v:
-            return None
-        if j > 0:
-            witnesses.append(chunk_split(g, dist, (u, z), b1, b2, j, taker=2)[0])
-        elif pers2.default.get(u) != z:
-            return None
-    except TakerRefuses:
-        return None
-    if not _first_move_ok(g, witnesses, b1, u, v):
-        return None
-    if not _first_move_ok(g, witnesses, b2, u, z):
-        return None
-    return tuple(witnesses)
-
-
-def compatible_pairs(
-    g: TaskGraph,
-    dist: DistanceMap,
-    u: str,
-    b1: Fraction,
-    b2: Fraction,
-    budget: BudgetSpec,
-) -> CompatibilitySet:
+def compatible_pairs(moves: JointMoves, u: str) -> dict[tuple[str, str], Move]:
     """Successor pairs (v, z) both types can be persuaded to take from u.
 
-    One successor needs one chunking both types take; distinct successors
-    need a validated pair of splits. Global mode records minimal chunk
-    counts (per-column binary search over the monotone feasibility matrix
-    for splits).
+    The two-agent DP's read of one vertex's row of the joint-move table. One
+    successor needs one chunking both types take; distinct successors need a
+    validated pair of splits. Global budgets record minimal chunk counts.
     """
-    k = budget.k
-    pers1 = persuasion_profile(g, dist, b1)
-    pers2 = persuasion_profile(g, dist, b2)
-    agents = AgentSet((b1, b2)) if b1 < b2 else None
-    entries: dict[tuple[str, str], CompatEntry] = {}
-    for v, _ in g.out_edges(u):
-        for z, _ in g.out_edges(u):
-            if v == z:
-                if pers1.default[u] == v and pers2.default[u] == v:
-                    entries[(v, v)] = CompatEntry(v, v, 0, ())
-                    continue
-                if agents is None:  # b1 == b2 handled by the caller
-                    continue
-                if budget.mode == "global":
-                    l = min_chunks_same_path(g, dist, (u, v), agents, k)
-                    if l is None:
-                        continue
-                else:
-                    if not same_path_feasible(g, dist, (u, v), agents, k):
-                        continue
-                    l = k
-                ch = chunk_same_path(g, dist, (u, v), agents, l)
-                entries[(v, v)] = CompatEntry(v, v, l, (ch,))
-            else:
-                entry = _best_split_entry(
-                    g, dist, u, v, z, b1, b2, budget, pers1, pers2
-                )
-                if entry is not None:
-                    entries[(v, z)] = entry
-    return CompatibilitySet(u, entries)
-
-
-def _best_split_entry(
-    g: TaskGraph,
-    dist: DistanceMap,
-    u: str,
-    v: str,
-    z: str,
-    b1: Fraction,
-    b2: Fraction,
-    budget: BudgetSpec,
-    pers1: Persuasion,
-    pers2: Persuasion,
-) -> Optional[CompatEntry]:
-    k = budget.k
-
-    def feasible(i: int, j: int) -> Optional[tuple[Chunking, ...]]:
-        return _split_pair_feasible(g, dist, u, v, z, b1, b2, i, j, pers1, pers2)
-
-    if budget.mode == "local":
-        for i, j in ((0, 0), (0, k), (k, 0), (k, k)):
-            wit = feasible(i, j)
-            if wit is not None:
-                return CompatEntry(v, z, i + j, wit)
-        return None
-    # Global: the feasibility matrix is monotone in each coordinate (an
-    # i-chunking can always be emulated with i+1 chunks), so the cheapest
-    # feasible row per column is found by binary search.
-    best: Optional[tuple[int, tuple[Chunking, ...]]] = None
-    for j in range(0, k + 1):
-        wit_hi = feasible(k, j)
-        if wit_hi is None:
-            continue
-        lo, hi = 0, k
-        found = (k, wit_hi)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            wit = feasible(mid, j)
-            if wit is not None:
-                found = (mid, wit)
-                hi = mid
-            else:
-                lo = mid + 1
-        total = found[0] + j
-        if best is None or total < best[0]:
-            best = (total, found[1])
-    if best is None:
-        return None
-    return CompatEntry(v, z, best[0], best[1])
+    heads = [v for v, _ in moves.g.out_edges(u)]
+    found = {(v, z): moves.move(u, v, z) for v in heads for z in heads}
+    return {pair: move for pair, move in found.items() if move is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -652,104 +663,44 @@ def _best_split_entry(
 # ---------------------------------------------------------------------------
 
 
-def joint_simulate(
-    g: TaskGraph, plan: ChunkPlan, biases: Sequence[Fraction]
-) -> list[TraversalTrace]:
-    return [simulate_plan(g, plan, BiasProfile(b))[0] for b in biases]
-
-
 def _pair_plan(
-    g: TaskGraph,
-    dist: DistanceMap,
-    b1: Fraction,
-    b2: Fraction,
-    P: tuple[str, ...],
-    Q: tuple[str, ...],
-    budget: BudgetSpec,
-    pers1: Persuasion,
-    pers2: Persuasion,
-) -> Optional[ChunkPlan]:
-    """Static per-vertex plan making A1 follow P and A2 follow Q, or None.
+    moves: JointMoves, P: tuple[str, ...], Q: tuple[str, ...]
+) -> Optional[tuple[ChunkPlan, tuple[TraversalTrace, TraversalTrace]]]:
+    """Static plan making A1 follow P and A2 follow Q, with both traces, or None.
 
-    Shared edges get one chunking both types take; shared vertices with
-    distinct successors get validated split witnesses; solo vertices fall
-    back to single-agent persuasion. The assembled plan must survive joint
-    simulation (installing a chunking for one type is visible to the other).
+    Every vertex on P or Q contributes its move from the joint-move table: a
+    joint move where both paths leave it, a solo move where one does. The
+    assembled plan must survive simulating each type once on it (installing
+    a chunking for one type is visible to the other).
     """
-    k = budget.k
-    next_p = {P[i]: P[i + 1] for i in range(len(P) - 1)}
-    next_q = {Q[i]: Q[i + 1] for i in range(len(Q) - 1)}
-    agents = AgentSet((b1, b2)) if b1 < b2 else None
-    chunkings: dict[Edge, Chunking] = {}
+    g, budget = moves.g, moves.budget
+    next_p = dict(zip(P, P[1:]))
+    next_q = dict(zip(Q, Q[1:]))
+    chunkings: list[Chunking] = []
     total = 0
-
-    def solo(u: str, v: str, b: Fraction, pers: Persuasion) -> bool:
-        nonlocal total
-        if pers.default[u] == v:
-            return True
-        l = chunk_budget_needed(g, dist, pers, b, u, v, k)
-        if l is None:
-            return False
-        use = l if budget.mode == "global" else k
-        chunkings[(u, v)] = optimal_edge_chunking(g, dist, (u, v), b, use)[0]
-        total += use
-        return True
-
-    for u, v in next_p.items():
-        if u in next_q:
-            z = next_q[u]
-            if v == z:
-                if pers1.default[u] == v and pers2.default[u] == v:
-                    continue
-                if agents is None:
-                    if not solo(u, v, b1, pers1):
-                        return None
-                    continue
-                l = (
-                    min_chunks_same_path(g, dist, (u, v), agents, k)
-                    if budget.mode == "global"
-                    else (k if same_path_feasible(g, dist, (u, v), agents, k) else None)
-                )
-                if l is None:
-                    return None
-                chunkings[(u, v)] = chunk_same_path(g, dist, (u, v), agents, l)
-                total += l
-            else:
-                if agents is None:
-                    return None  # equal types cannot be split
-                entry = _best_split_entry(
-                    g, dist, u, v, z, b1, b2, budget, pers1, pers2
-                )
-                if entry is None:
-                    return None
-                for ch in entry.witnesses:
-                    chunkings[ch.edge] = ch
-                total += entry.chunk_count
-        else:
-            if not solo(u, v, b1, pers1):
-                return None
-    for y, z in next_q.items():
-        if y in next_p:
-            continue
-        if not solo(y, z, b2, pers2):
+    for u in dict.fromkeys([*next_p, *next_q]):
+        found = moves.move(u, next_p.get(u), next_q.get(u))
+        if found is None:
             return None
-    if budget.mode == "global" and total > k:
+        chunkings.extend(found.witnesses)
+        total += found.chunk_count
+    if budget.mode == "global" and total > budget.k:
         return None
     plan = ChunkPlan(
-        chunkings=tuple(chunkings[e] for e in sorted(chunkings)),
+        chunkings=tuple(sorted(chunkings, key=lambda ch: ch.edge)),
         mode=budget.mode,
-        k=k,
+        k=budget.k,
         planned_paths=(P, Q),
         predicted_cost=path_cost(g, P) + path_cost(g, Q),
-        biases=(b1, b2),
+        biases=moves.agents.biases,
     )
-    t1, t2 = joint_simulate(g, plan, (b1, b2))
-    _, cg = simulate_plan(g, plan, BiasProfile(b1))
-    if original_path(cg, t1.path) != P or t1.total != path_cost(g, P):
-        return None
-    if original_path(cg, t2.path) != Q or t2.total != path_cost(g, Q):
-        return None
-    return plan
+    traces: list[TraversalTrace] = []
+    for b, path in zip(moves.agents.biases, (P, Q)):
+        trace, cg = simulate_plan(g, plan, BiasProfile(b))
+        if original_path(cg, trace.path) != path or trace.total != path_cost(g, path):
+            return None
+        traces.append(trace)
+    return plan, (traces[0], traces[1])
 
 
 def two_agent_plan(
@@ -759,42 +710,37 @@ def two_agent_plan(
 
     Dynamic program over position pairs with the three meet cases; the
     reconstructed pair is rebuilt as a static per-vertex plan and validated
-    by joint simulation, falling back to exhaustive enumeration of path
+    by simulating each type, falling back to exhaustive enumeration of path
     pairs when the optimistic recurrence overreaches (interactions between
     chunkings installed at a vertex both paths visit at different times).
+    The DP, the pair plans and the fallback read one JointMoves table.
     """
     if b1 > b2:
         raise InvalidParams("need b1 <= b2")
-    dist = shortest_to_sink(g)
     if b1 == b2:
         if budget.mode == "local":
             plan, trace = chunk_graph_local(g, b1, budget.k)
         else:
             plan, trace = chunk_graph_global(g, b1, budget.k)
-        pair_plan = ChunkPlan(
-            chunkings=plan.chunkings,
-            mode=budget.mode,
-            k=budget.k,
+        pair_plan = replace(
+            plan,
             planned_paths=plan.planned_paths * 2,
             predicted_cost=plan.predicted_cost * 2,
             biases=(b1, b2),
         )
         return pair_plan, (trace, trace)
 
-    pers1 = persuasion_profile(g, dist, b1)
-    pers2 = persuasion_profile(g, dist, b2)
-    pair = _two_agent_dp(g, dist, b1, b2, budget, pers1, pers2)
+    moves = JointMoves(g, b1, b2, budget)
+    pair = _two_agent_dp(moves)
     if pair is not None:
-        plan = _pair_plan(g, dist, b1, b2, pair[0], pair[1], budget, pers1, pers2)
-        if plan is not None:
-            traces = joint_simulate(g, plan, (b1, b2))
-            return plan, (traces[0], traces[1])
+        planned = _pair_plan(moves, *pair)
+        if planned is not None:
+            return planned
     # Fallback: exhaustive static search (always contains the default pair).
     for _, P, Q in path_pairs_by_cost(g):
-        plan = _pair_plan(g, dist, b1, b2, P, Q, budget, pers1, pers2)
-        if plan is not None:
-            traces = joint_simulate(g, plan, (b1, b2))
-            return plan, (traces[0], traces[1])
+        planned = _pair_plan(moves, P, Q)
+        if planned is not None:
+            return planned
     raise InvariantViolation("the default biased paths failed to validate")
 
 
@@ -807,34 +753,21 @@ def _charge(budget: BudgetSpec, l: Optional[int]) -> Optional[int]:
     return l if l is None or budget.mode == "global" else 0
 
 
-def _two_agent_dp(
-    g: TaskGraph,
-    dist: DistanceMap,
-    b1: Fraction,
-    b2: Fraction,
-    budget: BudgetSpec,
-    pers1: Persuasion,
-    pers2: Persuasion,
-) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
+def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Value recurrence over position pairs; returns the argmin path pair."""
-    k = budget.k
-    levels = _charge(budget, k)
+    g, budget = moves.g, moves.budget
+    levels = _charge(budget, budget.k)
     t = g.sink
-    l1: dict[Edge, Optional[int]] = {}
-    l2: dict[Edge, Optional[int]] = {}
-    for u, v, _ in g.edges:
-        l1[(u, v)] = _charge(budget, chunk_budget_needed(g, dist, pers1, b1, u, v, k))
-        l2[(u, v)] = _charge(budget, chunk_budget_needed(g, dist, pers2, b2, u, v, k))
+    l1, l2 = ({e: _charge(budget, l) for e, l in need.items()} for need in moves.need)
     solo1, choice1 = cheapest_paths(g, l1, levels)
     solo2, choice2 = cheapest_paths(g, l2, levels)
 
-    def moves(u: str, y: str) -> list[tuple[Fraction, int, str, str, int]]:
+    def steps(u: str, y: str) -> list[tuple[Fraction, int, str, str, int]]:
         """(step cost, rank, next u, next y, chunks) of every joint move."""
         if u == y:
-            entries = compatible_pairs(g, dist, u, b1, b2, budget).entries
             return [
                 (g.cost(u, v) + g.cost(u, z), 0, v, z, _charge(budget, e.chunk_count))
-                for (v, z), e in sorted(entries.items())
+                for (v, z), e in sorted(compatible_pairs(moves, u).items())
             ]
         out: list[tuple[Fraction, int, str, str, int]] = []
         l = l2.get((y, u))
@@ -865,7 +798,7 @@ def _two_agent_dp(
                     if (w, i) in solo:
                         value[(u, y, i)] = solo[(w, i)]
                 continue
-            cands = moves(u, y)
+            cands = steps(u, y)
             for i in range(levels + 1):
                 best: Optional[tuple[Fraction, int, str, str, int]] = None
                 for step, rank, v, z, l in cands:

@@ -13,10 +13,10 @@ simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .agent import BiasProfile, simulate_plan
 from .edge_chunk import (
@@ -227,15 +227,27 @@ def brute_force_graph_plan(
     For each candidate path, each non-default edge needs its minimal
     persuading chunk count, the least l whose optimal l-chunking bottleneck
     is within the tail's threshold (`min_chunks_independent`); witness
-    chunkings come from the saturated greedy profile at that threshold.
-    Every candidate plan is validated by full simulation before its cost
-    counts.
+    chunkings come from the saturated greedy profile at that threshold. Both
+    are solved once per edge and call. Every candidate plan is validated by
+    full simulation before its cost counts.
     """
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
+    witnesses: dict[Edge, Optional[Chunking]] = {}
+
+    def witness(edge: Edge) -> Optional[Chunking]:
+        """Least-count persuading chunking of a non-default edge, or None."""
+        if edge not in witnesses:
+            alpha = pers.alpha[edge[0]]
+            l = min_chunks_independent(g, dist, edge, b, alpha, budget.k)
+            witnesses[edge] = (
+                None if l is None else saturated_chunking(g, dist, edge, b, alpha, l)
+            )
+        return witnesses[edge]
+
     best: Optional[tuple[Fraction, ChunkPlan]] = None
     for path in sorted(all_paths(g), key=lambda p: (path_cost(g, p), p)):
-        plan = _oracle_path_plan(g, dist, pers, b, path, budget)
+        plan = _oracle_path_plan(g, pers, b, path, budget, witness)
         if plan is None:
             continue
         trace, cg = simulate_plan(g, plan, BiasProfile(b))
@@ -251,28 +263,21 @@ def brute_force_graph_plan(
 
 def _oracle_path_plan(
     g: TaskGraph,
-    dist: DistanceMap,
     pers: Persuasion,
     b: Fraction,
     path: Sequence[str],
     budget: BudgetSpec,
+    witness: Callable[[Edge], Optional[Chunking]],
 ) -> Optional[ChunkPlan]:
     chunkings: list[Chunking] = []
-    total = 0
-    for i in range(len(path) - 1):
-        u, v = path[i], path[i + 1]
+    for u, v in zip(path, path[1:]):
         if pers.default[u] == v:
             continue
-        alpha = pers.alpha[u]
-        l = min_chunks_independent(g, dist, (u, v), b, alpha, budget.k)
-        if l is None:
+        ch = witness((u, v))
+        if ch is None:
             return None
-        witness = saturated_chunking(g, dist, (u, v), b, alpha, l)
-        if witness is None:
-            return None
-        chunkings.append(witness)
-        total += l
-    if budget.mode == "global" and total > budget.k:
+        chunkings.append(ch)
+    if budget.mode == "global" and sum(ch.k for ch in chunkings) > budget.k:
         return None
     return ChunkPlan(
         chunkings=tuple(chunkings),
@@ -287,19 +292,33 @@ def _oracle_path_plan(
 def brute_force_two_agent_plan(
     g: TaskGraph, b1: Fraction, b2: Fraction, budget: BudgetSpec
 ) -> tuple[Fraction, ChunkPlan]:
-    """Exhaustive minimum over compatible path pairs, joint-sim validated."""
-    from .multi_agent import _pair_plan  # shared witness machinery by design
+    """Exhaustive minimum over compatible path pairs, each validated by simulation.
 
-    dist = shortest_to_sink(g)
-    pers1 = persuasion_profile(g, dist, b1)
-    pers2 = persuasion_profile(g, dist, b2)
+    Each pair's static plan is read from the two-agent planner's joint-move
+    table (`multi_agent.JointMoves`, shared witness machinery by design),
+    built once for the call. Equal biases are twice the single-agent oracle,
+    whose witness plan is returned for both types.
+    """
+    if b1 > b2:
+        raise InvalidParams("need b1 <= b2")
+    if b1 == b2:
+        cost, plan = brute_force_graph_plan(g, b1, budget)
+        return 2 * cost, replace(
+            plan,
+            planned_paths=plan.planned_paths * 2,
+            predicted_cost=2 * plan.predicted_cost,
+            biases=(b1, b2),
+        )
+    from .multi_agent import JointMoves, _pair_plan
+
+    moves = JointMoves(g, b1, b2, budget)
     best: Optional[tuple[Fraction, ChunkPlan]] = None
     for cost, P, Q in path_pairs_by_cost(g):
         if best is not None and cost >= best[0]:
             break
-        plan = _pair_plan(g, dist, b1, b2, P, Q, budget, pers1, pers2)
-        if plan is not None:
-            best = (cost, plan)
+        planned = _pair_plan(moves, P, Q)
+        if planned is not None:
+            best = (cost, planned[0])
     if best is None:
         raise InvariantViolation("the default path pair failed to validate")
     return best

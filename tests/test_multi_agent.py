@@ -31,6 +31,7 @@ from chunkwise.errors import (
 )
 from chunkwise.expansion import ChunkPlan, original_path
 from chunkwise.multi_agent import (
+    JointMoves,
     min_chunks_same_path,
     outside_alpha,
     same_path_feasible,
@@ -309,28 +310,25 @@ def test_same_path_matches_grid_exactly_on_aligned_instances():
 
 
 def test_compatible_pairs_shared_tail_split(s32):
-    dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "u", B2, F(10), BudgetSpec("local", 3))
-    assert ("v", "z") in cs.entries
-    entry = cs.entries[("v", "z")]
+    cs = compatible_pairs(JointMoves(s32, B2, F(10), BudgetSpec("local", 3)), "u")
+    assert ("v", "z") in cs
+    entry = cs[("v", "z")]
     # A2's default is z, so only (u, v) carries a witness chunking.
     assert [w.edge for w in entry.witnesses] == [("u", "v")]
-    assert ("z", "z") in cs.entries  # both-defaults entry
-    assert ("v", "v") not in cs.entries  # no chunking of (u,v) that b=10 takes
+    assert ("z", "z") in cs  # both-defaults entry
+    assert ("v", "v") not in cs  # no chunking of (u,v) that b=10 takes
 
 
 def test_compatible_pairs_same_edge_infeasible_absent(s32):
-    dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "u", B2, F(3), BudgetSpec("local", 3))
-    assert ("v", "v") not in cs.entries
+    cs = compatible_pairs(JointMoves(s32, B2, F(3), BudgetSpec("local", 3)), "u")
+    assert ("v", "v") not in cs
 
 
 def test_compatible_pairs_global_minimal_counts(s32):
-    dist = shortest_to_sink(s32)
-    cs = compatible_pairs(s32, dist, "u", B2, F(10), BudgetSpec("global", 3))
-    entry = cs.entries[("v", "z")]
+    cs = compatible_pairs(JointMoves(s32, B2, F(10), BudgetSpec("global", 3)), "u")
+    entry = cs[("v", "z")]
     assert entry.chunk_count == 3  # (u,v) needs all three; (u,z) is default
-    assert cs.entries[("z", "z")].chunk_count == 0
+    assert cs[("z", "z")].chunk_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +455,75 @@ def test_two_agent_matches_oracle_k3():
         plan, (t1, t2) = two_agent_plan(g, b1, b2, budget)
         oracle_cost, _ = brute_force_two_agent_plan(g, b1, b2, budget)
         assert t1.total + t2.total == oracle_cost
+
+
+def test_two_agent_plan_builds_its_tables_once(monkeypatch):
+    # One two-agent call computes each type's persuasion profile once and
+    # each chunk_split (edge, chunks, taker) once, however often the DP, the
+    # pair plans and the fallback ask for them.
+    import chunkwise.multi_agent as ma
+
+    profiles: list[Fraction] = []
+    splits: list[tuple] = []
+    real_profile, real_split = ma.persuasion_profile, ma.chunk_split
+
+    def counting_profile(g, dist, b):
+        profiles.append(b)
+        return real_profile(g, dist, b)
+
+    def counting_split(g, dist, edge, b1, b2, k, taker=1):
+        splits.append((edge, k, taker))
+        return real_split(g, dist, edge, b1, b2, k, taker)
+
+    monkeypatch.setattr(ma, "persuasion_profile", counting_profile)
+    monkeypatch.setattr(ma, "chunk_split", counting_split)
+    rng = random.Random(4040)
+    total_splits = 0
+    for _ in range(40):
+        g = random_task_graph(rng, min_vertices=4, max_vertices=8)
+        b1 = _random_bias(rng)
+        b2 = b1 + F(rng.randint(1, 8), 4)
+        budget = BudgetSpec(rng.choice(("local", "global")), rng.randint(1, 3))
+        profiles.clear()
+        splits.clear()
+        two_agent_plan(g, b1, b2, budget)
+        assert sorted(profiles) == [b1, b2]
+        assert len(splits) == len(set(splits))
+        total_splits += len(splits)
+    assert total_splits > 0  # the split memo was exercised
+
+
+def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
+    import chunkwise.multi_agent as ma
+
+    moves = ma.JointMoves(s32, B2, F(10), BudgetSpec("local", 3))
+    P, Q = ("u", "v", "t"), ("u", "z", "t")
+    plan, traces = ma._pair_plan(moves, P, Q)  # fills the joint-move table
+    walked: list[Fraction] = []
+    real_simulate = ma.simulate_plan
+
+    def counting_simulate(g, plan, profile, start=None):
+        walked.append(profile.default)
+        return real_simulate(g, plan, profile, start)
+
+    monkeypatch.setattr(ma, "simulate_plan", counting_simulate)
+    again = ma._pair_plan(moves, P, Q)
+    assert walked == [B2, F(10)]
+    assert again == (plan, traces)
+    assert [t.total for t in traces] == [F(741, 10), 76]
+
+
+@pytest.mark.parametrize("mode,k", [("local", 3), ("global", 4)])
+def test_two_agent_oracle_rejects_decreasing_biases(s32, mode, k):
+    # The oracle, like the planner, takes the lower bias first; with the
+    # biases swapped it used to return 152, above the optimum of both modes.
+    budget = BudgetSpec(mode, k)
+    with pytest.raises(InvalidParams, match="need b1 <= b2"):
+        brute_force_two_agent_plan(s32, F(10), B2, budget)
+    with pytest.raises(InvalidParams, match="need b1 <= b2"):
+        two_agent_plan(s32, F(10), B2, budget)
+    cost, _ = brute_force_two_agent_plan(s32, B2, F(10), budget)
+    assert cost < 152
 
 
 def test_two_agent_oracle_equal_biases(s32):

@@ -147,6 +147,30 @@ def test_graph_oracle_goldens(s32):
     assert brute_force_graph_plan(s32, B2, BudgetSpec("global", 3))[0] == F(741, 10)
 
 
+def test_graph_oracle_solves_each_edge_once(monkeypatch):
+    # Within one call the oracle optimizes each (edge, l) at most once,
+    # however many enumerated paths run through the edge.
+    import chunkwise.oracle as oracle
+
+    calls: list[tuple] = []
+    real = oracle.optimal_edge_chunking
+
+    def counting(g, dist, edge, b, k):
+        calls.append((edge, k))
+        return real(g, dist, edge, b, k)
+
+    monkeypatch.setattr(oracle, "optimal_edge_chunking", counting)
+    rng = random.Random(1234)
+    total = 0
+    for _ in range(20):
+        g = random_task_graph(rng, min_vertices=6, max_vertices=10)
+        calls.clear()
+        brute_force_graph_plan(g, B2, BudgetSpec("global", 3))
+        assert len(calls) == len(set(calls))
+        total += len(calls)
+    assert total > 0
+
+
 def test_cost_ratio_curve_plain_k1():
     rows = cost_ratio_curve(B2, F(3, 2), [4], 1)
     assert rows[0].ratio == F(81, 16)
