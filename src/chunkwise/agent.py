@@ -4,13 +4,20 @@ At each vertex the agent scales the next edge's cost by its bias b and adds
 the true shortest remaining cost, then moves to the minimizer. Ties are exact
 rational equality: if exactly one tied candidate continues a chunking the
 agent picks it, otherwise the lexicographically least head wins.
+
+A chunk plan is walked by one of two routes that share `traverse`, and so
+the tie rule. `walk_plan` is the fast route every planner and the CLI use:
+it walks a `PlanView` of the plan on the distances the caller already holds.
+`simulate_plan` is the independent cross-check route the oracles, `verify`
+and the benchmark use: it builds the expanded graph with `expand_plan` and
+recomputes its distances from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Mapping, Optional
+from typing import Collection, Container, Mapping, Optional
 
 from .edge_chunk import Chunking
 from .errors import (
@@ -23,6 +30,7 @@ from .errors import (
 from .expansion import (
     ChunkedGraph,
     ChunkPlan,
+    PlanView,
     expand_plan,
     single_edge_plan,
     walk_follows_chunking,
@@ -138,13 +146,17 @@ def best_alternative(
 
 
 def traverse(
-    g: TaskGraph,
-    dist: DistanceMap,
+    g: TaskGraph | PlanView,
+    dist: DistanceMap | PlanView,
     profile: BiasProfile,
     chunk_marks: Collection[Edge] = frozenset(),
     start: Optional[str] = None,
+    until: Container[str] = (),
 ) -> TraversalTrace:
-    """Deterministic greedy walk from start (default: source) to the sink."""
+    """Deterministic greedy walk from start (default: source) to the sink.
+
+    The walk also ends at the first vertex of `until` it reaches.
+    """
     marks = frozenset(chunk_marks)
     cur = g.source if start is None else start
     steps: list[TraceStep] = []
@@ -172,6 +184,8 @@ def traverse(
         steps.append(TraceStep(cur, (cur, head), cost, best_val))
         total += cost
         cur = head
+        if cur in until:
+            break
     return TraversalTrace(tuple(steps), total, tuple(ties))
 
 
@@ -185,13 +199,26 @@ def cost_ratio(g: TaskGraph, profile: BiasProfile) -> Fraction:
     return trace.total / shortest
 
 
+def walk_plan(
+    g: TaskGraph,
+    dist: DistanceMap,
+    plan: ChunkPlan,
+    profile: BiasProfile,
+    start: Optional[str] = None,
+    until: Container[str] = (),
+) -> tuple[TraversalTrace, PlanView]:
+    """simulate_plan's walk, on a view of the plan; dist is shortest_to_sink(g)."""
+    view = PlanView(g, dist, plan)
+    return traverse(view, view, profile, view.marks, start=start, until=until), view
+
+
 def simulate_plan(
     g: TaskGraph,
     plan: ChunkPlan,
     profile: BiasProfile,
     start: Optional[str] = None,
 ) -> tuple[TraversalTrace, ChunkedGraph]:
-    """Expand a plan and walk the expanded graph."""
+    """Expand a plan and walk the expanded graph (the cross-check route)."""
     cg = expand_plan(g, plan)
     dist = shortest_to_sink(cg.graph)
     trace = traverse(cg.graph, dist, profile, cg.marks, start=start)

@@ -18,10 +18,18 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .agent import BiasProfile, simulate_plan, traverse
+from .agent import BiasProfile, traverse, walk_plan
 from .edge_chunk import evaluate_chunking, optimal_edge_chunking
-from .errors import ChunkwiseError, InfeasibleChunking, InvalidParams, ParseError, TakerRefuses
-from .expansion import ChunkPlan
+from .errors import (
+    ChunkwiseError,
+    CycleDetected,
+    InfeasibleChunking,
+    InvalidParams,
+    ParseError,
+    SinkUnreachable,
+    TakerRefuses,
+)
+from .expansion import ChunkPlan, expand_plan
 from .graph import (
     FanSpec,
     TaskGraph,
@@ -112,7 +120,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     profile = BiasProfile(_parse_bias(args.bias))
     if args.plan:
         plan = ChunkPlan.from_json(json.loads(Path(args.plan).read_text()))
-        trace, _ = simulate_plan(g, plan, profile)
+        try:
+            dist = shortest_to_sink(g)
+        except (CycleDetected, SinkUnreachable):
+            # The expanded graph fails too. Expanding it reports a plan error
+            # first, else the failure in the expanded graph's vertex names.
+            shortest_to_sink(expand_plan(g, plan).graph)
+            raise
+        trace, _ = walk_plan(g, dist, plan, profile)
     else:
         trace = traverse(g, shortest_to_sink(g), profile)
     payload = trace.to_json()
@@ -143,7 +158,8 @@ def cmd_chunk_graph(args: argparse.Namespace) -> int:
         traces = [trace]
     elif args.single_path:
         plan, _ = m_agent_single_path_plan(g, AgentSet(biases), budget)
-        traces = [simulate_plan(g, plan, BiasProfile(b))[0] for b in biases]
+        dist = shortest_to_sink(g)
+        traces = [walk_plan(g, dist, plan, BiasProfile(b))[0] for b in biases]
     elif len(biases) == 2:
         plan, pair = two_agent_plan(g, biases[0], biases[1], budget)
         traces = list(pair)

@@ -1,4 +1,5 @@
-"""Chunk plans and their expansion into explicit graphs with chunk markers."""
+"""Chunk plans, their expansion into explicit graphs with chunk markers, and
+the same expanded graph read as a view without building it."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Iterable, Mapping, Optional
 
 from .edge_chunk import Chunking
 from .errors import InvalidParams, ParseError, UnknownEdge
-from .graph import Edge, TaskGraph
+from .graph import DistanceMap, Edge, TaskGraph
 from .rational import format_rat, rat
 
 
@@ -186,6 +187,82 @@ def expand_plan(g: TaskGraph, plan: ChunkPlan) -> ChunkedGraph:
     )
 
 
+class PlanView:
+    """The graph expand_plan(g, plan) would build, read without building it.
+
+    Expansion leaves every original vertex's distance to the sink unchanged:
+    a chain's chunks sum to the edge cost and its deviations keep full cost.
+    So the view takes dist = shortest_to_sink(g) as it is. The vertex after
+    chunk i of (u, v) lies min(chunks after i + d(v), c(u, h) + d(h) over
+    u's other heads h) from the sink. Out-edges are generated on demand, with
+    expand_plan's vertex names. The view serves agent.traverse as both its
+    graph (source, sink, out_edges) and its distances (view[vertex]), and,
+    like a ChunkedGraph, offers marks, chain_of and original.
+
+    Construction raises expand_plan's plan errors, in expand_plan's order.
+    """
+
+    def __init__(self, g: TaskGraph, dist: DistanceMap, plan: ChunkPlan) -> None:
+        plan.validate_against(g)
+        self.original = g
+        self.source = g.source
+        self.sink = g.sink
+        self._dist = dist
+        self._by_edge = plan.by_edge()
+        self.chains: dict[Edge, tuple[str, ...]] = {}
+        self._at: dict[str, tuple[Edge, int]] = {}  # chain vertex -> (edge, index)
+        self._chain_dist: dict[str, Fraction] = {}
+        first_hops: dict[Edge, tuple[str, Fraction]] = {}
+        marks: set[Edge] = set()
+        for (u, v), chunking in sorted(self._by_edge.items()):
+            k = chunking.k
+            mids = [chain_vertex((u, v), i) for i in range(1, k)]
+            for i, m in enumerate(mids, start=1):
+                if g.has_vertex(m) or m in self._at:
+                    raise InvalidParams(f"synthesized chain vertex {m!r} collides")
+                self._at[m] = ((u, v), i)
+            chain = (u, *mids, v)
+            self.chains[(u, v)] = chain
+            marks.update(zip(chain, chain[1:]))
+            if k == 1:
+                continue
+            first_hops[(u, v)] = (chain[1], chunking.chunks[0])
+            outside = min(
+                (c + dist[h] for h, c in g.out_edges(u) if h != v), default=None
+            )
+            through = dist[v]
+            for i in range(k - 1, 0, -1):
+                through += chunking.chunks[i]
+                self._chain_dist[chain[i]] = (
+                    through if outside is None else min(through, outside)
+                )
+        self.marks = frozenset(marks)
+        self._tail_out = {
+            u: tuple(sorted(first_hops.get((u, h), (h, c)) for h, c in g.out_edges(u)))
+            for u in {tail for tail, _ in first_hops}
+        }
+
+    def out_edges(self, vertex: str) -> tuple[tuple[str, Fraction], ...]:
+        out = self._tail_out.get(vertex)
+        if out is not None:
+            return out
+        at = self._at.get(vertex)
+        if at is None:
+            return self.original.out_edges(vertex)
+        (u, v), i = at
+        deviations = [(h, c) for h, c in self.original.out_edges(u) if h != v]
+        return tuple(
+            sorted([(self.chains[(u, v)][i + 1], self._by_edge[(u, v)].chunks[i]), *deviations])
+        )
+
+    def __getitem__(self, vertex: str) -> Fraction:
+        d = self._chain_dist.get(vertex)
+        return self._dist[vertex] if d is None else d
+
+    def chain_of(self, edge: Edge) -> tuple[str, ...]:
+        return self.chains[edge]
+
+
 def walk_follows_chunking(walk: Iterable[str], chain: tuple[str, ...]) -> bool:
     """True iff the walk traverses the full chain consecutively."""
     seq = list(walk)
@@ -196,7 +273,7 @@ def walk_follows_chunking(walk: Iterable[str], chain: tuple[str, ...]) -> bool:
     return tuple(seq[start : start + len(chain)]) == chain
 
 
-def original_path(cg: ChunkedGraph, walk: Iterable[str]) -> tuple[str, ...]:
+def original_path(cg: ChunkedGraph | PlanView, walk: Iterable[str]) -> tuple[str, ...]:
     """Project an expanded-graph walk onto original vertices."""
     original = set(cg.original.vertices)
     return tuple(v for v in walk if v in original)

@@ -71,10 +71,14 @@ class TaskGraph:
         self._out: dict[str, tuple[tuple[str, Fraction], ...]] = {
             v: tuple(sorted(lst)) for v, lst in out.items()
         }
+        # Sorted once, so `edges` reads the edges in order without sorting;
+        # a stored tuple of them would keep a second copy of every edge.
+        self._cost = dict(sorted(self._cost.items()))
+        self._order: tuple[str, ...] | None = None  # set by the first validate()
 
     @property
     def edges(self) -> tuple[tuple[str, str, Fraction], ...]:
-        return tuple((u, v, c) for (u, v), c in sorted(self._cost.items()))
+        return tuple((u, v, c) for (u, v), c in self._cost.items())
 
     def out_edges(self, u: str) -> tuple[tuple[str, Fraction], ...]:
         return self._out[u]
@@ -101,8 +105,12 @@ class TaskGraph:
 def validate(g: TaskGraph) -> tuple[str, ...]:
     """Return a topological order (lexicographic among ready vertices).
 
-    Raises CycleDetected naming a back edge if the graph is not acyclic.
+    Raises CycleDetected naming a back edge if the graph is not acyclic. The
+    graph is immutable, so the first order found is kept on it and returned
+    by every later call; a cyclic graph keeps nothing and raises every time.
     """
+    if g._order is not None:
+        return g._order
     indegree = {v: 0 for v in g.vertices}
     for _, head, _ in g.edges:
         indegree[head] += 1
@@ -117,12 +125,14 @@ def validate(g: TaskGraph) -> tuple[str, ...]:
             if indegree[head] == 0:
                 heapq.heappush(ready, head)
     if len(order) != len(g.vertices):
-        leftover = {v for v in g.vertices if v not in set(order)}
+        done = set(order)
+        leftover = {v for v in g.vertices if v not in done}
         for u, v, _ in g.edges:
             if u in leftover and v in leftover:
                 raise CycleDetected(u, v)
         raise CycleDetected("?", "?")  # pragma: no cover - leftover always has an edge
-    return tuple(order)
+    g._order = tuple(order)
+    return g._order
 
 
 @dataclass(frozen=True)

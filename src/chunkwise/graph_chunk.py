@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Optional
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, simulate_plan
+from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import min_chunks_to_beat, optimal_edge_chunking
 from .errors import InvalidParams, InvariantViolation
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
@@ -135,8 +135,8 @@ def chunk_graph_local(
     k-chunking bottleneck exceeds the tail's unaided perceived cost, decided
     by `chunk_budget_needed`), shortest-paths the survivors, then optimally
     k-chunks each non-default edge on that path, and only those. The returned
-    trace is the simulated agent on the expanded graph; its cost equals the DP
-    value exactly.
+    trace is the agent walked on the plan's view of the expanded graph; its
+    cost equals the DP value exactly.
     """
     if k < 1:
         raise InvalidParams("local budget needs k >= 1")
@@ -162,7 +162,7 @@ def chunk_graph_local(
         predicted_cost=predicted,
         biases=(b,),
     )
-    trace = _simulate_and_check(g, plan, b, path, predicted)
+    trace = _simulate_and_check(g, dist, plan, b, path, predicted)
     return plan, trace
 
 
@@ -194,25 +194,26 @@ def chunk_graph_global(
         predicted_cost=predicted,
         biases=(b,),
     )
-    trace = _simulate_and_check(g, plan, b, path, predicted)
+    trace = _simulate_and_check(g, dist, plan, b, path, predicted)
     return plan, trace
 
 
 def _simulate_and_check(
     g: TaskGraph,
+    dist: DistanceMap,
     plan: ChunkPlan,
     b: Fraction,
     path: tuple[str, ...],
     predicted: Fraction,
 ) -> TraversalTrace:
-    trace, cg = simulate_plan(g, plan, BiasProfile(b))
-    realized = original_path(cg, trace.path)
+    trace, view = walk_plan(g, dist, plan, BiasProfile(b))
+    realized = original_path(view, trace.path)
     if realized != path or trace.total != predicted:
         raise InvariantViolation(
             f"plan/trace mismatch: planned {path} at {predicted}, "
             f"agent took {realized} at {trace.total}"
         )
     for ch in plan.chunkings:
-        if not walk_follows_chunking(trace.path, cg.chain_of(ch.edge)):
+        if not walk_follows_chunking(trace.path, view.chain_of(ch.edge)):
             raise InvariantViolation(f"planned chunking of {ch.edge} was abandoned")
     return trace

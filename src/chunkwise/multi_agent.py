@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, simulate_plan
+from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import (
     Chunking,
     EdgeContext,
@@ -508,6 +508,7 @@ class JointMoves:
         self.g = g
         self.budget = budget
         self.dist = shortest_to_sink(g)
+        self.vertices = frozenset(g.vertices)
         self.pers = tuple(persuasion_profile(g, self.dist, b) for b in (b1, b2))
         self.agents = AgentSet((b1, b2))
         # need[t][e]: chunks routing type t alone through e (see chunk_budget_needed)
@@ -614,7 +615,7 @@ class JointMoves:
                 return None
             witnesses.append(ch)
         for b, head in zip(self.agents.biases, (v, z)):
-            if not _first_move_ok(self.g, witnesses, b, u, head):
+            if not _first_move_ok(self, witnesses, b, u, head):
                 return None
         return tuple(witnesses)
 
@@ -631,18 +632,24 @@ class JointMoves:
 
 
 def _first_move_ok(
-    g: TaskGraph,
+    moves: JointMoves,
     witnesses: Sequence[Chunking],
     b: Fraction,
     u: str,
     target: str,
 ) -> bool:
-    """Install the witnesses, walk one agent from u, check its first move."""
+    """Install the witnesses, walk one agent from u, check its first move.
+
+    The walk ends at the first original vertex after u: by then the agent
+    has either crossed a chain installed at u or left it.
+    """
     plan = ChunkPlan(chunkings=tuple(witnesses))
-    trace, cg = simulate_plan(g, plan, BiasProfile(b), start=u)
+    trace, view = walk_plan(
+        moves.g, moves.dist, plan, BiasProfile(b), start=u, until=moves.vertices
+    )
     for ch in witnesses:
         if ch.tail == u and ch.head == target:
-            return walk_follows_chunking(trace.path, cg.chain_of(ch.edge))
+            return walk_follows_chunking(trace.path, view.chain_of(ch.edge))
     return len(trace.path) > 1 and trace.path[1] == target
 
 
@@ -696,8 +703,8 @@ def _pair_plan(
     )
     traces: list[TraversalTrace] = []
     for b, path in zip(moves.agents.biases, (P, Q)):
-        trace, cg = simulate_plan(g, plan, BiasProfile(b))
-        if original_path(cg, trace.path) != path or trace.total != path_cost(g, path):
+        trace, view = walk_plan(g, moves.dist, plan, BiasProfile(b))
+        if original_path(view, trace.path) != path or trace.total != path_cost(g, path):
             return None
         traces.append(trace)
     return plan, (traces[0], traces[1])
@@ -887,7 +894,7 @@ def m_agent_single_path_plan(
         biases=agents.biases,
     )
     for b in agents.biases:
-        trace, cg = simulate_plan(g, plan, BiasProfile(b))
-        if original_path(cg, trace.path) != path or trace.total != predicted:
+        trace, view = walk_plan(g, dist, plan, BiasProfile(b))
+        if original_path(view, trace.path) != path or trace.total != predicted:
             raise InvariantViolation(f"type {b} deviates from the shared path")
     return plan, path

@@ -1,7 +1,10 @@
 """Randomized cross-check suites shared by the CLI and the test suite.
 
 Each suite returns (ok, lines): a verdict plus one human-readable line per
-check group. Suites are deterministic given the seed.
+check group. Suites are deterministic given the seed. The planners walk their
+plans on a view of the expanded graph; the suites walk every returned plan
+again on the graph expand_plan builds, and a trace that differs between the
+two routes is a violation.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .agent import BiasProfile, simulate_plan
+from .agent import BiasProfile, simulate_plan, walk_plan
 from .edge_chunk import optimal_edge_chunking
 from .expansion import original_path
 from .graph import TaskGraph, random_task_graph, shortest_to_sink
@@ -83,6 +86,11 @@ def graph_dp_suite(seed: int, trials: int, k_max: int = 3) -> SuiteResult:
             plan, trace = planner(g, b, k)
             oracle_cost, _ = brute_force_graph_plan(g, b, BudgetSpec(mode, k))
             checked += 1
+            if simulate_plan(g, plan, BiasProfile(b))[0] != trace:
+                failures.append(
+                    f"trial {trial} ({mode}, b={b}, k={k}): the walked trace differs "
+                    f"from the expanded graph's"
+                )
             if trace.total != oracle_cost:
                 failures.append(
                     f"trial {trial} ({mode}, b={b}, k={k}): planner {trace.total} "
@@ -107,10 +115,13 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
         budget = BudgetSpec(mode, k)
         plan, traces = two_agent_plan(g, b1, b2, budget)
         sims += 1
-        for b, path in zip((b1, b2), plan.planned_paths):
+        for b, path, walked in zip((b1, b2), plan.planned_paths, traces):
             trace, cg = simulate_plan(g, plan, BiasProfile(b))
             if original_path(cg, trace.path) != path:
                 failures.append(f"trial {trial}: two-agent plan fails joint simulation")
+                break
+            if trace != walked:
+                failures.append(f"trial {trial}: two-agent trace differs from the expanded graph's")
                 break
         pair_cost = traces[0].total + traces[1].total
         oracle_cost, _ = brute_force_two_agent_plan(g, b1, b2, budget)
@@ -129,6 +140,12 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
                 trace, cg = simulate_plan(g, mplan, BiasProfile(b))
                 if original_path(cg, trace.path) != mpath:
                     failures.append(f"trial {trial}: single-path plan fails for b={b}")
+                    break
+                if trace != walk_plan(g, dist, mplan, BiasProfile(b))[0]:
+                    failures.append(
+                        f"trial {trial}: single-path trace for b={b} differs from the "
+                        f"expanded graph's"
+                    )
                     break
         edges = [e[:2] for e in g.edges if e[0] != g.sink]
         if edges:

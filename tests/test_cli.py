@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from chunkwise.cli import main
 
 
@@ -342,3 +344,66 @@ def test_main_reuses_one_parser(s32_path, capsys, monkeypatch):
     # The cached parser does not pin the command functions.
     monkeypatch.setattr(cli, "cmd_chunk_edge", lambda args: 7)
     assert run(capsys, *cases[1]) == (7, "", "")
+
+
+_S32_EDGES = [
+    ("u", "w", "65"), ("w", "t", "2"), ("u", "v", "14"),
+    ("v", "t", "60.1"), ("u", "z", "0"), ("z", "t", "76"),
+]
+_DEAD_END_EDGES = [("s", "a", "1"), ("a", "t", "1"), ("s", "x", "1"), ("x", "y", "2")]
+_MALFORMED_PLANS = {
+    "unknown-edge": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, [("u", "t", ["1"])],
+        1, '{\n  "error": "UnknownEdge",\n  "message": "edge (u -> t) does not exist"\n}\n', "",
+    ),
+    "bad-sum": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, [("u", "v", ["7", "6"])],
+        2, "", "error: chunking of ('u', 'v') sums to 13, edge costs 14\n",
+    ),
+    "chain-name-collides": (
+        ["u", "w", "v", "z", "t", "u>v#1"], _S32_EDGES + [("u>v#1", "t", "1")],
+        [("u", "v", ["7", "7"])],
+        2, "", "error: synthesized chain vertex 'u>v#1' collides\n",
+    ),
+    "sink-unreachable": (
+        ["s", "a", "x", "y", "t"], _DEAD_END_EDGES, [("x", "y", ["1", "1"])],
+        1,
+        '{\n  "error": "SinkUnreachable",\n'
+        '  "message": "no path to sink from: x, y, x>y#1"\n}\n',
+        "",
+    ),
+    "plan-error-before-graph-error": (
+        ["s", "a", "x", "y", "t"], _DEAD_END_EDGES,
+        [("x", "y", ["1", "1"]), ("s", "t", ["1"])],
+        1, '{\n  "error": "UnknownEdge",\n  "message": "edge (s -> t) does not exist"\n}\n', "",
+    ),
+    "cycle": (
+        ["s", "a", "b", "t"], [("s", "a", "1"), ("a", "b", "2"), ("b", "a", "1"), ("a", "t", "1")],
+        [("a", "b", ["1", "1"])],
+        1,
+        '{\n  "error": "CycleDetected",\n'
+        '  "message": "cycle detected through back edge (a -> a>b#1)"\n}\n',
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PLANS))
+def test_simulate_malformed_plan_bytes(case, tmp_path, capsys):
+    # Pinned from the route that expands the plan into a graph: a plan error
+    # comes first, then the graph's own, naming the expanded graph's vertices.
+    vertices, edges, chunkings, code, out, err = _MALFORMED_PLANS[case]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "vertices": vertices,
+        "edges": [{"from": u, "to": v, "cost": c} for u, v, c in edges],
+        "source": vertices[0],
+        "sink": "t",
+    }))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"chunkings": [
+        {"from": u, "to": v, "chunks": chunks} for u, v, chunks in chunkings
+    ]}))
+    assert run(capsys, "simulate", "-g", str(graph), "-b", "2", "--plan", str(plan)) == (
+        code, out, err
+    )

@@ -36,6 +36,7 @@ def test_validate_s32_order_is_topological(s32):
     pos = {v: i for i, v in enumerate(order)}
     for u, v, _ in s32.edges:
         assert pos[u] < pos[v]
+    assert validate(s32) is order  # kept on the immutable graph
 
 
 def test_validate_cycle_detected(s32):
@@ -45,8 +46,9 @@ def test_validate_cycle_detected(s32):
         "u",
         "t",
     )
-    with pytest.raises(CycleDetected):
-        validate(g)
+    for _ in range(2):  # a failed validation keeps nothing
+        with pytest.raises(CycleDetected):
+            validate(g)
 
 
 def test_shortest_single_edge():

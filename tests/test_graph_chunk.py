@@ -298,12 +298,12 @@ def test_simulation_deviating_from_the_plan_is_an_invariant_violation(
     import importlib
 
     mod = importlib.import_module(f"chunkwise.{module}")
-    simulate = mod.simulate_plan
+    walk = mod.walk_plan
 
     def deviating(*args, **kwargs):
-        trace, cg = simulate(*args, **kwargs)
-        return dataclasses.replace(trace, total=trace.total + 1), cg
+        trace, view = walk(*args, **kwargs)
+        return dataclasses.replace(trace, total=trace.total + 1), view
 
-    monkeypatch.setattr(mod, "simulate_plan", deviating)
+    monkeypatch.setattr(mod, "walk_plan", deviating)
     with pytest.raises(InvariantViolation):
         plan(s32)

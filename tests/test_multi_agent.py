@@ -500,13 +500,13 @@ def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
     P, Q = ("u", "v", "t"), ("u", "z", "t")
     plan, traces = ma._pair_plan(moves, P, Q)  # fills the joint-move table
     walked: list[Fraction] = []
-    real_simulate = ma.simulate_plan
+    real_walk = ma.walk_plan
 
-    def counting_simulate(g, plan, profile, start=None):
+    def counting_walk(g, dist, plan, profile, start=None, until=()):
         walked.append(profile.default)
-        return real_simulate(g, plan, profile, start)
+        return real_walk(g, dist, plan, profile, start, until)
 
-    monkeypatch.setattr(ma, "simulate_plan", counting_simulate)
+    monkeypatch.setattr(ma, "walk_plan", counting_walk)
     again = ma._pair_plan(moves, P, Q)
     assert walked == [B2, F(10)]
     assert again == (plan, traces)
