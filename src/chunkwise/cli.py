@@ -39,8 +39,8 @@ from .graph import (
     save_graph,
     shortest_to_sink,
 )
-from .graph_chunk import BudgetSpec, chunk_graph_global, chunk_graph_local
-from .multi_agent import AgentSet, chunk_same_path, chunk_split, m_agent_single_path_plan, two_agent_plan
+from .graph_chunk import BudgetSpec
+from .multi_agent import AgentSet, chunk_same_path, chunk_split, single_path_plan, two_agent_plan
 from .oracle import EXPERIMENT_HEADER, chunks_needed_rows, cost_ratio_curve
 from .rational import format_rat, rat
 from .verify import SUITES
@@ -152,17 +152,10 @@ def cmd_chunk_graph(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     budget = BudgetSpec(args.mode, args.k)
     biases = _parse_biases(args.biases)
-    if len(biases) == 1:
-        planner = chunk_graph_local if budget.mode == "local" else chunk_graph_global
-        plan, trace = planner(g, biases[0], budget.k)
-        traces = [trace]
-    elif args.single_path:
-        plan, _ = m_agent_single_path_plan(g, AgentSet(biases), budget)
-        dist = shortest_to_sink(g)
-        traces = [walk_plan(g, dist, plan, BiasProfile(b))[0] for b in biases]
+    if len(biases) == 1 or args.single_path:
+        plan, traces = single_path_plan(g, AgentSet(biases), budget)
     elif len(biases) == 2:
-        plan, pair = two_agent_plan(g, biases[0], biases[1], budget)
-        traces = list(pair)
+        plan, traces = two_agent_plan(g, biases[0], biases[1], budget)
     else:
         raise ParseError(
             "biases", "more than two types require --single-path"

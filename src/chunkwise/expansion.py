@@ -78,34 +78,44 @@ class ChunkPlan:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ChunkPlan":
+        """Parse to_json's format; any malformed field raises ParseError."""
         if not isinstance(payload, dict) or "chunkings" not in payload:
             raise ParseError("plan", "missing 'chunkings' field")
-        chunkings = []
-        for i, entry in enumerate(payload["chunkings"]):
-            try:
-                chunkings.append(
-                    Chunking(
-                        entry["from"],
-                        entry["to"],
-                        tuple(rat(x) for x in entry["chunks"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ParseError(f"plan.chunkings[{i}]", str(exc)) from exc
+        field = "plan.chunkings"
+        try:
+            chunkings = []
+            for i, entry in enumerate(_json_list(payload["chunkings"])):
+                field = f"plan.chunkings[{i}]"
+                if not isinstance(entry["from"], str) or not isinstance(entry["to"], str):
+                    raise TypeError("'from' and 'to' must be strings")
+                chunks = tuple(rat(x) for x in _json_list(entry["chunks"]))
+                chunkings.append(Chunking(entry["from"], entry["to"], chunks))
+            field = "plan.planned_paths"
+            paths = tuple(
+                tuple(_json_list(p)) for p in _json_list(payload.get("planned_paths", []))
+            )
+            if not all(isinstance(v, str) for p in paths for v in p):
+                raise TypeError("path vertices must be strings")
+            field = "plan.predicted_cost"
+            predicted = rat(payload["predicted_cost"]) if "predicted_cost" in payload else None
+            field = "plan.biases"
+            biases = tuple(rat(b) for b in _json_list(payload.get("biases", [])))
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ParseError(field, str(exc)) from exc
         return cls(
             chunkings=tuple(chunkings),
             mode=payload.get("mode"),
             k=payload.get("k"),
-            planned_paths=tuple(
-                tuple(p) for p in payload.get("planned_paths", [])
-            ),
-            predicted_cost=(
-                rat(payload["predicted_cost"])
-                if "predicted_cost" in payload
-                else None
-            ),
-            biases=tuple(rat(b) for b in payload.get("biases", [])),
+            planned_paths=paths,
+            predicted_cost=predicted,
+            biases=biases,
         )
+
+
+def _json_list(value: object) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
 
 
 def single_edge_plan(chunking: Chunking) -> ChunkPlan:

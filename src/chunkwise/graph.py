@@ -270,7 +270,7 @@ def load_graph(data: bytes | str) -> TaskGraph:
             raise ParseError(f"edges[{i}]", f"missing field {exc.args[0]!r}") from exc
         if not isinstance(tail, str) or not isinstance(head, str):
             raise ParseError(f"edges[{i}]", "'from' and 'to' must be strings")
-        if not isinstance(cost_text, (str, int)):
+        if not isinstance(cost_text, (str, int)) or isinstance(cost_text, bool):
             raise ParseError(f"edges[{i}].cost", "must be an exact string or integer")
         try:
             cost = rat(cost_text)

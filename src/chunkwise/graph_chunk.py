@@ -1,24 +1,30 @@
-"""Whole-graph chunk planning for one agent under local or global budgets.
+"""Whole-graph chunk planning: one cheapest-path pipeline for every planner
+that keeps all agent types on one path.
 
 Local budget: any edge may be split into up to k chunks. Global budget: at
 most k chunks across the whole graph, where an edge split into j pieces
 consumes j and an untouched edge consumes 0. The agent's default edge at a
 vertex (its unaided choice, lexicographic at ties) never needs budget; any
 other edge needs at least a 1-chunk marker so ties break toward it.
+`BudgetSpec` holds that rule: the levels of the cheapest-path DP, what an
+edge needing l chunks is charged, and how many chunks it gets.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
+`shared_path_plan` is the one pipeline from a table of per-edge chunk needs
+to a checked plan; `chunk_graph` feeds it one bias's needs and optimal edge
+chunkings, and multi_agent feeds it several types' shared needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping, Optional
+from typing import Callable, Literal, Mapping, Optional
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
-from .edge_chunk import min_chunks_to_beat, optimal_edge_chunking
-from .errors import InvalidParams, InvariantViolation
+from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
+from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
 from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
 
@@ -33,6 +39,19 @@ class BudgetSpec:
             raise InvalidParams(f"unknown budget mode {self.mode!r}")
         if self.k < 0 or (self.mode == "local" and self.k < 1):
             raise InvalidParams(f"bad budget k={self.k} for mode {self.mode}")
+
+    @property
+    def levels(self) -> int:
+        """The cheapest-path DP's budget: k, or 0 when no edge is charged."""
+        return self.k if self.mode == "global" else 0
+
+    def charge(self, l: Optional[int]) -> Optional[int]:
+        """What an edge needing l chunks (None: unusable) takes from levels."""
+        return l if l is None or self.mode == "global" else 0
+
+    def chunks(self, l: int) -> int:
+        """How many chunks an edge needing l >= 1 chunks is split into."""
+        return l if self.mode == "global" else self.k
 
 
 @dataclass(frozen=True)
@@ -89,8 +108,8 @@ def cheapest_paths(
     need[e] is the number of chunks edge e consumes, None if e is unusable.
     table[(u, i)] is absent when no usable path fits in i chunks; choice[(u, i)]
     is the (head, chunks used) of the first edge. Ties break on (cost, chunks
-    used, head). A local budget is this DP at k = 0 with every usable edge
-    charged 0, so its ties break on (cost, head).
+    used, head). A local budget is this DP at BudgetSpec.levels 0 with every
+    usable edge charged 0, so its ties break on (cost, head).
     """
     table: CostTable = {(g.sink, i): Fraction(0) for i in range(k + 1)}
     choice: Choices = {}
@@ -112,18 +131,88 @@ def cheapest_paths(
     return table, choice
 
 
-def walk_choices(
-    g: TaskGraph, choice: Choices, u: str, i: int
-) -> tuple[tuple[str, ...], list[tuple[Edge, int]]]:
-    """Follow choice from (u, i) to the sink: the path and each edge's chunks."""
+def walk_choices(g: TaskGraph, choice: Choices, u: str, i: int) -> tuple[str, ...]:
+    """Follow choice from (u, i) to the sink."""
     path = [u]
-    steps: list[tuple[Edge, int]] = []
     while path[-1] != g.sink:
         head, used = choice[(path[-1], i)]
-        steps.append(((path[-1], head), used))
         path.append(head)
         i -= used
-    return tuple(path), steps
+    return tuple(path)
+
+
+def shared_path_plan(
+    g: TaskGraph,
+    dist: DistanceMap,
+    biases: tuple[Fraction, ...],
+    budget: BudgetSpec,
+    need: Mapping[Edge, Optional[int]],
+    chunk_edge: Callable[[Edge, int], Chunking],
+) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
+    """Cheapest path every type can be routed along, its plan and each trace.
+
+    biases holds one bias per type, ascending; one bias may repeat. need[e]
+    is the chunks e needs to carry every type (0 for each type's default
+    edge, None when no budget.k-chunking does), and chunk_edge(e, n) splits
+    e into n chunks. One bias's chunkings are listed in path order, several
+    biases' in edge order. Each distinct bias is walked once on the plan's
+    view of the expanded graph, and must follow the path and every chunking
+    at the DP's cost. Raises InfeasibleChunking when no path fits the budget.
+    """
+    levels = budget.levels
+    table, choice = cheapest_paths(
+        g, {e: budget.charge(l) for e, l in need.items()}, levels
+    )
+    if (g.source, levels) not in table:
+        raise InfeasibleChunking("no path every type can be persuaded to follow")
+    path = walk_choices(g, choice, g.source, levels)
+    predicted = table[(g.source, levels)]
+    types = dict.fromkeys(biases)
+    edges = list(zip(path, path[1:]))
+    if len(types) > 1:
+        edges.sort()
+    plan = ChunkPlan(
+        chunkings=tuple(chunk_edge(e, budget.chunks(need[e])) for e in edges if need[e]),
+        mode=budget.mode,
+        k=budget.k,
+        planned_paths=(path,) * len(biases),
+        predicted_cost=predicted * len(biases),
+        biases=biases,
+    )
+    traces: dict[Fraction, TraversalTrace] = {}
+    for b in types:
+        trace, view = walk_plan(g, dist, plan, BiasProfile(b))
+        realized = original_path(view, trace.path)
+        if realized != path or trace.total != predicted:
+            raise InvariantViolation(
+                f"plan/trace mismatch for bias {b}: planned {path} at {predicted}, "
+                f"agent took {realized} at {trace.total}"
+            )
+        for ch in plan.chunkings:
+            if not walk_follows_chunking(trace.path, view.chain_of(ch.edge)):
+                raise InvariantViolation(f"planned chunking of {ch.edge} was abandoned")
+        traces[b] = trace
+    return plan, tuple(traces[b] for b in biases)
+
+
+def chunk_graph(
+    g: TaskGraph, b: Fraction, budget: BudgetSpec, types: int
+) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
+    """shared_path_plan for `types` agent types that all have bias b.
+
+    An edge needs its least persuading chunk count (`chunk_budget_needed`)
+    and is chunked optimally; a default edge is never chunked, since that
+    never helps one bias.
+    """
+    dist = shortest_to_sink(g)
+    pers = persuasion_profile(g, dist, b)
+    need = {
+        (u, v): chunk_budget_needed(g, dist, pers, b, u, v, budget.k) for u, v, _ in g.edges
+    }
+    return shared_path_plan(
+        g, dist, (b,) * types, budget, need,
+        lambda e, n: optimal_edge_chunking(g, dist, e, b, n)[0],
+    )
 
 
 def chunk_graph_local(
@@ -131,38 +220,10 @@ def chunk_graph_local(
 ) -> tuple[ChunkPlan, TraversalTrace]:
     """Optimal plan when every edge may carry up to k chunks.
 
-    Prunes edges no k-chunking persuades the agent through (their optimal
-    k-chunking bottleneck exceeds the tail's unaided perceived cost, decided
-    by `chunk_budget_needed`), shortest-paths the survivors, then optimally
-    k-chunks each non-default edge on that path, and only those. The returned
-    trace is the agent walked on the plan's view of the expanded graph; its
-    cost equals the DP value exactly.
+    Only the non-default edges of the cheapest persuadable path are chunked,
+    each optimally into k. The trace's cost equals the DP value exactly.
     """
-    if k < 1:
-        raise InvalidParams("local budget needs k >= 1")
-    dist = shortest_to_sink(g)
-    pers = persuasion_profile(g, dist, b)
-    need = {
-        (u, v): None if chunk_budget_needed(g, dist, pers, b, u, v, k) is None else 0
-        for u, v, _ in g.edges
-    }
-    table, choice = cheapest_paths(g, need, 0)
-    path, _ = walk_choices(g, choice, g.source, 0)
-    predicted = table[(g.source, 0)]
-    chunkings = [
-        optimal_edge_chunking(g, dist, (u, v), b, k)[0]
-        for u, v in zip(path, path[1:])
-        if pers.default[u] != v
-    ]
-    plan = ChunkPlan(
-        chunkings=tuple(chunkings),
-        mode="local",
-        k=k,
-        planned_paths=(path,),
-        predicted_cost=predicted,
-        biases=(b,),
-    )
-    trace = _simulate_and_check(g, dist, plan, b, path, predicted)
+    plan, (trace,) = chunk_graph(g, b, BudgetSpec("local", k), 1)
     return plan, trace
 
 
@@ -171,49 +232,8 @@ def chunk_graph_global(
 ) -> tuple[ChunkPlan, TraversalTrace]:
     """Optimal plan under a global budget of k chunks in total.
 
-    Each edge consumes its minimal persuading chunk count (0 for the default
-    edge). Chunking a default edge is never useful for one agent, so that
-    option is omitted.
+    Each edge consumes its least persuading chunk count (0 for the default
+    edge) and is chunked optimally into that many.
     """
-    if k < 0:
-        raise InvalidParams("global budget needs k >= 0")
-    dist = shortest_to_sink(g)
-    pers = persuasion_profile(g, dist, b)
-    need = {
-        (u, v): chunk_budget_needed(g, dist, pers, b, u, v, k) for u, v, _ in g.edges
-    }
-    table, choice = cheapest_paths(g, need, k)
-    path, steps = walk_choices(g, choice, g.source, k)
-    chunkings = [optimal_edge_chunking(g, dist, e, b, l)[0] for e, l in steps if l]
-    predicted = table[(g.source, k)]
-    plan = ChunkPlan(
-        chunkings=tuple(chunkings),
-        mode="global",
-        k=k,
-        planned_paths=(path,),
-        predicted_cost=predicted,
-        biases=(b,),
-    )
-    trace = _simulate_and_check(g, dist, plan, b, path, predicted)
+    plan, (trace,) = chunk_graph(g, b, BudgetSpec("global", k), 1)
     return plan, trace
-
-
-def _simulate_and_check(
-    g: TaskGraph,
-    dist: DistanceMap,
-    plan: ChunkPlan,
-    b: Fraction,
-    path: tuple[str, ...],
-    predicted: Fraction,
-) -> TraversalTrace:
-    trace, view = walk_plan(g, dist, plan, BiasProfile(b))
-    realized = original_path(view, trace.path)
-    if realized != path or trace.total != predicted:
-        raise InvariantViolation(
-            f"plan/trace mismatch: planned {path} at {predicted}, "
-            f"agent took {realized} at {trace.total}"
-        )
-    for ch in plan.chunkings:
-        if not walk_follows_chunking(trace.path, view.chain_of(ch.edge)):
-            raise InvariantViolation(f"planned chunking of {ch.edge} was abandoned")
-    return trace

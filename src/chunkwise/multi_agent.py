@@ -4,9 +4,12 @@ Splitting two agents at one vertex works by reshaping a chunking the taker
 still accepts until the other type's perceived cost of one chunk is as high
 as possible. Keeping m agents on one edge is a greedy fill from the last
 chunk backwards. Graph-level planning pairs these with the single-agent
-machinery; every emitted plan is validated by simulating each agent type on
-it, with an exhaustive path-pair fallback when the optimistic recurrence and
-the simulation disagree.
+machinery, and reads the local/global budget rule from `BudgetSpec`. Types
+that must share one path (and two types with one bias) are planned by
+graph_chunk's single-path pipeline, `shared_path_plan`. Every emitted plan
+is validated by simulating each agent type on it; the two-agent planner
+falls back to exhaustive path pairs when its optimistic recurrence and the
+simulation disagree.
 
 The two-agent planner builds one `JointMoves` table per call: both
 persuasion profiles, both types' per-edge chunk needs, and every move out
@@ -18,7 +21,7 @@ read that one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
@@ -51,9 +54,9 @@ from .graph_chunk import (
     BudgetSpec,
     cheapest_paths,
     chunk_budget_needed,
-    chunk_graph_global,
-    chunk_graph_local,
+    chunk_graph,
     persuasion_profile,
+    shared_path_plan,
     walk_choices,
 )
 
@@ -545,24 +548,18 @@ class JointMoves:
         l = self.need[t][(u, v)]
         if not l:  # unusable, or type t's own default edge
             return None if l is None else Move(0, ())
-        use = l if self.budget.mode == "global" else self.budget.k
+        n = self.budget.chunks(l)
         b = self.agents.biases[t]
-        return Move(use, (optimal_edge_chunking(self.g, self.dist, (u, v), b, use)[0],))
+        return Move(n, (optimal_edge_chunking(self.g, self.dist, (u, v), b, n)[0],))
 
     def _same_edge(self, u: str, v: str) -> Optional[Move]:
         if all(pers.default[u] == v for pers in self.pers):
             return Move(0, ())
-        k = self.budget.k
-        if self.budget.mode == "global":
-            l = min_chunks_same_path(self.g, self.dist, (u, v), self.agents, k)
-            if l is None:
-                return None
-        else:
-            l = k
-        try:
-            return Move(l, (chunk_same_path(self.g, self.dist, (u, v), self.agents, l),))
-        except InfeasibleChunking:
+        l = min_chunks_same_path(self.g, self.dist, (u, v), self.agents, self.budget.k)
+        if l is None:
             return None
+        n = self.budget.chunks(l)
+        return Move(n, (chunk_same_path(self.g, self.dist, (u, v), self.agents, n),))
 
     def _split(self, u: str, v: str, z: str) -> Optional[Move]:
         """Cheapest validated pair of splits sending A1 to v and A2 to z."""
@@ -691,7 +688,7 @@ def _pair_plan(
             return None
         chunkings.extend(found.witnesses)
         total += found.chunk_count
-    if budget.mode == "global" and total > budget.k:
+    if budget.charge(total) > budget.levels:
         return None
     plan = ChunkPlan(
         chunkings=tuple(sorted(chunkings, key=lambda ch: ch.edge)),
@@ -725,17 +722,7 @@ def two_agent_plan(
     if b1 > b2:
         raise InvalidParams("need b1 <= b2")
     if b1 == b2:
-        if budget.mode == "local":
-            plan, trace = chunk_graph_local(g, b1, budget.k)
-        else:
-            plan, trace = chunk_graph_global(g, b1, budget.k)
-        pair_plan = replace(
-            plan,
-            planned_paths=plan.planned_paths * 2,
-            predicted_cost=plan.predicted_cost * 2,
-            biases=(b1, b2),
-        )
-        return pair_plan, (trace, trace)
+        return chunk_graph(g, b1, budget, 2)
 
     moves = JointMoves(g, b1, b2, budget)
     pair = _two_agent_dp(moves)
@@ -751,21 +738,12 @@ def two_agent_plan(
     raise InvariantViolation("the default biased paths failed to validate")
 
 
-def _charge(budget: BudgetSpec, l: Optional[int]) -> Optional[int]:
-    """Chunks a usable edge needing l takes from the cheapest-path DP's budget.
-
-    A local budget runs the DP at budget 0 with every usable edge charged 0,
-    so the DP's own budget is _charge(budget, budget.k).
-    """
-    return l if l is None or budget.mode == "global" else 0
-
-
 def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Value recurrence over position pairs; returns the argmin path pair."""
     g, budget = moves.g, moves.budget
-    levels = _charge(budget, budget.k)
+    levels = budget.levels
     t = g.sink
-    l1, l2 = ({e: _charge(budget, l) for e, l in need.items()} for need in moves.need)
+    l1, l2 = ({e: budget.charge(l) for e, l in need.items()} for need in moves.need)
     solo1, choice1 = cheapest_paths(g, l1, levels)
     solo2, choice2 = cheapest_paths(g, l2, levels)
 
@@ -773,7 +751,7 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
         """(step cost, rank, next u, next y, chunks) of every joint move."""
         if u == y:
             return [
-                (g.cost(u, v) + g.cost(u, z), 0, v, z, _charge(budget, e.chunk_count))
+                (g.cost(u, v) + g.cost(u, z), 0, v, z, budget.charge(e.chunk_count))
                 for (v, z), e in sorted(compatible_pairs(moves, u).items())
             ]
         out: list[tuple[Fraction, int, str, str, int]] = []
@@ -834,9 +812,9 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
             Q.append(z)
         u, y, i = v, z, i - l
     if u != t:
-        P.extend(walk_choices(g, choice1, u, i)[0][1:])
+        P.extend(walk_choices(g, choice1, u, i)[1:])
     if y != t:
-        Q.extend(walk_choices(g, choice2, y, i)[0][1:])
+        Q.extend(walk_choices(g, choice2, y, i)[1:])
     return tuple(P), tuple(Q)
 
 
@@ -845,56 +823,35 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
 # ---------------------------------------------------------------------------
 
 
+def single_path_plan(
+    g: TaskGraph, agents: AgentSet, budget: BudgetSpec
+) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
+    """Cheapest single path every agent type can be persuaded to follow.
+
+    One type is `chunk_graph`'s plan. Several types need each edge's least
+    group chunk count (0 when it is every type's default) and get
+    `chunk_same_path` chunkings. Returns the plan and each type's trace on
+    it; raises InfeasibleChunking when no path survives.
+    """
+    if agents.m == 1:
+        return chunk_graph(g, agents.biases[0], budget, 1)
+    dist = shortest_to_sink(g)
+    perss = [persuasion_profile(g, dist, b) for b in agents.biases]
+    need = {
+        (u, v): 0
+        if all(p.default[u] == v for p in perss)
+        else min_chunks_same_path(g, dist, (u, v), agents, budget.k)
+        for u, v, _ in g.edges
+    }
+    return shared_path_plan(
+        g, dist, agents.biases, budget, need,
+        lambda e, n: chunk_same_path(g, dist, e, agents, n),
+    )
+
+
 def m_agent_single_path_plan(
     g: TaskGraph, agents: AgentSet, budget: BudgetSpec
 ) -> tuple[ChunkPlan, tuple[str, ...]]:
-    """Cheapest single path every agent type can be persuaded to follow.
-
-    Each edge needs its minimal group chunk count (0 when it is every type's
-    default); a local budget keeps the edges some k-chunking serves and
-    chunks each non-default edge on the path into k. Raises
-    InfeasibleChunking when no path survives. Every agent is simulated on
-    the final plan.
-    """
-    if agents.m == 1:
-        b = agents.biases[0]
-        if budget.mode == "local":
-            plan, _ = chunk_graph_local(g, b, budget.k)
-        else:
-            plan, _ = chunk_graph_global(g, b, budget.k)
-        return plan, plan.planned_paths[0]
-    dist = shortest_to_sink(g)
-    perss = [persuasion_profile(g, dist, b) for b in agents.biases]
-    k = budget.k
-    need: dict[Edge, Optional[int]] = {}
-    for u, v, _ in g.edges:
-        if all(p.default[u] == v for p in perss):
-            need[(u, v)] = 0
-        else:
-            need[(u, v)] = min_chunks_same_path(g, dist, (u, v), agents, k)
-    levels = _charge(budget, k)
-    table, choice = cheapest_paths(
-        g, {e: _charge(budget, l) for e, l in need.items()}, levels
-    )
-    if (g.source, levels) not in table:
-        raise InfeasibleChunking("no path every type can be persuaded to follow")
-    path, _ = walk_choices(g, choice, g.source, levels)
-    predicted = table[(g.source, levels)]
-    chunkings = tuple(
-        chunk_same_path(g, dist, e, agents, k if budget.mode == "local" else need[e])
-        for e in sorted(zip(path, path[1:]))
-        if need[e]
-    )
-    plan = ChunkPlan(
-        chunkings=chunkings,
-        mode=budget.mode,
-        k=k,
-        planned_paths=(path,) * agents.m,
-        predicted_cost=predicted * agents.m,
-        biases=agents.biases,
-    )
-    for b in agents.biases:
-        trace, view = walk_plan(g, dist, plan, BiasProfile(b))
-        if original_path(view, trace.path) != path or trace.total != predicted:
-            raise InvariantViolation(f"type {b} deviates from the shared path")
-    return plan, path
+    """single_path_plan's plan and the path every type follows on it."""
+    plan, _ = single_path_plan(g, agents, budget)
+    return plan, plan.planned_paths[0]

@@ -17,10 +17,13 @@ RatLike = Union[Fraction, int, str]
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction, or exact string ("74.1", "741/10") to Fraction.
 
-    Floats are rejected: they would silently lose exactness.
+    Floats are rejected: they would silently lose exactness. So are bools,
+    which Python counts as ints.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

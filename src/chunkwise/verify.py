@@ -4,7 +4,9 @@ Each suite returns (ok, lines): a verdict plus one human-readable line per
 check group. Suites are deterministic given the seed. The planners walk their
 plans on a view of the expanded graph; the suites walk every returned plan
 again on the graph expand_plan builds, and a trace that differs between the
-two routes is a violation.
+two routes is a violation. The edge-oracle suite also compares the view's
+distances with the expanded graph's on each optimal chunking, whose chain
+vertices often have a cheaper way out than the rest of the chain.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 from .agent import BiasProfile, simulate_plan, walk_plan
 from .edge_chunk import optimal_edge_chunking
-from .expansion import original_path
+from .expansion import PlanView, expand_plan, original_path, single_edge_plan
 from .graph import TaskGraph, random_task_graph, shortest_to_sink
 from .graph_chunk import BudgetSpec, chunk_graph_global, chunk_graph_local
 from .multi_agent import (
@@ -47,7 +49,8 @@ def _random_graph_with_dist(rng: random.Random, max_vertices: int):
 
 
 def edge_oracle_suite(seed: int, trials: int, k_max: int = 4, d: int = 64) -> SuiteResult:
-    """Optimizer bottleneck never exceeds the best grid chunking's."""
+    """Optimizer bottleneck never exceeds the best grid chunking's, and the
+    plan view's distances on that chunking are the expanded graph's."""
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -59,7 +62,7 @@ def edge_oracle_suite(seed: int, trials: int, k_max: int = 4, d: int = 64) -> Su
         edge = edges[rng.randrange(len(edges))]
         b = _random_bias(rng)
         k = rng.randint(1, k_max)
-        _, report = optimal_edge_chunking(g, dist, edge, b, k)
+        chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
         _, grid_best = brute_force_edge_chunking(g, dist, edge, b, GridSpec(d, k))
         checked += 1
         if report.bottleneck > grid_best:
@@ -67,6 +70,15 @@ def edge_oracle_suite(seed: int, trials: int, k_max: int = 4, d: int = 64) -> Su
                 f"trial {trial}: optimizer {report.bottleneck} > grid {grid_best} "
                 f"on edge {edge} (b={b}, k={k})"
             )
+        plan = single_edge_plan(chunking)
+        view = PlanView(g, dist, plan)
+        expanded = shortest_to_sink(expand_plan(g, plan).graph)
+        for v in view.chain_of(edge)[1:-1]:
+            if view[v] != expanded[v]:
+                failures.append(
+                    f"trial {trial}: view distance {view[v]} != expanded {expanded[v]} "
+                    f"at chain vertex {v} (b={b}, k={k})"
+                )
     ok = not failures and checked >= trials // 2
     lines = [f"edge-oracle: {checked} comparisons, {len(failures)} violations"]
     lines += failures[:5]

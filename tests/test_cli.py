@@ -177,6 +177,15 @@ def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
     assert run(capsys, "simulate", "-g", str(tmp_path / "missing.json"), "-b", "2")[0] == 2
     assert run(capsys, "simulate", "-g", str(s32_path), "-b", "1")[0] == 2
     assert run(capsys, "wat")[0] == 2
+    # A JSON true is a Python int; it used to load as cost 1.
+    bool_cost = tmp_path / "bool_cost.json"
+    bool_cost.write_text(json.dumps({
+        "vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": True}],
+        "source": "s", "sink": "t",
+    }))
+    assert run(capsys, "simulate", "-g", str(bool_cost), "-b", "2") == (
+        2, "", "error: edges[0].cost: must be an exact string or integer\n"
+    )
 
 
 def test_verify_suites_pass(capsys):
@@ -322,6 +331,37 @@ def test_verify_exit_code_on_violation(monkeypatch, capsys):
     assert "[FAIL]" in out
 
 
+def test_verify_sees_a_wrong_chain_vertex_distance(monkeypatch, capsys):
+    # Mutation: a chain vertex's distance is min(through, outside + 1). The
+    # graph-dp plans never reach a chain vertex whose way out is cheaper than
+    # the rest of its chain; the edge-oracle suite's optimal chunkings do.
+    import chunkwise.agent as agent
+    import chunkwise.expansion as expansion
+    import chunkwise.verify as v
+
+    class MutatedView(expansion.PlanView):
+        def __init__(self, g, dist, plan):
+            super().__init__(g, dist, plan)
+            for (tail, head), chain in self.chains.items():
+                outside = min(
+                    (c + dist[h] for h, c in g.out_edges(tail) if h != head), default=None
+                )
+                through = dist[head]
+                chunks = self._by_edge[(tail, head)].chunks
+                for i in range(len(chain) - 2, 0, -1):
+                    through += chunks[i]
+                    self._chain_dist[chain[i]] = (
+                        through if outside is None else min(through, outside + 1)
+                    )
+
+    for module in (expansion, agent, v):
+        monkeypatch.setattr(module, "PlanView", MutatedView)
+    code, out, _ = run(capsys, "verify", "--suite", "edge-oracle", "--seed", "0", "--trials", "25")
+    assert code == 1
+    assert out.startswith("[FAIL] edge-oracle: 25 comparisons, ")
+    assert "at chain vertex" in out
+
+
 def test_main_reuses_one_parser(s32_path, capsys, monkeypatch):
     # main parses with one parser per process; repeated calls must give the
     # exit codes and bytes that a freshly built parser gives.
@@ -385,6 +425,25 @@ _MALFORMED_PLANS = {
         '  "message": "cycle detected through back edge (a -> a>b#1)"\n}\n',
         "",
     ),
+    # A dict is the whole plan payload. These shapes used to escape as a
+    # TypeError traceback (exit 1), or, for "14", to parse as chunks 1 and 4.
+    "chunkings-not-a-list": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": 5},
+        2, "", "error: plan.chunkings: expected a list, got 5\n",
+    ),
+    "chunks-a-string": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES,
+        {"chunkings": [{"from": "u", "to": "v", "chunks": "14"}]},
+        2, "", "error: plan.chunkings[0]: expected a list, got '14'\n",
+    ),
+    "planned-paths-not-a-list": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "planned_paths": 5},
+        2, "", "error: plan.planned_paths: expected a list, got 5\n",
+    ),
+    "float-predicted-cost": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "predicted_cost": 1.5},
+        2, "", "error: plan.predicted_cost: cannot interpret 1.5 as an exact rational\n",
+    ),
 }
 
 
@@ -401,7 +460,7 @@ def test_simulate_malformed_plan_bytes(case, tmp_path, capsys):
         "sink": "t",
     }))
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"chunkings": [
+    plan.write_text(json.dumps(chunkings if isinstance(chunkings, dict) else {"chunkings": [
         {"from": u, "to": v, "chunks": chunks} for u, v, chunks in chunkings
     ]}))
     assert run(capsys, "simulate", "-g", str(graph), "-b", "2", "--plan", str(plan)) == (

@@ -50,12 +50,10 @@ def test_cheapest_paths_matches_path_enumeration():
                 ]
                 assert table.get((u, i)) == (min(costs) if costs else None)
                 if costs:
-                    path, steps = walk_choices(g, choice, u, i)
+                    path = walk_choices(g, choice, u, i)
                     assert path[0] == u and path[-1] == g.sink
                     assert path_cost(g, path) == table[(u, i)]
-                    assert [e for e, _ in steps] == list(zip(path, path[1:]))
-                    assert all(used == need[e] for e, used in steps)
-                    assert sum(used for _, used in steps) <= i
+                    assert sum(need[e] for e in zip(path, path[1:])) <= i
 
 
 def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
@@ -279,31 +277,27 @@ def test_optimizer_runs_only_for_the_chunked_plan_edges(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "module, plan",
+    "plan",
     [
-        ("graph_chunk", lambda g: chunk_graph_local(g, B2, 3)),
-        ("graph_chunk", lambda g: chunk_graph_global(g, B2, 3)),
-        (
-            "multi_agent",
-            lambda g: m_agent_single_path_plan(g, AgentSet((B2, F(3))), BudgetSpec("local", 3)),
-        ),
+        lambda g: chunk_graph_local(g, B2, 3),
+        lambda g: chunk_graph_global(g, B2, 3),
+        lambda g: m_agent_single_path_plan(g, AgentSet((B2, F(3))), BudgetSpec("local", 3)),
     ],
     ids=["local", "global", "m-agent"],
 )
-def test_simulation_deviating_from_the_plan_is_an_invariant_violation(
-    s32, monkeypatch, module, plan
-):
+def test_simulation_deviating_from_the_plan_is_an_invariant_violation(s32, monkeypatch, plan):
     # The planners' final simulation checks must not vanish under python -O.
+    # Every single-path planner walks its plan in graph_chunk.shared_path_plan.
     import dataclasses
-    import importlib
 
-    mod = importlib.import_module(f"chunkwise.{module}")
-    walk = mod.walk_plan
+    import chunkwise.graph_chunk as gc
+
+    walk = gc.walk_plan
 
     def deviating(*args, **kwargs):
         trace, view = walk(*args, **kwargs)
         return dataclasses.replace(trace, total=trace.total + 1), view
 
-    monkeypatch.setattr(mod, "walk_plan", deviating)
+    monkeypatch.setattr(gc, "walk_plan", deviating)
     with pytest.raises(InvariantViolation):
         plan(s32)

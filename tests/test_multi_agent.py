@@ -35,6 +35,7 @@ from chunkwise.multi_agent import (
     min_chunks_same_path,
     outside_alpha,
     same_path_feasible,
+    single_path_plan,
 )
 from chunkwise.oracle import brute_force_two_agent_plan
 
@@ -336,10 +337,35 @@ def test_compatible_pairs_global_minimal_counts(s32):
 # ---------------------------------------------------------------------------
 
 
+def _single_type_cases(s32, seed):
+    """(g, b, budget, chunk_graph_local/global's plan and trace) on s32 and
+    20 random graphs, in both budget modes."""
+    rng = random.Random(seed)
+    graphs = [s32] + [random_task_graph(rng, min_vertices=3, max_vertices=8) for _ in range(20)]
+    for g in graphs:
+        b = B2 if g is s32 else _random_bias(rng)
+        for mode, planner, k in (
+            ("local", chunk_graph_local, rng.randint(1, 4)),
+            ("global", chunk_graph_global, rng.randint(0, 4)),
+        ):
+            yield g, b, BudgetSpec(mode, k), planner(g, b, k)
+
+
 def test_two_agent_equal_types_reduce_to_single(s32):
     plan, (t1, t2) = two_agent_plan(s32, B2, B2, BudgetSpec("local", 3))
     assert t1.total + t2.total == F(741, 5)
     assert plan.planned_paths == (("u", "v", "t"), ("u", "v", "t"))
+    chunked = 0
+    for g, b, budget, (ref_plan, ref_trace) in _single_type_cases(s32, 46):
+        plan, traces = two_agent_plan(g, b, b, budget)
+        doubled = ref_plan.to_json()
+        doubled["planned_paths"] *= 2
+        doubled["predicted_cost"] = str(ref_plan.predicted_cost * 2)
+        doubled["biases"] *= 2
+        assert plan.to_json() == doubled
+        assert traces == (ref_trace, ref_trace)
+        chunked += len(plan.chunkings)
+    assert chunked > 0
 
 
 def test_two_agent_split_types(s32):
@@ -377,12 +403,14 @@ def test_two_agent_global_budget_shares_chunks(s32):
 
 
 def test_m_agent_reduces_to_single_agent(s32):
-    for mode, planner in (("local", chunk_graph_local), ("global", chunk_graph_global)):
-        plan, path = m_agent_single_path_plan(s32, AgentSet((B2,)), BudgetSpec(mode, 3))
-        ref_plan, ref_trace = planner(s32, B2, 3)
+    chunked = 0
+    for g, b, budget, (ref_plan, ref_trace) in _single_type_cases(s32, 47):
+        plan, path = m_agent_single_path_plan(g, AgentSet((b,)), budget)
+        assert plan.to_json() == ref_plan.to_json()
         assert path == ref_plan.planned_paths[0]
-        assert plan.predicted_cost == ref_trace.total
-        assert [c.chunks for c in plan.chunkings] == [c.chunks for c in ref_plan.chunkings]
+        assert single_path_plan(g, AgentSet((b,)), budget) == (ref_plan, (ref_trace,))
+        chunked += len(plan.chunkings)
+    assert chunked > 0
 
 
 def test_m_agent_two_types_on_s32(s32):
