@@ -79,10 +79,6 @@ def _parse_biases(text: str) -> tuple[Fraction, ...]:
     return tuple(sorted(_parse_bias(part) for part in text.split(",")))
 
 
-def _decimal(value: Fraction) -> float:
-    return float(value)
-
-
 def _report_json(report, decimal: bool) -> dict:
     payload = {
         "edge": list(report.edge),
@@ -93,8 +89,8 @@ def _report_json(report, decimal: bool) -> dict:
         "selective_bias": format_rat(report.selective_bias),
     }
     if decimal:
-        payload["bottleneck_decimal"] = _decimal(report.bottleneck)
-        payload["perceived_decimal"] = [_decimal(p) for p in report.perceived]
+        payload["bottleneck_decimal"] = float(report.bottleneck)
+        payload["perceived_decimal"] = [float(p) for p in report.perceived]
     return payload
 
 
@@ -132,7 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = traverse(g, shortest_to_sink(g), profile)
     payload = trace.to_json()
     if args.decimal:
-        payload["total_decimal"] = _decimal(trace.total)
+        payload["total_decimal"] = float(trace.total)
     _emit_json(args, payload)
     return 0
 

@@ -7,7 +7,8 @@ consumes j and an untouched edge consumes 0. The agent's default edge at a
 vertex (its unaided choice, lexicographic at ties) never needs budget; any
 other edge needs at least a 1-chunk marker so ties break toward it.
 `BudgetSpec` holds that rule: the levels of the cheapest-path DP, what an
-edge needing l chunks is charged, and how many chunks it gets.
+edge needing l chunks is charged, how many chunks it gets, and whether a
+plan's total fits.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
@@ -52,6 +53,10 @@ class BudgetSpec:
     def chunks(self, l: int) -> int:
         """How many chunks an edge needing l >= 1 chunks is split into."""
         return l if self.mode == "global" else self.k
+
+    def fits(self, total: int) -> bool:
+        """Whether a plan with `total` chunks in all fits; chunks() fits each edge."""
+        return self.mode == "local" or total <= self.k
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,7 @@ from .edge_chunk import (
     optimal_edge_chunking,
     perceived_chunk_costs,
 )
-from .errors import (
-    DeadEnd,
-    InfeasibleChunking,
-    InvalidParams,
-    InvariantViolation,
-    TakerRefuses,
-)
+from .errors import DeadEnd, InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
 from .graph import (
     DistanceMap,
@@ -398,11 +392,7 @@ def chunk_split(
 
 
 def chunk_same_path(
-    g: TaskGraph,
-    dist: DistanceMap,
-    edge: Edge,
-    agents: AgentSet,
-    k: int,
+    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
 ) -> Chunking:
     """Chunking of (u, v) every agent type traverses, if one exists.
 
@@ -412,8 +402,12 @@ def chunk_same_path(
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    steps = _same_path_fill(g, dist, edge, agents, k)
-    return Chunking(*edge, (Fraction(0),) * (k - len(steps)) + tuple(reversed(steps)))
+    return _padded(edge, _same_path_fill(g, dist, edge, agents, k), k)
+
+
+def _padded(edge: Edge, steps: list[Fraction], n: int) -> Chunking:
+    """chunk_same_path's n-chunking from a fill of at most n steps."""
+    return Chunking(*edge, (Fraction(0),) * (n - len(steps)) + tuple(reversed(steps)))
 
 
 def _same_path_fill(
@@ -422,8 +416,9 @@ def _same_path_fill(
     """chunk_same_path's chunks, from the last back to the one covering x.
 
     The chunks in front of the covering one are zero. The fill reads k only
-    to stop after k chunks, so the least chunk count every type accepts is
-    the length of one fill at the largest k.
+    to stop after k chunks, so one fill at the largest k gives both the least
+    chunk count every type accepts (its length) and, through `_padded`, the
+    chunking for any count at least that.
     """
     ctx = edge_context(g, dist, edge)
     alphas = [agents.alpha(g, dist, i, edge[0], edge[1]) for i in range(agents.m)]
@@ -463,26 +458,25 @@ def _same_path_fill(
 def same_path_feasible(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
 ) -> bool:
+    return _fill_or_none(g, dist, edge, agents, k) is not None
+
+
+def _fill_or_none(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
+) -> Optional[list[Fraction]]:
+    """The fill at k_max, or None when no k_max-chunking carries every type."""
     try:
-        chunk_same_path(g, dist, edge, agents, k)
+        return _same_path_fill(g, dist, edge, agents, k_max)
     except InfeasibleChunking:
-        return False
-    return True
+        return None
 
 
 def min_chunks_same_path(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
 ) -> Optional[int]:
-    """Least l <= k_max every agent accepts, from one greedy fill at k_max.
-
-    None when no l works, which includes k_max 0.
-    """
-    if k_max == 0:
-        return None
-    try:
-        return len(_same_path_fill(g, dist, edge, agents, k_max))
-    except InfeasibleChunking:
-        return None
+    """Least l <= k_max every agent accepts; None when none does (so at k_max 0)."""
+    steps = _fill_or_none(g, dist, edge, agents, k_max)
+    return None if steps is None else len(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +549,11 @@ class JointMoves:
     def _same_edge(self, u: str, v: str) -> Optional[Move]:
         if all(pers.default[u] == v for pers in self.pers):
             return Move(0, ())
-        l = min_chunks_same_path(self.g, self.dist, (u, v), self.agents, self.budget.k)
-        if l is None:
+        steps = _fill_or_none(self.g, self.dist, (u, v), self.agents, self.budget.k)
+        if steps is None:
             return None
-        n = self.budget.chunks(l)
-        return Move(n, (chunk_same_path(self.g, self.dist, (u, v), self.agents, n),))
+        n = self.budget.chunks(len(steps))
+        return Move(n, (_padded((u, v), steps, n),))
 
     def _split(self, u: str, v: str, z: str) -> Optional[Move]:
         """Cheapest validated pair of splits sending A1 to v and A2 to z."""
@@ -688,7 +682,7 @@ def _pair_plan(
             return None
         chunkings.extend(found.witnesses)
         total += found.chunk_count
-    if budget.charge(total) > budget.levels:
+    if not budget.fits(total):
         return None
     plan = ChunkPlan(
         chunkings=tuple(sorted(chunkings, key=lambda ch: ch.edge)),
@@ -837,15 +831,16 @@ def single_path_plan(
         return chunk_graph(g, agents.biases[0], budget, 1)
     dist = shortest_to_sink(g)
     perss = [persuasion_profile(g, dist, b) for b in agents.biases]
-    need = {
-        (u, v): 0
+    fills = {
+        (u, v): []
         if all(p.default[u] == v for p in perss)
-        else min_chunks_same_path(g, dist, (u, v), agents, budget.k)
+        else _fill_or_none(g, dist, (u, v), agents, budget.k)
         for u, v, _ in g.edges
     }
     return shared_path_plan(
-        g, dist, agents.biases, budget, need,
-        lambda e, n: chunk_same_path(g, dist, e, agents, n),
+        g, dist, agents.biases, budget,
+        {e: None if steps is None else len(steps) for e, steps in fills.items()},
+        lambda e, n: _padded(e, fills[e], n),
     )
 
 

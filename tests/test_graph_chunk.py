@@ -54,6 +54,11 @@ def test_cheapest_paths_matches_path_enumeration():
                     assert path[0] == u and path[-1] == g.sink
                     assert path_cost(g, path) == table[(u, i)]
                     assert sum(need[e] for e in zip(path, path[1:])) <= i
+                    # Each step's recorded chunk count is its edge's need.
+                    j = i
+                    for a, b in zip(path, path[1:]):
+                        assert choice[(a, j)] == (b, need[(a, b)])
+                        j -= need[(a, b)]
 
 
 def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
