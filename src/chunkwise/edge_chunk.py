@@ -10,7 +10,13 @@ abandon the chain at any point. The perceived cost of starting chunk i is
 
 where outside is the true cost of u's best route to the sink that avoids
 (u, v), and suffix_i the chunk mass after chunk i. The bottleneck max_i p_i
-decides which agents traverse the whole chain.
+decides which agents traverse the whole chain. The min term, the true cost
+to the sink from chain vertex i, is `EdgeContext.floor(suffix_i)`.
+
+`greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
+filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
+and the oracle's saturated witness, several keep every type on one edge
+(`multi_agent.chunk_same_path`).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
@@ -81,6 +87,11 @@ class EdgeContext:
     cost_to_sink: Fraction
     outside: Optional[Fraction]  # None when (u, v) is u's only out-edge
 
+    def floor(self, suffix: Fraction) -> Fraction:
+        """True cost to the sink from a chain vertex with `suffix` chunk mass ahead."""
+        through = suffix + self.cost_to_sink
+        return through if self.outside is None else min(self.outside, through)
+
 
 def edge_context(g: TaskGraph, dist: DistanceMap, edge: Edge) -> EdgeContext:
     u, v = edge
@@ -129,22 +140,13 @@ def perceived_chunk_costs(
     ctx: EdgeContext, chunks: tuple[Fraction, ...], b: Fraction
 ) -> tuple[Fraction, ...]:
     """Closed-form p_i for every chunk, exact."""
-    k = len(chunks)
-    out: list[Fraction] = []
-    suffix = Fraction(0)
     # Walk backwards so suffix_i is available when chunk i is processed.
-    rev: list[Fraction] = []
-    for i in range(k, 0, -1):
-        x_i = chunks[i - 1]
-        if i == k:
-            rev.append(b * x_i + ctx.cost_to_sink)
-        else:
-            through_chain = suffix + ctx.cost_to_sink
-            best = through_chain if ctx.outside is None else min(ctx.outside, through_chain)
-            rev.append(b * x_i + best)
+    suffix = chunks[-1]
+    rev = [b * suffix + ctx.cost_to_sink]
+    for x_i in reversed(chunks[:-1]):
+        rev.append(b * x_i + ctx.floor(suffix))
         suffix += x_i
-    out = rev[::-1]
-    return tuple(out)
+    return tuple(reversed(rev))
 
 
 def evaluate_chunking(
@@ -278,28 +280,51 @@ def _head_then_geometric(
     return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
 
 
-def greedy_masses(ctx: EdgeContext, b: Fraction, cap: Fraction) -> Iterator[Fraction]:
-    """Most mass l chunks can carry with every perceived cost <= cap, l = 1, 2, ...
+Cap = tuple[Fraction, Fraction]  # (bias, most perceived cost that type accepts)
 
-    Fills from the last chunk backwards, each chunk as large as the cap allows
-    given the mass M_l already behind it: M_1 = (cap - c(v->t))/b and
-    M_{l+1} = M_l + (cap - min(outside, M_l + c(v->t)))/b. Maximal by the
-    suffix-sum exchange argument. Yields nothing when cap < c(v->t), since even
-    a zero-mass final chunk breaks the cap; otherwise never stops.
+
+def greedy_masses(ctx: EdgeContext, caps: Sequence[Cap]) -> Iterator[Fraction]:
+    """Most mass l chunks can carry within every (bias, cap) pair, l = 1, 2, ...
+
+    Fills from the last chunk backwards, each chunk as large as every cap
+    allows given the mass M_l already behind it: M_1 = min (cap - c(v->t))/b
+    and M_{l+1} = M_l + min (cap - floor(M_l))/b over the pairs. Maximal by
+    the suffix-sum exchange argument. Yields nothing when some cap < c(v->t),
+    since even a zero-mass final chunk breaks it; otherwise never stops.
     """
-    c, o = ctx.cost_to_sink, ctx.outside
-    if cap < c:
+    mass = min([(cap - ctx.cost_to_sink) / b for b, cap in caps])
+    if mass < 0:
         return
-    mass = (cap - c) / b
     while True:
         yield mass
-        through = mass + c
-        step = (cap - (through if o is None else min(o, through))) / b
+        floor = ctx.floor(mass)
+        step = min([(cap - floor) / b for b, cap in caps])
         if step < 0:
-            raise InvariantViolation(
-                f"greedy step {step} went negative although cap {cap} >= c(v->t) {c}"
-            )
+            raise InvariantViolation(f"greedy step {step} went negative with every cap >= c(v->t)")
         mass += step
+
+
+def greedy_fill(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> Optional[list[Fraction]]:
+    """Greedy masses M_1..M_l, l <= k, up to the first that reaches x, cut to x; else None.
+
+    Consecutive masses differ by the chunks, last first (`padded_chunking`).
+    The fill reads k only to stop, so one fill at the largest k gives both the
+    least chunk count within every cap (its length) and the chunking for any
+    count at least that.
+    """
+    fill: list[Fraction] = []
+    for mass in islice(greedy_masses(ctx, caps), k):
+        if mass >= ctx.x:
+            fill.append(ctx.x)
+            return fill
+        fill.append(mass)
+    return None
+
+
+def padded_chunking(edge: Edge, fill: Sequence[Fraction], n: int) -> Chunking:
+    """The n-chunking of a fill of at most n masses: zero head chunks, then its steps."""
+    steps = [mass - before for before, mass in zip((Fraction(0), *fill), fill)]
+    return Chunking(*edge, (Fraction(0),) * (n - len(fill)) + tuple(reversed(steps)))
 
 
 def min_chunks_to_beat(
@@ -314,17 +339,13 @@ def min_chunks_to_beat(
 
     Returns None when even k_max chunks cannot reach alpha. Some l-chunking
     keeps every perceived cost within alpha exactly when the greedy mass
-    M_l >= x (pad the greedy fill with zero head chunks), so one pass of
-    `greedy_masses` answers it in O(k_max) exact operations, with no
-    optimization.
+    M_l >= x (pad the greedy fill with zero head chunks), so one greedy fill
+    answers it in O(k_max) exact operations, with no optimization.
     """
     if k_max < 1:
         raise InvalidParams("k_max must be >= 1")
-    ctx = edge_context(g, dist, edge)
-    for l, mass in enumerate(islice(greedy_masses(ctx, b, alpha), k_max), start=1):
-        if mass >= ctx.x:
-            return l
-    return None
+    fill = greedy_fill(edge_context(g, dist, edge), ((b, alpha),), k_max)
+    return None if fill is None else len(fill)
 
 
 def _check_params(b: Fraction, k: int) -> None:

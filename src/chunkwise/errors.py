@@ -41,12 +41,12 @@ class NegativeCost(ChunkwiseError):
         super().__init__(f"edge ({tail} -> {head}) has negative cost {cost}")
 
 
-class InvalidSpec(ChunkwiseError):
-    pass
-
-
 class InvalidParams(ChunkwiseError):
     pass
+
+
+class InvalidSpec(InvalidParams):
+    """A generator spec out of range, such as a fan with n < 1 or c <= 1."""
 
 
 class UnknownEdge(ChunkwiseError):

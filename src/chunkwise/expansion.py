@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional
 
-from .edge_chunk import Chunking
+from .edge_chunk import Chunking, edge_context
 from .errors import InvalidParams, ParseError, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
 from .rational import format_rat, rat
@@ -90,6 +91,14 @@ class ChunkPlan:
                     raise TypeError("'from' and 'to' must be strings")
                 chunks = tuple(rat(x) for x in _json_list(entry["chunks"]))
                 chunkings.append(Chunking(entry["from"], entry["to"], chunks))
+            field = "plan.mode"
+            mode = payload.get("mode")
+            if mode not in (None, "local", "global"):
+                raise ValueError(f"expected 'local' or 'global', got {mode!r}")
+            field = "plan.k"
+            k = payload.get("k")
+            if k is not None and (type(k) is not int or k < 0):
+                raise ValueError(f"expected an integer >= 0, got {k!r}")
             field = "plan.planned_paths"
             paths = tuple(
                 tuple(_json_list(p)) for p in _json_list(payload.get("planned_paths", []))
@@ -104,8 +113,8 @@ class ChunkPlan:
             raise ParseError(field, str(exc)) from exc
         return cls(
             chunkings=tuple(chunkings),
-            mode=payload.get("mode"),
-            k=payload.get("k"),
+            mode=mode,
+            k=k,
             planned_paths=paths,
             predicted_cost=predicted,
             biases=biases,
@@ -203,11 +212,11 @@ class PlanView:
     Expansion leaves every original vertex's distance to the sink unchanged:
     a chain's chunks sum to the edge cost and its deviations keep full cost.
     So the view takes dist = shortest_to_sink(g) as it is. The vertex after
-    chunk i of (u, v) lies min(chunks after i + d(v), c(u, h) + d(h) over
-    u's other heads h) from the sink. Out-edges are generated on demand, with
-    expand_plan's vertex names. The view serves agent.traverse as both its
-    graph (source, sink, out_edges) and its distances (view[vertex]), and,
-    like a ChunkedGraph, offers marks, chain_of and original.
+    chunk i of (u, v) lies `EdgeContext.floor(chunks after i)` from the sink.
+    Out-edges are generated on demand, with expand_plan's vertex names. The
+    view serves agent.traverse as both its graph (source, sink, out_edges)
+    and its distances (view[vertex]), and, like a ChunkedGraph, offers
+    marks, chain_of and original.
 
     Construction raises expand_plan's plan errors, in expand_plan's order.
     """
@@ -237,15 +246,9 @@ class PlanView:
             if k == 1:
                 continue
             first_hops[(u, v)] = (chain[1], chunking.chunks[0])
-            outside = min(
-                (c + dist[h] for h, c in g.out_edges(u) if h != v), default=None
-            )
-            through = dist[v]
-            for i in range(k - 1, 0, -1):
-                through += chunking.chunks[i]
-                self._chain_dist[chain[i]] = (
-                    through if outside is None else min(through, outside)
-                )
+            floor = edge_context(g, dist, (u, v)).floor
+            ahead = accumulate(reversed(chunking.chunks[1:]))  # mass after each mid, last first
+            self._chain_dist.update(zip(reversed(mids), map(floor, ahead)))
         self.marks = frozenset(marks)
         self._tail_out = {
             u: tuple(sorted(first_hops.get((u, h), (h, c)) for h, c in g.out_edges(u)))

@@ -2,14 +2,15 @@
 
 Splitting two agents at one vertex works by reshaping a chunking the taker
 still accepts until the other type's perceived cost of one chunk is as high
-as possible. Keeping m agents on one edge is a greedy fill from the last
-chunk backwards. Graph-level planning pairs these with the single-agent
-machinery, and reads the local/global budget rule from `BudgetSpec`. Types
-that must share one path (and two types with one bias) are planned by
-graph_chunk's single-path pipeline, `shared_path_plan`. Every emitted plan
-is validated by simulating each agent type on it; the two-agent planner
-falls back to exhaustive path pairs when its optimistic recurrence and the
-simulation disagree.
+as possible. Keeping m agents on one edge is edge_chunk's back-to-front
+`greedy_fill` with each type's (bias, outside option) as a cap; with one
+type it is the fill that persuades a single agent. Graph-level planning
+pairs these with the single-agent machinery, and reads the local/global
+budget rule from `BudgetSpec`. Types that must share one path (and two
+types with one bias) are planned by graph_chunk's single-path pipeline,
+`shared_path_plan`. Every emitted plan is validated by simulating each
+agent type on it; the two-agent planner falls back to exhaustive path
+pairs when its optimistic recurrence and the simulation disagree.
 
 The two-agent planner builds one `JointMoves` table per call: both
 persuasion profiles, both types' per-edge chunk needs, and every move out
@@ -23,14 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import (
+    Cap,
     Chunking,
     EdgeContext,
     edge_context,
+    greedy_fill,
+    greedy_masses,
     optimal_edge_chunking,
+    padded_chunking,
     perceived_chunk_costs,
 )
 from .errors import DeadEnd, InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
@@ -97,34 +103,28 @@ def outside_alpha(
 
 def _p(ctx: EdgeContext, xs: list[Fraction], idx: int, b: Fraction) -> Fraction:
     """Perceived cost of chunk idx (0-based) under bias b."""
-    k = len(xs)
-    if idx == k - 1:
+    if idx == len(xs) - 1:
         return b * xs[idx] + ctx.cost_to_sink
-    through = sum(xs[idx + 1 :], ctx.cost_to_sink)
-    best = through if ctx.outside is None else min(ctx.outside, through)
-    return b * xs[idx] + best
+    return b * xs[idx] + ctx.floor(sum(xs[idx + 2 :], xs[idx + 1]))
 
 
 def _phase_head_siphon(
-    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Optional[Fraction]
+    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Fraction
 ) -> None:
     # Moving mass from earlier chunks onto the target raises p(target) at
     # rate bt without touching the target's suffix.
     for j in range(ti - 1, -1, -1):
-        if alpha is None:
-            m = xs[j]
-        else:
-            headroom = alpha - _p(ctx, xs, ti, bt)
-            if headroom <= 0:
-                break
-            m = min(xs[j], headroom / bt)
+        headroom = alpha - _p(ctx, xs, ti, bt)
+        if headroom <= 0:
+            break
+        m = min(xs[j], headroom / bt)
         if m > 0:
             xs[j] -= m
             xs[ti] += m
 
 
 def _phase_tail_siphon(
-    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Optional[Fraction]
+    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Fraction
 ) -> None:
     # Moving mass from a later chunk shrinks the target's suffix, so p(target)
     # rises at rate bt while the outside route is strictly cheaper than the
@@ -132,17 +132,14 @@ def _phase_tail_siphon(
     k = len(xs)
     for j in range(ti + 1, k):
         while xs[j] > 0:
-            if alpha is None:
-                m = xs[j]
+            headroom = alpha - _p(ctx, xs, ti, bt)
+            if headroom <= 0:
+                return
+            gamma_x = sum(xs[ti + 1 :], ctx.cost_to_sink)
+            if gamma_x <= ctx.outside:
+                m = min(xs[j], headroom / (bt - 1))
             else:
-                headroom = alpha - _p(ctx, xs, ti, bt)
-                if headroom <= 0:
-                    return
-                gamma_x = sum(xs[ti + 1 :], ctx.cost_to_sink)
-                if ctx.outside is None or gamma_x <= ctx.outside:
-                    m = min(xs[j], headroom / (bt - 1))
-                else:
-                    m = min(xs[j], gamma_x - ctx.outside, headroom / bt)
+                m = min(xs[j], gamma_x - ctx.outside, headroom / bt)
             if m <= 0:
                 break
             xs[j] -= m
@@ -157,7 +154,7 @@ def _last_nonzero(xs: list[Fraction], lo: int, hi: int) -> Optional[int]:
 
 
 def _phase_exchange_forward(
-    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Optional[Fraction]
+    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Fraction
 ) -> None:
     """Trade tail mass for head mass at rate 1/bt into the pinned target.
 
@@ -167,7 +164,7 @@ def _phase_exchange_forward(
     type perceives the target chunk at rate b2 > bt on its grown cost, so its
     perceived cost rises by eps*(b2-bt)/bt per exchange.
     """
-    if ti == 0 or alpha is None:
+    if ti == 0:
         return
     k = len(xs)
     for l in range(ti):  # fill front-to-back; earlier fills stay put
@@ -180,24 +177,20 @@ def _phase_exchange_forward(
                 break
             gx_i = sum(xs[ti + 1 :], ctx.cost_to_sink)
             gx_l = sum(xs[l + 1 :], ctx.cost_to_sink)
-            outside_cheaper_at_l = ctx.outside is not None and gx_l > ctx.outside
+            outside_cheaper_at_l = gx_l > ctx.outside
             rate = bt if outside_cheaper_at_l else bt - 1
-            if ctx.outside is not None and gx_i > ctx.outside:
+            # Where the outside route rules chunk l, it may only grow until the routes tie.
+            tie_l = [gx_l - ctx.outside] if outside_cheaper_at_l else []
+            if gx_i > ctx.outside:
                 # Outside route rules the target: the pin does not bind, move
                 # tail mass straight onto the head until the routes tie.
-                caps = [xs[j_star], headroom_l / rate, gx_i - ctx.outside]
-                if outside_cheaper_at_l:
-                    caps.append(gx_l - ctx.outside)
-                m = min(caps)
+                m = min(xs[j_star], headroom_l / rate, gx_i - ctx.outside, *tie_l)
                 if m <= 0:
                     break
                 xs[j_star] -= m
                 xs[l] += m
             else:
-                caps = [headroom_l / rate, xs[j_star] * (bt - 1) / bt]
-                if outside_cheaper_at_l:
-                    caps.append(gx_l - ctx.outside)
-                m = min(caps)
+                m = min(headroom_l / rate, xs[j_star] * (bt - 1) / bt, *tie_l)
                 if m <= 0:
                     break
                 eps = m * bt / (bt - 1)
@@ -207,7 +200,7 @@ def _phase_exchange_forward(
 
 
 def _phase_exchange_flipped(
-    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Optional[Fraction]
+    ctx: EdgeContext, xs: list[Fraction], ti: int, bt: Fraction, alpha: Fraction
 ) -> None:
     """Push mass from the head and target onto the tail, pinning the target.
 
@@ -221,23 +214,21 @@ def _phase_exchange_flipped(
         return
     for j in range(k - 1, ti, -1):  # fill back-to-front
         while True:
-            headroom_j = None if alpha is None else alpha - _p(ctx, xs, j, bt)
-            if headroom_j is not None and headroom_j <= 0:
+            headroom_j = alpha - _p(ctx, xs, j, bt)
+            if headroom_j <= 0:
                 break
             gx_i = sum(xs[ti + 1 :], ctx.cost_to_sink)
-            chain_cheaper_at_i = ctx.outside is None or gx_i < ctx.outside
             l_star = _last_nonzero(xs, 0, ti - 1)
-            if chain_cheaper_at_i:
+            if gx_i < ctx.outside:  # the chain rules the target
                 if xs[ti] <= 0 or l_star is None:
                     return
-                caps_eps = [xs[ti], xs[l_star] / (bt - 1)]
-                if ctx.outside is not None:
-                    caps_eps.append((ctx.outside - gx_i) / bt)
-                if headroom_j is not None:
-                    caps_eps.append(headroom_j / (bt * bt))
-                blocked = _flipped_intermediate_caps(ctx, xs, ti, j, bt, alpha, bt)
-                caps_eps.extend(blocked)
-                eps = min(caps_eps)
+                eps = min(
+                    xs[ti],
+                    xs[l_star] / (bt - 1),
+                    (ctx.outside - gx_i) / bt,
+                    headroom_j / (bt * bt),
+                    *_flipped_intermediate_caps(ctx, xs, ti, j, bt, alpha, bt),
+                )
                 if eps <= 0:
                     break
                 xs[ti] -= eps
@@ -248,11 +239,8 @@ def _phase_exchange_flipped(
                 # in the suffix, so head mass may move to the tail directly.
                 if l_star is None:
                     return
-                caps_m = [xs[l_star]]
-                if headroom_j is not None:
-                    caps_m.append(headroom_j / bt)
-                caps_m.extend(_flipped_intermediate_caps(ctx, xs, ti, j, bt, alpha, Fraction(1)))
-                m = min(caps_m)
+                blocked = _flipped_intermediate_caps(ctx, xs, ti, j, bt, alpha, Fraction(1))
+                m = min(xs[l_star], headroom_j / bt, *blocked)
                 if m <= 0:
                     break
                 xs[l_star] -= m
@@ -265,15 +253,13 @@ def _flipped_intermediate_caps(
     ti: int,
     j: int,
     bt: Fraction,
-    alpha: Optional[Fraction],
+    alpha: Fraction,
     mass_per_unit: Fraction,
 ) -> list[Fraction]:
     # Chunks strictly between the target and the chunk being filled see their
     # suffix grow by mass_per_unit per unit moved; their perceived cost rises
     # until the outside route takes over, and must never exceed alpha.
     caps: list[Fraction] = []
-    if alpha is None or ctx.outside is None:
-        return caps
     for lp in range(ti + 1, j):
         gx_lp = sum(xs[lp + 1 :], ctx.cost_to_sink)
         if gx_lp >= ctx.outside:
@@ -294,27 +280,19 @@ def _check_split_postconditions(
     xs: list[Fraction],
     ti: int,
     bt: Fraction,
-    alpha: Optional[Fraction],
+    alpha: Fraction,
     forward: bool,
 ) -> None:
-    if alpha is None:
-        return
-    total_other = sum(xs) - xs[ti]
-    if total_other > 0:
+    if sum(xs) > xs[ti]:
         _require(_p(ctx, xs, ti, bt) == alpha, "target chunk not pinned at alpha")
-    if forward:
-        if sum(xs[ti + 1 :]) > 0:
-            for j in range(ti + 1):
-                _require(
-                    _p(ctx, xs, j, bt) == alpha, "head chunk below alpha with tail mass left"
-                )
-    else:
-        if sum(xs[:ti]) > 0 and xs[ti] > 0:
-            # Tail chunks sit at alpha unless raising any of them further
-            # would push some chunk past alpha (the addable mass is spent).
-            for j in range(ti + 1, len(xs)):
-                if _p(ctx, xs, j, bt) == alpha:
-                    continue
+    if forward and sum(xs[ti + 1 :]) > 0:
+        for j in range(ti + 1):
+            _require(_p(ctx, xs, j, bt) == alpha, "head chunk below alpha with tail mass left")
+    elif not forward and sum(xs[:ti]) > 0 and xs[ti] > 0:
+        # Tail chunks sit at alpha unless raising any of them further would
+        # push some chunk past alpha (the addable mass is spent).
+        for j in range(ti + 1, len(xs)):
+            if _p(ctx, xs, j, bt) != alpha:
                 _require(
                     _tail_increase_blocked(ctx, xs, ti, j, bt, alpha),
                     "tail chunk below alpha while more could be siphoned",
@@ -329,8 +307,6 @@ def _tail_increase_blocked(
     bt: Fraction,
     alpha: Fraction,
 ) -> bool:
-    if ctx.outside is None:
-        return False
     for lp in range(ti + 1, j):
         gx_lp = sum(xs[lp + 1 :], ctx.cost_to_sink)
         if gx_lp < ctx.outside and alpha - _p(ctx, xs, lp, bt) <= 0:
@@ -361,13 +337,17 @@ def chunk_split(
         raise InvalidParams("k must be >= 1")
     bt, br = (b1, b2) if taker == 1 else (b2, b1)
     forward = taker == 1
-    alpha = outside_alpha(g, dist, bt, *edge)
+    ctx = edge_context(g, dist, edge)
+    if ctx.outside is None:
+        # The taker cannot leave the chain, so it takes any chunking; one chunk
+        # carrying the whole edge repels the other type most.
+        return Chunking(*edge, (ctx.x,) + (Fraction(0),) * (k - 1)), br * ctx.x + ctx.cost_to_sink
+    _, alpha = best_alternative(g, dist, BiasProfile(bt), edge[0], exclude_head=edge[1])
     base, base_report = optimal_edge_chunking(g, dist, edge, bt, k)
-    if alpha is not None and base_report.bottleneck > alpha:
+    if base_report.bottleneck > alpha:
         raise TakerRefuses(
             f"optimal {k}-chunking bottleneck {base_report.bottleneck} exceeds {alpha}"
         )
-    ctx = edge_context(g, dist, edge)
     splits: list[tuple[Fraction, int, tuple[Fraction, ...]]] = []
     for ti in range(k):
         xs = list(base.chunks)
@@ -402,81 +382,50 @@ def chunk_same_path(
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    return _padded(edge, _same_path_fill(g, dist, edge, agents, k), k)
+    fill = _same_path_fill(g, dist, edge, agents, k)
+    if fill is not None:
+        return padded_chunking(edge, fill, k)
+    ctx = edge_context(g, dist, edge)
+    caps = _caps(g, dist, edge, agents)
+    # Only the first chunk filled, chunk k, can go negative: its floor is
+    # c(v->t), and later floors never pass the least cap.
+    low = min(alpha for _, alpha in caps)
+    if low < ctx.cost_to_sink:
+        raise InfeasibleChunking(
+            f"chunk {k} forced negative: some type's outside option "
+            f"({low}) is below the unavoidable continuation cost {ctx.cost_to_sink}"
+        )
+    mass = next(islice(greedy_masses(ctx, caps), k - 1, None))
+    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {mass} of {ctx.x}")
 
 
-def _padded(edge: Edge, steps: list[Fraction], n: int) -> Chunking:
-    """chunk_same_path's n-chunking from a fill of at most n steps."""
-    return Chunking(*edge, (Fraction(0),) * (n - len(steps)) + tuple(reversed(steps)))
+def _caps(g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet) -> list[Cap]:
+    """Each type's (bias, outside option) on an edge whose tail has another way out."""
+    return [(b, agents.alpha(g, dist, i, *edge)) for i, b in enumerate(agents.biases)]
 
 
 def _same_path_fill(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
-) -> list[Fraction]:
-    """chunk_same_path's chunks, from the last back to the one covering x.
-
-    The chunks in front of the covering one are zero. The fill reads k only
-    to stop after k chunks, so one fill at the largest k gives both the least
-    chunk count every type accepts (its length) and, through `_padded`, the
-    chunking for any count at least that.
-    """
+) -> Optional[list[Fraction]]:
+    """chunk_same_path's `greedy_fill`, or None when no k-chunking carries every type."""
     ctx = edge_context(g, dist, edge)
-    alphas = [agents.alpha(g, dist, i, edge[0], edge[1]) for i in range(agents.m)]
-    steps: list[Fraction] = []
-    placed = Fraction(0)
-    for i in range(k - 1, -1, -1):
-        if i == k - 1:
-            floor = ctx.cost_to_sink
-        else:
-            through = placed + ctx.cost_to_sink
-            floor = through if ctx.outside is None else min(ctx.outside, through)
-        caps = [
-            (alpha - floor) / b
-            for alpha, b in zip(alphas, agents.biases)
-            if alpha is not None
-        ]
-        if caps:
-            x_i = min(caps)
-            if x_i < 0:
-                raise InfeasibleChunking(
-                    f"chunk {i + 1} forced negative: some type's outside option "
-                    f"({min(a for a in alphas if a is not None)}) is below the "
-                    f"unavoidable continuation cost {floor}"
-                )
-        else:
-            x_i = ctx.x - placed
-        if placed + x_i >= ctx.x:
-            steps.append(ctx.x - placed)
-            return steps
-        steps.append(x_i)
-        placed += x_i
-    raise InfeasibleChunking(
-        f"mass deficit: {k} chunks can carry at most {placed} of {ctx.x}"
-    )
+    if ctx.outside is None:  # no type can leave the chain: one chunk carries it
+        return [ctx.x] if k >= 1 else None
+    return greedy_fill(ctx, _caps(g, dist, edge, agents), k)
 
 
 def same_path_feasible(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
 ) -> bool:
-    return _fill_or_none(g, dist, edge, agents, k) is not None
-
-
-def _fill_or_none(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
-) -> Optional[list[Fraction]]:
-    """The fill at k_max, or None when no k_max-chunking carries every type."""
-    try:
-        return _same_path_fill(g, dist, edge, agents, k_max)
-    except InfeasibleChunking:
-        return None
+    return _same_path_fill(g, dist, edge, agents, k) is not None
 
 
 def min_chunks_same_path(
     g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
 ) -> Optional[int]:
     """Least l <= k_max every agent accepts; None when none does (so at k_max 0)."""
-    steps = _fill_or_none(g, dist, edge, agents, k_max)
-    return None if steps is None else len(steps)
+    fill = _same_path_fill(g, dist, edge, agents, k_max)
+    return None if fill is None else len(fill)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +498,11 @@ class JointMoves:
     def _same_edge(self, u: str, v: str) -> Optional[Move]:
         if all(pers.default[u] == v for pers in self.pers):
             return Move(0, ())
-        steps = _fill_or_none(self.g, self.dist, (u, v), self.agents, self.budget.k)
-        if steps is None:
+        fill = _same_path_fill(self.g, self.dist, (u, v), self.agents, self.budget.k)
+        if fill is None:
             return None
-        n = self.budget.chunks(len(steps))
-        return Move(n, (_padded((u, v), steps, n),))
+        n = self.budget.chunks(len(fill))
+        return Move(n, (padded_chunking((u, v), fill, n),))
 
     def _split(self, u: str, v: str, z: str) -> Optional[Move]:
         """Cheapest validated pair of splits sending A1 to v and A2 to z."""
@@ -834,13 +783,13 @@ def single_path_plan(
     fills = {
         (u, v): []
         if all(p.default[u] == v for p in perss)
-        else _fill_or_none(g, dist, (u, v), agents, budget.k)
+        else _same_path_fill(g, dist, (u, v), agents, budget.k)
         for u, v, _ in g.edges
     }
     return shared_path_plan(
         g, dist, agents.biases, budget,
-        {e: None if steps is None else len(steps) for e, steps in fills.items()},
-        lambda e, n: _padded(e, fills[e], n),
+        {e: None if fill is None else len(fill) for e, fill in fills.items()},
+        lambda e, n: padded_chunking(e, fills[e], n),
     )
 
 

@@ -23,8 +23,10 @@ from .edge_chunk import (
     Chunking,
     EdgeContext,
     edge_context,
+    greedy_fill,
     greedy_masses,
     optimal_edge_chunking,
+    padded_chunking,
     selective_bias_closed_form,
 )
 from .errors import GridTooLarge, InvalidParams, InvariantViolation
@@ -136,7 +138,7 @@ def max_mass_under_cap(
     The k-th mass of `edge_chunk.greedy_masses`; None when even a zero-mass
     final chunk breaks the cap.
     """
-    return next(islice(greedy_masses(ctx, b, beta), k - 1, None), None)
+    return next(islice(greedy_masses(ctx, ((b, beta),)), k - 1, None), None)
 
 
 def saturated_chunking(
@@ -148,16 +150,8 @@ def saturated_chunking(
     is cut short, and the chunks before it are zero. None when k greedy
     chunks cannot carry the edge.
     """
-    ctx = edge_context(g, dist, edge)
-    steps: list[Fraction] = []  # from the last chunk backwards
-    placed = Fraction(0)
-    for mass in islice(greedy_masses(ctx, b, beta), k):
-        if mass >= ctx.x:
-            steps.append(ctx.x - placed)
-            return Chunking(*edge, (Fraction(0),) * (k - len(steps)) + tuple(reversed(steps)))
-        steps.append(mass - placed)
-        placed = mass
-    return None
+    fill = greedy_fill(edge_context(g, dist, edge), ((b, beta),), k)
+    return None if fill is None else padded_chunking(edge, fill, k)
 
 
 def min_chunks_independent(

@@ -172,11 +172,31 @@ def test_same_path_edge_infeasible_is_data_not_crash(s32_path, capsys):
     assert payload["infeasible"] == "same-path"
 
 
+def test_edge_commands_on_an_unknown_tail_report_unknown_edge(s32_path, capsys):
+    # split-edge used to look up the missing tail's out-edges first and
+    # escape with a KeyError traceback.
+    unknown = '{\n  "error": "UnknownEdge",\n  "message": "edge (x -> t) does not exist"\n}\n'
+    for argv in (
+        ("split-edge", "-g", str(s32_path), "-e", "x,t", "--biases", "2,3", "-k", "2"),
+        ("same-path-edge", "-g", str(s32_path), "-e", "x,t", "--biases", "2,3", "-k", "2"),
+        ("chunk-edge", "-g", str(s32_path), "-e", "x,t", "-b", "2", "-k", "2"),
+    ):
+        assert run(capsys, *argv) == (1, unknown, "")
+
+
 def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
     assert run(capsys, "chunk-edge", "-g", str(s32_path), "-e", "nope", "-b", "2", "-k", "3")[0] == 2
     assert run(capsys, "simulate", "-g", str(tmp_path / "missing.json"), "-b", "2")[0] == 2
     assert run(capsys, "simulate", "-g", str(s32_path), "-b", "1")[0] == 2
     assert run(capsys, "wat")[0] == 2
+    # Bad fan parameters are input errors, like chunks-needed's; they used to
+    # exit 1 with an InvalidSpec object on stdout.
+    for argv, message in (
+        (("fan", "-n", "0", "-c", "2"), "fan needs n >= 1, got 0"),
+        (("fan", "-n", "3", "-c", "1"), "fan needs c > 1, got 1"),
+        (("experiment", "cost-ratio", "-b", "2", "-c", "1", "-k", "3"), "fan needs c > 1, got 1"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     # A JSON true is a Python int; it used to load as cost 1.
     bool_cost = tmp_path / "bool_cost.json"
     bool_cost.write_text(json.dumps({
@@ -439,6 +459,19 @@ _MALFORMED_PLANS = {
     "planned-paths-not-a-list": (
         ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "planned_paths": 5},
         2, "", "error: plan.planned_paths: expected a list, got 5\n",
+    ),
+    # mode and k used to be echoed back whatever their type.
+    "mode-a-number": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "mode": 5},
+        2, "", "error: plan.mode: expected 'local' or 'global', got 5\n",
+    ),
+    "k-a-string": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "k": "x"},
+        2, "", "error: plan.k: expected an integer >= 0, got 'x'\n",
+    ),
+    "k-a-bool": (
+        ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "k": True},
+        2, "", "error: plan.k: expected an integer >= 0, got True\n",
     ),
     "float-predicted-cost": (
         ["u", "w", "v", "z", "t"], _S32_EDGES, {"chunkings": [], "predicted_cost": 1.5},

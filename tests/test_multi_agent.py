@@ -22,7 +22,7 @@ from chunkwise import (
     simulate_plan,
     two_agent_plan,
 )
-from chunkwise.edge_chunk import edge_context, perceived_chunk_costs
+from chunkwise.edge_chunk import edge_context, min_chunks_to_beat, perceived_chunk_costs
 from chunkwise.errors import (
     InfeasibleChunking,
     InvalidParams,
@@ -37,7 +37,7 @@ from chunkwise.multi_agent import (
     same_path_feasible,
     single_path_plan,
 )
-from chunkwise.oracle import brute_force_two_agent_plan
+from chunkwise.oracle import brute_force_two_agent_plan, saturated_chunking
 
 B2 = Fraction(2)
 F = Fraction
@@ -111,6 +111,28 @@ def test_split_taker_still_takes_it(s32):
 
         trace, cg = simulate_plan(s32, single_edge_plan(chunking), BiasProfile(bias))
         assert walk_follows_chunking(trace.path, cg.chain_of(edge))
+
+
+@pytest.mark.parametrize("taker", (1, 2))
+def test_split_on_the_tails_only_way_out(taker):
+    # u -> v is u's only out-edge and v -> w is v's, at zero cost: the taker
+    # cannot leave the chain, so one chunk carrying all the mass repels the
+    # other type most, at b_r * x + c(v->t).
+    g = TaskGraph(
+        ["s", "u", "v", "w", "t"],
+        [("s", "u", 1), ("s", "t", 10), ("u", "v", 3), ("v", "w", 0), ("w", "t", 2)],
+        "s",
+        "t",
+    )
+    dist = shortest_to_sink(g)
+    b1, b2 = B2, F(7, 2)
+    br = b2 if taker == 1 else b1
+    for edge in (("u", "v"), ("v", "w")):
+        x = g.cost(*edge)
+        for k in range(1, 5):
+            chunking, repelled = chunk_split(g, dist, edge, b1, b2, k, taker=taker)
+            assert chunking.chunks == (x,) + (F(0),) * (k - 1)
+            assert repelled == br * x + dist[edge[1]]
 
 
 def test_split_dominates_grid_repellence():
@@ -199,7 +221,7 @@ def test_same_path_infeasible_cases(s32):
     dist = shortest_to_sink(s32)
     with pytest.raises(InfeasibleChunking) as exc:
         chunk_same_path(s32, dist, ("u", "v"), AgentSet((B2, F(3))), 3)
-    assert "deficit" in exc.value.reason
+    assert exc.value.reason == "mass deficit: 3 chunks can carry at most 71/6 of 14"
     # threshold below the unavoidable continuation cost of the last chunk
     g = TaskGraph(
         ["u", "v", "z", "t"],
@@ -210,7 +232,10 @@ def test_same_path_infeasible_cases(s32):
     d2 = shortest_to_sink(g)
     with pytest.raises(InfeasibleChunking) as exc:
         chunk_same_path(g, d2, ("u", "v"), AgentSet((B2,)), 3)
-    assert "negative" in exc.value.reason
+    assert exc.value.reason == (
+        "chunk 3 forced negative: some type's outside option (3) is below the "
+        "unavoidable continuation cost 50"
+    )
 
 
 def test_same_path_agent_set_reused_across_graphs():
@@ -243,6 +268,33 @@ def test_same_path_feasibility_monotone_and_binary_search(s32):
     l = min_chunks_same_path(s32, dist, ("u", "w"), agents, 11)
     assert l is not None
     assert feas[l - 1] and (l == 1 or not feas[l - 2])
+
+
+def test_same_path_one_type_is_the_saturated_greedy_fill():
+    # With one type, the same-path fill is the single-type greedy fill at the
+    # type's outside option: the oracle's saturated witness and
+    # min_chunks_to_beat's count, on every edge whose tail has another way out.
+    rng = random.Random(47)
+    checked = 0
+    while checked < 600:
+        g = random_task_graph(rng, min_vertices=3, max_vertices=7)
+        dist = shortest_to_sink(g)
+        b = _random_bias(rng)
+        agents = AgentSet((b,))
+        for u, v, _ in g.edges:
+            alpha = outside_alpha(g, dist, b, u, v)
+            if alpha is None:
+                continue
+            checked += 1
+            for k in range(1, 5):
+                try:
+                    chunking = chunk_same_path(g, dist, (u, v), agents, k)
+                except InfeasibleChunking:
+                    chunking = None
+                assert chunking == saturated_chunking(g, dist, (u, v), b, alpha, k)
+                assert min_chunks_same_path(g, dist, (u, v), agents, k) == (
+                    min_chunks_to_beat(g, dist, (u, v), b, alpha, k)
+                )
 
 
 def test_same_path_matches_grid_feasibility_one_sided():
