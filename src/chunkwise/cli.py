@@ -201,6 +201,9 @@ def cmd_same_path_edge(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--trials", args.trials), ("-k", args.k), ("-d", args.d)):
+        if value < 1:
+            raise InvalidParams(f"verify needs {flag} >= 1, got {value}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

@@ -15,13 +15,18 @@ cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
 `shared_path_plan` is the one pipeline from a table of per-edge chunk needs
 to a checked plan; `chunk_graph` feeds it one bias's needs and optimal edge
 chunkings, and multi_agent feeds it several types' shared needs.
+
+The DP reads a vertex's out-edges in the order of a lower bound on what
+they offer and stops once none left can win (`least_per_level`, which the
+two-agent DP shares), so the planners hand it a `LazyEdgeMap` that
+computes an edge's need on its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, TypeVar
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
@@ -103,6 +108,62 @@ def chunk_budget_needed(
 
 CostTable = dict[tuple[str, int], Fraction]
 Choices = dict[tuple[str, int], tuple[str, int]]
+V = TypeVar("V")
+Candidate = TypeVar("Candidate")
+Offer = TypeVar("Offer", bound=tuple)
+
+
+class LazyEdgeMap(Mapping[Edge, V]):
+    """g's edges mapped by compute(e), each value computed on first read.
+
+    The budgeted DPs read an edge's chunk need only when the edge can still
+    win, so a planner hands them this instead of a dict over every edge.
+    The values are kept on the map, so they go with the call that built it.
+    """
+
+    def __init__(self, g: TaskGraph, compute: Callable[[Edge], V]) -> None:
+        self._g = g
+        self._compute = compute
+        self._values: dict[Edge, V] = {}
+
+    def __getitem__(self, e: Edge) -> V:
+        try:
+            return self._values[e]
+        except KeyError:
+            if not self._g.has_edge(*e):
+                raise
+        value = self._values[e] = self._compute(e)
+        return value
+
+    def __iter__(self) -> Iterator[Edge]:
+        return ((u, v) for u, v, _ in self._g.edges)
+
+    def __len__(self) -> int:
+        return len(self._g.edges)
+
+
+def least_per_level(
+    levels: int,
+    candidates: Iterable[tuple[Fraction, Candidate]],
+    offers: Callable[[Candidate], Iterable[tuple[int, Offer]]],
+) -> list[Optional[Offer]]:
+    """The least offer at each budget level 0..levels, read in bound order.
+
+    candidates are (bound, candidate) pairs in ascending bound order, and
+    offers(candidate) yields (level, offer) pairs whose first item, the
+    offer's cost, is never below the bound. Offers compare as tuples, so
+    ties break on their later items. Candidates are read until every level
+    has an offer and the next bound exceeds the costliest level's best: that
+    candidate and all after it lose at every level, so they are never read.
+    """
+    best: list[Optional[Offer]] = [None] * (levels + 1)
+    for bound, cand in candidates:
+        if None not in best and bound > max(offer[0] for offer in best):
+            break
+        for i, offer in offers(cand):
+            if best[i] is None or offer < best[i]:
+                best[i] = offer
+    return best
 
 
 def cheapest_paths(
@@ -115,21 +176,35 @@ def cheapest_paths(
     is the (head, chunks used) of the first edge. Ties break on (cost, chunks
     used, head). A local budget is this DP at BudgetSpec.levels 0 with every
     usable edge charged 0, so its ties break on (cost, head).
+
+    More budget never costs more, so c(u, h) + table[(h, k)] bounds what the
+    edge (u, h) offers at every level. u's out-edges are read in the order of
+    that bound (`least_per_level`), and need[(u, h)] is read only while the
+    edge can still win some level; an edge whose head has no path at k is
+    never read.
     """
     table: CostTable = {(g.sink, i): Fraction(0) for i in range(k + 1)}
     choice: Choices = {}
+
+    def offers(edge: tuple[str, str, Fraction]) -> Iterator[tuple[int, tuple[Fraction, int, str]]]:
+        u, head, c = edge
+        l = need[(u, head)]
+        if l is None:
+            return
+        for i in range(l, k + 1):
+            rest = table.get((head, i - l))
+            if rest is not None:
+                yield i, (c + rest, l, head)
+
     for u in reversed(validate(g)):
         if u == g.sink:
             continue
-        for i in range(k + 1):
-            best: Optional[tuple[Fraction, int, str]] = None
-            for head, c in g.out_edges(u):
-                l = need[(u, head)]
-                if l is None or l > i or (head, i - l) not in table:
-                    continue
-                cand = (c + table[(head, i - l)], l, head)
-                if best is None or cand < best:
-                    best = cand
+        bounded = sorted(
+            (c + table[(head, k)], (u, head, c))
+            for head, c in g.out_edges(u)
+            if (head, k) in table
+        )
+        for i, best in enumerate(least_per_level(k, bounded, offers)):
             if best is not None:
                 table[(u, i)] = best[0]
                 choice[(u, i)] = (best[2], best[1])
@@ -165,9 +240,7 @@ def shared_path_plan(
     at the DP's cost. Raises InfeasibleChunking when no path fits the budget.
     """
     levels = budget.levels
-    table, choice = cheapest_paths(
-        g, {e: budget.charge(l) for e, l in need.items()}, levels
-    )
+    table, choice = cheapest_paths(g, LazyEdgeMap(g, lambda e: budget.charge(need[e])), levels)
     if (g.source, levels) not in table:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
     path = walk_choices(g, choice, g.source, levels)
@@ -205,15 +278,13 @@ def chunk_graph(
 ) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
     """shared_path_plan for `types` agent types that all have bias b.
 
-    An edge needs its least persuading chunk count (`chunk_budget_needed`)
-    and is chunked optimally; a default edge is never chunked, since that
-    never helps one bias.
+    An edge needs its least persuading chunk count (`chunk_budget_needed`,
+    counted when the DP first reads the edge) and is chunked optimally; a
+    default edge is never chunked, since that never helps one bias.
     """
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
-    need = {
-        (u, v): chunk_budget_needed(g, dist, pers, b, u, v, budget.k) for u, v, _ in g.edges
-    }
+    need = LazyEdgeMap(g, lambda e: chunk_budget_needed(g, dist, pers, b, *e, budget.k))
     return shared_path_plan(
         g, dist, (b,) * types, budget, need,
         lambda e, n: optimal_edge_chunking(g, dist, e, b, n)[0],

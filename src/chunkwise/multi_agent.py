@@ -15,9 +15,10 @@ pairs when its optimistic recurrence and the simulation disagree.
 The two-agent planner builds one `JointMoves` table per call: both
 persuasion profiles, both types' per-edge chunk needs, and every move out
 of a vertex (joint, same-edge or solo) with its witness chunkings, each
-computed on first use. Its DP (through `compatible_pairs`), its static pair
-plans, its exhaustive fallback and `oracle.brute_force_two_agent_plan` all
-read that one table.
+computed on first use. Its DP, its static pair plans, its exhaustive
+fallback and `oracle.brute_force_two_agent_plan` all read that one table;
+the DP reads a move only while its lower bound can still win some budget
+level, so a move beaten on cost is never built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Literal, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import (
@@ -52,9 +54,11 @@ from .graph import (
 )
 from .graph_chunk import (
     BudgetSpec,
+    LazyEdgeMap,
     cheapest_paths,
     chunk_budget_needed,
     chunk_graph,
+    least_per_level,
     persuasion_profile,
     shared_path_plan,
     walk_choices,
@@ -596,9 +600,11 @@ def _first_move_ok(
 def compatible_pairs(moves: JointMoves, u: str) -> dict[tuple[str, str], Move]:
     """Successor pairs (v, z) both types can be persuaded to take from u.
 
-    The two-agent DP's read of one vertex's row of the joint-move table. One
-    successor needs one chunking both types take; distinct successors need a
-    validated pair of splits. Global budgets record minimal chunk counts.
+    A read of one vertex's full row of the joint-move table, every move built;
+    the two-agent DP reads only the moves that can still win, straight from
+    `JointMoves.move`. One successor needs one chunking both types take;
+    distinct successors need a validated pair of splits. Global budgets
+    record minimal chunk counts.
     """
     heads = [v for v, _ in moves.g.out_edges(u)]
     found = {(v, z): moves.move(u, v, z) for v in heads for z in heads}
@@ -682,22 +688,29 @@ def two_agent_plan(
 
 
 def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Value recurrence over position pairs; returns the argmin path pair."""
+    """Value recurrence over position pairs; returns the argmin path pair.
+
+    More budget never costs more, so a move's step cost plus its next pair's
+    value at the top level bounds what it offers at every level, and a next
+    pair with no value there has none at any level. Each row reads its moves
+    in the order of that bound (`least_per_level`): where both types stand
+    at one vertex, a joint move is built (`JointMoves.move`) only while it
+    can still win some level.
+    """
     g, budget = moves.g, moves.budget
     levels = budget.levels
     t = g.sink
     l1, l2 = ({e: budget.charge(l) for e, l in need.items()} for need in moves.need)
     solo1, choice1 = cheapest_paths(g, l1, levels)
     solo2, choice2 = cheapest_paths(g, l2, levels)
+    value: dict[tuple[str, str, int], Fraction] = {}
+    move: dict[tuple[str, str, int], tuple[str, str, int]] = {}
 
-    def steps(u: str, y: str) -> list[tuple[Fraction, int, str, str, int]]:
-        """(step cost, rank, next u, next y, chunks) of every joint move."""
+    def steps(u: str, y: str) -> list[tuple[Fraction, int, str, str, Optional[int]]]:
+        """(step cost, rank, next u, next y, chunks) of every move; None: not yet read."""
         if u == y:
-            return [
-                (g.cost(u, v) + g.cost(u, z), 0, v, z, budget.charge(e.chunk_count))
-                for (v, z), e in sorted(compatible_pairs(moves, u).items())
-            ]
-        out: list[tuple[Fraction, int, str, str, int]] = []
+            return [(cv + cz, 0, v, z, None) for v, cv in g.out_edges(u) for z, cz in g.out_edges(u)]
+        out: list[tuple[Fraction, int, str, str, Optional[int]]] = []
         l = l2.get((y, u))
         if l is not None:  # A2 joins A1 at u
             out.append((g.cost(y, u), 1, u, u, l))
@@ -715,8 +728,20 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
                 out.append((cv + cz, 3, v, z, la + lb))
         return out
 
-    value: dict[tuple[str, str, int], Fraction] = {}
-    move: dict[tuple[str, str, int], tuple[str, str, int]] = {}
+    def offers(
+        cand: tuple[str, Fraction, int, str, str, Optional[int]]
+    ) -> Iterator[tuple[int, tuple[Fraction, int, str, str, int]]]:
+        u, step, rank, v, z, l = cand
+        if l is None:
+            found = moves.move(u, v, z)
+            if found is None:
+                return
+            l = budget.charge(found.chunk_count)
+        for i in range(l, levels + 1):
+            rest = value.get((v, z, i - l))
+            if rest is not None:
+                yield i, (step + rest, rank, v, z, l)
+
     rev = list(reversed(validate(g)))
     for u in rev:
         for y in rev:
@@ -726,15 +751,15 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
                     if (w, i) in solo:
                         value[(u, y, i)] = solo[(w, i)]
                 continue
-            cands = steps(u, y)
-            for i in range(levels + 1):
-                best: Optional[tuple[Fraction, int, str, str, int]] = None
-                for step, rank, v, z, l in cands:
-                    if l > i or (v, z, i - l) not in value:
-                        continue
-                    cand = (step + value[(v, z, i - l)], rank, v, z, l)
-                    if best is None or cand < best:
-                        best = cand
+            bounded = sorted(
+                (
+                    (step + value[(v, z, levels)], (u, step, rank, v, z, l))
+                    for step, rank, v, z, l in steps(u, y)
+                    if (v, z, levels) in value
+                ),
+                key=itemgetter(0),
+            )
+            for i, best in enumerate(least_per_level(levels, bounded, offers)):
                 if best is not None:
                     value[(u, y, i)] = best[0]
                     move[(u, y, i)] = best[2:]
@@ -773,22 +798,22 @@ def single_path_plan(
 
     One type is `chunk_graph`'s plan. Several types need each edge's least
     group chunk count (0 when it is every type's default) and get
-    `chunk_same_path` chunkings. Returns the plan and each type's trace on
-    it; raises InfeasibleChunking when no path survives.
+    `chunk_same_path` chunkings, both from one greedy fill per edge, run
+    when the DP first reads the edge. Returns the plan and each type's trace
+    on it; raises InfeasibleChunking when no path survives.
     """
     if agents.m == 1:
         return chunk_graph(g, agents.biases[0], budget, 1)
     dist = shortest_to_sink(g)
     perss = [persuasion_profile(g, dist, b) for b in agents.biases]
-    fills = {
-        (u, v): []
-        if all(p.default[u] == v for p in perss)
-        else _same_path_fill(g, dist, (u, v), agents, budget.k)
-        for u, v, _ in g.edges
-    }
+    fills = LazyEdgeMap(
+        g,
+        lambda e: [] if all(p.default[e[0]] == e[1] for p in perss)
+        else _same_path_fill(g, dist, e, agents, budget.k),
+    )
     return shared_path_plan(
         g, dist, agents.biases, budget,
-        {e: None if fill is None else len(fill) for e, fill in fills.items()},
+        LazyEdgeMap(g, lambda e: None if fills[e] is None else len(fills[e])),
         lambda e, n: padded_chunking(e, fills[e], n),
     )
 

@@ -195,6 +195,11 @@ def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
         (("fan", "-n", "0", "-c", "2"), "fan needs n >= 1, got 0"),
         (("fan", "-n", "3", "-c", "1"), "fan needs c > 1, got 1"),
         (("experiment", "cost-ratio", "-b", "2", "-c", "1", "-k", "3"), "fan needs c > 1, got 1"),
+        # verify used to run its suites on these: --trials 0 reported two
+        # suites as failed with 0 violations, and -k 0 escaped from randrange.
+        (("verify", "--trials", "0"), "verify needs --trials >= 1, got 0"),
+        (("verify", "--suite", "graph-dp", "-k", "0"), "verify needs -k >= 1, got 0"),
+        (("verify", "--suite", "edge-oracle", "-d", "-1"), "verify needs -d >= 1, got -1"),
     ):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     # A JSON true is a Python int; it used to load as cost 1.

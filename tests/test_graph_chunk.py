@@ -8,6 +8,7 @@ import pytest
 from chunkwise import (
     BiasProfile,
     BudgetSpec,
+    TaskGraph,
     chunk_graph_global,
     chunk_graph_local,
     random_task_graph,
@@ -17,7 +18,7 @@ from chunkwise import (
 )
 from chunkwise.errors import InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
-from chunkwise.graph import all_paths, path_cost
+from chunkwise.graph import all_paths, path_cost, validate
 from chunkwise.graph_chunk import cheapest_paths, persuasion_profile, walk_choices
 from chunkwise.multi_agent import AgentSet, m_agent_single_path_plan
 from chunkwise.oracle import brute_force_graph_plan
@@ -73,6 +74,88 @@ def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
             assert table[(u, 0)] == dist[u]
             if u != g.sink:
                 assert choice[(u, 0)] == (dist.successor[u], 0)
+
+
+def _full_scan(g, need, k):
+    """cheapest_paths' recurrence, reading every out-edge at every level."""
+    table = {(g.sink, i): F(0) for i in range(k + 1)}
+    choice = {}
+    for u in reversed(validate(g)):
+        for i in range(k + 1):
+            cands = [
+                (c + table[(head, i - need[(u, head)])], need[(u, head)], head)
+                for head, c in g.out_edges(u)
+                if need[(u, head)] is not None
+                and need[(u, head)] <= i
+                and (head, i - need[(u, head)]) in table
+            ]
+            if cands:
+                cost, used, head = min(cands)
+                table[(u, i)] = cost
+                choice[(u, i)] = (head, used)
+    return table, choice
+
+
+class _CountingNeeds(dict):
+    def __init__(self, needs, reads):
+        super().__init__(needs)
+        self.reads = reads
+
+    def __getitem__(self, e):
+        self.reads.append(e)
+        return super().__getitem__(e)
+
+
+def test_cheapest_paths_matches_a_full_scan():
+    # Reading out-edges in bound order and stopping early changes no entry,
+    # ties included: costs come from {0, 1, 2, 3}, so zero-cost edges and
+    # equal-cost routes are common, and needs mix None, 0 and 1..k.
+    rng = random.Random(33)
+    reads: list = []
+    edges = 0
+    for _ in range(300):
+        shape = random_task_graph(rng, min_vertices=3, max_vertices=8)
+        g = TaskGraph(
+            shape.vertices,
+            [(u, v, rng.choice((0, 1, 1, 2, 3))) for u, v, _ in shape.edges],
+            shape.source,
+            shape.sink,
+        )
+        k = rng.randint(0, 5)
+        need = {(u, v): rng.choice((None, 0, 0, *range(1, k + 1))) for u, v, _ in g.edges}
+        reads.clear()
+        assert cheapest_paths(g, _CountingNeeds(need, reads), k) == _full_scan(g, need, k)
+        assert len(reads) == len(set(reads))  # each need is read at most once
+        edges += len(need)
+    assert len(reads) < edges  # some needs were never read
+
+
+def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):
+    # s->d->t costs 100, the agent's default s->b->t costs 6 and s->a->t
+    # costs 4 once (s, a) is chunked, so d never wins at any budget and the
+    # planners never ask how many chunks (s, d) needs.
+    import chunkwise.graph_chunk as gc
+
+    g = TaskGraph(
+        ["s", "a", "b", "d", "t"],
+        [("s", "a", 4), ("a", "t", 0), ("s", "b", 1), ("b", "t", 5), ("s", "d", 100), ("d", "t", 0)],
+        source="s",
+        sink="t",
+    )
+    asked = []
+    count = gc.min_chunks_to_beat
+
+    def counting(g, dist, edge, *args):
+        asked.append(edge)
+        return count(g, dist, edge, *args)
+
+    monkeypatch.setattr(gc, "min_chunks_to_beat", counting)
+    for mode in ("local", "global"):
+        for k in (1, 2, 3):
+            _, (trace,) = gc.chunk_graph(g, B2, BudgetSpec(mode, k), 1)
+            assert trace.total == (6 if k == 1 else 4)
+    assert ("s", "a") in asked
+    assert ("s", "d") not in asked
 
 
 def test_local_k3_chunks_only_the_cheap_detour(s32):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -41,6 +43,8 @@ from chunkwise.oracle import brute_force_two_agent_plan, saturated_chunking
 
 B2 = Fraction(2)
 F = Fraction
+# sha256 of the plans and traces in test_two_agent_plans_match_their_pinned_bytes
+PINNED = "321fc5c95a2e5bc45384ebe795832902ab06454cb82605774fbb77d9a806590e"
 
 
 def _random_bias(rng: random.Random) -> Fraction:
@@ -571,6 +575,54 @@ def test_two_agent_plan_builds_its_tables_once(monkeypatch):
         assert len(splits) == len(set(splits))
         total_splits += len(splits)
     assert total_splits > 0  # the split memo was exercised
+
+
+def test_two_agent_plans_match_their_pinned_bytes():
+    # Reading joint moves in bound order must not change a byte of any plan
+    # or trace. The digest was recorded before the DP read its moves lazily.
+    rng = random.Random(4141)
+    digest = hashlib.sha256()
+    chunked = 0
+    for _ in range(30):
+        g = random_task_graph(rng, min_vertices=4, max_vertices=8)
+        b1 = _random_bias(rng)
+        b2 = b1 + F(rng.randint(1, 8), 4)
+        k = rng.randint(1, 3)
+        for mode in ("local", "global"):
+            plan, traces = two_agent_plan(g, b1, b2, BudgetSpec(mode, k))
+            payload = plan.to_json()
+            payload["traces"] = [t.to_json() for t in traces]
+            digest.update(json.dumps(payload, sort_keys=True).encode())
+            chunked += len(plan.chunkings)
+    assert digest.hexdigest() == PINNED
+    assert chunked > 0
+
+
+def test_a_joint_pair_beaten_on_cost_is_never_split(monkeypatch):
+    # Any pair sending a type through w costs over 100, while both types can
+    # share s->b->t for 12, so the DP never builds a move through (s, w) and
+    # never asks chunk_split about it.
+    import chunkwise.multi_agent as ma
+
+    g = TaskGraph(
+        ["s", "a", "b", "w", "t"],
+        [("s", "a", 4), ("a", "t", 0), ("s", "b", 1), ("b", "t", 5), ("s", "w", 100), ("w", "t", 0)],
+        source="s",
+        sink="t",
+    )
+    asked = []
+    split = ma.chunk_split
+
+    def counting(g, dist, edge, *args):
+        asked.append(edge)
+        return split(g, dist, edge, *args)
+
+    monkeypatch.setattr(ma, "chunk_split", counting)
+    for mode in ("local", "global"):
+        for k in (1, 2, 3):
+            two_agent_plan(g, B2, F(3), BudgetSpec(mode, k))
+    assert ("s", "a") in asked
+    assert ("s", "w") not in asked
 
 
 def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
