@@ -40,7 +40,6 @@ from .multi_agent import (
     AgentSet,
     chunk_same_path,
     chunk_split,
-    compatible_pairs,
     m_agent_single_path_plan,
     two_agent_plan,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "chunk_shortest_edge",
     "chunk_split",
     "chunks_for_constant_ratio",
-    "compatible_pairs",
     "cost_ratio",
     "cost_ratio_curve",
     "delta",

@@ -45,6 +45,8 @@ from .oracle import EXPERIMENT_HEADER, chunks_needed_rows, cost_ratio_curve
 from .rational import format_rat, rat
 from .verify import SUITES
 
+MULTI_AGENT_MAX_K, MULTI_AGENT_MAX_D = 2, 32  # the multi-agent suite's caps on -k and -d
+
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
@@ -213,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif name == "graph-dp":
             kwargs.update(k_max=args.k)
         else:
-            kwargs.update(k=min(args.k, 2), d=min(args.d, 32))
+            kwargs.update(k=min(args.k, MULTI_AGENT_MAX_K), d=min(args.d, MULTI_AGENT_MAX_D))
         ok, lines = SUITES[name](**kwargs)
         all_ok &= ok
         status = "ok" if ok else "FAIL"
@@ -301,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
-    p.add_argument("-k", type=int, default=3)
-    p.add_argument("-d", type=int, default=64)
+    p.add_argument("-k", type=int, default=3, help="most chunks per edge (edge-oracle) or the "
+                   f"chunk budget; the multi-agent suite caps it at {MULTI_AGENT_MAX_K}")
+    p.add_argument("-d", type=int, default=64, help="grid denominator of the grid oracles; "
+                   f"the multi-agent suite caps it at {MULTI_AGENT_MAX_D}")
 
     p = sub.add_parser("experiment", help="emit experiment CSVs")
     p.add_argument("which", choices=("cost-ratio", "chunks-needed"))

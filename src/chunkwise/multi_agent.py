@@ -83,11 +83,6 @@ class AgentSet:
     def m(self) -> int:
         return len(self.biases)
 
-    def alpha(
-        self, g: TaskGraph, dist: DistanceMap, idx: int, u: str, exclude_head: str
-    ) -> Optional[Fraction]:
-        return outside_alpha(g, dist, self.biases[idx], u, exclude_head)
-
 
 def outside_alpha(
     g: TaskGraph, dist: DistanceMap, b: Fraction, u: str, v: str
@@ -405,7 +400,7 @@ def chunk_same_path(
 
 def _caps(g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet) -> list[Cap]:
     """Each type's (bias, outside option) on an edge whose tail has another way out."""
-    return [(b, agents.alpha(g, dist, i, *edge)) for i, b in enumerate(agents.biases)]
+    return [(b, outside_alpha(g, dist, b, *edge)) for b in agents.biases]
 
 
 def _same_path_fill(
@@ -416,20 +411,6 @@ def _same_path_fill(
     if ctx.outside is None:  # no type can leave the chain: one chunk carries it
         return [ctx.x] if k >= 1 else None
     return greedy_fill(ctx, _caps(g, dist, edge, agents), k)
-
-
-def same_path_feasible(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
-) -> bool:
-    return _same_path_fill(g, dist, edge, agents, k) is not None
-
-
-def min_chunks_same_path(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k_max: int
-) -> Optional[int]:
-    """Least l <= k_max every agent accepts; None when none does (so at k_max 0)."""
-    fill = _same_path_fill(g, dist, edge, agents, k_max)
-    return None if fill is None else len(fill)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +498,10 @@ class JointMoves:
                 if wit is not None:
                     return Move(i + j, wit)
             return None
-        # Global: the feasibility matrix is monotone in each coordinate (an
-        # i-chunking can always be emulated with i+1 chunks), so the cheapest
-        # feasible row per column is found by binary search.
+        # Global: binary-search each column j for its least feasible row i,
+        # skipping the column when row k fails. That assumes feasibility is
+        # monotone in i, which is false: a split can fail at k yet succeed
+        # below it, and is then missed (tests/test_multi_agent.py pins one).
         best: Optional[Move] = None
         for j in range(0, k + 1):
             wit_hi = self._split_witnesses(u, v, z, k, j)
@@ -595,20 +577,6 @@ def _first_move_ok(
         if ch.tail == u and ch.head == target:
             return walk_follows_chunking(trace.path, view.chain_of(ch.edge))
     return len(trace.path) > 1 and trace.path[1] == target
-
-
-def compatible_pairs(moves: JointMoves, u: str) -> dict[tuple[str, str], Move]:
-    """Successor pairs (v, z) both types can be persuaded to take from u.
-
-    A read of one vertex's full row of the joint-move table, every move built;
-    the two-agent DP reads only the moves that can still win, straight from
-    `JointMoves.move`. One successor needs one chunking both types take;
-    distinct successors need a validated pair of splits. Global budgets
-    record minimal chunk counts.
-    """
-    heads = [v for v, _ in moves.g.out_edges(u)]
-    found = {(v, z): moves.move(u, v, z) for v in heads for z in heads}
-    return {pair: move for pair, move in found.items() if move is not None}
 
 
 # ---------------------------------------------------------------------------

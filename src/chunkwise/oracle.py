@@ -1,6 +1,12 @@
 """Independent brute-force verifiers and the quantitative experiments.
 
-The edge oracle enumerates grid chunkings with scaled-integer arithmetic;
+One scaled-integer evaluator (`_GridEdge`), capped by `enumeration_cap`,
+enumerates every k-chunking of an edge into multiples of x/d. It finds one
+type's least bottleneck (`brute_force_edge_chunking`), the hardest one type
+can be repelled while another takes the edge (`grid_max_repelled`, checking
+`multi_agent.chunk_split`), and whether a chunking keeps every type on it
+(`grid_same_path_feasible`, checking `multi_agent.chunk_same_path`). Outside
+options come from the agent's own rule, `agent.best_alternative`.
 `independent_min_bottleneck` inverts the greedy max-mass fill, which shares
 nothing with the optimizer's candidate formulas. The graph oracle enumerates
 candidate paths and decides per-edge persuadability as "optimal l-chunking
@@ -16,9 +22,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .agent import BiasProfile, simulate_plan
+from .agent import BiasProfile, best_alternative, simulate_plan
 from .edge_chunk import (
     Chunking,
     EdgeContext,
@@ -29,7 +35,7 @@ from .edge_chunk import (
     padded_chunking,
     selective_bias_closed_form,
 )
-from .errors import GridTooLarge, InvalidParams, InvariantViolation
+from .errors import DeadEnd, GridTooLarge, InvalidParams, InvariantViolation
 from .expansion import ChunkPlan, original_path
 from .graph import (
     DistanceMap,
@@ -73,56 +79,100 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+class _GridEdge:
+    """One edge's grid chunkings, k-part weak compositions of d (part m is m units
+    q = x/d), in integers: L clears the denominators of q, c(v->t) and the outside
+    cost, so L * b.denominator times a perceived cost under bias b is an integer."""
+
+    def __init__(self, g: TaskGraph, dist: DistanceMap, edge: Edge, grid: GridSpec) -> None:
+        if grid.size > enumeration_cap():
+            raise GridTooLarge(f"{grid.size} grid chunkings exceed the cap {enumeration_cap()}")
+        self.g, self.dist, self.edge, self.grid = g, dist, edge, grid
+        ctx = edge_context(g, dist, edge)
+        self.unit = ctx.x / grid.denominator
+        known = [f for f in (self.unit, ctx.cost_to_sink, ctx.outside) if f is not None]
+        self.scale = L = math.lcm(*(f.denominator for f in known))
+        self.unit_i, self.to_sink_i = int(self.unit * L), int(ctx.cost_to_sink * L)
+        self.outside_i = None if ctx.outside is None else int(ctx.outside * L)
+
+    def chunkings(self) -> Iterator[tuple[int, ...]]:
+        return _compositions(self.grid.denominator, self.grid.k)
+
+    def weights(self, b: Fraction) -> tuple[int, int]:
+        """(numerator * scaled q, denominator) of bias b, as `peak` reads them."""
+        return b.numerator * self.unit_i, b.denominator
+
+    def peak(self, comp: Sequence[int], w: tuple[int, int], cutoff: Optional[int] = None) -> int:
+        """Bottleneck of one grid chunking under the bias of weights w, scaled by L
+        times its denominator; once a chunk passes cutoff, that chunk's value."""
+        bq, bd = w
+        q, out, through = self.unit_i, self.outside_i, self.to_sink_i
+        val = bq * comp[-1] + bd * through
+        for i in range(len(comp) - 2, -1, -1):
+            if cutoff is not None and val > cutoff:
+                break
+            through += comp[i + 1] * q
+            p = bq * comp[i] + bd * (through if out is None or through < out else out)
+            if p > val:
+                val = p
+        return val
+
+    def accepted(self, b: Fraction, among: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """The chunkings among these that bias b takes: those whose bottleneck is within
+        its outside option (`agent.best_alternative`, rounded down on `peak`'s scale,
+        which keeps the test exact), or all when the edge is its tail's only way out."""
+        try:
+            _, alpha = best_alternative(self.g, self.dist, BiasProfile(b), *self.edge)
+        except DeadEnd:
+            return iter(among)
+        w, cap = self.weights(b), math.floor(alpha * self.scale * b.denominator)
+        return (c for c in among if self.peak(c, w, cap) <= cap)
+
+
 def brute_force_edge_chunking(
     g: TaskGraph, dist: DistanceMap, edge: Edge, b: Fraction, grid: GridSpec
 ) -> tuple[Chunking, Fraction]:
-    """Exact minimum bottleneck over all grid chunkings of one edge.
+    """Exact minimum bottleneck over all grid chunkings of one edge."""
+    ge = _GridEdge(g, dist, edge, grid)
+    w = ge.weights(b)
+    comps = ge.chunkings()
+    best_comp = next(comps)
+    best_val = ge.peak(best_comp, w)
+    for comp in comps:
+        val = ge.peak(comp, w, cutoff=best_val)
+        if val < best_val:
+            best_val, best_comp = val, comp
+    chunks = tuple(m * ge.unit for m in best_comp)
+    return Chunking(*edge, chunks), Fraction(best_val, ge.scale * b.denominator)
 
-    Works in scaled integers: with unit q = x/d and scale L clearing every
-    denominator, perceived costs become integers and the whole enumeration
-    runs without Fraction churn.
-    """
-    if grid.size > enumeration_cap():
-        raise GridTooLarge(
-            f"{grid.size} grid chunkings exceed the cap {enumeration_cap()}"
-        )
-    ctx = edge_context(g, dist, edge)
-    d, k = grid.denominator, grid.k
-    q = ctx.x / d
-    denoms = [q.denominator, ctx.cost_to_sink.denominator, b.denominator]
-    if ctx.outside is not None:
-        denoms.append(ctx.outside.denominator)
-    L = math.lcm(*denoms)
-    # All integers below; perceived costs are scaled by L * b.denominator.
-    qL = q * L
-    if qL.denominator != 1:
-        raise InvariantViolation(f"grid unit {q} scaled by {L} is not an integer")
-    q_i = qL.numerator
-    cv_i = int(ctx.cost_to_sink * L)
-    out_i = None if ctx.outside is None else int(ctx.outside * L)
-    bn, bd = b.numerator, b.denominator
 
-    best_val: Optional[int] = None
-    best_comp: Optional[tuple[int, ...]] = None
-    for comp in _compositions(d, k):
-        val = bn * comp[-1] * q_i + bd * cv_i
-        if best_val is not None and val > best_val:
-            continue  # the last chunk alone already loses; the max only grows
-        suffix = 0
-        for i in range(k - 2, -1, -1):
-            suffix += comp[i + 1]
-            through = suffix * q_i + cv_i
-            floor = through if out_i is None else min(out_i, through)
-            p = bn * comp[i] * q_i + bd * floor
-            if p > val:
-                val = p
-        if best_val is None or val < best_val:
-            best_val = val
-            best_comp = comp
-    if best_val is None or best_comp is None:
-        raise InvariantViolation(f"no grid chunking of {edge} was evaluated")
-    chunks = tuple(m * q for m in best_comp)
-    return Chunking(*edge, chunks), Fraction(best_val, L * bd)
+def grid_max_repelled(
+    g: TaskGraph,
+    dist: DistanceMap,
+    edge: Edge,
+    taker_bias: Fraction,
+    other_bias: Fraction,
+    grid: GridSpec,
+) -> Optional[Fraction]:
+    """Largest bottleneck other_bias perceives over the grid chunkings taker_bias
+    accepts, or None when it accepts none; `multi_agent.chunk_split` must
+    repel the other type at least this hard."""
+    ge = _GridEdge(g, dist, edge, grid)
+    other = ge.weights(other_bias)
+    best = max((ge.peak(c, other) for c in ge.accepted(taker_bias, ge.chunkings())), default=None)
+    return None if best is None else Fraction(best, ge.scale * other_bias.denominator)
+
+
+def grid_same_path_feasible(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], grid: GridSpec
+) -> bool:
+    """Whether some grid chunking keeps every bias type on the edge; whenever
+    one does, `multi_agent.chunk_same_path` must find a chunking."""
+    ge = _GridEdge(g, dist, edge, grid)
+    kept = ge.chunkings()
+    for b in biases:
+        kept = ge.accepted(b, kept)
+    return next(kept, None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ plans on a view of the expanded graph; the suites walk every returned plan
 again on the graph expand_plan builds, and a trace that differs between the
 two routes is a violation. The edge-oracle suite also compares the view's
 distances with the expanded graph's on each optimal chunking, whose chain
-vertices often have a cheaper way out than the rest of the chain.
+vertices often have a cheaper way out than the rest of the chain. The
+multi-agent suite checks one split per trial against `oracle.grid_max_repelled`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 from .agent import BiasProfile, simulate_plan, walk_plan
 from .edge_chunk import optimal_edge_chunking
 from .expansion import PlanView, expand_plan, original_path, single_edge_plan
-from .graph import TaskGraph, random_task_graph, shortest_to_sink
+from .graph import random_task_graph, shortest_to_sink
 from .graph_chunk import BudgetSpec, chunk_graph_global, chunk_graph_local
 from .multi_agent import (
     AgentSet,
@@ -28,10 +29,10 @@ from .multi_agent import (
 )
 from .oracle import (
     GridSpec,
-    _compositions,
     brute_force_edge_chunking,
     brute_force_graph_plan,
     brute_force_two_agent_plan,
+    grid_max_repelled,
 )
 from .errors import InfeasibleChunking, TakerRefuses
 
@@ -163,7 +164,12 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
         if edges:
             edge = edges[rng.randrange(len(edges))]
             split_checks += 1
-            if not _split_dominates_grid(g, dist, edge, b1, b2, k, d):
+            try:
+                _, repelled = chunk_split(g, dist, edge, b1, b2, k, taker=1)
+            except TakerRefuses:
+                continue
+            grid_best = grid_max_repelled(g, dist, edge, b1, b2, GridSpec(d, k))
+            if grid_best is not None and repelled < grid_best:
                 failures.append(f"trial {trial}: split beaten by a grid chunking on {edge}")
     ok = not failures and sims > 0
     lines = [
@@ -173,32 +179,6 @@ def multi_agent_suite(seed: int, trials: int, k: int = 2, d: int = 32) -> SuiteR
     ]
     lines += failures[:5]
     return ok, lines
-
-
-def _split_dominates_grid(
-    g: TaskGraph, dist, edge, b1: Fraction, b2: Fraction, k: int, d: int
-) -> bool:
-    """No taker-accepted grid chunking repels the other type harder."""
-    from .edge_chunk import edge_context, perceived_chunk_costs
-    from .multi_agent import outside_alpha
-
-    try:
-        _, repelled = chunk_split(g, dist, edge, b1, b2, k, taker=1)
-    except TakerRefuses:
-        return True
-    ctx = edge_context(g, dist, edge)
-    alpha1 = outside_alpha(g, dist, b1, *edge)
-    unit = ctx.x / d
-    best_grid = None
-    for comp in _compositions(d, k):
-        chunks = tuple(m * unit for m in comp)
-        p1 = perceived_chunk_costs(ctx, chunks, b1)
-        if alpha1 is not None and max(p1) > alpha1:
-            continue
-        p2 = max(perceived_chunk_costs(ctx, chunks, b2))
-        if best_grid is None or p2 > best_grid:
-            best_grid = p2
-    return best_grid is None or repelled >= best_grid
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

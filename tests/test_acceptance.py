@@ -39,10 +39,9 @@ from chunkwise import (
     traverse,
     two_agent_plan,
 )
-from chunkwise.edge_chunk import edge_context, perceived_chunk_costs
 from chunkwise.expansion import original_path
-from chunkwise.multi_agent import chunk_split, outside_alpha, same_path_feasible
-from chunkwise.oracle import brute_force_two_agent_plan
+from chunkwise.multi_agent import _same_path_fill, chunk_split
+from chunkwise.oracle import brute_force_two_agent_plan, grid_max_repelled, grid_same_path_feasible
 from chunkwise.errors import TakerRefuses
 
 B2 = Fraction(2)
@@ -275,12 +274,18 @@ def test_criterion_6_multi_agent_soundness():
             if edges:
                 edge = edges[rng.randrange(len(edges))]
                 k = rng.randint(1, 3)
-                if _grid_same_path_feasible(g, dist, edge, agents, k, 32):
-                    assert same_path_feasible(g, dist, edge, agents, k)
+                if grid_same_path_feasible(g, dist, edge, agents.biases, GridSpec(32, k)):
+                    assert _same_path_fill(g, dist, edge, agents, k) is not None
             # split dominance (one-sided vs the taker-accepted grid)
             if edges:
                 edge = edges[rng.randrange(len(edges))]
-                _assert_split_dominates(g, dist, edge, b1, b2, rng.randint(1, 3))
+                k = rng.randint(1, 3)
+                try:
+                    _, repelled = chunk_split(g, dist, edge, b1, b2, k, taker=1)
+                except TakerRefuses:
+                    continue
+                grid_best = grid_max_repelled(g, dist, edge, b1, b2, GridSpec(32, k))
+                assert grid_best is None or grid_best <= repelled
         assert sims == 100
         # exact two-sided greedy-vs-grid equality on a grid-aligned instance
         g = TaskGraph(
@@ -292,59 +297,12 @@ def test_criterion_6_multi_agent_soundness():
         dist = shortest_to_sink(g)
         agents = AgentSet((B2, F(4)))
         for k in (1, 2, 3):
-            assert same_path_feasible(g, dist, ("u", "v"), agents, k) == (
-                _grid_same_path_feasible(g, dist, ("u", "v"), agents, k, 32)
+            assert (_same_path_fill(g, dist, ("u", "v"), agents, k) is not None) == (
+                grid_same_path_feasible(g, dist, ("u", "v"), agents.biases, GridSpec(32, k))
             )
         assert time.time() - start < 600
 
     _report("6", "multi-agent joint-sim soundness + oracle equality, < 10 min", check)
-
-
-def _grid_same_path_feasible(g, dist, edge, agents, k, d):
-    ctx = edge_context(g, dist, edge)
-    alphas = [agents.alpha(g, dist, i, *edge) for i in range(agents.m)]
-    unit = ctx.x / d
-
-    def comps(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in comps(total - first, parts - 1):
-                yield (first,) + rest
-
-    for comp in comps(d, k):
-        chunks = tuple(m * unit for m in comp)
-        if all(
-            alpha is None or max(perceived_chunk_costs(ctx, chunks, b)) <= alpha
-            for alpha, b in zip(alphas, agents.biases)
-        ):
-            return True
-    return False
-
-
-def _assert_split_dominates(g, dist, edge, b1, b2, k):
-    try:
-        _, repelled = chunk_split(g, dist, edge, b1, b2, k, taker=1)
-    except TakerRefuses:
-        return
-    ctx = edge_context(g, dist, edge)
-    alpha1 = outside_alpha(g, dist, b1, *edge)
-    unit = ctx.x / 32
-
-    def comps(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in comps(total - first, parts - 1):
-                yield (first,) + rest
-
-    for comp in comps(32, k):
-        chunks = tuple(m * unit for m in comp)
-        if alpha1 is not None and max(perceived_chunk_costs(ctx, chunks, b1)) > alpha1:
-            continue
-        assert max(perceived_chunk_costs(ctx, chunks, b2)) <= repelled
 
 
 def test_criterion_7_defect_documentation(s32):

@@ -16,7 +16,6 @@ from chunkwise import (
     chunk_graph_local,
     chunk_same_path,
     chunk_split,
-    compatible_pairs,
     m_agent_single_path_plan,
     optimal_edge_chunking,
     random_task_graph,
@@ -32,14 +31,14 @@ from chunkwise.errors import (
     TakerRefuses,
 )
 from chunkwise.expansion import ChunkPlan, original_path
-from chunkwise.multi_agent import (
-    JointMoves,
-    min_chunks_same_path,
-    outside_alpha,
-    same_path_feasible,
-    single_path_plan,
+from chunkwise.multi_agent import JointMoves, _same_path_fill, outside_alpha, single_path_plan
+from chunkwise.oracle import (
+    GridSpec,
+    brute_force_two_agent_plan,
+    grid_max_repelled,
+    grid_same_path_feasible,
+    saturated_chunking,
 )
-from chunkwise.oracle import brute_force_two_agent_plan, saturated_chunking
 
 B2 = Fraction(2)
 F = Fraction
@@ -159,23 +158,8 @@ def test_split_dominates_grid_repellence():
             continue
         checked += 1
         bt, br = (b1, b2) if taker == 1 else (b2, b1)
-        alpha = outside_alpha(g, dist, bt, *edge)
-        ctx = edge_context(g, dist, edge)
-        unit = ctx.x / 24
-        for comp in _compositions(24, k):
-            chunks = tuple(m * unit for m in comp)
-            if alpha is not None and max(perceived_chunk_costs(ctx, chunks, bt)) > alpha:
-                continue
-            assert max(perceived_chunk_costs(ctx, chunks, br)) <= repelled
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        grid_best = grid_max_repelled(g, dist, edge, bt, br, GridSpec(24, k))
+        assert grid_best is None or grid_best <= repelled
 
 
 def test_split_repellence_monotone_in_b2(s32):
@@ -206,7 +190,7 @@ def test_same_path_single_agent_matches_optimal_feasibility():
         alpha = outside_alpha(g, dist, b, *edge)
         _, report = optimal_edge_chunking(g, dist, edge, b, k)
         optimal_ok = alpha is None or report.bottleneck <= alpha
-        assert same_path_feasible(g, dist, edge, AgentSet((b,)), k) == optimal_ok
+        assert (_same_path_fill(g, dist, edge, AgentSet((b,)), k) is not None) == optimal_ok
 
 
 def test_same_path_two_types_simulate(s32):
@@ -267,10 +251,11 @@ def test_same_path_agent_set_reused_across_graphs():
 def test_same_path_feasibility_monotone_and_binary_search(s32):
     dist = shortest_to_sink(s32)
     agents = AgentSet((B2, F(5, 2)))
-    feas = [same_path_feasible(s32, dist, ("u", "w"), agents, k) for k in range(1, 12)]
+    feas = [_same_path_fill(s32, dist, ("u", "w"), agents, k) is not None for k in range(1, 12)]
     assert feas == sorted(feas)  # False... then True
-    l = min_chunks_same_path(s32, dist, ("u", "w"), agents, 11)
-    assert l is not None
+    fill = _same_path_fill(s32, dist, ("u", "w"), agents, 11)
+    assert fill is not None
+    l = len(fill)
     assert feas[l - 1] and (l == 1 or not feas[l - 2])
 
 
@@ -296,7 +281,8 @@ def test_same_path_one_type_is_the_saturated_greedy_fill():
                 except InfeasibleChunking:
                     chunking = None
                 assert chunking == saturated_chunking(g, dist, (u, v), b, alpha, k)
-                assert min_chunks_same_path(g, dist, (u, v), agents, k) == (
+                fill = _same_path_fill(g, dist, (u, v), agents, k)
+                assert (None if fill is None else len(fill)) == (
                     min_chunks_to_beat(g, dist, (u, v), b, alpha, k)
                 )
 
@@ -317,31 +303,13 @@ def test_same_path_matches_grid_feasibility_one_sided():
         agents = AgentSet((b1, b1 + F(1, 2), b1 + 1))
         k = rng.randint(1, 3)
         checked += 1
-        greedy = same_path_feasible(g, dist, edge, agents, k)
-        grid = _grid_same_path_feasible(g, dist, edge, agents, k, d=32)
+        greedy = _same_path_fill(g, dist, edge, agents, k) is not None
+        grid = grid_same_path_feasible(g, dist, edge, agents.biases, GridSpec(32, k))
         if grid:
             assert greedy
         if grid == greedy:
             agree += 1
     assert agree >= 45  # two-sided agreement is the norm, boundary ties aside
-
-
-def _grid_same_path_feasible(g, dist, edge, agents, k, d):
-    ctx = edge_context(g, dist, edge)
-    alphas = [agents.alpha(g, dist, i, *edge) for i in range(agents.m)]
-    unit = ctx.x / d
-    for comp in _compositions(d, k):
-        chunks = tuple(m * unit for m in comp)
-        ok = True
-        for alpha, b in zip(alphas, agents.biases):
-            if alpha is None:
-                continue
-            if max(perceived_chunk_costs(ctx, chunks, b)) > alpha:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def test_same_path_matches_grid_exactly_on_aligned_instances():
@@ -356,36 +324,70 @@ def test_same_path_matches_grid_exactly_on_aligned_instances():
     dist = shortest_to_sink(g)
     agents = AgentSet((B2, F(4)))
     for k in (1, 2, 3):
-        greedy = same_path_feasible(g, dist, ("u", "v"), agents, k)
-        grid = _grid_same_path_feasible(g, dist, ("u", "v"), agents, k, d=32)
+        greedy = _same_path_fill(g, dist, ("u", "v"), agents, k) is not None
+        grid = grid_same_path_feasible(g, dist, ("u", "v"), agents.biases, GridSpec(32, k))
         assert greedy == grid
 
 
 # ---------------------------------------------------------------------------
-# compatible_pairs
+# JointMoves.move
 # ---------------------------------------------------------------------------
 
 
-def test_compatible_pairs_shared_tail_split(s32):
-    cs = compatible_pairs(JointMoves(s32, B2, F(10), BudgetSpec("local", 3)), "u")
-    assert ("v", "z") in cs
-    entry = cs[("v", "z")]
+def test_joint_move_shared_tail_split(s32):
+    moves = JointMoves(s32, B2, F(10), BudgetSpec("local", 3))
+    split = moves.move("u", "v", "z")
+    assert split is not None
     # A2's default is z, so only (u, v) carries a witness chunking.
-    assert [w.edge for w in entry.witnesses] == [("u", "v")]
-    assert ("z", "z") in cs  # both-defaults entry
-    assert ("v", "v") not in cs  # no chunking of (u,v) that b=10 takes
+    assert [w.edge for w in split.witnesses] == [("u", "v")]
+    assert moves.move("u", "z", "z") is not None  # both defaults
+    assert moves.move("u", "v", "v") is None  # no chunking of (u,v) that b=10 takes
 
 
-def test_compatible_pairs_same_edge_infeasible_absent(s32):
-    cs = compatible_pairs(JointMoves(s32, B2, F(3), BudgetSpec("local", 3)), "u")
-    assert ("v", "v") not in cs
+def test_joint_move_same_edge_infeasible(s32):
+    assert JointMoves(s32, B2, F(3), BudgetSpec("local", 3)).move("u", "v", "v") is None
 
 
-def test_compatible_pairs_global_minimal_counts(s32):
-    cs = compatible_pairs(JointMoves(s32, B2, F(10), BudgetSpec("global", 3)), "u")
-    entry = cs[("v", "z")]
-    assert entry.chunk_count == 3  # (u,v) needs all three; (u,z) is default
-    assert cs[("z", "z")].chunk_count == 0
+def test_joint_move_global_minimal_counts(s32):
+    moves = JointMoves(s32, B2, F(10), BudgetSpec("global", 3))
+    assert moves.move("u", "v", "z").chunk_count == 3  # (u,v) needs all three; (u,z) is default
+    assert moves.move("u", "z", "z").chunk_count == 0
+
+
+def _non_monotone_split_moves():
+    # random_task_graph(Random(215), 4, 7): A1 (b=2) defaults to (s, a), and
+    # A2 (b=5) takes (s, b) only under a two-chunk split.
+    g = TaskGraph(
+        ["s", "a", "b", "t"],
+        [("s", "a", F(22, 5)), ("s", "b", 8), ("a", "b", 1), ("b", "t", F(17, 5))],
+        "s",
+        "t",
+    )
+    return JointMoves(g, B2, F(5), BudgetSpec("global", 2))
+
+
+def test_joint_split_feasibility_is_not_monotone():
+    # Sending A1 to a and A2 to b works with (0, 2) chunks and with nothing
+    # else: in column j = 2, the full-budget row i = 2 fails below a row that
+    # succeeds.
+    moves = _non_monotone_split_moves()
+    feasible = {
+        (i, j)
+        for i in range(3)
+        for j in range(3)
+        if moves._split_witnesses("s", "a", "b", i, j) is not None
+    }
+    assert feasible == {(0, 2)}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="JointMoves._split skips a column whose full-budget row fails, "
+    "so it misses the (0, 2) split",
+)
+def test_joint_split_finds_a_pair_below_an_infeasible_full_budget_row():
+    found = _non_monotone_split_moves().move("s", "a", "b")
+    assert found is not None and found.chunk_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +684,6 @@ def test_m_agent_single_path_matches_exhaustive_paths():
     # Exhaustive enumeration over candidate shared paths, each validated by
     # simulating every type, must agree with the planner exactly.
     from chunkwise.graph import all_paths
-    from chunkwise.multi_agent import min_chunks_same_path
     from chunkwise.graph_chunk import persuasion_profile
 
     rng = random.Random(808)
@@ -706,12 +707,12 @@ def test_m_agent_single_path_matches_exhaustive_paths():
                 u, v = cand[i], cand[i + 1]
                 if all(p.default[u] == v for p in perss):
                     continue
-                l = min_chunks_same_path(g, dist, (u, v), agents, k)
-                if l is None:
+                fill = _same_path_fill(g, dist, (u, v), agents, k)
+                if fill is None:
                     ok = False
                     break
-                chunkings.append(chunk_same_path(g, dist, (u, v), agents, l))
-                total_chunks += l
+                chunkings.append(chunk_same_path(g, dist, (u, v), agents, len(fill)))
+                total_chunks += len(fill)
             if not ok or (mode == "global" and total_chunks > k):
                 continue
             cand_plan = ChunkPlan(chunkings=tuple(chunkings))

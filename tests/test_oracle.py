@@ -18,9 +18,12 @@ from chunkwise import (
     shortest_to_sink,
 )
 from chunkwise.errors import GridTooLarge
+from chunkwise import oracle
 from chunkwise.oracle import (
     EXPERIMENT_HEADER,
     chunks_needed_rows,
+    grid_max_repelled,
+    grid_same_path_feasible,
     independent_min_bottleneck,
     max_mass_under_cap,
 )
@@ -114,6 +117,33 @@ def test_grid_cap_aborts_loudly(s32, monkeypatch):
     dist = shortest_to_sink(s32)
     with pytest.raises(GridTooLarge):
         brute_force_edge_chunking(s32, dist, ("u", "v"), B2, GridSpec(64, 3))
+
+
+def test_multi_type_grid_oracles_abort_before_enumerating(s32, monkeypatch):
+    # 11 chunkings of 10 units into 2 parts pass a cap of 11 and fail one of 10.
+    dist = shortest_to_sink(s32)
+    grid = GridSpec(10, 2)
+    monkeypatch.setenv(ENV_VAR, "11")
+    assert grid_max_repelled(s32, dist, ("u", "z"), B2, F(10), grid) == 76
+    assert grid_same_path_feasible(s32, dist, ("u", "z"), (B2, F(10)), grid)
+    monkeypatch.setenv(ENV_VAR, "10")
+
+    def no_enumeration(self):
+        raise AssertionError("a grid over the cap was enumerated")
+
+    monkeypatch.setattr(oracle._GridEdge, "chunkings", no_enumeration)
+    with pytest.raises(GridTooLarge):
+        grid_max_repelled(s32, dist, ("u", "z"), B2, F(10), grid)
+    with pytest.raises(GridTooLarge):
+        grid_same_path_feasible(s32, dist, ("u", "z"), (B2, F(10)), grid)
+
+
+def test_grid_max_repelled_is_none_when_the_taker_accepts_nothing(s32):
+    # No 3-chunking of (u, v) gets b = 10 past its outside option (chunk_split
+    # raises TakerRefuses there), so no grid chunking is accepted either.
+    dist = shortest_to_sink(s32)
+    assert grid_max_repelled(s32, dist, ("u", "v"), F(10), B2, GridSpec(32, 3)) is None
+    assert grid_max_repelled(s32, dist, ("u", "v"), B2, F(10), GridSpec(32, 3)) is not None
 
 
 def test_max_mass_monotone_in_cap(s32):
