@@ -12,21 +12,24 @@ plan's total fits.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
-`shared_path_plan` is the one pipeline from a table of per-edge chunk needs
-to a checked plan; `chunk_graph` feeds it one bias's needs and optimal edge
-chunkings, and multi_agent feeds it several types' shared needs.
+The DP runs on any DAG whose vertices yield their moves: `edge_moves` gives
+it a task graph's edges, and the two-agent planner a graph of position
+pairs. `shared_path_plan` is the one pipeline from a table of per-edge
+chunk needs to a checked plan; `chunk_graph` feeds it one bias's needs and
+optimal edge chunkings, and multi_agent feeds it several types' shared
+needs.
 
-The DP reads a vertex's out-edges in the order of a lower bound on what
-they offer and stops once none left can win (`least_per_level`, which the
-two-agent DP shares), so the planners hand it a `LazyEdgeMap` that
-computes an edge's need on its first read.
+The DP reads a vertex's moves in the order of a lower bound on what they
+offer and resolves a move only while it can still win, so the planners
+hand it a `LazyEdgeMap` that computes an edge's need on its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, TypeVar
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, Optional, TypeVar
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
@@ -106,18 +109,19 @@ def chunk_budget_needed(
     return min_chunks_to_beat(g, dist, (u, v), b, pers.alpha[u], k_max)
 
 
-CostTable = dict[tuple[str, int], Fraction]
-Choices = dict[tuple[str, int], tuple[str, int]]
 V = TypeVar("V")
-Candidate = TypeVar("Candidate")
-Offer = TypeVar("Offer", bound=tuple)
+N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
+CostTable = dict[tuple[N, int], Fraction]
+Choices = dict[tuple[N, int], tuple[N, int]]
+# A move: (step cost, head, resolve); resolve() gives (rank, chunks) or None.
+Step = tuple[Fraction, N, Callable[[], Optional[tuple[int, int]]]]
 
 
 class LazyEdgeMap(Mapping[Edge, V]):
     """g's edges mapped by compute(e), each value computed on first read.
 
-    The budgeted DPs read an edge's chunk need only when the edge can still
-    win, so a planner hands them this instead of a dict over every edge.
+    The budgeted DP reads an edge's chunk need only when the edge can still
+    win, so a planner hands it this instead of a dict over every edge.
     The values are kept on the map, so they go with the call that built it.
     """
 
@@ -142,79 +146,82 @@ class LazyEdgeMap(Mapping[Edge, V]):
         return len(self._g.edges)
 
 
-def least_per_level(
-    levels: int,
-    candidates: Iterable[tuple[Fraction, Candidate]],
-    offers: Callable[[Candidate], Iterable[tuple[int, Offer]]],
-) -> list[Optional[Offer]]:
-    """The least offer at each budget level 0..levels, read in bound order.
-
-    candidates are (bound, candidate) pairs in ascending bound order, and
-    offers(candidate) yields (level, offer) pairs whose first item, the
-    offer's cost, is never below the bound. Offers compare as tuples, so
-    ties break on their later items. Candidates are read until every level
-    has an offer and the next bound exceeds the costliest level's best: that
-    candidate and all after it lose at every level, so they are never read.
-    """
-    best: list[Optional[Offer]] = [None] * (levels + 1)
-    for bound, cand in candidates:
-        if None not in best and bound > max(offer[0] for offer in best):
-            break
-        for i, offer in offers(cand):
-            if best[i] is None or offer < best[i]:
-                best[i] = offer
-    return best
-
-
 def cheapest_paths(
-    g: TaskGraph, need: Mapping[Edge, Optional[int]], k: int
-) -> tuple[CostTable, Choices]:
+    order: Iterable[N], sink: N, moves: Callable[[N], Iterable[Step[N]]], k: int
+) -> tuple[CostTable[N], Choices[N]]:
     """Cheapest u-to-sink cost using at most i chunks, for every u and i <= k.
 
-    need[e] is the number of chunks edge e consumes, None if e is unusable.
-    table[(u, i)] is absent when no usable path fits in i chunks; choice[(u, i)]
-    is the (head, chunks used) of the first edge. Ties break on (cost, chunks
-    used, head). A local budget is this DP at BudgetSpec.levels 0 with every
-    usable edge charged 0, so its ties break on (cost, head).
+    The graph is any DAG. order lists every vertex but the sink, each after
+    the heads of its moves. moves(u) yields u's moves as (step cost, head,
+    resolve), where resolve() gives the move's (rank, chunks), or None when
+    the move is unusable. table[(u, i)] is absent when no usable path fits
+    in i chunks; choice[(u, i)] is the (head, chunks) of the first move.
+    Offers compare as (cost, rank, head, chunks), so ties break on rank
+    first: `edge_moves` ranks an edge by its chunks, for the tie rule
+    (cost, chunks, head).
 
-    More budget never costs more, so c(u, h) + table[(h, k)] bounds what the
-    edge (u, h) offers at every level. u's out-edges are read in the order of
-    that bound (`least_per_level`), and need[(u, h)] is read only while the
-    edge can still win some level; an edge whose head has no path at k is
-    never read.
+    More budget never costs more, so step + table[(head, k)] bounds what a
+    move offers at every level. u's moves are read in the order of that
+    bound until every level has an offer and the next bound exceeds the
+    costliest level's best, and resolve() is called only for moves read
+    before then; a move whose head has no path at k is never read.
     """
-    table: CostTable = {(g.sink, i): Fraction(0) for i in range(k + 1)}
-    choice: Choices = {}
-
-    def offers(edge: tuple[str, str, Fraction]) -> Iterator[tuple[int, tuple[Fraction, int, str]]]:
-        u, head, c = edge
-        l = need[(u, head)]
-        if l is None:
-            return
-        for i in range(l, k + 1):
-            rest = table.get((head, i - l))
-            if rest is not None:
-                yield i, (c + rest, l, head)
-
-    for u in reversed(validate(g)):
-        if u == g.sink:
-            continue
+    table: CostTable[N] = {(sink, i): Fraction(0) for i in range(k + 1)}
+    choice: Choices[N] = {}
+    for u in order:
         bounded = sorted(
-            (c + table[(head, k)], (u, head, c))
-            for head, c in g.out_edges(u)
-            if (head, k) in table
+            (
+                (step + table[(head, k)], step, head, resolve)
+                for step, head, resolve in moves(u)
+                if (head, k) in table
+            ),
+            key=itemgetter(0),
         )
-        for i, best in enumerate(least_per_level(k, bounded, offers)):
-            if best is not None:
-                table[(u, i)] = best[0]
-                choice[(u, i)] = (best[2], best[1])
+        best: list[Optional[tuple[Fraction, int, N, int]]] = [None] * (k + 1)
+        for bound, step, head, resolve in bounded:
+            if None not in best and bound > max(offer[0] for offer in best):
+                break
+            ranked = resolve()
+            if ranked is None:
+                continue
+            rank, l = ranked
+            for i in range(l, k + 1):
+                rest = table.get((head, i - l))
+                if rest is not None:
+                    offer = (step + rest, rank, head, l)
+                    if best[i] is None or offer < best[i]:
+                        best[i] = offer
+        for i, offer in enumerate(best):
+            if offer is not None:
+                table[(u, i)] = offer[0]
+                choice[(u, i)] = (offer[2], offer[3])
     return table, choice
 
 
-def walk_choices(g: TaskGraph, choice: Choices, u: str, i: int) -> tuple[str, ...]:
+def edge_moves(
+    g: TaskGraph, need: Mapping[Edge, Optional[int]]
+) -> Callable[[str], Iterator[Step[str]]]:
+    """cheapest_paths' moves on g: each out-edge e, ranked by its chunks need[e].
+
+    need[e] is None when e is unusable, and is read only when the DP
+    resolves e.
+    """
+
+    def ranked(e: Edge) -> Optional[tuple[int, int]]:
+        l = need[e]
+        return None if l is None else (l, l)
+
+    def moves(u: str) -> Iterator[Step[str]]:
+        for head, c in g.out_edges(u):
+            yield c, head, lambda e=(u, head): ranked(e)
+
+    return moves
+
+
+def walk_choices(sink: N, choice: Choices[N], u: N, i: int) -> tuple[N, ...]:
     """Follow choice from (u, i) to the sink."""
     path = [u]
-    while path[-1] != g.sink:
+    while path[-1] != sink:
         head, used = choice[(path[-1], i)]
         path.append(head)
         i -= used
@@ -240,10 +247,12 @@ def shared_path_plan(
     at the DP's cost. Raises InfeasibleChunking when no path fits the budget.
     """
     levels = budget.levels
-    table, choice = cheapest_paths(g, LazyEdgeMap(g, lambda e: budget.charge(need[e])), levels)
+    order = [u for u in reversed(validate(g)) if u != g.sink]
+    charged = LazyEdgeMap(g, lambda e: budget.charge(need[e]))
+    table, choice = cheapest_paths(order, g.sink, edge_moves(g, charged), levels)
     if (g.source, levels) not in table:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
-    path = walk_choices(g, choice, g.source, levels)
+    path = walk_choices(g.sink, choice, g.source, levels)
     predicted = table[(g.source, levels)]
     types = dict.fromkeys(biases)
     edges = list(zip(path, path[1:]))

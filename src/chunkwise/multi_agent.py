@@ -10,15 +10,16 @@ budget rule from `BudgetSpec`. Types that must share one path (and two
 types with one bias) are planned by graph_chunk's single-path pipeline,
 `shared_path_plan`. Every emitted plan is validated by simulating each
 agent type on it; the two-agent planner falls back to exhaustive path
-pairs when its optimistic recurrence and the simulation disagree.
+pairs when its optimistic DP and the simulation disagree.
 
 The two-agent planner builds one `JointMoves` table per call: both
 persuasion profiles, both types' per-edge chunk needs, and every move out
 of a vertex (joint, same-edge or solo) with its witness chunkings, each
 computed on first use. Its DP, its static pair plans, its exhaustive
-fallback and `oracle.brute_force_two_agent_plan` all read that one table;
-the DP reads a move only while its lower bound can still win some budget
-level, so a move beaten on cost is never built.
+fallback and `oracle.brute_force_two_agent_plan` all read that one table.
+The DP is graph_chunk's `cheapest_paths` run on a graph of position pairs,
+which resolves a move only while its lower bound can still win some budget
+level, so a joint move beaten on cost is never built.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
 from .edge_chunk import (
@@ -55,10 +55,10 @@ from .graph import (
 from .graph_chunk import (
     BudgetSpec,
     LazyEdgeMap,
+    Step,
     cheapest_paths,
     chunk_budget_needed,
     chunk_graph,
-    least_per_level,
     persuasion_profile,
     shared_path_plan,
     walk_choices,
@@ -629,11 +629,11 @@ def two_agent_plan(
 ) -> tuple[ChunkPlan, tuple[TraversalTrace, TraversalTrace]]:
     """Minimize the sum of both types' incurred costs under one chunk plan.
 
-    Dynamic program over position pairs with the three meet cases; the
-    reconstructed pair is rebuilt as a static per-vertex plan and validated
-    by simulating each type, falling back to exhaustive enumeration of path
-    pairs when the optimistic recurrence overreaches (interactions between
-    chunkings installed at a vertex both paths visit at different times).
+    The DP over position pairs (`_two_agent_dp`) picks a path pair, which
+    is rebuilt as a static per-vertex plan and validated by simulating each
+    type, falling back to exhaustive enumeration of path pairs when the
+    optimistic DP overreaches (interactions between chunkings installed at
+    a vertex both paths visit at different times).
     The DP, the pair plans and the fallback read one JointMoves table.
     """
     if b1 > b2:
@@ -656,102 +656,64 @@ def two_agent_plan(
 
 
 def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Value recurrence over position pairs; returns the argmin path pair.
+    """The cheapest path pair: `cheapest_paths` on the graph of position pairs.
 
-    More budget never costs more, so a move's step cost plus its next pair's
-    value at the top level bounds what it offers at every level, and a next
-    pair with no value there has none at any level. Each row reads its moves
-    in the order of that bound (`least_per_level`): where both types stand
-    at one vertex, a joint move is built (`JointMoves.move`) only while it
-    can still win some level.
+    A vertex (u, y) has A1 at u and A2 at y. Where both stand at one vertex
+    they leave it by a joint move (rank 0), built by `JointMoves.move` only
+    when the DP reads it. Where they stand apart, A2 joins A1 (rank 1), A1
+    joins A2 (rank 2), or each takes its own edge (rank 3), charged the
+    needs of the edges taken; an unusable edge is skipped before the DP
+    sorts the row. Once one type is at the sink the other moves alone,
+    ranked by its chunks. Ties thus break on (cost, rank, v, z, chunks).
+    The walk from (s, s) to (t, t) is projected onto each type's path.
     """
     g, budget = moves.g, moves.budget
-    levels = budget.levels
     t = g.sink
     l1, l2 = ({e: budget.charge(l) for e, l in need.items()} for need in moves.need)
-    solo1, choice1 = cheapest_paths(g, l1, levels)
-    solo2, choice2 = cheapest_paths(g, l2, levels)
-    value: dict[tuple[str, str, int], Fraction] = {}
-    move: dict[tuple[str, str, int], tuple[str, str, int]] = {}
 
-    def steps(u: str, y: str) -> list[tuple[Fraction, int, str, str, Optional[int]]]:
-        """(step cost, rank, next u, next y, chunks) of every move; None: not yet read."""
+    def joint(u: str, v: str, z: str) -> Optional[tuple[int, int]]:
+        found = moves.move(u, v, z)
+        return None if found is None else (0, budget.charge(found.chunk_count))
+
+    def known(rank: int, l: int) -> Callable[[], tuple[int, int]]:
+        return lambda: (rank, l)
+
+    def pair_moves(pair: tuple[str, str]) -> Iterator[Step[tuple[str, str]]]:
+        u, y = pair
         if u == y:
-            return [(cv + cz, 0, v, z, None) for v, cv in g.out_edges(u) for z, cz in g.out_edges(u)]
-        out: list[tuple[Fraction, int, str, str, Optional[int]]] = []
-        l = l2.get((y, u))
-        if l is not None:  # A2 joins A1 at u
-            out.append((g.cost(y, u), 1, u, u, l))
-        l = l1.get((u, y))
-        if l is not None:  # A1 joins A2 at y
-            out.append((g.cost(u, y), 2, y, y, l))
-        for v, cv in g.out_edges(u):
-            la = l1[(u, v)]
-            if v == y or la is None:
-                continue
+            for v, cv in g.out_edges(u):
+                for z, cz in g.out_edges(u):
+                    yield cv + cz, (v, z), lambda v=v, z=z: joint(u, v, z)
+        elif y == t:
+            for v, cv in g.out_edges(u):
+                if l1[(u, v)] is not None:
+                    yield cv, (v, t), known(l1[(u, v)], l1[(u, v)])
+        elif u == t:
             for z, cz in g.out_edges(y):
-                lb = l2[(y, z)]
-                if z == u or lb is None:
+                if l2[(y, z)] is not None:
+                    yield cz, (t, z), known(l2[(y, z)], l2[(y, z)])
+        else:
+            if l2.get((y, u)) is not None:  # A2 joins A1 at u
+                yield g.cost(y, u), (u, u), known(1, l2[(y, u)])
+            if l1.get((u, y)) is not None:  # A1 joins A2 at y
+                yield g.cost(u, y), (y, y), known(2, l1[(u, y)])
+            for v, cv in g.out_edges(u):
+                if v == y or l1[(u, v)] is None:
                     continue
-                out.append((cv + cz, 3, v, z, la + lb))
-        return out
-
-    def offers(
-        cand: tuple[str, Fraction, int, str, str, Optional[int]]
-    ) -> Iterator[tuple[int, tuple[Fraction, int, str, str, int]]]:
-        u, step, rank, v, z, l = cand
-        if l is None:
-            found = moves.move(u, v, z)
-            if found is None:
-                return
-            l = budget.charge(found.chunk_count)
-        for i in range(l, levels + 1):
-            rest = value.get((v, z, i - l))
-            if rest is not None:
-                yield i, (step + rest, rank, v, z, l)
+                for z, cz in g.out_edges(y):
+                    if z != u and l2[(y, z)] is not None:
+                        yield cv + cz, (v, z), known(3, l1[(u, v)] + l2[(y, z)])
 
     rev = list(reversed(validate(g)))
-    for u in rev:
-        for y in rev:
-            if u == t or y == t:
-                solo, w = (solo1, u) if y == t else (solo2, y)
-                for i in range(levels + 1):
-                    if (w, i) in solo:
-                        value[(u, y, i)] = solo[(w, i)]
-                continue
-            bounded = sorted(
-                (
-                    (step + value[(v, z, levels)], (u, step, rank, v, z, l))
-                    for step, rank, v, z, l in steps(u, y)
-                    if (v, z, levels) in value
-                ),
-                key=itemgetter(0),
-            )
-            for i, best in enumerate(least_per_level(levels, bounded, offers)):
-                if best is not None:
-                    value[(u, y, i)] = best[0]
-                    move[(u, y, i)] = best[2:]
-
-    u = y = g.source
-    i = levels
-    if (u, y, i) not in value:
+    order = [(u, y) for u in rev for y in rev if not u == y == t]
+    levels = budget.levels
+    source = (g.source, g.source)
+    table, choice = cheapest_paths(order, (t, t), pair_moves, levels)
+    if (source, levels) not in table:
         return None
-    # Walk the recorded joint moves until one type reaches the sink; the
-    # other then follows its own cheapest path.
-    P: list[str] = [u]
-    Q: list[str] = [y]
-    while u != t and y != t:
-        v, z, l = move[(u, y, i)]
-        if v != u:
-            P.append(v)
-        if z != y:
-            Q.append(z)
-        u, y, i = v, z, i - l
-    if u != t:
-        P.extend(walk_choices(g, choice1, u, i)[1:])
-    if y != t:
-        Q.extend(walk_choices(g, choice2, y, i)[1:])
-    return tuple(P), tuple(Q)
+    walk = walk_choices((t, t), choice, source, levels)
+    # A type that waits repeats its vertex, and no walk on a DAG comes back.
+    return tuple(dict.fromkeys(u for u, _ in walk)), tuple(dict.fromkeys(y for _, y in walk))
 
 
 # ---------------------------------------------------------------------------

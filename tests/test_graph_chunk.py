@@ -19,13 +19,19 @@ from chunkwise import (
 from chunkwise.errors import InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
 from chunkwise.graph import all_paths, path_cost, validate
-from chunkwise.graph_chunk import cheapest_paths, persuasion_profile, walk_choices
+from chunkwise.graph_chunk import cheapest_paths, edge_moves, persuasion_profile, walk_choices
 from chunkwise.multi_agent import AgentSet, m_agent_single_path_plan
 from chunkwise.oracle import brute_force_graph_plan
 from conftest import series_gadgets
 
 B2 = Fraction(2)
 F = Fraction
+
+
+def _dp(g, need, k):
+    """cheapest_paths over g's edges, each charged need[e] chunks."""
+    order = [u for u in reversed(validate(g)) if u != g.sink]
+    return cheapest_paths(order, g.sink, edge_moves(g, need), k)
 
 
 def test_cheapest_paths_matches_path_enumeration():
@@ -36,7 +42,7 @@ def test_cheapest_paths_matches_path_enumeration():
         need = {
             (u, v): rng.choice((None, 0, 0, *range(1, k + 1))) for u, v, _ in g.edges
         }
-        table, choice = cheapest_paths(g, need, k)
+        table, choice = _dp(g, need, k)
         # Every vertex is reachable from the source, so the u-to-sink paths
         # are exactly the suffixes of source-sink paths.
         suffixes = {p[p.index(u):] for p in all_paths(g) for u in p}
@@ -51,7 +57,7 @@ def test_cheapest_paths_matches_path_enumeration():
                 ]
                 assert table.get((u, i)) == (min(costs) if costs else None)
                 if costs:
-                    path = walk_choices(g, choice, u, i)
+                    path = walk_choices(g.sink, choice, u, i)
                     assert path[0] == u and path[-1] == g.sink
                     assert path_cost(g, path) == table[(u, i)]
                     assert sum(need[e] for e in zip(path, path[1:])) <= i
@@ -69,7 +75,7 @@ def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
     for _ in range(40):
         g = random_task_graph(rng, min_vertices=3, max_vertices=8)
         dist = shortest_to_sink(g)
-        table, choice = cheapest_paths(g, {(u, v): 0 for u, v, _ in g.edges}, 0)
+        table, choice = _dp(g, {(u, v): 0 for u, v, _ in g.edges}, 0)
         for u in g.vertices:
             assert table[(u, 0)] == dist[u]
             if u != g.sink:
@@ -124,10 +130,32 @@ def test_cheapest_paths_matches_a_full_scan():
         k = rng.randint(0, 5)
         need = {(u, v): rng.choice((None, 0, 0, *range(1, k + 1))) for u, v, _ in g.edges}
         reads.clear()
-        assert cheapest_paths(g, _CountingNeeds(need, reads), k) == _full_scan(g, need, k)
+        assert _dp(g, _CountingNeeds(need, reads), k) == _full_scan(g, need, k)
         assert len(reads) == len(set(reads))  # each need is read at most once
         edges += len(need)
     assert len(reads) < edges  # some needs were never read
+
+
+def test_cheapest_paths_breaks_ties_on_rank_before_head_and_chunks():
+    # Three equal-cost moves out of "u" on a DAG of integers: rank decides
+    # before head and chunks, and a move is resolved only when it is read.
+    steps = {
+        "u": [(F(1), 1, (2, 0)), (F(1), 2, (1, 1)), (F(5), 3, (0, 0))],
+        1: [(F(0), 0, (0, 0))],
+        2: [(F(0), 0, (0, 0))],
+        3: [(F(0), 0, (0, 0))],
+    }
+    resolved = []
+
+    def moves(u):
+        for step, head, ranked in steps[u]:
+            yield step, head, lambda head=head, ranked=ranked: resolved.append(head) or ranked
+
+    table, choice = cheapest_paths([3, 2, 1, "u"], 0, moves, 1)
+    assert table[("u", 0)] == table[("u", 1)] == 1
+    assert choice[("u", 0)] == (1, 0) and choice[("u", 1)] == (2, 1)
+    assert walk_choices(0, choice, "u", 1) == ("u", 2, 0)
+    assert resolved == [0, 0, 0, 1, 2]  # the cost-5 move out of "u" is never resolved
 
 
 def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):

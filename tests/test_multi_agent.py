@@ -598,6 +598,20 @@ def test_two_agent_plans_match_their_pinned_bytes():
             chunked += len(plan.chunkings)
     assert digest.hexdigest() == PINNED
     assert chunked > 0
+    # The tie rule: s->a->t and s->b->t both cost 8 for the pair. The
+    # two-agent DP breaks ties on (cost, rank, v, z, chunks), so the joint
+    # move to (a, a) beats the one to (b, b) and (s, a) is chunked, where the
+    # one-type rule (cost, chunks, head) would leave the graph unchunked.
+    tie = TaskGraph(
+        ["s", "a", "b", "t"],
+        [("s", "a", 2), ("a", "t", 2), ("s", "b", 1), ("b", "t", 3)],
+        source="s",
+        sink="t",
+    )
+    plan, traces = two_agent_plan(tie, F(7, 2), F(15, 4), BudgetSpec("global", 4))
+    assert [(ch.edge, ch.chunks) for ch in plan.chunkings] == [(("s", "a"), (F(11, 15), F(19, 15)))]
+    assert plan.planned_paths == (("s", "a", "t"), ("s", "a", "t"))
+    assert [t.total for t in traces] == [4, 4]
 
 
 def test_a_joint_pair_beaten_on_cost_is_never_split(monkeypatch):
