@@ -291,6 +291,16 @@ def test_golden_output_fixture_matches(s32_path, capsys):
     assert out == (FIXTURES / "golden_chunk_edge_uv_k3.json").read_text()
 
 
+def test_large_k_golden_output_fixture_matches(s32_path, capsys):
+    # k = 64 reaches the interior branch with many taus and rebalanced candidates.
+    from conftest import FIXTURES
+
+    _, out, _ = run(
+        capsys, "chunk-edge", "-g", str(s32_path), "-e", "u,v", "-b", "7/4", "-k", "64"
+    )
+    assert out == (FIXTURES / "golden_chunk_edge_uv_k64.json").read_text()
+
+
 def test_split_edge_taker_refuses_is_data(s32_path, capsys):
     # bias 10 cannot be persuaded onto (u, v) with three chunks
     code, out, _ = run(

@@ -20,9 +20,15 @@ from chunkwise import (
     shortest_to_sink,
 )
 from chunkwise.agent import chunking_perceived_by_expansion
-from chunkwise.edge_chunk import _candidates, edge_context
+from chunkwise.edge_chunk import _candidates, _head_then_geometric, edge_context
 from chunkwise.errors import InvalidParams, NoAlternative
-from chunkwise.oracle import GridSpec, brute_force_edge_chunking, independent_min_bottleneck
+from chunkwise.oracle import (
+    GridSpec,
+    brute_force_edge_chunking,
+    independent_min_bottleneck,
+    max_mass_under_cap,
+)
+from conftest import s32_graph
 
 B2 = Fraction(2)
 F = Fraction
@@ -46,6 +52,21 @@ def test_chunk_shortest_edge_mass_and_shape():
         # later chunks are b/(b-1) times harder
         for a, c in zip(chunks, chunks[1:]):
             assert c * (b - 1) == a * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=100, max_denominator=60),
+    st.fractions(min_value=F(7, 6), max_value=8, max_denominator=6),
+    st.integers(1, 64),
+)
+def test_chunk_shortest_edge_matches_fraction_power_closed_form(x, b, k):
+    # The chunks are built from integer powers of b's numerator and
+    # denominator; the closed form here uses Fraction powers of b and b - 1.
+    expected = tuple(
+        (b - 1) ** (k - i) * b ** (i - 1) / (b**k - (b - 1) ** k) * x for i in range(1, k + 1)
+    )
+    assert chunk_shortest_edge(x, b, k) == expected
 
 
 def test_selective_bias_closed_form_goldens():
@@ -119,6 +140,14 @@ def test_evaluate_balanced_chunking_s32(s32):
     assert report.tau == 2
     assert report.bottleneck == F(741, 10)
     assert report.selective_bias == 1
+
+
+def test_transition_vertex_stays_on_the_chain_at_an_exact_tie(s32):
+    # Chain vertex 2 has 6.9 ahead: 6.9 + 60.1 ties the 67-cost outside
+    # route exactly, so only vertex 1 leaves, wherever the tie sits.
+    dist = shortest_to_sink(s32)
+    for chunks in ((F("7.1"), F("6.9"), F(0)), (F("7.1"), F("6.9"))):
+        assert evaluate_chunking(s32, dist, Chunking("u", "v", chunks), B2).tau == 1
 
 
 def test_evaluate_geometric_equalizes_on_shortest_edges(s32):
@@ -371,14 +400,53 @@ def test_candidate_screen_is_exact(query):
     g, edge, b, k = query
     dist = shortest_to_sink(g)
     keys = []
-    for bottleneck, build in _candidates(edge_context(g, dist, edge), b, k):
-        chunking = Chunking(*edge, build())
+    ctx = edge_context(g, dist, edge)
+    for n, m, h, y_n, y_d in _candidates(ctx, b, k):
+        chunking = Chunking(*edge, _head_then_geometric(ctx.x, b, k, h, F(y_n, y_d)))
         report = evaluate_chunking(g, dist, chunking, b)
-        assert report.bottleneck == bottleneck
+        assert report.bottleneck == F(n, m)
         keys.append((report.bottleneck, report.tau, chunking.chunks))
     chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
     assert (report.bottleneck, report.tau, chunking.chunks) == min(keys)
     assert report.bottleneck == independent_min_bottleneck(g, dist, edge, b, k)
+
+
+def _one_edge_graph(outside: int) -> TaskGraph:
+    # (u, v) of s32 (x = 14, c(v->t) = 60.1) with one outside route of the given cost.
+    return TaskGraph(
+        ["u", "v", "z", "t"],
+        [("u", "v", 14), ("v", "t", F(601, 10)), ("u", "z", 0), ("z", "t", outside)],
+        "u",
+        "t",
+    )
+
+
+_LARGE_K_EDGES = {
+    "s32": s32_graph(),
+    "delta<=0": _one_edge_graph(76),  # delta = -19/10
+    "0<delta<=x": _one_edge_graph(70),  # delta = 41/10
+    "delta>x": _one_edge_graph(40),  # delta = 341/10
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_K_EDGES))
+@pytest.mark.parametrize("k", [64, 128, 256])
+def test_large_k_chunking_is_the_greedy_mass_optimum(name, k):
+    # The same O(k) witness as the benchmark's edge check: the greedy mass
+    # under the reported bottleneck is exactly the edge cost.
+    g, edge, b = _LARGE_K_EDGES[name], ("u", "v"), F(7, 4)
+    dist = shortest_to_sink(g)
+    ctx = edge_context(g, dist, edge)
+    chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
+    assert chunking.k == k
+    assert sum(chunking.chunks) == ctx.x
+    assert report.bottleneck == max(report.perceived)
+    beta = report.bottleneck
+    mass = max_mass_under_cap(ctx, b, beta, k)
+    at_floor = beta == ctx.cost_to_sink and mass is not None and mass >= ctx.x
+    assert at_floor or (beta > ctx.cost_to_sink and mass == ctx.x)
+    if k == 64:
+        assert report.perceived == chunking_perceived_by_expansion(g, chunking, b)
 
 
 @st.composite
