@@ -17,9 +17,10 @@ to the sink from chain vertex i, is `EdgeContext.floor(suffix_i)`.
 ints: x, c(v->t) and outside over one common denominator, b = p/r, and one
 list of powers of p and p - r. Bottlenecks compare by exact
 cross-multiplication, and only the candidates tied at the least one become
-`Fraction` chunks. One backward `Fraction` pass over a chunking gives its
-perceived costs, its transition vertex and its sum, for `evaluate_chunking`
-and `perceived_chunk_costs` alike.
+`Fraction` chunks. One backward pass in ints over a chunking, its costs over
+the lcm of their denominators, gives its perceived costs, its transition
+vertex, its sum and its bottleneck, for `evaluate_chunking` and
+`perceived_chunk_costs` alike: one `Fraction` per perceived cost.
 
 `greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
 filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TypeVar
 
 from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
@@ -41,7 +42,7 @@ from .graph import DistanceMap, Edge, TaskGraph
 
 @dataclass(frozen=True)
 class Chunking:
-    """Chunk costs for one edge; nonnegative, summing to the edge cost."""
+    """Chunk costs for one edge: ints or Fractions, nonnegative, summing to the edge cost."""
 
     tail: str
     head: str
@@ -50,6 +51,8 @@ class Chunking:
     def __post_init__(self) -> None:
         if len(self.chunks) < 1:
             raise InvalidParams("a chunking needs at least one chunk")
+        if not set(map(type, self.chunks)) <= {int, Fraction}:  # no float, no bool
+            raise InvalidParams(f"chunk costs must be exact, ints or Fractions: {self.chunks!r}")
         if any(x < 0 for x in self.chunks):
             raise InvalidParams("chunk costs must be nonnegative")
 
@@ -97,11 +100,16 @@ class EdgeContext:
 
     def floor(self, suffix: Fraction) -> Fraction:
         """True cost to the sink from a chain vertex with `suffix` chunk mass ahead."""
-        return self.floor_through(suffix + self.cost_to_sink)
+        return _floor(self.outside, suffix + self.cost_to_sink)
 
-    def floor_through(self, through: Fraction) -> Fraction:
-        """The same floor, given through = suffix + c(v->t)."""
-        return through if self.outside is None else min(self.outside, through)
+
+Cost = TypeVar("Cost", int, Fraction)
+
+
+def _floor(outside: Optional[Cost], through: Cost) -> Cost:
+    """The chain-vertex floor min(outside, through), through being c(v->t)
+    plus the chunk mass ahead; in `Fraction`s or in scaled ints alike."""
+    return through if outside is None else min(outside, through)
 
 
 def edge_context(g: TaskGraph, dist: DistanceMap, edge: Edge) -> EdgeContext:
@@ -177,12 +185,11 @@ def evaluate_chunking(
 ) -> ChunkingReport:
     """Evaluate a chunking: perceived costs, transition vertex, bottleneck."""
     ctx = edge_context(g, dist, chunking.edge)
-    perceived, tau, total = _suffix_walk(ctx, chunking.chunks, b)
+    perceived, tau, total, bottleneck = _suffix_walk(ctx, chunking.chunks, b)
     if total != ctx.x:
         raise InvalidParams(
             f"chunks sum to {total}, edge ({ctx.tail}, {ctx.head}) costs {ctx.x}"
         )
-    bottleneck = max(perceived)
     d = None if ctx.outside is None else ctx.x + ctx.cost_to_sink - ctx.outside
     bias = (bottleneck - ctx.cost_to_sink) / ctx.x if ctx.x > 0 else Fraction(1)
     return ChunkingReport(
@@ -197,26 +204,38 @@ def evaluate_chunking(
 
 def _suffix_walk(
     ctx: EdgeContext, chunks: tuple[Fraction, ...], b: Fraction
-) -> tuple[tuple[Fraction, ...], int, Fraction]:
-    """One backward pass: (p_1..p_k, the transition vertex tau, the chunks' sum).
+) -> tuple[tuple[Fraction, ...], int, Fraction, Fraction]:
+    """One backward pass in ints: (p_1..p_k, tau, the chunks' sum, max p_i).
 
     Chunk i < k perceives b*x_i plus the floor of `through`, c(v->t) plus
     the mass after chunk i. Chain vertex i routes outside iff outside <
     c(v->t) plus the mass from chunk i on, strictly: at an exact tie the
     chain is as good as leaving. tau is the last such vertex, else 0.
+
+    Costs are scaled by d, the lcm of the denominators of c(v->t), outside
+    and every chunk, and b = p/r, so p_i = (p*X_i + r*F_i) / (r*d) with X_i
+    the scaled chunk and F_i the scaled floor: each p_i is one `Fraction`
+    built from ints, and the bottleneck is the largest numerator over r*d.
     """
     c, o = ctx.cost_to_sink, ctx.outside
-    perceived = [b * chunks[-1] + c]
-    through = chunks[-1] + c
-    tau = len(chunks) if o is not None and o < through else 0
-    for i in range(len(chunks) - 1, 0, -1):
+    p, r = b.numerator, b.denominator
+    d = lcm(c.denominator, 1 if o is None else o.denominator, *{x.denominator for x in chunks})
+    big_o = None if o is None else o.numerator * (d // o.denominator)
+    big_c = through = floor = c.numerator * (d // c.denominator)
+    rd, tau, top, perceived = r * d, 0, 0, []
+    for i in range(len(chunks), 0, -1):
         x_i = chunks[i - 1]
-        perceived.append(b * x_i + ctx.floor_through(through))
-        through += x_i
-        if not tau and o is not None and o < through:
+        big_x = x_i.numerator * (d // x_i.denominator)
+        n = p * big_x + r * floor
+        perceived.append(Fraction(n, rd))
+        if n > top:
+            top = n
+        through += big_x
+        if not tau and big_o is not None and big_o < through:
             tau = i
+        floor = _floor(big_o, through)
     perceived.reverse()
-    return tuple(perceived), tau, through - c
+    return tuple(perceived), tau, Fraction(through - big_c, d), Fraction(top, rd)
 
 
 def optimal_edge_chunking(
@@ -229,7 +248,7 @@ def optimal_edge_chunking(
     evaluates only the candidates tied at the minimum and returns the argmin
     of (bottleneck, tau, chunk vector). There are O(k) candidates and each
     costs O(1) integer multiplications to screen, on numbers of O(k) bits;
-    the winner's evaluation is one O(k) pass in `Fraction` operations.
+    each tied candidate's evaluation is one O(k) pass in ints.
 
     * chain on a shortest path (or no outside option): the geometric chunking,
       provably optimal;

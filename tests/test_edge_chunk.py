@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chunkwise import (
@@ -12,6 +12,7 @@ from chunkwise import (
     TaskGraph,
     chunk_shortest_edge,
     delta,
+    edge_chunk,
     evaluate_chunking,
     min_chunks_to_beat,
     optimal_edge_chunking,
@@ -20,8 +21,14 @@ from chunkwise import (
     shortest_to_sink,
 )
 from chunkwise.agent import chunking_perceived_by_expansion
-from chunkwise.edge_chunk import _candidates, _head_then_geometric, edge_context
+from chunkwise.edge_chunk import (
+    _candidates,
+    _head_then_geometric,
+    edge_context,
+    perceived_chunk_costs,
+)
 from chunkwise.errors import InvalidParams, NoAlternative
+from chunkwise.expansion import expand_plan, single_edge_plan
 from chunkwise.oracle import (
     GridSpec,
     brute_force_edge_chunking,
@@ -150,6 +157,14 @@ def test_transition_vertex_stays_on_the_chain_at_an_exact_tie(s32):
         assert evaluate_chunking(s32, dist, Chunking("u", "v", chunks), B2).tau == 1
 
 
+@pytest.mark.parametrize("chunks", [(7.0, 7.0), (F(13), True), (F(14), False), (F(14), 0.0)])
+def test_chunking_rejects_inexact_chunks(chunks):
+    # A float chunking of s32's (u, v) used to build and then fail the sum
+    # check with "chunks sum to 13.999999999999993"; a bool passed as 1 or 0.
+    with pytest.raises(InvalidParams, match="exact"):
+        Chunking("u", "v", chunks)
+
+
 def test_evaluate_geometric_equalizes_on_shortest_edges(s32):
     dist = shortest_to_sink(s32)
     chunking = Chunking("u", "w", chunk_shortest_edge(F(65), B2, 4))
@@ -192,6 +207,58 @@ def test_evaluate_matches_expansion_random_graphs():
         assert sum(chunking.chunks) == x
 
 
+@st.composite
+def _walk_queries(draw):
+    # A random_task_graph edge, either its tail's only out-edge or one with an
+    # outside option, and a chunking of it with mixed denominators (cut points
+    # over 1..12), zero chunks (repeated cuts, or cuts at 0 and x) and k <= 6.
+    g = random_task_graph(random.Random(draw(st.integers(0, 2**32 - 1))), 4, 7)
+    dist = shortest_to_sink(g)
+    contexts = [edge_context(g, dist, e[:2]) for e in g.edges]
+    kind = draw(st.sampled_from(("only", "outside", "tie")))
+    if kind == "only":
+        contexts = [ctx for ctx in contexts if ctx.outside is None]
+    else:
+        contexts = [ctx for ctx in contexts if ctx.outside is not None]
+    if kind == "tie":  # room for a chain vertex whose suffix route ties outside
+        contexts = [ctx for ctx in contexts if 0 <= ctx.outside - ctx.cost_to_sink <= ctx.x]
+    assume(contexts)
+    ctx = draw(st.sampled_from(contexts))
+    x = ctx.x
+    cut = st.one_of(st.just(x), st.fractions(min_value=0, max_value=x, max_denominator=12))
+    cuts = draw(st.lists(cut, max_size=5))
+    if kind == "tie":  # the mass after this cut is exactly outside - c(v->t)
+        cuts[draw(st.integers(0, len(cuts))) :] = [x - (ctx.outside - ctx.cost_to_sink)]
+    cuts = sorted(cuts)
+    chunks = tuple(after - before for before, after in zip([F(0)] + cuts, cuts + [x]))
+    b = draw(st.fractions(min_value=F(5, 4), max_value=6, max_denominator=4))
+    return g, dist, ctx, Chunking(ctx.tail, ctx.head, chunks), b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_queries())
+def test_evaluation_walk_matches_the_expanded_graph(query):
+    g, dist, ctx, chunking, b = query
+    report = evaluate_chunking(g, dist, chunking, b)
+    expected = chunking_perceived_by_expansion(g, chunking, b)
+    assert report.perceived == expected
+    assert report.bottleneck == max(expected)
+    assert perceived_chunk_costs(ctx, chunking.chunks, b) == expected
+    # tau read off the expanded graph: the last chunk whose tail vertex lies
+    # closer to the sink than c(v->t) plus the chunk mass from it on.
+    cg = expand_plan(g, single_edge_plan(chunking))
+    chain, exp_dist = cg.chain_of(chunking.edge), shortest_to_sink(cg.graph)
+    leaves = [
+        i
+        for i in range(1, chunking.k + 1)
+        if exp_dist[chain[i - 1]] < ctx.cost_to_sink + sum(chunking.chunks[i - 1 :])
+    ]
+    assert report.tau == max(leaves, default=0)
+    wrong = Chunking(*chunking.edge, chunking.chunks[:-1] + (chunking.chunks[-1] + F(1, 7),))
+    with pytest.raises(InvalidParams, match="sum"):
+        evaluate_chunking(g, dist, wrong, b)
+
+
 def test_optimal_edge_chunking_s32_k3_beats_the_balanced_head_split(s32):
     # The balanced-at-the-transition split (3.55, 3.55, 6.9) reaches 74.1,
     # but equalizing all three perceived costs is strictly better.
@@ -225,17 +292,19 @@ def test_optimal_edge_chunking_k1_identity(s32):
     assert report.bottleneck == 2 * 14 + F(601, 10)
 
 
-def test_optimal_edge_chunking_delta_above_x():
-    # Outside route cheaper than even the bare remainder: every chain vertex
-    # would leave, and the final chunk alone balances against the head.
-    from chunkwise import TaskGraph
+# Outside route cheaper than even the bare remainder of (u, v).
+_DELTA_ABOVE_X = TaskGraph(
+    ["u", "w", "v", "t"],
+    [("u", "w", 1), ("w", "t", 1), ("u", "v", 4), ("v", "t", 10)],
+    "u",
+    "t",
+)
 
-    g = TaskGraph(
-        ["u", "w", "v", "t"],
-        [("u", "w", 1), ("w", "t", 1), ("u", "v", 4), ("v", "t", 10)],
-        "u",
-        "t",
-    )
+
+def test_optimal_edge_chunking_delta_above_x():
+    # Every chain vertex would leave, and the final chunk alone balances
+    # against the head.
+    g = _DELTA_ABOVE_X
     dist = shortest_to_sink(g)
     d = delta(g, dist, ("u", "v"))
     assert d == 4 + 10 - 2 == 12 > 4
@@ -409,6 +478,38 @@ def test_candidate_screen_is_exact(query):
     chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
     assert (report.bottleneck, report.tau, chunking.chunks) == min(keys)
     assert report.bottleneck == independent_min_bottleneck(g, dist, edge, b, k)
+
+
+# Two of its k = 2 candidates tie at the least bottleneck for b = 2.
+_TWO_TIED = TaskGraph(
+    ["u", "v", "z", "t"],
+    [("u", "v", 21), ("v", "t", F(3, 4)), ("u", "z", 0), ("z", "t", F(59, 4))],
+    "u",
+    "t",
+)
+
+
+@pytest.mark.parametrize(
+    "g, k, ties",
+    [(s32_graph(), 3, 1), (s32_graph(), 8, 1), (_DELTA_ABOVE_X, 3, 1), (_TWO_TIED, 2, 2)],
+    ids=["s32-k3", "s32-k8", "delta>x-k3", "two-tied-k2"],
+)
+def test_optimizer_evaluates_only_the_screen_ties(monkeypatch, g, k, ties):
+    # Every candidate tied at the least screened bottleneck, and no other,
+    # goes through evaluate_chunking (the tracer's candidate_yield reads it).
+    dist = shortest_to_sink(g)
+    edge = ("u", "v")
+    bottlenecks = [F(n, m) for n, m, *_ in _candidates(edge_context(g, dist, edge), B2, k)]
+    assert bottlenecks.count(min(bottlenecks)) == ties
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate_chunking(*args)
+
+    monkeypatch.setattr(edge_chunk, "evaluate_chunking", counted)
+    optimal_edge_chunking(g, dist, edge, B2, k)
+    assert len(calls) == bottlenecks.count(min(bottlenecks))
 
 
 def _one_edge_graph(outside: int) -> TaskGraph:
