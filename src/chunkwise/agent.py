@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Collection, Container, Mapping, Optional
 
 from .edge_chunk import Chunking
@@ -62,6 +64,15 @@ class BiasProfile:
 
     def effective(self, edge: Edge) -> Fraction:
         return self.overrides.get(edge, self.default)
+
+    @cached_property
+    def scaled(self) -> tuple[int, int, dict[Edge, int]]:
+        """(r, p, over): every bias as an int over one common denominator r,
+        the default's numerator p and each override's in over."""
+        biases = [self.default, *self.overrides.values()]
+        r = lcm(*(b.denominator for b in biases))
+        over = {e: b.numerator * (r // b.denominator) for e, b in self.overrides.items()}
+        return r, self.default.numerator * (r // self.default.denominator), over
 
 
 @dataclass(frozen=True)
@@ -131,18 +142,24 @@ def best_alternative(
 
     exclude_head restricts to alternatives other than one edge, which is how
     chunking thresholds are computed. Raises DeadEnd if nothing qualifies.
+
+    Scores in ints: with every bias b = p/r over one denominator r
+    (`BiasProfile.scaled`) and costs and distances over g.scale, b*c + d is
+    (p*C + r*D) / (r * g.scale); only the minimum becomes a `Fraction`.
     """
+    scaled = dist.scaled_for(g)
+    r, p, over = profile.scaled
     best_head: Optional[str] = None
-    best_val: Optional[Fraction] = None
-    for head, cost in g.out_edges(u):
+    best_val: Optional[int] = None
+    for head, cost in g.scaled_out_edges(u):  # heads ascending: least head wins ties
         if head == exclude_head:
             continue
-        val = profile.effective((u, head)) * cost + dist[head]
-        if best_val is None or val < best_val or (val == best_val and head < best_head):
+        val = over.get((u, head), p) * cost + r * scaled[head]
+        if best_val is None or val < best_val:
             best_head, best_val = head, val
     if best_head is None or best_val is None:
         raise DeadEnd(u)
-    return best_head, best_val
+    return best_head, Fraction(best_val, r * g.scale)
 
 
 def traverse(

@@ -53,7 +53,7 @@ class Chunking:
             raise InvalidParams("a chunking needs at least one chunk")
         if not set(map(type, self.chunks)) <= {int, Fraction}:  # no float, no bool
             raise InvalidParams(f"chunk costs must be exact, ints or Fractions: {self.chunks!r}")
-        if any(x < 0 for x in self.chunks):
+        if any(x.numerator < 0 for x in self.chunks):  # every denominator is positive
             raise InvalidParams("chunk costs must be nonnegative")
 
     @property
@@ -116,14 +116,11 @@ def edge_context(g: TaskGraph, dist: DistanceMap, edge: Edge) -> EdgeContext:
     u, v = edge
     if not g.has_edge(u, v):
         raise UnknownEdge(u, v)
-    outside: Optional[Fraction] = None
-    for head, cost in g.out_edges(u):
-        if head == v:
-            continue
-        total = cost + dist[head]
-        if outside is None or total < outside:
-            outside = total
-    return EdgeContext(u, v, g.cost(u, v), dist[v], outside)
+    scaled = dist.scaled_for(g)
+    outside = min((c + scaled[h] for h, c in g.scaled_out_edges(u) if h != v), default=None)
+    return EdgeContext(
+        u, v, g.cost(u, v), dist[v], None if outside is None else Fraction(outside, g.scale)
+    )
 
 
 def selective_bias_closed_form(b: Fraction, k: int) -> Fraction:

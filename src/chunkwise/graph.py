@@ -7,11 +7,13 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
     GridTooLarge,
+    InvalidParams,
     InvalidSpec,
     MissingSourceOrSink,
     NegativeCost,
@@ -28,7 +30,10 @@ class TaskGraph:
     """A weighted DAG with a designated source and sink.
 
     Immutable after construction. Edge costs are exact nonnegative rationals;
-    at most one edge per ordered vertex pair, no self-loops.
+    at most one edge per ordered vertex pair, no self-loops. Every cost is
+    also kept as a Python int over one common denominator, `scale` (the lcm
+    of the cost denominators), for the exact integer relaxations of the
+    distances and the planners' DPs.
     """
 
     def __init__(
@@ -63,7 +68,7 @@ class TaskGraph:
             if (tail, head) in self._cost:
                 raise ParseError("edges", f"duplicate edge ({tail}, {head})")
             cost = rat(raw)
-            if cost < 0:
+            if cost.numerator < 0:  # every denominator is positive
                 raise NegativeCost(tail, head, cost)
             self._cost[(tail, head)] = cost
             out[tail].append((head, cost))
@@ -74,6 +79,11 @@ class TaskGraph:
         # Sorted once, so `edges` reads the edges in order without sorting;
         # a stored tuple of them would keep a second copy of every edge.
         self._cost = dict(sorted(self._cost.items()))
+        self.scale: int = lcm(*{c.denominator for c in self._cost.values()})
+        self._scaled_out: dict[str, tuple[tuple[str, int], ...]] = {
+            v: tuple((h, c.numerator * (self.scale // c.denominator)) for h, c in hops)
+            for v, hops in self._out.items()
+        }
         self._order: tuple[str, ...] | None = None  # set by the first validate()
 
     @property
@@ -82,6 +92,15 @@ class TaskGraph:
 
     def out_edges(self, u: str) -> tuple[tuple[str, Fraction], ...]:
         return self._out[u]
+
+    def scaled_out_edges(self, u: str) -> tuple[tuple[str, int], ...]:
+        """out_edges(u) with each cost as an int, the cost times `scale`."""
+        return self._scaled_out[u]
+
+    def scaled_cost(self, u: str, v: str) -> int:
+        """cost(u, v) times `scale`, an int."""
+        c = self.cost(u, v)
+        return c.numerator * (self.scale // c.denominator)
 
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self._cost
@@ -137,43 +156,58 @@ def validate(g: TaskGraph) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class DistanceMap:
-    """Exact shortest-path-to-sink costs plus one witness successor per vertex."""
+    """Exact shortest-path-to-sink costs plus one witness successor per vertex.
+
+    scaled holds each distance times `scale`, the graph's cost scale, as an int.
+    """
 
     dist: Mapping[str, Fraction]
     successor: Mapping[str, str]
+    scaled: Mapping[str, int]
+    scale: int
 
     def __getitem__(self, vertex: str) -> Fraction:
         return self.dist[vertex]
 
+    def scaled_for(self, g: TaskGraph) -> Mapping[str, int]:
+        """The scaled distances, in units of 1/g.scale like g's scaled costs."""
+        if self.scale != g.scale:
+            raise InvalidParams(
+                f"distances are scaled by {self.scale}, the graph's costs by {g.scale}"
+            )
+        return self.scaled
+
 
 def shortest_to_sink(g: TaskGraph) -> DistanceMap:
-    """Reverse-topological relaxation of exact distances to the sink.
+    """Reverse-topological relaxation of exact distances to the sink, in ints.
 
     The recorded successor is the lexicographically least head among
     minimizers. Raises SinkUnreachable listing vertices with no sink path.
     """
     order = validate(g)
-    dist: dict[str, Fraction] = {g.sink: Fraction(0)}
+    scaled: dict[str, int] = {g.sink: 0}
     succ: dict[str, str] = {}
     for u in reversed(order):
         if u == g.sink:
             continue
-        best: Fraction | None = None
+        best: int | None = None
         best_head: str | None = None
-        for head, cost in g.out_edges(u):
-            if head not in dist:
+        for head, cost in g.scaled_out_edges(u):  # heads ascending: least head wins ties
+            rest = scaled.get(head)
+            if rest is None:
                 continue
-            total = cost + dist[head]
+            total = cost + rest
             if best is None or total < best:
                 best, best_head = total, head
         if best is None:
             continue
-        dist[u] = best
+        scaled[u] = best
         succ[u] = best_head  # type: ignore[assignment]
-    missing = tuple(v for v in g.vertices if v not in dist)
+    missing = tuple(v for v in g.vertices if v not in scaled)
     if missing:
         raise SinkUnreachable(missing)
-    return DistanceMap(dist=dist, successor=succ)
+    dist = {v: Fraction(n, g.scale) for v, n in scaled.items()}
+    return DistanceMap(dist=dist, successor=succ, scaled=scaled, scale=g.scale)
 
 
 def path_cost(g: TaskGraph, path: Sequence[str]) -> Fraction:
@@ -273,13 +307,23 @@ def load_graph(data: bytes | str) -> TaskGraph:
         if not isinstance(cost_text, (str, int)) or isinstance(cost_text, bool):
             raise ParseError(f"edges[{i}].cost", "must be an exact string or integer")
         try:
-            cost = rat(cost_text)
+            cost = _parse_cost(cost_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"edges[{i}].cost", f"not an exact rational: {cost_text!r}") from exc
         edges.append((tail, head, cost))
     if not isinstance(payload["source"], str) or not isinstance(payload["sink"], str):
         raise ParseError("source/sink", "must be strings")
     return TaskGraph(vertices, edges, source=payload["source"], sink=payload["sink"])
+
+
+def _parse_cost(text: str | int) -> Fraction:
+    """rat(text), with canonical text (ASCII digits, or digits "/" digits)
+    read by int() rather than by Fraction's string parser."""
+    if isinstance(text, str) and text.isascii():
+        num, slash, den = text.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return rat(text)
 
 
 def save_graph(g: TaskGraph) -> bytes:

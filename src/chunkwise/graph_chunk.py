@@ -111,10 +111,10 @@ def chunk_budget_needed(
 
 V = TypeVar("V")
 N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
-CostTable = dict[tuple[N, int], Fraction]
+CostTable = dict[tuple[N, int], int]
 Choices = dict[tuple[N, int], tuple[N, int]]
 # A move: (step cost, head, resolve); resolve() gives (rank, chunks) or None.
-Step = tuple[Fraction, N, Callable[[], Optional[tuple[int, int]]]]
+Step = tuple[int, N, Callable[[], Optional[tuple[int, int]]]]
 
 
 class LazyEdgeMap(Mapping[Edge, V]):
@@ -158,7 +158,9 @@ def cheapest_paths(
     in i chunks; choice[(u, i)] is the (head, chunks) of the first move.
     Offers compare as (cost, rank, head, chunks), so ties break on rank
     first: `edge_moves` ranks an edge by its chunks, for the tie rule
-    (cost, chunks, head).
+    (cost, chunks, head). Costs are exact numbers; the planners' moves
+    give ints, a task graph's costs times its `scale`, so the table is in
+    those units too.
 
     More budget never costs more, so step + table[(head, k)] bounds what a
     move offers at every level. u's moves are read in the order of that
@@ -166,7 +168,7 @@ def cheapest_paths(
     costliest level's best, and resolve() is called only for moves read
     before then; a move whose head has no path at k is never read.
     """
-    table: CostTable[N] = {(sink, i): Fraction(0) for i in range(k + 1)}
+    table: CostTable[N] = {(sink, i): 0 for i in range(k + 1)}
     choice: Choices[N] = {}
     for u in order:
         bounded = sorted(
@@ -177,7 +179,7 @@ def cheapest_paths(
             ),
             key=itemgetter(0),
         )
-        best: list[Optional[tuple[Fraction, int, N, int]]] = [None] * (k + 1)
+        best: list[Optional[tuple[int, int, N, int]]] = [None] * (k + 1)
         for bound, step, head, resolve in bounded:
             if None not in best and bound > max(offer[0] for offer in best):
                 break
@@ -201,7 +203,8 @@ def cheapest_paths(
 def edge_moves(
     g: TaskGraph, need: Mapping[Edge, Optional[int]]
 ) -> Callable[[str], Iterator[Step[str]]]:
-    """cheapest_paths' moves on g: each out-edge e, ranked by its chunks need[e].
+    """cheapest_paths' moves on g: each out-edge e at its scaled cost, ranked
+    by its chunks need[e].
 
     need[e] is None when e is unusable, and is read only when the DP
     resolves e.
@@ -212,7 +215,7 @@ def edge_moves(
         return None if l is None else (l, l)
 
     def moves(u: str) -> Iterator[Step[str]]:
-        for head, c in g.out_edges(u):
+        for head, c in g.scaled_out_edges(u):
             yield c, head, lambda e=(u, head): ranked(e)
 
     return moves
@@ -253,7 +256,7 @@ def shared_path_plan(
     if (g.source, levels) not in table:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
     path = walk_choices(g.sink, choice, g.source, levels)
-    predicted = table[(g.source, levels)]
+    predicted = Fraction(table[(g.source, levels)], g.scale)
     types = dict.fromkeys(biases)
     edges = list(zip(path, path[1:]))
     if len(types) > 1:

@@ -665,7 +665,8 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     needs of the edges taken; an unusable edge is skipped before the DP
     sorts the row. Once one type is at the sink the other moves alone,
     ranked by its chunks. Ties thus break on (cost, rank, v, z, chunks).
-    The walk from (s, s) to (t, t) is projected onto each type's path.
+    A move costs the sum of the edges taken in g's scaled ints. The walk
+    from (s, s) to (t, t) is projected onto each type's path.
     """
     g, budget = moves.g, moves.budget
     t = g.sink
@@ -681,26 +682,26 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     def pair_moves(pair: tuple[str, str]) -> Iterator[Step[tuple[str, str]]]:
         u, y = pair
         if u == y:
-            for v, cv in g.out_edges(u):
-                for z, cz in g.out_edges(u):
+            for v, cv in g.scaled_out_edges(u):
+                for z, cz in g.scaled_out_edges(u):
                     yield cv + cz, (v, z), lambda v=v, z=z: joint(u, v, z)
         elif y == t:
-            for v, cv in g.out_edges(u):
+            for v, cv in g.scaled_out_edges(u):
                 if l1[(u, v)] is not None:
                     yield cv, (v, t), known(l1[(u, v)], l1[(u, v)])
         elif u == t:
-            for z, cz in g.out_edges(y):
+            for z, cz in g.scaled_out_edges(y):
                 if l2[(y, z)] is not None:
                     yield cz, (t, z), known(l2[(y, z)], l2[(y, z)])
         else:
             if l2.get((y, u)) is not None:  # A2 joins A1 at u
-                yield g.cost(y, u), (u, u), known(1, l2[(y, u)])
+                yield g.scaled_cost(y, u), (u, u), known(1, l2[(y, u)])
             if l1.get((u, y)) is not None:  # A1 joins A2 at y
-                yield g.cost(u, y), (y, y), known(2, l1[(u, y)])
-            for v, cv in g.out_edges(u):
+                yield g.scaled_cost(u, y), (y, y), known(2, l1[(u, y)])
+            for v, cv in g.scaled_out_edges(u):
                 if v == y or l1[(u, v)] is None:
                     continue
-                for z, cz in g.out_edges(y):
+                for z, cz in g.scaled_out_edges(y):
                     if z != u and l2[(y, z)] is not None:
                         yield cv + cz, (v, z), known(3, l1[(u, v)] + l2[(y, z)])
 

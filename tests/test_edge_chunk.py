@@ -165,6 +165,17 @@ def test_chunking_rejects_inexact_chunks(chunks):
         Chunking("u", "v", chunks)
 
 
+@pytest.mark.parametrize("chunks", [(F(15), F(-1)), (F(-1, 3), F(43, 3)), (15, -1), (F(14), -1, 1)])
+def test_chunking_rejects_negative_chunks(chunks):
+    with pytest.raises(InvalidParams, match="nonnegative"):
+        Chunking("u", "v", chunks)
+
+
+def test_chunking_accepts_zero_chunks():
+    for chunks in ((F(0), F(14)), (0, F(14), 0), (0,), (F(0),)):
+        assert Chunking("u", "v", chunks).chunks == chunks
+
+
 def test_evaluate_geometric_equalizes_on_shortest_edges(s32):
     dist = shortest_to_sink(s32)
     chunking = Chunking("u", "w", chunk_shortest_edge(F(65), B2, 4))

@@ -55,11 +55,12 @@ def test_cheapest_paths_matches_path_enumeration():
                     and all(need[e] is not None for e in zip(p, p[1:]))
                     and sum(need[e] for e in zip(p, p[1:])) <= i
                 ]
-                assert table.get((u, i)) == (min(costs) if costs else None)
+                # The table is in the graph's scaled units: cost times g.scale.
+                assert table.get((u, i)) == (min(costs) * g.scale if costs else None)
                 if costs:
                     path = walk_choices(g.sink, choice, u, i)
                     assert path[0] == u and path[-1] == g.sink
-                    assert path_cost(g, path) == table[(u, i)]
+                    assert path_cost(g, path) * g.scale == table[(u, i)]
                     assert sum(need[e] for e in zip(path, path[1:])) <= i
                     # Each step's recorded chunk count is its edge's need.
                     j = i
@@ -77,7 +78,7 @@ def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
         dist = shortest_to_sink(g)
         table, choice = _dp(g, {(u, v): 0 for u, v, _ in g.edges}, 0)
         for u in g.vertices:
-            assert table[(u, 0)] == dist[u]
+            assert table[(u, 0)] == dist.scaled[u]
             if u != g.sink:
                 assert choice[(u, 0)] == (dist.successor[u], 0)
 
