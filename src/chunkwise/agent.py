@@ -172,38 +172,39 @@ def traverse(
 ) -> TraversalTrace:
     """Deterministic greedy walk from start (default: source) to the sink.
 
-    The walk also ends at the first vertex of `until` it reaches.
+    The walk also ends at the first vertex of `until` it reaches. It scores
+    in ints, as `best_alternative` does, so ties are exact int equality.
     """
     marks = frozenset(chunk_marks)
+    scaled = dist.scaled_for(g)
+    r, p, over = profile.scaled
     cur = g.source if start is None else start
     steps: list[TraceStep] = []
     ties: list[TieEvent] = []
-    total = Fraction(0)
+    total = 0
     while cur != g.sink:
         out = g.out_edges(cur)
         if not out:
             raise Stuck(cur)
         scored = [
-            (profile.effective((cur, head)) * cost + dist[head], head, cost)
-            for head, cost in out
+            (over.get((cur, head), p) * c + r * scaled[head], head, cost, c)
+            for (head, cost), (_, c) in zip(out, g.scaled_out_edges(cur))
         ]
         best_val = min(s[0] for s in scored)
-        tied = [(head, cost) for val, head, cost in scored if val == best_val]
+        tied = [s for s in scored if s[0] == best_val]  # heads ascending
+        winner = tied[0]
         if len(tied) > 1:
-            marked = [(h, c) for h, c in tied if (cur, h) in marks]
-            winner = marked[0] if len(marked) == 1 else min(tied)
-            ties.append(
-                TieEvent(cur, tuple(sorted(h for h, _ in tied)), winner[0])
-            )
-        else:
-            winner = tied[0]
-        head, cost = winner
-        steps.append(TraceStep(cur, (cur, head), cost, best_val))
-        total += cost
+            marked = [s for s in tied if (cur, s[1]) in marks]
+            if len(marked) == 1:
+                winner = marked[0]
+            ties.append(TieEvent(cur, tuple(s[1] for s in tied), winner[1]))
+        _, head, cost, c = winner
+        steps.append(TraceStep(cur, (cur, head), cost, Fraction(best_val, r * g.scale)))
+        total += c
         cur = head
         if cur in until:
             break
-    return TraversalTrace(tuple(steps), total, tuple(ties))
+    return TraversalTrace(tuple(steps), Fraction(total, g.scale), tuple(ties))
 
 
 def cost_ratio(g: TaskGraph, profile: BiasProfile) -> Fraction:

@@ -25,14 +25,13 @@ vertex, its sum and its bottleneck, for `evaluate_chunking` and
 `greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
 filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
 and the oracle's saturated witness, several keep every type on one edge
-(`multi_agent.chunk_same_path`).
+(`multi_agent.chunk_same_path`). It too steps in ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from typing import Iterator, Optional, Sequence, TypeVar
 
@@ -181,7 +180,10 @@ def evaluate_chunking(
     g: TaskGraph, dist: DistanceMap, chunking: Chunking, b: Fraction
 ) -> ChunkingReport:
     """Evaluate a chunking: perceived costs, transition vertex, bottleneck."""
-    ctx = edge_context(g, dist, chunking.edge)
+    return _evaluate(edge_context(g, dist, chunking.edge), chunking, b)
+
+
+def _evaluate(ctx: EdgeContext, chunking: Chunking, b: Fraction) -> ChunkingReport:
     perceived, tau, total, bottleneck = _suffix_walk(ctx, chunking.chunks, b)
     if total != ctx.x:
         raise InvalidParams(
@@ -269,7 +271,7 @@ def optimal_edge_chunking(
     evaluated: list[tuple[Chunking, ChunkingReport]] = []
     for h, y_n, y_d in tied:
         chunking = Chunking(*edge, _head_then_geometric(ctx.x, b, k, h, Fraction(y_n, y_d)))
-        report = evaluate_chunking(g, dist, chunking, b)
+        report = _evaluate(ctx, chunking, b)
         if report.bottleneck != low:
             raise InvariantViolation(
                 f"candidate {chunking.chunks} of {edge} evaluates to bottleneck "
@@ -360,42 +362,55 @@ def _head_then_geometric(
 Cap = tuple[Fraction, Fraction]  # (bias, most perceived cost that type accepts)
 
 
-def greedy_masses(ctx: EdgeContext, caps: Sequence[Cap]) -> Iterator[Fraction]:
-    """Most mass l chunks can carry within every (bias, cap) pair, l = 1, 2, ...
+def greedy_fill(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> tuple[list[Fraction], bool]:
+    """Most mass l chunks can carry within every (bias, cap) pair, l <= k:
+    (M_1..M_l, reached), stopping at the first M_l >= x, which is cut to x.
 
     Fills from the last chunk backwards, each chunk as large as every cap
     allows given the mass M_l already behind it: M_1 = min (cap - c(v->t))/b
     and M_{l+1} = M_l + min (cap - floor(M_l))/b over the pairs. Maximal by
-    the suffix-sum exchange argument. Yields nothing when some cap < c(v->t),
-    since even a zero-mass final chunk breaks it; otherwise never stops.
+    the suffix-sum exchange argument. Empty when some cap < c(v->t), since
+    even a zero-mass final chunk breaks it.
+
+    Consecutive masses of a reached fill differ by the chunks, last first
+    (`padded_chunking`). The fill reads k only to stop, so one fill at the
+    largest k gives both the least chunk count within every cap (its
+    length) and the chunking for any count at least that.
     """
-    mass = min([(cap - ctx.cost_to_sink) / b for b, cap in caps])
-    if mass < 0:
-        return
-    while True:
-        yield mass
-        floor = ctx.floor(mass)
-        step = min([(cap - floor) / b for b, cap in caps])
+    ns, reached, d0, big_l = _greedy_ints(ctx, caps, k)
+    masses = [Fraction(n, d0 * big_l**i) for i, n in enumerate(ns[: len(ns) - reached], 1)]
+    return (masses + [ctx.x] if reached else masses), reached
+
+
+def _greedy_ints(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> tuple[list[int], bool, int, int]:
+    """greedy_fill in ints, the last mass uncut: (n_1..n_l, reached, d0, L)
+    with M_i = n_i / (d0 * L**i), d0 the lcm of the denominators of x,
+    c(v->t), outside and the caps, and L the lcm of the biases' numerators.
+    With b_j = p_j/r_j, the bound (cap_j - floor)/b_j over d0 * L**(i+1) is
+    w_j * (cap_j - floor) over d0 * L**i, w_j = r_j * L / p_j: no gcd.
+    """
+    x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
+    d0 = lcm(x.denominator, c.denominator, 1 if o is None else o.denominator,
+             *(cap.denominator for _, cap in caps))
+    big_l = lcm(*(b.numerator for b, _ in caps))
+    bounds = [(b.denominator * (big_l // b.numerator), cap.numerator * (d0 // cap.denominator))
+              for b, cap in caps]
+    big_x, big_c = x.numerator * (d0 // x.denominator), c.numerator * (d0 // c.denominator)
+    big_o = None if o is None else o.numerator * (d0 // o.denominator)
+    masses: list[int] = []
+    mass, floor, lp = 0, big_c, 1  # lp = L**i; the last chunk's floor is c(v->t)
+    for _ in range(k):
+        step = min([w * (top * lp - floor) for w, top in bounds])
         if step < 0:
-            raise InvariantViolation(f"greedy step {step} went negative with every cap >= c(v->t)")
-        mass += step
-
-
-def greedy_fill(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> Optional[list[Fraction]]:
-    """Greedy masses M_1..M_l, l <= k, up to the first that reaches x, cut to x; else None.
-
-    Consecutive masses differ by the chunks, last first (`padded_chunking`).
-    The fill reads k only to stop, so one fill at the largest k gives both the
-    least chunk count within every cap (its length) and the chunking for any
-    count at least that.
-    """
-    fill: list[Fraction] = []
-    for mass in islice(greedy_masses(ctx, caps), k):
-        if mass >= ctx.x:
-            fill.append(ctx.x)
-            return fill
-        fill.append(mass)
-    return None
+            if masses:
+                raise InvariantViolation("greedy step went negative with every cap >= c(v->t)")
+            break
+        mass, lp = mass * big_l + step, lp * big_l
+        masses.append(mass)
+        if mass >= big_x * lp:
+            return masses, True, d0, big_l
+        floor = _floor(None if big_o is None else big_o * lp, mass + big_c * lp)
+    return masses, False, d0, big_l
 
 
 def padded_chunking(edge: Edge, fill: Sequence[Fraction], n: int) -> Chunking:
@@ -417,12 +432,12 @@ def min_chunks_to_beat(
     Returns None when even k_max chunks cannot reach alpha. Some l-chunking
     keeps every perceived cost within alpha exactly when the greedy mass
     M_l >= x (pad the greedy fill with zero head chunks), so one greedy fill
-    answers it in O(k_max) exact operations, with no optimization.
+    answers it in O(k_max) integer steps, with no optimization.
     """
     if k_max < 1:
         raise InvalidParams("k_max must be >= 1")
-    fill = greedy_fill(edge_context(g, dist, edge), ((b, alpha),), k_max)
-    return None if fill is None else len(fill)
+    masses, reached, _, _ = _greedy_ints(edge_context(g, dist, edge), ((b, alpha),), k_max)
+    return len(masses) if reached else None
 
 
 def _check_params(b: Fraction, k: int) -> None:

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
-from .edge_chunk import Chunking, edge_context
+from .edge_chunk import Chunking, Cost, _floor
 from .errors import InvalidParams, ParseError, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
 from .rational import format_rat, rat
@@ -213,10 +213,11 @@ class PlanView:
     a chain's chunks sum to the edge cost and its deviations keep full cost.
     So the view takes dist = shortest_to_sink(g) as it is. The vertex after
     chunk i of (u, v) lies `EdgeContext.floor(chunks after i)` from the sink.
-    Out-edges are generated on demand, with expand_plan's vertex names. The
-    view serves agent.traverse as both its graph (source, sink, out_edges)
-    and its distances (view[vertex]), and, like a ChunkedGraph, offers
-    marks, chain_of and original.
+    Out-edges use expand_plan's vertex names. The view serves agent.traverse
+    as both its graph and its distances, and, like a ChunkedGraph, offers
+    marks, chain_of and original. Like a TaskGraph, it keeps costs and
+    distances as ints over `scale`, here the lcm of g.scale and the chunks'
+    denominators, each chain vertex's computed once, at construction.
 
     Construction raises expand_plan's plan errors, in expand_plan's order.
     """
@@ -226,12 +227,14 @@ class PlanView:
         self.original = g
         self.source = g.source
         self.sink = g.sink
-        self._dist = dist
         self._by_edge = plan.by_edge()
+        self.scale = lcm(g.scale, *{x.denominator for ch in plan.chunkings for x in ch.chunks})
+        f = self._factor = self.scale // g.scale
+        self._scaled = {v: d * f for v, d in dist.scaled_for(g).items()}
         self.chains: dict[Edge, tuple[str, ...]] = {}
         self._at: dict[str, tuple[Edge, int]] = {}  # chain vertex -> (edge, index)
-        self._chain_dist: dict[str, Fraction] = {}
-        first_hops: dict[Edge, tuple[str, Fraction]] = {}
+        self._out: dict[str, tuple[tuple[str, Fraction], ...]] = {}
+        self._scaled_out: dict[str, tuple[tuple[str, int], ...]] = {}
         marks: set[Edge] = set()
         for (u, v), chunking in sorted(self._by_edge.items()):
             k = chunking.k
@@ -245,35 +248,51 @@ class PlanView:
             marks.update(zip(chain, chain[1:]))
             if k == 1:
                 continue
-            first_hops[(u, v)] = (chain[1], chunking.chunks[0])
-            floor = edge_context(g, dist, (u, v)).floor
-            ahead = accumulate(reversed(chunking.chunks[1:]))  # mass after each mid, last first
-            self._chain_dist.update(zip(reversed(mids), map(floor, ahead)))
+            xs = [x.numerator * (self.scale // x.denominator) for x in chunking.chunks]
+            scaled_out = [(h, c * f) for h, c in g.scaled_out_edges(u)]
+            outside = min((c + self._scaled[h] for h, c in scaled_out if h != v), default=None)
+            through = self._scaled[v]  # c(v->t), then plus the chunks after chain vertex i
+            for i in range(k - 1, 0, -1):
+                through += xs[i]
+                self._scaled[chain[i]] = _floor(outside, through)
+                self._out[chain[i]] = _hop(g.out_edges(u), v, chain[i + 1], chunking.chunks[i])
+                self._scaled_out[chain[i]] = _hop(scaled_out, v, chain[i + 1], xs[i])
+            self._out[u] = _hop(self.out_edges(u), v, chain[1], chunking.chunks[0])
+            self._scaled_out[u] = _hop(self.scaled_out_edges(u), v, chain[1], xs[0])
         self.marks = frozenset(marks)
-        self._tail_out = {
-            u: tuple(sorted(first_hops.get((u, h), (h, c)) for h, c in g.out_edges(u)))
-            for u in {tail for tail, _ in first_hops}
-        }
 
     def out_edges(self, vertex: str) -> tuple[tuple[str, Fraction], ...]:
-        out = self._tail_out.get(vertex)
-        if out is not None:
-            return out
-        at = self._at.get(vertex)
-        if at is None:
-            return self.original.out_edges(vertex)
-        (u, v), i = at
-        deviations = [(h, c) for h, c in self.original.out_edges(u) if h != v]
-        return tuple(
-            sorted([(self.chains[(u, v)][i + 1], self._by_edge[(u, v)].chunks[i]), *deviations])
-        )
+        out = self._out.get(vertex)
+        return self.original.out_edges(vertex) if out is None else out
+
+    def scaled_out_edges(self, vertex: str) -> tuple[tuple[str, int], ...]:
+        """out_edges(vertex) with each cost as an int, the cost times `scale`."""
+        out = self._scaled_out.get(vertex)
+        if out is None:
+            f = self._factor
+            out = self._scaled_out[vertex] = tuple(
+                (h, c * f) for h, c in self.original.scaled_out_edges(vertex)
+            )
+        return out
+
+    def scaled_for(self, g: PlanView) -> Mapping[str, int]:
+        """Every vertex's distance to the sink times `scale`, like DistanceMap's."""
+        if g.scale != self.scale:
+            raise InvalidParams(f"distances are scaled by {self.scale}, the graph's by {g.scale}")
+        return self._scaled
 
     def __getitem__(self, vertex: str) -> Fraction:
-        d = self._chain_dist.get(vertex)
-        return self._dist[vertex] if d is None else d
+        return Fraction(self._scaled[vertex], self.scale)
 
     def chain_of(self, edge: Edge) -> tuple[str, ...]:
         return self.chains[edge]
+
+
+def _hop(
+    out: Iterable[tuple[str, Cost]], v: str, head: str, cost: Cost
+) -> tuple[tuple[str, Cost], ...]:
+    """out with its edge to v sent to head at cost instead, in expand_plan's order."""
+    return tuple(sorted((head, cost) if h == v else (h, c) for h, c in out))
 
 
 def walk_follows_chunking(walk: Iterable[str], chain: tuple[str, ...]) -> bool:

@@ -31,10 +31,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, Optional, TypeVar
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
+from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
 from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
-from .expansion import ChunkPlan, original_path, walk_follows_chunking
+from .expansion import ChunkPlan, PlanView, original_path, walk_follows_chunking
 from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
 
 
@@ -245,8 +245,8 @@ def shared_path_plan(
     is the chunks e needs to carry every type (0 for each type's default
     edge, None when no budget.k-chunking does), and chunk_edge(e, n) splits
     e into n chunks. One bias's chunkings are listed in path order, several
-    biases' in edge order. Each distinct bias is walked once on the plan's
-    view of the expanded graph, and must follow the path and every chunking
+    biases' in edge order. Each distinct bias is walked once on one view of
+    the plan's expanded graph, and must follow the path and every chunking
     at the DP's cost. Raises InfeasibleChunking when no path fits the budget.
     """
     levels = budget.levels
@@ -269,9 +269,10 @@ def shared_path_plan(
         predicted_cost=predicted * len(biases),
         biases=biases,
     )
+    view = PlanView(g, dist, plan)
     traces: dict[Fraction, TraversalTrace] = {}
     for b in types:
-        trace, view = walk_plan(g, dist, plan, BiasProfile(b))
+        trace = traverse(view, view, BiasProfile(b), view.marks)
         realized = original_path(view, trace.path)
         if realized != path or trace.total != predicted:
             raise InvariantViolation(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
 from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
@@ -36,12 +36,11 @@ from .edge_chunk import (
     EdgeContext,
     edge_context,
     greedy_fill,
-    greedy_masses,
     optimal_edge_chunking,
     padded_chunking,
     perceived_chunk_costs,
 )
-from .errors import DeadEnd, InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
+from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
 from .expansion import ChunkPlan, original_path, walk_follows_chunking
 from .graph import (
     DistanceMap,
@@ -55,6 +54,7 @@ from .graph import (
 from .graph_chunk import (
     BudgetSpec,
     LazyEdgeMap,
+    Persuasion,
     Step,
     cheapest_paths,
     chunk_budget_needed,
@@ -83,16 +83,10 @@ class AgentSet:
     def m(self) -> int:
         return len(self.biases)
 
-
-def outside_alpha(
-    g: TaskGraph, dist: DistanceMap, b: Fraction, u: str, v: str
-) -> Optional[Fraction]:
-    """Perceived cost of u's best option other than (u, v); None if no other."""
-    try:
-        _, val = best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)
-    except DeadEnd:
-        return None
-    return val
+    @cached_property
+    def profiles(self) -> tuple[BiasProfile, ...]:
+        """One BiasProfile per type, built once for this set."""
+        return tuple(BiasProfile(b) for b in self.biases)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +375,13 @@ def chunk_same_path(
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    fill = _same_path_fill(g, dist, edge, agents, k)
-    if fill is not None:
-        return padded_chunking(edge, fill, k)
     ctx = edge_context(g, dist, edge)
+    if ctx.outside is None:  # no type can leave the chain: one chunk carries it
+        return padded_chunking(edge, [ctx.x], k)
     caps = _caps(g, dist, edge, agents)
+    masses, reached = greedy_fill(ctx, caps, k)
+    if reached:
+        return padded_chunking(edge, masses, k)
     # Only the first chunk filled, chunk k, can go negative: its floor is
     # c(v->t), and later floors never pass the least cap.
     low = min(alpha for _, alpha in caps)
@@ -394,23 +390,37 @@ def chunk_same_path(
             f"chunk {k} forced negative: some type's outside option "
             f"({low}) is below the unavoidable continuation cost {ctx.cost_to_sink}"
         )
-    mass = next(islice(greedy_masses(ctx, caps), k - 1, None))
-    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {mass} of {ctx.x}")
+    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {masses[-1]} of {ctx.x}")
 
 
-def _caps(g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet) -> list[Cap]:
-    """Each type's (bias, outside option) on an edge whose tail has another way out."""
-    return [(b, outside_alpha(g, dist, b, *edge)) for b in agents.biases]
+def _caps(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, perss: Sequence[Persuasion] = ()
+) -> list[Cap]:
+    """Each type's (bias, outside option) on an edge whose tail has another way out.
+
+    Given the types' persuasion profiles, a type's outside option is its
+    alpha at the tail unless the edge is that type's default (a tie with the
+    default still gives alpha): only a default edge asks for the second best.
+    """
+    u, v = edge
+    return [
+        (profile.default, pers.alpha[u]) if pers and pers.default[u] != v
+        else (profile.default, best_alternative(g, dist, profile, u, exclude_head=v)[1])
+        for profile, pers in zip(agents.profiles, perss or [None] * agents.m)
+    ]
 
 
 def _same_path_fill(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int
+    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int,
+    perss: Sequence[Persuasion] = (),
 ) -> Optional[list[Fraction]]:
-    """chunk_same_path's `greedy_fill`, or None when no k-chunking carries every type."""
+    """chunk_same_path's `greedy_fill`, or None when no k-chunking carries
+    every type; perss, the types' persuasion profiles if held, give `_caps`."""
     ctx = edge_context(g, dist, edge)
     if ctx.outside is None:  # no type can leave the chain: one chunk carries it
         return [ctx.x] if k >= 1 else None
-    return greedy_fill(ctx, _caps(g, dist, edge, agents), k)
+    masses, reached = greedy_fill(ctx, _caps(g, dist, edge, agents, perss), k)
+    return masses if reached else None
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +493,7 @@ class JointMoves:
     def _same_edge(self, u: str, v: str) -> Optional[Move]:
         if all(pers.default[u] == v for pers in self.pers):
             return Move(0, ())
-        fill = _same_path_fill(self.g, self.dist, (u, v), self.agents, self.budget.k)
+        fill = _same_path_fill(self.g, self.dist, (u, v), self.agents, self.budget.k, self.pers)
         if fill is None:
             return None
         n = self.budget.chunks(len(fill))
@@ -740,7 +750,7 @@ def single_path_plan(
     fills = LazyEdgeMap(
         g,
         lambda e: [] if all(p.default[e[0]] == e[1] for p in perss)
-        else _same_path_fill(g, dist, e, agents, budget.k),
+        else _same_path_fill(g, dist, e, agents, budget.k, perss),
     )
     return shared_path_plan(
         g, dist, agents.biases, budget,

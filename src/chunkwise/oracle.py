@@ -8,10 +8,11 @@ can be repelled while another takes the edge (`grid_max_repelled`, checking
 (`grid_same_path_feasible`, checking `multi_agent.chunk_same_path`). Outside
 options come from the agent's own rule, `agent.best_alternative`.
 `independent_min_bottleneck` inverts the greedy max-mass fill, which shares
-nothing with the optimizer's candidate formulas. The graph oracle enumerates
-candidate paths and decides per-edge persuadability as "optimal l-chunking
-bottleneck <= alpha" for l = 1, 2, ..., so it shares nothing with the greedy
-fill the planners decide it with. It builds witness chunkings from the
+nothing with the optimizer's candidate formulas, in its own `Fraction`
+recurrence (`greedy_masses`). The graph oracle enumerates candidate paths
+and decides per-edge persuadability as "optimal l-chunking bottleneck <=
+alpha" for l = 1, 2, ..., so it shares nothing with the greedy fill the
+planners decide it with. It builds witness chunkings from the
 saturated greedy profile and validates every winner by full expansion and
 simulation.
 """
@@ -26,11 +27,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .agent import BiasProfile, best_alternative, simulate_plan
 from .edge_chunk import (
+    Cap,
     Chunking,
     EdgeContext,
     edge_context,
     greedy_fill,
-    greedy_masses,
     optimal_edge_chunking,
     padded_chunking,
     selective_bias_closed_form,
@@ -180,13 +181,26 @@ def grid_same_path_feasible(
 # ---------------------------------------------------------------------------
 
 
+def greedy_masses(ctx: EdgeContext, caps: Sequence[Cap]) -> Iterator[Fraction]:
+    """`edge_chunk.greedy_fill`'s masses M_1, M_2, ... in `Fraction`s, uncut and
+    unending (none when some cap < c(v->t)): M_1 = min (cap - c(v->t))/b and
+    M_{l+1} = M_l + min (cap - floor(M_l))/b over the (bias, cap) pairs."""
+    mass = min([(cap - ctx.cost_to_sink) / b for b, cap in caps])
+    if mass < 0:
+        return
+    while True:
+        yield mass
+        floor = ctx.floor(mass)
+        mass += min([(cap - floor) / b for b, cap in caps])
+
+
 def max_mass_under_cap(
     ctx: EdgeContext, b: Fraction, beta: Fraction, k: int
 ) -> Optional[Fraction]:
     """Largest total cost k chunks can carry with every perceived cost <= beta.
 
-    The k-th mass of `edge_chunk.greedy_masses`; None when even a zero-mass
-    final chunk breaks the cap.
+    The k-th of `greedy_masses` for one cap; None when even a zero-mass final
+    chunk breaks the cap.
     """
     return next(islice(greedy_masses(ctx, ((b, beta),)), k - 1, None), None)
 
@@ -200,8 +214,8 @@ def saturated_chunking(
     is cut short, and the chunks before it are zero. None when k greedy
     chunks cannot carry the edge.
     """
-    fill = greedy_fill(edge_context(g, dist, edge), ((b, beta),), k)
-    return None if fill is None else padded_chunking(edge, fill, k)
+    fill, reached = greedy_fill(edge_context(g, dist, edge), ((b, beta),), k)
+    return padded_chunking(edge, fill, k) if reached else None
 
 
 def min_chunks_independent(
@@ -428,25 +442,25 @@ def cost_ratio_curve(
 def chunks_for_constant_ratio(b: Fraction, c: Fraction, n: int) -> int:
     """Smallest k with selective bias at most c^(1/n), exactly.
 
-    b_min(k)^n <= c is an exact rational comparison; the float closed form
-    only seeds the search window.
+    With b = p/r and s = p - r the selective bias is p^k / (p^k - s^k), which
+    falls toward 1 as k grows, so b_min(k)^n <= c is one integer comparison
+    and k is found by doubling, then bisecting.
     """
     if b <= 1 or c <= 1 or n < 1:
         raise InvalidParams("need b > 1, c > 1, n >= 1")
-    guess = 1
-    ratio = float(c) ** (1.0 / n)
-    if ratio > 1:
-        q = (b - 1) / b
-        try:
-            guess = max(1, int(math.log(1 - 1 / ratio) / math.log(float(q))))
-        except ValueError:  # pragma: no cover - ratio extremely close to 1
-            guess = 1
-    k = max(1, guess - 2)
-    while selective_bias_closed_form(b, k) ** n > c:
-        k += 1
-    while k > 1 and selective_bias_closed_form(b, k - 1) ** n <= c:
-        k -= 1
-    return k
+    p, s = b.numerator, b.numerator - b.denominator
+
+    def within(k: int) -> bool:
+        pk = p**k
+        return pk**n * c.denominator <= c.numerator * (pk - s**k) ** n
+
+    lo, hi = 0, 1  # within(hi), and lo = 0 or not within(lo)
+    while not within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if within(mid) else (mid, hi)
+    return hi
 
 
 def chunks_needed_rows(

@@ -5,9 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from chunkwise import TaskGraph
+from chunkwise import BiasProfile, TaskGraph, best_alternative
+from chunkwise.errors import DeadEnd
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def outside_alpha(g, dist, b: Fraction, u: str, v: str):
+    """Perceived cost of u's best option other than (u, v); None if no other."""
+    try:
+        return best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)[1]
+    except DeadEnd:
+        return None
 
 
 def s32_graph() -> TaskGraph:

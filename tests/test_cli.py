@@ -375,18 +375,21 @@ def test_verify_sees_a_wrong_chain_vertex_distance(monkeypatch, capsys):
     import chunkwise.verify as v
 
     class MutatedView(expansion.PlanView):
+        # The view keeps its distances as ints over view.scale.
         def __init__(self, g, dist, plan):
             super().__init__(g, dist, plan)
+            d, f = self.scaled_for(self), self.scale // g.scale
             for (tail, head), chain in self.chains.items():
                 outside = min(
-                    (c + dist[h] for h, c in g.out_edges(tail) if h != head), default=None
+                    (c * f + d[h] for h, c in g.scaled_out_edges(tail) if h != head),
+                    default=None,
                 )
-                through = dist[head]
+                through = d[head]
                 chunks = self._by_edge[(tail, head)].chunks
                 for i in range(len(chain) - 2, 0, -1):
-                    through += chunks[i]
-                    self._chain_dist[chain[i]] = (
-                        through if outside is None else min(through, outside + 1)
+                    through += int(chunks[i] * self.scale)
+                    d[chain[i]] = (
+                        through if outside is None else min(through, outside + self.scale)
                     )
 
     for module in (expansion, agent, v):

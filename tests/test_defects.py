@@ -99,7 +99,7 @@ def test_headroom_sign_matters_for_split_phases(s32):
     # produces a chunking that actually repels the higher type.
     from chunkwise import chunk_split
     from chunkwise.edge_chunk import edge_context, perceived_chunk_costs
-    from chunkwise.multi_agent import outside_alpha
+    from conftest import outside_alpha
 
     dist = shortest_to_sink(s32)
     chunking, repelled = chunk_split(s32, dist, ("u", "v"), B2, F(10), 3, taker=1)

@@ -507,18 +507,19 @@ _TWO_TIED = TaskGraph(
 )
 def test_optimizer_evaluates_only_the_screen_ties(monkeypatch, g, k, ties):
     # Every candidate tied at the least screened bottleneck, and no other,
-    # goes through evaluate_chunking (the tracer's candidate_yield reads it).
+    # goes through the evaluation pass, on the optimizer's own edge context.
     dist = shortest_to_sink(g)
     edge = ("u", "v")
     bottlenecks = [F(n, m) for n, m, *_ in _candidates(edge_context(g, dist, edge), B2, k)]
     assert bottlenecks.count(min(bottlenecks)) == ties
     calls = []
+    evaluate = edge_chunk._evaluate
 
     def counted(*args):
         calls.append(args)
-        return evaluate_chunking(*args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(edge_chunk, "evaluate_chunking", counted)
+    monkeypatch.setattr(edge_chunk, "_evaluate", counted)
     optimal_edge_chunking(g, dist, edge, B2, k)
     assert len(calls) == bottlenecks.count(min(bottlenecks))
 

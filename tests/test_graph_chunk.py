@@ -404,17 +404,18 @@ def test_optimizer_runs_only_for_the_chunked_plan_edges(monkeypatch):
 )
 def test_simulation_deviating_from_the_plan_is_an_invariant_violation(s32, monkeypatch, plan):
     # The planners' final simulation checks must not vanish under python -O.
-    # Every single-path planner walks its plan in graph_chunk.shared_path_plan.
+    # Every single-path planner walks its plan in graph_chunk.shared_path_plan,
+    # each type with traverse on one view of the plan.
     import dataclasses
 
     import chunkwise.graph_chunk as gc
 
-    walk = gc.walk_plan
+    walk = gc.traverse
 
     def deviating(*args, **kwargs):
-        trace, view = walk(*args, **kwargs)
-        return dataclasses.replace(trace, total=trace.total + 1), view
+        trace = walk(*args, **kwargs)
+        return dataclasses.replace(trace, total=trace.total + 1)
 
-    monkeypatch.setattr(gc, "walk_plan", deviating)
+    monkeypatch.setattr(gc, "traverse", deviating)
     with pytest.raises(InvariantViolation):
         plan(s32)

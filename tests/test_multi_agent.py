@@ -31,7 +31,8 @@ from chunkwise.errors import (
     TakerRefuses,
 )
 from chunkwise.expansion import ChunkPlan, original_path
-from chunkwise.multi_agent import JointMoves, _same_path_fill, outside_alpha, single_path_plan
+from chunkwise.graph_chunk import persuasion_profile
+from chunkwise.multi_agent import JointMoves, _caps, _same_path_fill, single_path_plan
 from chunkwise.oracle import (
     GridSpec,
     brute_force_two_agent_plan,
@@ -39,6 +40,7 @@ from chunkwise.oracle import (
     grid_same_path_feasible,
     saturated_chunking,
 )
+from conftest import outside_alpha
 
 B2 = Fraction(2)
 F = Fraction
@@ -285,6 +287,29 @@ def test_same_path_one_type_is_the_saturated_greedy_fill():
                 assert (None if fill is None else len(fill)) == (
                     min_chunks_to_beat(g, dist, (u, v), b, alpha, k)
                 )
+
+
+def test_caps_read_from_the_profiles_are_the_outside_options():
+    # A planner holding the types' persuasion profiles reads a type's cap as
+    # its alpha at the tail, and asks best_alternative only on that type's
+    # default edge; every cap must still be the type's outside option.
+    rng = random.Random(53)
+    defaults = checked = 0
+    while checked < 600:
+        g = random_task_graph(rng, min_vertices=3, max_vertices=7)
+        dist = shortest_to_sink(g)
+        b1 = _random_bias(rng)
+        agents = AgentSet((b1, b1 + Fraction(rng.randint(1, 8), 4)))
+        perss = [persuasion_profile(g, dist, b) for b in agents.biases]
+        for u, v, _ in g.edges:
+            if len(g.out_edges(u)) < 2:
+                continue
+            checked += 1
+            defaults += any(p.default[u] == v for p in perss)
+            expected = [(b, outside_alpha(g, dist, b, u, v)) for b in agents.biases]
+            assert _caps(g, dist, (u, v), agents, perss) == expected
+            assert _caps(g, dist, (u, v), agents) == expected
+    assert defaults > 100
 
 
 def test_same_path_matches_grid_feasibility_one_sided():
