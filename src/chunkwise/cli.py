@@ -226,14 +226,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    b, c = _parse_bias(args.bias), rat(args.c)
     if args.which == "cost-ratio":
-        rows = cost_ratio_curve(
-            _parse_bias(args.bias), rat(args.c), range(1, args.n_max + 1), args.k
-        )
+        rows = cost_ratio_curve(b, c, range(1, args.n_max + 1), args.k)
     else:
-        rows = chunks_needed_rows(
-            _parse_bias(args.bias), rat(args.c), range(args.n_min, args.n_max + 1)
-        )
+        rows = chunks_needed_rows(b, c, range(args.n_min, args.n_max + 1))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(EXPERIMENT_HEADER)

@@ -109,7 +109,7 @@ class ChunkPlan:
             predicted = rat(payload["predicted_cost"]) if "predicted_cost" in payload else None
             field = "plan.biases"
             biases = tuple(rat(b) for b in _json_list(payload.get("biases", [])))
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(field, str(exc)) from exc
         return cls(
             chunkings=tuple(chunkings),

@@ -161,13 +161,12 @@ class DistanceMap:
     scaled holds each distance times `scale`, the graph's cost scale, as an int.
     """
 
-    dist: Mapping[str, Fraction]
     successor: Mapping[str, str]
     scaled: Mapping[str, int]
     scale: int
 
     def __getitem__(self, vertex: str) -> Fraction:
-        return self.dist[vertex]
+        return Fraction(self.scaled[vertex], self.scale)
 
     def scaled_for(self, g: TaskGraph) -> Mapping[str, int]:
         """The scaled distances, in units of 1/g.scale like g's scaled costs."""
@@ -206,8 +205,7 @@ def shortest_to_sink(g: TaskGraph) -> DistanceMap:
     missing = tuple(v for v in g.vertices if v not in scaled)
     if missing:
         raise SinkUnreachable(missing)
-    dist = {v: Fraction(n, g.scale) for v, n in scaled.items()}
-    return DistanceMap(dist=dist, successor=succ, scaled=scaled, scale=g.scale)
+    return DistanceMap(successor=succ, scaled=scaled, scale=g.scale)
 
 
 def path_cost(g: TaskGraph, path: Sequence[str]) -> Fraction:
@@ -276,12 +274,12 @@ def make_n_fan(spec: FanSpec) -> TaskGraph:
 
 
 def load_graph(data: bytes | str) -> TaskGraph:
-    """Parse the graph JSON format; costs are exact decimal or "p/q" strings."""
+    """Parse the graph JSON format; costs are integers or strings in `rat`'s grammar."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         payload = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past int()'s digit limit
         raise ParseError("json", str(exc)) from exc
     if not isinstance(payload, dict):
         raise ParseError("json", "top level must be an object")
@@ -307,23 +305,13 @@ def load_graph(data: bytes | str) -> TaskGraph:
         if not isinstance(cost_text, (str, int)) or isinstance(cost_text, bool):
             raise ParseError(f"edges[{i}].cost", "must be an exact string or integer")
         try:
-            cost = _parse_cost(cost_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"edges[{i}].cost", f"not an exact rational: {cost_text!r}") from exc
+            cost = rat(cost_text)
+        except ValueError as exc:
+            raise ParseError(f"edges[{i}].cost", str(exc)) from exc
         edges.append((tail, head, cost))
     if not isinstance(payload["source"], str) or not isinstance(payload["sink"], str):
         raise ParseError("source/sink", "must be strings")
     return TaskGraph(vertices, edges, source=payload["source"], sink=payload["sink"])
-
-
-def _parse_cost(text: str | int) -> Fraction:
-    """rat(text), with canonical text (ASCII digits, or digits "/" digits)
-    read by int() rather than by Fraction's string parser."""
-    if isinstance(text, str) and text.isascii():
-        num, slash, den = text.partition("/")
-        if num.isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return rat(text)
 
 
 def save_graph(g: TaskGraph) -> bytes:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Literal, Optional, Sequence
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, walk_plan
+from .agent import BiasProfile, TraversalTrace, best_alternative, traverse, walk_plan
 from .edge_chunk import (
     Cap,
     Chunking,
@@ -41,7 +41,7 @@ from .edge_chunk import (
     perceived_chunk_costs,
 )
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
-from .expansion import ChunkPlan, original_path, walk_follows_chunking
+from .expansion import ChunkPlan, PlanView, original_path, walk_follows_chunking
 from .graph import (
     DistanceMap,
     Edge,
@@ -601,8 +601,8 @@ def _pair_plan(
 
     Every vertex on P or Q contributes its move from the joint-move table: a
     joint move where both paths leave it, a solo move where one does. The
-    assembled plan must survive simulating each type once on it (installing
-    a chunking for one type is visible to the other).
+    assembled plan must survive walking each type once on one view of it
+    (installing a chunking for one type is visible to the other).
     """
     g, budget = moves.g, moves.budget
     next_p = dict(zip(P, P[1:]))
@@ -625,9 +625,10 @@ def _pair_plan(
         predicted_cost=path_cost(g, P) + path_cost(g, Q),
         biases=moves.agents.biases,
     )
+    view = PlanView(g, moves.dist, plan)
     traces: list[TraversalTrace] = []
     for b, path in zip(moves.agents.biases, (P, Q)):
-        trace, view = walk_plan(g, moves.dist, plan, BiasProfile(b))
+        trace = traverse(view, view, BiasProfile(b), view.marks)
         if original_path(view, trace.path) != path or trace.total != path_cost(g, path):
             return None
         traces.append(trace)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,45 @@ def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
     }))
     assert run(capsys, "simulate", "-g", str(bool_cost), "-b", "2") == (
         2, "", "error: edges[0].cost: must be an exact string or integer\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "boundary, literal",
+    [
+        ("graph cost", "1e9999999"),
+        ("plan chunk", "1e3"),
+        ("-b", "1e1"),
+        ("--biases", "1_0"),
+        ("fan -c", "\u0663"),
+    ],
+)
+def test_every_number_follows_the_one_grammar(boundary, literal, s32_path, capsys, tmp_path):
+    # Each of these literals used to parse (1e9999999 after about 11 s);
+    # now each is refused by the one grammar, naming its rule, and exits 2.
+    graph, plan = tmp_path / "graph.json", tmp_path / "plan.json"
+    graph.write_text(json.dumps({
+        "vertices": ["s", "t"], "edges": [{"from": "s", "to": "t", "cost": literal}],
+        "source": "s", "sink": "t",
+    }))
+    plan.write_text(json.dumps({"chunkings": [{"from": "u", "to": "v", "chunks": [literal]}]}))
+    argv, field = {
+        "graph cost": (("simulate", "-g", str(graph), "-b", "2"), "edges[0].cost: "),
+        "plan chunk": (("simulate", "-g", str(s32_path), "-b", "2", "--plan", str(plan)),
+                       "plan.chunkings[0]: "),
+        "-b": (("chunk-edge", "-g", str(s32_path), "-e", "u,v", "-b", literal, "-k", "3"), ""),
+        "--biases": (("chunk-graph", "-g", str(s32_path), "--biases", f"2,{literal}", "-k", "3"),
+                     ""),
+        "fan -c": (("fan", "-n", "3", "-c", literal), ""),
+    }[boundary]
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {field}not an exact rational: {literal!r}; expected an optional sign, "
+        "then ASCII digits with an optional '.digits', or digits '/' digits, "
+        "with at most 4300 digits above and below the bar\n"
     )
 
 

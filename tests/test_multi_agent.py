@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chunkwise import (
     AgentSet,
@@ -162,6 +164,77 @@ def test_split_dominates_grid_repellence():
         bt, br = (b1, b2) if taker == 1 else (b2, b1)
         grid_best = grid_max_repelled(g, dist, edge, bt, br, GridSpec(24, k))
         assert grid_best is None or grid_best <= repelled
+
+
+# (seed, edge index, b1 - 1 as num/den, (b2 - b1) * 4, k) for taker 2 on
+# random_task_graph(Random(seed), 3, 7), and which of the flipped exchange's
+# branches each reaches: "outside" where the outside route rules the target,
+# "between" where chunks between the target and the filled chunk are capped.
+FLIPPED_CASES = [
+    ((0, 0, 2, 1, 4, 4), {"outside"}),
+    ((4, 5, 3, 1, 4, 4), {"between"}),
+    ((6, 7, 1, 2, 1, 5), {"outside"}),
+    ((0, 0, 2, 1, 4, 6), {"outside", "between"}),
+]
+
+
+def _flipped_split(seed, pick, num, den, step, k):
+    g = random_task_graph(random.Random(seed), 3, 7)
+    dist = shortest_to_sink(g)
+    edges = [e[:2] for e in g.edges if e[0] != g.sink]
+    b1 = 1 + F(num, den)
+    return g, dist, edges[pick % len(edges)], b1, b1 + F(step, 4), k
+
+
+@pytest.mark.parametrize("case, branches", FLIPPED_CASES)
+def test_flipped_split_cases_reach_their_branches(monkeypatch, case, branches):
+    import chunkwise.multi_agent as ma
+
+    reached: set[str] = set()
+    real_caps = ma._flipped_intermediate_caps
+
+    def caps(ctx, xs, ti, j, bt, alpha, mass_per_unit):
+        if mass_per_unit == 1:  # only the outside-route branch moves mass 1:1
+            reached.add("outside")
+        if ti + 1 < j:
+            reached.add("between")
+        return real_caps(ctx, xs, ti, j, bt, alpha, mass_per_unit)
+
+    monkeypatch.setattr(ma, "_flipped_intermediate_caps", caps)
+    g, dist, edge, b1, b2, k = _flipped_split(*case)
+    chunk_split(g, dist, edge, b1, b2, k, taker=2)
+    assert reached == branches
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.integers(0, 20),
+    st.integers(1, 12),
+    st.sampled_from((1, 2, 4)),
+    st.integers(1, 8),
+    st.integers(4, 6),
+)
+@example(*FLIPPED_CASES[0][0])
+@example(*FLIPPED_CASES[1][0])
+@example(*FLIPPED_CASES[2][0])
+@example(*FLIPPED_CASES[3][0])
+def test_flipped_split_dominates_grid_repellence(seed, pick, num, den, step, k):
+    # Taker 2 at k = 4-6: the flipped exchange's branches run only here. The
+    # taker still takes the split, and no taker-accepted grid chunking repels
+    # the lower-bias type harder.
+    g, dist, edge, b1, b2, k = _flipped_split(seed, pick, num, den, step, k)
+    try:
+        chunking, repelled = chunk_split(g, dist, edge, b1, b2, k, taker=2)
+    except TakerRefuses:
+        return
+    ctx = edge_context(g, dist, edge)
+    assert sum(chunking.chunks) == ctx.x
+    if ctx.outside is not None:
+        alpha = outside_alpha(g, dist, b2, *edge)
+        assert max(perceived_chunk_costs(ctx, chunking.chunks, b2)) <= alpha
+    grid_best = grid_max_repelled(g, dist, edge, b2, b1, GridSpec(12, k))
+    assert grid_best is None or grid_best <= repelled
 
 
 def test_split_repellence_monotone_in_b2(s32):
@@ -672,15 +745,23 @@ def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
     moves = ma.JointMoves(s32, B2, F(10), BudgetSpec("local", 3))
     P, Q = ("u", "v", "t"), ("u", "z", "t")
     plan, traces = ma._pair_plan(moves, P, Q)  # fills the joint-move table
+    views: list[ma.PlanView] = []
     walked: list[Fraction] = []
-    real_walk = ma.walk_plan
+    real_view, real_traverse = ma.PlanView, ma.traverse
 
-    def counting_walk(g, dist, plan, profile, start=None, until=()):
+    def counting_view(g, dist, plan):
+        views.append(real_view(g, dist, plan))
+        return views[-1]
+
+    def counting_traverse(g, dist, profile, *args, **kwargs):
+        assert g is dist is views[-1]
         walked.append(profile.default)
-        return real_walk(g, dist, plan, profile, start, until)
+        return real_traverse(g, dist, profile, *args, **kwargs)
 
-    monkeypatch.setattr(ma, "walk_plan", counting_walk)
+    monkeypatch.setattr(ma, "PlanView", counting_view)
+    monkeypatch.setattr(ma, "traverse", counting_traverse)
     again = ma._pair_plan(moves, P, Q)
+    assert len(views) == 1  # both types walk one view of the plan
     assert walked == [B2, F(10)]
     assert again == (plan, traces)
     assert [t.total for t in traces] == [F(741, 10), 76]

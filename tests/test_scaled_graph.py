@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -31,7 +32,7 @@ from chunkwise import (
 )
 from chunkwise.edge_chunk import edge_context
 from chunkwise.errors import DeadEnd, InvalidParams, NegativeCost, ParseError
-from chunkwise.rational import rat
+from chunkwise.rational import format_rat, rat
 
 F = Fraction
 BIG_PRIMES = (10**6 + 3, 10**6 + 33, 999_983)
@@ -117,8 +118,8 @@ def test_scaled_costs_and_distances_match_fractions(drawn):
     dist, succ = reference(names, costs)
     got = shortest_to_sink(g)
     assert got.scale == g.scale
-    assert dict(got.dist) == dist and dict(got.successor) == succ
-    assert all(type(d) is F for d in got.dist.values())
+    assert {v: got[v] for v in names} == dist and dict(got.successor) == succ
+    assert all(type(got[v]) is F for v in names)
     assert {v: F(n, g.scale) for v, n in got.scaled.items()} == dist
     assert all(type(n) is int for n in got.scaled.values())
 
@@ -199,41 +200,67 @@ def one_edge(cost_text) -> str:
     return json.dumps({"vertices": ["s", "t"], "edges": edges, "source": "s", "sink": "t"})
 
 
-def small_exponent(text: str) -> bool:
-    """At most three exponent digits: Fraction parses "1e9999999" by
-    computing 10**9999999, seconds of work per string, and text with an
-    exponent never takes the int() path. Exponents past the int-to-str
-    limit are pinned by the xfail below."""
-    m = re.search(r"e[-+]?([\d_]+)", text)
-    return m is None or len(m.group(1).replace("_", "")) <= 3
+CAP = 4300  # the most digits a cost's numerator or denominator may have
+
+
+def grammar_reference(text: str):
+    """The README's cost grammar as one regex, valued by Fraction's own
+    parser: the cost a literal denotes, or None where the grammar rejects it.
+    A decimal's numerator is its digits on both sides of the point."""
+    text = text.strip()
+    m = re.fullmatch(r"[+-]?([0-9]+)(?:\.([0-9]+)|/([0-9]+))?", text)
+    if m is None:
+        return None
+    whole, frac, den = m.groups(default="")
+    if len(whole + frac) > CAP or len(den) > CAP or (den and not den.strip("0")):
+        return None
+    return F(text)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="0123456789/.-+_e ٣", max_size=9).filter(small_exponent))
+@given(st.text(alphabet="0123456789/.-+_eE \t٣", max_size=12))
 @example(" 3/4 ")
 @example("007/010")
 @example("1/0")
+@example("0/000")
 @example("3/-4")
-@example("1_000")
-@example("٣")
-@example("0/7")
+@example("+3")
 @example("-0")
+@example("0/7")
 @example("/4")
 @example("4/")
 @example("")
 @example("1.5.2")
-@example("1" * 4301)  # past the int-to-str limit: int() and Fraction() both refuse it
-@example("1/" + "3" * 4301)
+@example("1/2.5")
+@example(".5")
+@example("5.")
+@example("1_000")
+@example("٣")
+@example("1e5")
+@example("1E5")
+@example("1e9999999")
+@example("-1e9999999")
+@example("1" * CAP)
+@example("1" * (CAP + 1))
+@example("-" + "9" * CAP)
+@example("1/" + "3" * CAP)
+@example("1/" + "3" * (CAP + 1))
+@example("1." + "0" * (CAP - 1))
+@example("1." + "0" * CAP)
+@example("0." + "3" * (CAP - 1))  # its lowest terms have CAP digits below the bar
 def test_load_graph_accepts_exactly_what_rat_accepts(text):
-    # load_graph reads canonical costs with int(); everything else goes
-    # through rat, so a string's outcome is rat's: its value, a ParseError
-    # where rat raises, or NegativeCost for a negative value.
-    try:
-        value = rat(text)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(ParseError):
+    # rat and load_graph both follow the regex reference: what it rejects
+    # raises ValueError from rat and ParseError from load_graph, and a
+    # negative value raises NegativeCost.
+    value = grammar_reference(text)
+    if value is None:
+        with pytest.raises(ValueError, match="not an exact rational"):
+            rat(text)
+        with pytest.raises(ParseError, match=r"edges\[0\]\.cost: not an exact rational"):
             load_graph(one_edge(text))
         return
+    assert rat(text) == value and type(rat(text)) is F
+    assert rat(format_rat(value)) == value  # every accepted value renders and reparses
     if value < 0:
         with pytest.raises(NegativeCost):
             load_graph(one_edge(text))
@@ -245,10 +272,40 @@ def test_load_graph_accepts_exactly_what_rat_accepts(text):
 
 @pytest.mark.parametrize(
     "text, value",
-    [(" 3/4 ", F(3, 4)), ("007/010", F(7, 10)), ("1_000", F(1000)), ("٣", F(3)), (12, F(12))],
+    [
+        (" 3/4 ", F(3, 4)),
+        ("007/010", F(7, 10)),
+        ("1_000", ParseError),
+        ("٣", ParseError),
+        (12, F(12)),
+        ("74.1", F(741, 10)),
+        (".5", ParseError),
+        ("5.", ParseError),
+        ("1e5", ParseError),
+    ],
 )
 def test_load_graph_pinned_costs(text, value):
-    assert load_graph(one_edge(text)).cost("s", "t") == value
+    if value is ParseError:
+        with pytest.raises(ParseError, match="expected an optional sign"):
+            load_graph(one_edge(text))
+    else:
+        assert load_graph(one_edge(text)).cost("s", "t") == value
+
+
+@pytest.mark.parametrize("text", ["1e9999999", "-1e9999999"])
+def test_a_huge_exponent_is_refused_at_once(text):
+    # Fraction's own parser took about 11 s to compute 10**9999999 here.
+    started = time.perf_counter()
+    with pytest.raises(ParseError):
+        load_graph(one_edge(text))
+    assert time.perf_counter() - started < 1
+
+
+def test_a_json_integer_cost_past_the_digit_limit_is_a_parse_error():
+    # json.loads reads it with int(), which refuses over 4300 digits with a
+    # bare ValueError; load_graph used to let that escape.
+    with pytest.raises(ParseError, match="json: Exceeds the limit"):
+        load_graph(one_edge("COST").replace('"COST"', "1" * (CAP + 1)))
 
 
 @pytest.mark.xfail(
@@ -257,5 +314,7 @@ def test_load_graph_pinned_costs(text, value):
     reason="NegativeCost renders the cost with str(), which refuses ints over 4300 digits",
 )
 def test_a_negative_cost_past_the_int_str_limit_raises_negative_cost():
+    # The cost grammar caps literals below that limit, so only a Fraction
+    # handed to TaskGraph directly reaches it.
     with pytest.raises(NegativeCost):
-        load_graph(one_edge("-1e5000"))
+        TaskGraph(["s", "t"], [("s", "t", F(-(10**5000)))], "s", "t")
