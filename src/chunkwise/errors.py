@@ -38,7 +38,11 @@ class ParseError(ChunkwiseError):
 
 class NegativeCost(ChunkwiseError):
     def __init__(self, tail: str, head: str, cost: object) -> None:
-        super().__init__(f"edge ({tail} -> {head}) has negative cost {cost}")
+        try:
+            shown = str(cost)
+        except ValueError:  # past Python's limit on digits in int-to-str
+            shown = "with too many digits to print"
+        super().__init__(f"edge ({tail} -> {head}) has negative cost {shown}")
 
 
 class InvalidParams(ChunkwiseError):

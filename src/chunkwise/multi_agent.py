@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, traverse, walk_plan
@@ -500,36 +501,18 @@ class JointMoves:
         return Move(n, (padded_chunking((u, v), fill, n),))
 
     def _split(self, u: str, v: str, z: str) -> Optional[Move]:
-        """Cheapest validated pair of splits sending A1 to v and A2 to z."""
-        k = self.budget.k
-        if self.budget.mode == "local":
-            for i, j in ((0, 0), (0, k), (k, 0), (k, k)):
-                wit = self._split_witnesses(u, v, z, i, j)
-                if wit is not None:
-                    return Move(i + j, wit)
-            return None
-        # Global: binary-search each column j for its least feasible row i,
-        # skipping the column when row k fails. That assumes feasibility is
-        # monotone in i, which is false: a split can fail at k yet succeed
-        # below it, and is then missed (tests/test_multi_agent.py pins one).
-        best: Optional[Move] = None
-        for j in range(0, k + 1):
-            wit_hi = self._split_witnesses(u, v, z, k, j)
-            if wit_hi is None:
-                continue
-            lo, hi = 0, k
-            found = (k, wit_hi)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                wit = self._split_witnesses(u, v, z, mid, j)
-                if wit is not None:
-                    found = (mid, wit)
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if best is None or found[0] + j < best.chunk_count:
-                best = Move(found[0] + j, found[1])
-        return best
+        """Least validated pair of splits sending A1 to v and A2 to z.
+
+        Every pair (i, j) of the budget's chunk counts is tried, fewest
+        chunks first, then fewest for A2: feasibility is not monotone in
+        either count, so no pair can be skipped.
+        """
+        counts = {0, *(self.budget.chunks(l) for l in range(1, self.budget.k + 1))}
+        for i, j in sorted(product(counts, repeat=2), key=lambda p: (p[0] + p[1], p[1])):
+            wit = self._split_witnesses(u, v, z, i, j)
+            if wit is not None:
+                return Move(i + j, wit)
+        return None
 
     def _split_witnesses(
         self, u: str, v: str, z: str, i: int, j: int
@@ -540,16 +523,17 @@ class JointMoves:
         that agent's unaided choice). Both chunkings are installed together and
         validated by simulating both agents from u under the shared tie rule.
         """
+        sides = ((0, v, i), (1, z, j))
+        # Check both unchunked sides before building any split.
+        if any(n == 0 and self.pers[t].default[u] != head for t, head, n in sides):
+            return None
         witnesses: list[Chunking] = []
-        for t, head, chunks in ((0, v, i), (1, z, j)):
-            if chunks == 0:
-                if self.pers[t].default[u] != head:
+        for t, head, n in sides:
+            if n:
+                ch = self._chunk_split((u, head), n, t + 1)
+                if ch is None:
                     return None
-                continue
-            ch = self._chunk_split((u, head), chunks, t + 1)
-            if ch is None:
-                return None
-            witnesses.append(ch)
+                witnesses.append(ch)
         for b, head in zip(self.agents.biases, (v, z)):
             if not _first_move_ok(self, witnesses, b, u, head):
                 return None
@@ -644,7 +628,10 @@ def two_agent_plan(
     is rebuilt as a static per-vertex plan and validated by simulating each
     type, falling back to exhaustive enumeration of path pairs when the
     optimistic DP overreaches (interactions between chunkings installed at
-    a vertex both paths visit at different times).
+    a vertex both paths visit at different times). The DP also charges an
+    edge both types take at different steps once per type, where one
+    same-edge chunking may serve both, so the fallback can return a pair
+    cheaper than the DP's own pick.
     The DP, the pair plans and the fallback read one JointMoves table.
     """
     if b1 > b2:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,10 +22,12 @@ from chunkwise import (
     m_agent_single_path_plan,
     optimal_edge_chunking,
     random_task_graph,
+    save_graph,
     shortest_to_sink,
     simulate_plan,
     two_agent_plan,
 )
+from chunkwise.cli import main as cli_main
 from chunkwise.edge_chunk import edge_context, min_chunks_to_beat, perceived_chunk_costs
 from chunkwise.errors import (
     InfeasibleChunking,
@@ -33,8 +36,9 @@ from chunkwise.errors import (
     TakerRefuses,
 )
 from chunkwise.expansion import ChunkPlan, original_path
+from chunkwise.graph import path_cost
 from chunkwise.graph_chunk import persuasion_profile
-from chunkwise.multi_agent import JointMoves, _caps, _same_path_fill, single_path_plan
+from chunkwise.multi_agent import JointMoves, Move, _caps, _same_path_fill, single_path_plan
 from chunkwise.oracle import (
     GridSpec,
     brute_force_two_agent_plan,
@@ -53,6 +57,13 @@ PINNED = "321fc5c95a2e5bc45384ebe795832902ab06454cb82605774fbb77d9a806590e"
 def _random_bias(rng: random.Random) -> Fraction:
     den = rng.choice((1, 2, 3, 4))
     return F(rng.randint(den + 1, 4 * den), den)
+
+
+def _assert_replays(g, plan, traces):
+    """Each type's trace is the one simulate_plan walks on the expanded graph."""
+    for b, trace in zip(plan.biases, traces):
+        again, _ = simulate_plan(g, plan, BiasProfile(b))
+        assert again == trace
 
 
 def test_agent_set_validation():
@@ -478,14 +489,98 @@ def test_joint_split_feasibility_is_not_monotone():
     assert feasible == {(0, 2)}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="JointMoves._split skips a column whose full-budget row fails, "
-    "so it misses the (0, 2) split",
-)
 def test_joint_split_finds_a_pair_below_an_infeasible_full_budget_row():
     found = _non_monotone_split_moves().move("s", "a", "b")
     assert found is not None and found.chunk_count == 2
+
+
+def test_joint_split_is_the_least_feasible_cell_of_the_full_matrix():
+    # Feasibility of (i, j) is not monotone in either count, so a split is
+    # the least (i + j, j) cell of the whole matrix, or None when none passes.
+    rng = random.Random(1919)
+    triples = splits = 0
+    for _ in range(25):
+        g = random_task_graph(rng, min_vertices=7, max_vertices=10)
+        b1 = _random_bias(rng)
+        k = rng.randint(2, 4)
+        moves = JointMoves(g, b1, b1 * rng.choice((2, 3, 5)), BudgetSpec("global", k))
+        cells = sorted(product(range(k + 1), repeat=2), key=lambda c: (c[0] + c[1], c[1]))
+        for u in g.vertices:
+            heads = [v for v, _ in g.out_edges(u)]
+            for v, z in product(heads, repeat=2):
+                if v == z:
+                    continue
+                found = moves.move(u, v, z)
+                least = None
+                for i, j in cells:
+                    wit = moves._split_witnesses(u, v, z, i, j)
+                    if wit is not None:
+                        least = Move(i + j, wit)
+                        break
+                assert found == least, (u, v, z)
+                triples += 1
+                splits += found is not None
+    assert splits > 0 and triples > splits
+
+
+def test_two_agent_plan_keeps_the_default_split_when_every_full_row_fails(tmp_path, capsys):
+    # At s every (2, j) split fails, so a search that skipped each column
+    # whose full-budget row fails never tried the valid (0, 0) default
+    # split, and planning raised InvariantViolation.
+    g = TaskGraph(
+        ["s", "a", "b", "c", "d", "e", "f", "g", "h", "t"],
+        [
+            ("s", "a", F(27, 2)), ("s", "b", 16), ("s", "c", 0), ("s", "f", F(3, 2)),
+            ("s", "g", 4), ("s", "h", 54), ("a", "b", 25), ("a", "c", 13), ("a", "d", 5),
+            ("a", "f", 12), ("a", "h", 0), ("a", "t", 24), ("b", "e", F(1, 2)), ("b", "g", 0),
+            ("b", "h", F(21, 10)), ("c", "d", 26), ("c", "f", 4), ("c", "g", 9),
+            ("c", "h", 22), ("d", "e", F(3, 5)), ("d", "g", 3), ("d", "t", F(16, 5)),
+            ("e", "f", 23), ("e", "g", 6), ("e", "h", F(4, 5)), ("e", "t", 2),
+            ("f", "g", 37), ("f", "h", F(42, 5)), ("g", "t", F(56, 5)), ("h", "t", 7),
+        ],
+        "s",
+        "t",
+    )
+    plan, traces = two_agent_plan(g, B2, F(6), BudgetSpec("global", 2))
+    assert plan.planned_paths == (("s", "f", "h", "t"), ("s", "c", "f", "h", "t"))
+    assert plan.chunkings == ()
+    assert sum(t.total for t in traces) == F(363, 10)
+    _assert_replays(g, plan, traces)
+    path = tmp_path / "g.json"
+    path.write_bytes(save_graph(g))
+    args = ["chunk-graph", "-g", str(path), "--biases", "2,6", "--mode", "global", "-k", "2"]
+    assert cli_main(args) == 0
+    assert json.loads(capsys.readouterr().out)["planned_paths"] == [
+        ["s", "f", "h", "t"],
+        ["s", "c", "f", "h", "t"],
+    ]
+
+
+def test_two_agent_plan_finds_a_split_below_a_failing_full_row():
+    # A1 takes s->a->c->t and A2 s->b->t, with two chunks each on (a, c) and
+    # (s, b). A search that skipped a column whose full-budget row fails
+    # missed that pair and planned 97/10.
+    g = TaskGraph(
+        ["s", "a", "b", "c", "d", "e", "t"],
+        [
+            ("s", "a", F(6, 5)), ("s", "b", F(9, 4)), ("s", "c", F(13, 2)),
+            ("s", "e", F(19, 5)), ("a", "c", F(17, 5)), ("a", "d", 0), ("a", "e", F(7, 5)),
+            ("b", "c", 3), ("b", "d", F(24, 5)), ("b", "e", 20), ("b", "t", F(13, 5)),
+            ("c", "t", 0), ("d", "e", F(5, 4)), ("e", "t", 3),
+        ],
+        "s",
+        "t",
+    )
+    budget = BudgetSpec("global", 4)
+    plan, traces = two_agent_plan(g, F(3, 2), F(9, 2), budget)
+    assert plan.planned_paths == (("s", "a", "c", "t"), ("s", "b", "t"))
+    assert [(ch.edge, len(ch.chunks)) for ch in plan.chunkings] == [
+        (("a", "c"), 2),
+        (("s", "b"), 2),
+    ]
+    assert sum(t.total for t in traces) == F(189, 20)
+    _assert_replays(g, plan, traces)
+    assert brute_force_two_agent_plan(g, F(3, 2), F(9, 2), budget)[0] == F(189, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +708,37 @@ def test_m_agent_random_all_types_follow():
             assert original_path(cg, trace.path) == path
 
 
-def test_two_agent_fallback_path(monkeypatch, s32):
-    # Force the optimistic recurrence to hand back garbage; the exhaustive
-    # static fallback must still deliver the oracle-equal plan.
+def test_two_agent_fallback_path():
+    # The DP's pick sends A1 over (d, f) while A2 passes d on its way to t,
+    # and no joint move at d does that, so the pair plan fails and the
+    # exhaustive static fallback plans the oracle's optimum. The DP charges
+    # (d, t) once per type, 2 + 2 chunks, where one 2-chunk same-edge
+    # chunking serves both, so it priced that cheaper pair out of budget.
     import chunkwise.multi_agent as ma
 
-    # a real path pair whose static plan is infeasible (no chunking of the
-    # 65-cost edge that a bias-10 type accepts), so validation rejects it
-    monkeypatch.setattr(
-        ma, "_two_agent_dp", lambda *a, **k: (("u", "w", "t"), ("u", "w", "t"))
+    g = TaskGraph(
+        ["s", "a", "b", "c", "d", "e", "f", "t"],
+        [
+            ("s", "a", 0), ("s", "d", F(7, 10)), ("s", "f", F(5, 4)), ("a", "b", 5),
+            ("a", "c", F(3, 5)), ("b", "e", F(1, 2)), ("c", "d", F(5, 4)), ("c", "e", F(7, 5)),
+            ("d", "f", F(6, 5)), ("d", "t", 2), ("e", "f", 6), ("f", "t", F(6, 5)),
+        ],
+        "s",
+        "t",
     )
-    plan, (t1, t2) = ma.two_agent_plan(s32, B2, F(10), BudgetSpec("local", 3))
-    assert t1.total + t2.total == F(1501, 10)
-    assert plan.planned_paths == (("u", "v", "t"), ("u", "z", "t"))
+    b1, b2, budget = F(7, 3), F(22, 3), BudgetSpec("global", 2)
+    moves = JointMoves(g, b1, b2, budget)
+    picked = ma._two_agent_dp(moves)
+    assert picked == (("s", "d", "f", "t"), ("s", "a", "c", "d", "t"))
+    assert path_cost(g, picked[0]) + path_cost(g, picked[1]) == F(139, 20)
+    assert moves.move("d", "f", "t") is None
+    assert ma._pair_plan(moves, *picked) is None
+    plan, traces = two_agent_plan(g, b1, b2, budget)
+    assert plan.planned_paths == (("s", "d", "t"), ("s", "a", "c", "d", "t"))
+    assert [(ch.edge, ch.chunks) for ch in plan.chunkings] == [(("d", "t"), (F(7, 11), F(15, 11)))]
+    assert sum(t.total for t in traces) == F(131, 20)
+    _assert_replays(g, plan, traces)
+    assert brute_force_two_agent_plan(g, b1, b2, budget)[0] == F(131, 20)
 
 
 def test_two_agent_matches_oracle_k3():

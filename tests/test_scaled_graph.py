@@ -308,13 +308,11 @@ def test_a_json_integer_cost_past_the_digit_limit_is_a_parse_error():
         load_graph(one_edge("COST").replace('"COST"', "1" * (CAP + 1)))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ValueError,
-    reason="NegativeCost renders the cost with str(), which refuses ints over 4300 digits",
-)
 def test_a_negative_cost_past_the_int_str_limit_raises_negative_cost():
     # The cost grammar caps literals below that limit, so only a Fraction
-    # handed to TaskGraph directly reaches it.
-    with pytest.raises(NegativeCost):
+    # handed to TaskGraph directly reaches it. str() refuses ints over 4300
+    # digits, so the message names the edge and the sign but no digits.
+    with pytest.raises(NegativeCost, match=r"^edge \(s -> t\) has negative cost with too many"):
         TaskGraph(["s", "t"], [("s", "t", F(-(10**5000)))], "s", "t")
+    with pytest.raises(NegativeCost, match=r"^edge \(s -> t\) has negative cost -1/3$"):
+        TaskGraph(["s", "t"], [("s", "t", F(-1, 3))], "s", "t")
