@@ -6,11 +6,12 @@ rational equality: if exactly one tied candidate continues a chunking the
 agent picks it, otherwise the lexicographically least head wins.
 
 A chunk plan is walked by one of two routes that share `traverse`, and so
-the tie rule. `walk_plan` is the fast route every planner and the CLI use:
-it walks a `PlanView` of the plan on the distances the caller already holds.
-`simulate_plan` is the independent cross-check route the oracles, `verify`
-and the benchmark use: it builds the expanded graph with `expand_plan` and
-recomputes its distances from scratch.
+the tie rule. The fast route walks a `PlanView` of the plan on the
+distances the caller already holds: the planners build one view per plan
+and walk every type on it, and `walk_plan` does the same for one walk, for
+the CLI and `verify`. `simulate_plan` is the independent cross-check route
+the oracles, `verify` and the benchmark use: it builds the expanded graph
+with `expand_plan` and recomputes its distances from scratch.
 """
 
 from __future__ import annotations
@@ -172,8 +173,10 @@ def traverse(
 ) -> TraversalTrace:
     """Deterministic greedy walk from start (default: source) to the sink.
 
-    The walk also ends at the first vertex of `until` it reaches. It scores
-    in ints, as `best_alternative` does, so ties are exact int equality.
+    The walk also ends at the first vertex of `until` it reaches. It reads
+    only g's int adjacency and scores in ints, as `best_alternative` does,
+    so ties are exact int equality; each step builds two `Fraction`s, its
+    cost and its perceived cost.
     """
     marks = frozenset(chunk_marks)
     scaled = dist.scaled_for(g)
@@ -183,13 +186,10 @@ def traverse(
     ties: list[TieEvent] = []
     total = 0
     while cur != g.sink:
-        out = g.out_edges(cur)
+        out = g.scaled_out_edges(cur)
         if not out:
             raise Stuck(cur)
-        scored = [
-            (over.get((cur, head), p) * c + r * scaled[head], head, cost, c)
-            for (head, cost), (_, c) in zip(out, g.scaled_out_edges(cur))
-        ]
+        scored = [(over.get((cur, head), p) * c + r * scaled[head], head, c) for head, c in out]
         best_val = min(s[0] for s in scored)
         tied = [s for s in scored if s[0] == best_val]  # heads ascending
         winner = tied[0]
@@ -198,8 +198,10 @@ def traverse(
             if len(marked) == 1:
                 winner = marked[0]
             ties.append(TieEvent(cur, tuple(s[1] for s in tied), winner[1]))
-        _, head, cost, c = winner
-        steps.append(TraceStep(cur, (cur, head), cost, Fraction(best_val, r * g.scale)))
+        _, head, c = winner
+        steps.append(
+            TraceStep(cur, (cur, head), Fraction(c, g.scale), Fraction(best_val, r * g.scale))
+        )
         total += c
         cur = head
         if cur in until:

@@ -11,7 +11,7 @@ abandon the chain at any point. The perceived cost of starting chunk i is
 where outside is the true cost of u's best route to the sink that avoids
 (u, v), and suffix_i the chunk mass after chunk i. The bottleneck max_i p_i
 decides which agents traverse the whole chain. The min term, the true cost
-to the sink from chain vertex i, is `EdgeContext.floor(suffix_i)`.
+to the sink from chain vertex i, is `_floor(outside, suffix_i + c(v->t))`.
 
 `optimal_edge_chunking` screens its O(k) closed-form candidates in Python
 ints: x, c(v->t) and outside over one common denominator, b = p/r, and one
@@ -96,10 +96,6 @@ class EdgeContext:
     x: Fraction
     cost_to_sink: Fraction
     outside: Optional[Fraction]  # None when (u, v) is u's only out-edge
-
-    def floor(self, suffix: Fraction) -> Fraction:
-        """True cost to the sink from a chain vertex with `suffix` chunk mass ahead."""
-        return _floor(self.outside, suffix + self.cost_to_sink)
 
 
 Cost = TypeVar("Cost", int, Fraction)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional
 
-from .edge_chunk import Chunking, Cost, _floor
+from .edge_chunk import Chunking, _floor
 from .errors import InvalidParams, ParseError, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
 from .rational import format_rat, rat
@@ -145,7 +145,6 @@ class ChunkedGraph:
     marks: frozenset[Edge]
     chains: Mapping[Edge, tuple[str, ...]]
     original: TaskGraph
-    plan: ChunkPlan
 
     def chain_of(self, edge: Edge) -> tuple[str, ...]:
         return self.chains[edge]
@@ -197,13 +196,7 @@ def expand_plan(g: TaskGraph, plan: ChunkPlan) -> ChunkedGraph:
         chains[(u, v)] = tuple(chain)
 
     expanded = TaskGraph(vertices, edges, source=g.source, sink=g.sink)
-    return ChunkedGraph(
-        graph=expanded,
-        marks=frozenset(marks),
-        chains=chains,
-        original=g,
-        plan=plan,
-    )
+    return ChunkedGraph(graph=expanded, marks=frozenset(marks), chains=chains, original=g)
 
 
 class PlanView:
@@ -212,12 +205,13 @@ class PlanView:
     Expansion leaves every original vertex's distance to the sink unchanged:
     a chain's chunks sum to the edge cost and its deviations keep full cost.
     So the view takes dist = shortest_to_sink(g) as it is. The vertex after
-    chunk i of (u, v) lies `EdgeContext.floor(chunks after i)` from the sink.
-    Out-edges use expand_plan's vertex names. The view serves agent.traverse
-    as both its graph and its distances, and, like a ChunkedGraph, offers
-    marks, chain_of and original. Like a TaskGraph, it keeps costs and
-    distances as ints over `scale`, here the lcm of g.scale and the chunks'
-    denominators, each chain vertex's computed once, at construction.
+    chunk i of (u, v) lies `_floor(outside, chunks after i + c(v->t))` from
+    the sink. Out-edges use expand_plan's vertex names. The view serves
+    agent.traverse as both its graph and its distances, and, like a
+    ChunkedGraph, offers marks, chain_of and original. Like a TaskGraph, it
+    keeps costs and distances as ints over `scale`, here the lcm of g.scale
+    and the chunks' denominators, each chain vertex's computed once, at
+    construction; it has no `Fraction` out-edges.
 
     Construction raises expand_plan's plan errors, in expand_plan's order.
     """
@@ -233,7 +227,6 @@ class PlanView:
         self._scaled = {v: d * f for v, d in dist.scaled_for(g).items()}
         self.chains: dict[Edge, tuple[str, ...]] = {}
         self._at: dict[str, tuple[Edge, int]] = {}  # chain vertex -> (edge, index)
-        self._out: dict[str, tuple[tuple[str, Fraction], ...]] = {}
         self._scaled_out: dict[str, tuple[tuple[str, int], ...]] = {}
         marks: set[Edge] = set()
         for (u, v), chunking in sorted(self._by_edge.items()):
@@ -255,18 +248,12 @@ class PlanView:
             for i in range(k - 1, 0, -1):
                 through += xs[i]
                 self._scaled[chain[i]] = _floor(outside, through)
-                self._out[chain[i]] = _hop(g.out_edges(u), v, chain[i + 1], chunking.chunks[i])
                 self._scaled_out[chain[i]] = _hop(scaled_out, v, chain[i + 1], xs[i])
-            self._out[u] = _hop(self.out_edges(u), v, chain[1], chunking.chunks[0])
             self._scaled_out[u] = _hop(self.scaled_out_edges(u), v, chain[1], xs[0])
         self.marks = frozenset(marks)
 
-    def out_edges(self, vertex: str) -> tuple[tuple[str, Fraction], ...]:
-        out = self._out.get(vertex)
-        return self.original.out_edges(vertex) if out is None else out
-
     def scaled_out_edges(self, vertex: str) -> tuple[tuple[str, int], ...]:
-        """out_edges(vertex) with each cost as an int, the cost times `scale`."""
+        """vertex's (head, cost times `scale`) pairs in the expanded graph."""
         out = self._scaled_out.get(vertex)
         if out is None:
             f = self._factor
@@ -289,8 +276,8 @@ class PlanView:
 
 
 def _hop(
-    out: Iterable[tuple[str, Cost]], v: str, head: str, cost: Cost
-) -> tuple[tuple[str, Cost], ...]:
+    out: Iterable[tuple[str, int]], v: str, head: str, cost: int
+) -> tuple[tuple[str, int], ...]:
     """out with its edge to v sent to head at cost instead, in expand_plan's order."""
     return tuple(sorted((head, cost) if h == v else (h, c) for h, c in out))
 

@@ -30,10 +30,11 @@ class TaskGraph:
     """A weighted DAG with a designated source and sink.
 
     Immutable after construction. Edge costs are exact nonnegative rationals;
-    at most one edge per ordered vertex pair, no self-loops. Every cost is
-    also kept as a Python int over one common denominator, `scale` (the lcm
-    of the cost denominators), for the exact integer relaxations of the
-    distances and the planners' DPs.
+    at most one edge per ordered vertex pair, no self-loops. The edge map
+    keeps each cost as a `Fraction`; the one adjacency keeps it as a Python
+    int over one common denominator, `scale` (the lcm of the cost
+    denominators), for the exact integer relaxations of the distances, the
+    planners' DPs and every walk.
     """
 
     def __init__(
@@ -59,7 +60,6 @@ class TaskGraph:
         self.sink = sink
 
         self._cost: dict[Edge, Fraction] = {}
-        out: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
         for tail, head, raw in edges:
             if tail not in seen or head not in seen:
                 raise ParseError("edges", f"edge ({tail}, {head}) references unknown vertex")
@@ -71,19 +71,15 @@ class TaskGraph:
             if cost.numerator < 0:  # every denominator is positive
                 raise NegativeCost(tail, head, cost)
             self._cost[(tail, head)] = cost
-            out[tail].append((head, cost))
-        # Sorted adjacency keeps every downstream iteration deterministic.
-        self._out: dict[str, tuple[tuple[str, Fraction], ...]] = {
-            v: tuple(sorted(lst)) for v, lst in out.items()
-        }
-        # Sorted once, so `edges` reads the edges in order without sorting;
-        # a stored tuple of them would keep a second copy of every edge.
+        # Sorted once, so `edges` reads the edges in order without sorting,
+        # and each vertex's adjacency lists its heads ascending, which keeps
+        # every downstream iteration deterministic.
         self._cost = dict(sorted(self._cost.items()))
         self.scale: int = lcm(*{c.denominator for c in self._cost.values()})
-        self._scaled_out: dict[str, tuple[tuple[str, int], ...]] = {
-            v: tuple((h, c.numerator * (self.scale // c.denominator)) for h, c in hops)
-            for v, hops in self._out.items()
-        }
+        out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for (tail, head), cost in self._cost.items():
+            out[tail].append((head, cost.numerator * (self.scale // cost.denominator)))
+        self._scaled_out = {v: tuple(hops) for v, hops in out.items()}
         self._order: tuple[str, ...] | None = None  # set by the first validate()
 
     @property
@@ -91,10 +87,11 @@ class TaskGraph:
         return tuple((u, v, c) for (u, v), c in self._cost.items())
 
     def out_edges(self, u: str) -> tuple[tuple[str, Fraction], ...]:
-        return self._out[u]
+        """u's (head, cost) pairs, heads ascending, built from scaled_out_edges(u)."""
+        return tuple((h, self._cost[(u, h)]) for h, _ in self._scaled_out[u])
 
     def scaled_out_edges(self, u: str) -> tuple[tuple[str, int], ...]:
-        """out_edges(u) with each cost as an int, the cost times `scale`."""
+        """u's (head, cost times `scale`) pairs, heads ascending; the one adjacency."""
         return self._scaled_out[u]
 
     def scaled_cost(self, u: str, v: str) -> int:
@@ -112,7 +109,7 @@ class TaskGraph:
             raise KeyError(f"no edge ({u}, {v})") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._out
+        return v in self._scaled_out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -139,7 +136,7 @@ def validate(g: TaskGraph) -> tuple[str, ...]:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for head, _ in g.out_edges(v):
+        for head, _ in g.scaled_out_edges(v):
             indegree[head] -= 1
             if indegree[head] == 0:
                 heapq.heappush(ready, head)
@@ -227,7 +224,7 @@ def all_paths(g: TaskGraph) -> list[tuple[str, ...]]:
         if u == g.sink:
             paths.append(tuple(prefix))
             return
-        for head, _ in g.out_edges(u):
+        for head, _ in g.scaled_out_edges(u):
             walk(prefix + [head])
 
     walk([g.source])

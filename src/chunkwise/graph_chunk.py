@@ -81,7 +81,7 @@ def persuasion_profile(g: TaskGraph, dist: DistanceMap, b: Fraction) -> Persuasi
     default: dict[str, str] = {}
     alpha: dict[str, Fraction] = {}
     for u in g.vertices:
-        if u == g.sink or not g.out_edges(u):
+        if u == g.sink or not g.scaled_out_edges(u):
             continue
         head, val = best_alternative(g, dist, profile, u)
         default[u] = head
@@ -117,33 +117,22 @@ Choices = dict[tuple[N, int], tuple[N, int]]
 Step = tuple[int, N, Callable[[], Optional[tuple[int, int]]]]
 
 
-class LazyEdgeMap(Mapping[Edge, V]):
-    """g's edges mapped by compute(e), each value computed on first read.
+class LazyEdgeMap(dict[Edge, V]):
+    """Edges mapped by compute(e), each value computed and kept on first read,
+    so the map holds only the edges read so far.
 
     The budgeted DP reads an edge's chunk need only when the edge can still
     win, so a planner hands it this instead of a dict over every edge.
-    The values are kept on the map, so they go with the call that built it.
+    The values go with the call that built the map.
     """
 
-    def __init__(self, g: TaskGraph, compute: Callable[[Edge], V]) -> None:
-        self._g = g
+    def __init__(self, compute: Callable[[Edge], V]) -> None:
+        super().__init__()
         self._compute = compute
-        self._values: dict[Edge, V] = {}
 
-    def __getitem__(self, e: Edge) -> V:
-        try:
-            return self._values[e]
-        except KeyError:
-            if not self._g.has_edge(*e):
-                raise
-        value = self._values[e] = self._compute(e)
+    def __missing__(self, e: Edge) -> V:
+        value = self[e] = self._compute(e)
         return value
-
-    def __iter__(self) -> Iterator[Edge]:
-        return ((u, v) for u, v, _ in self._g.edges)
-
-    def __len__(self) -> int:
-        return len(self._g.edges)
 
 
 def cheapest_paths(
@@ -251,7 +240,7 @@ def shared_path_plan(
     """
     levels = budget.levels
     order = [u for u in reversed(validate(g)) if u != g.sink]
-    charged = LazyEdgeMap(g, lambda e: budget.charge(need[e]))
+    charged = LazyEdgeMap(lambda e: budget.charge(need[e]))
     table, choice = cheapest_paths(order, g.sink, edge_moves(g, charged), levels)
     if (g.source, levels) not in table:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
@@ -297,7 +286,7 @@ def chunk_graph(
     """
     dist = shortest_to_sink(g)
     pers = persuasion_profile(g, dist, b)
-    need = LazyEdgeMap(g, lambda e: chunk_budget_needed(g, dist, pers, b, *e, budget.k))
+    need = LazyEdgeMap(lambda e: chunk_budget_needed(g, dist, pers, b, *e, budget.k))
     return shared_path_plan(
         g, dist, (b,) * types, budget, need,
         lambda e, n: optimal_edge_chunking(g, dist, e, b, n)[0],

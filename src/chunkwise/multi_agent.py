@@ -30,11 +30,12 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Literal, Optional, Sequence
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, traverse, walk_plan
+from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
 from .edge_chunk import (
     Cap,
     Chunking,
     EdgeContext,
+    _floor,
     edge_context,
     greedy_fill,
     optimal_edge_chunking,
@@ -99,7 +100,7 @@ def _p(ctx: EdgeContext, xs: list[Fraction], idx: int, b: Fraction) -> Fraction:
     """Perceived cost of chunk idx (0-based) under bias b."""
     if idx == len(xs) - 1:
         return b * xs[idx] + ctx.cost_to_sink
-    return b * xs[idx] + ctx.floor(sum(xs[idx + 2 :], xs[idx + 1]))
+    return b * xs[idx] + _floor(ctx.outside, sum(xs[idx + 1 :], ctx.cost_to_sink))
 
 
 def _phase_head_siphon(
@@ -520,8 +521,9 @@ class JointMoves:
         """Witnesses for A1 taking (u,v) with i chunks while A2 takes (u,z) with j.
 
         i or j of zero means the edge is left alone (only sensible when it is
-        that agent's unaided choice). Both chunkings are installed together and
-        validated by simulating both agents from u under the shared tie rule.
+        that agent's unaided choice). Both chunkings are installed together on
+        one view and validated by walking both agents on it from u under the
+        shared tie rule.
         """
         sides = ((0, v, i), (1, z, j))
         # Check both unchunked sides before building any split.
@@ -534,8 +536,9 @@ class JointMoves:
                 if ch is None:
                     return None
                 witnesses.append(ch)
-        for b, head in zip(self.agents.biases, (v, z)):
-            if not _first_move_ok(self, witnesses, b, u, head):
+        view = PlanView(self.g, self.dist, ChunkPlan(chunkings=tuple(witnesses)))
+        for profile, head in zip(self.agents.profiles, (v, z)):
+            if not _first_move_ok(self, view, profile, u, head):
                 return None
         return tuple(witnesses)
 
@@ -552,24 +555,16 @@ class JointMoves:
 
 
 def _first_move_ok(
-    moves: JointMoves,
-    witnesses: Sequence[Chunking],
-    b: Fraction,
-    u: str,
-    target: str,
+    moves: JointMoves, view: PlanView, profile: BiasProfile, u: str, target: str
 ) -> bool:
-    """Install the witnesses, walk one agent from u, check its first move.
+    """Walk one agent from u on the view of the witnesses; check its first move.
 
     The walk ends at the first original vertex after u: by then the agent
     has either crossed a chain installed at u or left it.
     """
-    plan = ChunkPlan(chunkings=tuple(witnesses))
-    trace, view = walk_plan(
-        moves.g, moves.dist, plan, BiasProfile(b), start=u, until=moves.vertices
-    )
-    for ch in witnesses:
-        if ch.tail == u and ch.head == target:
-            return walk_follows_chunking(trace.path, view.chain_of(ch.edge))
+    trace = traverse(view, view, profile, view.marks, start=u, until=moves.vertices)
+    if (u, target) in view.chains:
+        return walk_follows_chunking(trace.path, view.chains[(u, target)])
     return len(trace.path) > 1 and trace.path[1] == target
 
 
@@ -611,8 +606,8 @@ def _pair_plan(
     )
     view = PlanView(g, moves.dist, plan)
     traces: list[TraversalTrace] = []
-    for b, path in zip(moves.agents.biases, (P, Q)):
-        trace = traverse(view, view, BiasProfile(b), view.marks)
+    for profile, path in zip(moves.agents.profiles, (P, Q)):
+        trace = traverse(view, view, profile, view.marks)
         if original_path(view, trace.path) != path or trace.total != path_cost(g, path):
             return None
         traces.append(trace)
@@ -736,13 +731,12 @@ def single_path_plan(
     dist = shortest_to_sink(g)
     perss = [persuasion_profile(g, dist, b) for b in agents.biases]
     fills = LazyEdgeMap(
-        g,
         lambda e: [] if all(p.default[e[0]] == e[1] for p in perss)
         else _same_path_fill(g, dist, e, agents, budget.k, perss),
     )
     return shared_path_plan(
         g, dist, agents.biases, budget,
-        LazyEdgeMap(g, lambda e: None if fills[e] is None else len(fills[e])),
+        LazyEdgeMap(lambda e: None if fills[e] is None else len(fills[e])),
         lambda e, n: padded_chunking(e, fills[e], n),
     )
 

@@ -30,6 +30,7 @@ from .edge_chunk import (
     Cap,
     Chunking,
     EdgeContext,
+    _floor,
     edge_context,
     greedy_fill,
     optimal_edge_chunking,
@@ -190,7 +191,7 @@ def greedy_masses(ctx: EdgeContext, caps: Sequence[Cap]) -> Iterator[Fraction]:
         return
     while True:
         yield mass
-        floor = ctx.floor(mass)
+        floor = _floor(ctx.outside, mass + ctx.cost_to_sink)
         mass += min([(cap - floor) / b for b, cap in caps])
 
 

@@ -880,6 +880,25 @@ def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
     assert [t.total for t in traces] == [F(741, 10), 76]
 
 
+def test_a_joint_split_walks_both_types_on_one_view(monkeypatch, s32):
+    # A1 (b = 2) takes (u, v) in three chunks while A2 (b = 10) keeps its
+    # default (u, z): both first moves are checked on one view of the pair.
+    import chunkwise.expansion as ex
+
+    built = []
+    real_init = ex.PlanView.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    moves = JointMoves(s32, B2, F(10), BudgetSpec("global", 3))
+    monkeypatch.setattr(ex.PlanView, "__init__", counting_init)
+    witnesses = moves._split_witnesses("u", "v", "z", 3, 0)
+    assert witnesses is not None and [ch.edge for ch in witnesses] == [("u", "v")]
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("mode,k", [("local", 3), ("global", 4)])
 def test_two_agent_oracle_rejects_decreasing_biases(s32, mode, k):
     # The oracle, like the planner, takes the lower bias first; with the

@@ -65,7 +65,8 @@ def test_view_is_the_expanded_graph():
         view = PlanView(g, shortest_to_sink(g), plan)
         assert view.marks == cg.marks and view.chains == cg.chains
         for x in cg.graph.vertices:
-            assert view.out_edges(x) == cg.graph.out_edges(x)
+            scaled = ((h, Fraction(c, view.scale)) for h, c in view.scaled_out_edges(x))
+            assert tuple(scaled) == cg.graph.out_edges(x)
             assert view[x] == expanded_dist[x]
 
 
