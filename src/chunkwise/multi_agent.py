@@ -538,7 +538,7 @@ class JointMoves:
                 witnesses.append(ch)
         view = PlanView(self.g, self.dist, ChunkPlan(chunkings=tuple(witnesses)))
         for profile, head in zip(self.agents.profiles, (v, z)):
-            if not _first_move_ok(self, view, profile, u, head):
+            if not _first_move_ok(view, profile, u, head, until=self.vertices):
                 return None
         return tuple(witnesses)
 
@@ -555,14 +555,14 @@ class JointMoves:
 
 
 def _first_move_ok(
-    moves: JointMoves, view: PlanView, profile: BiasProfile, u: str, target: str
+    view: PlanView, profile: BiasProfile, u: str, target: str, until: frozenset[str]
 ) -> bool:
     """Walk one agent from u on the view of the witnesses; check its first move.
 
-    The walk ends at the first original vertex after u: by then the agent
-    has either crossed a chain installed at u or left it.
+    The walk ends at the first original vertex (in `until`) after u: by then
+    the agent has either crossed a chain installed at u or left it.
     """
-    trace = traverse(view, view, profile, view.marks, start=u, until=moves.vertices)
+    trace = traverse(view, view, profile, view.marks, start=u, until=until)
     if (u, target) in view.chains:
         return walk_follows_chunking(trace.path, view.chains[(u, target)])
     return len(trace.path) > 1 and trace.path[1] == target

@@ -3,15 +3,16 @@
 The runner uses only the standard library; the suites it runs need pytest
 and hypothesis. Run it from anywhere:
 
-    python tests/mutants.py            # every entry
-    python tests/mutants.py floor tau  # entries whose `why` names a word
+    python tests/mutants.py
 
 Each entry is (file, old text, new text, selector, why). The runner first
 runs each distinct selector in an unmutated copy of the repository, where it
 must pass. Then, for each entry, it copies the repository to a temporary
 directory, requires the old text to occur exactly once in the file, applies
-the mutant and runs the selector, which must fail. Hypothesis runs with a
-fixed seed, so a kill does not depend on the draw. A refactor that moves
+the mutant and runs the selector, which must fail. Every entry is killed by
+a fixed example (a plain test or an `@example`), not only by a drawn one;
+hypothesis also runs with a fixed seed, so under one hypothesis version the
+draws repeat too. A refactor that moves
 the old text must update its entry; a mutant that survives is a missing
 test, so fix the test, never the entry. pytest does not collect this file:
 its name does not match `test_*.py`.
@@ -206,19 +207,18 @@ def _mutated(m: Mutant) -> str:
     return f"{status:8} {time.perf_counter() - start:5.1f}s  {m.why}"
 
 
-def main(words: list[str]) -> int:
-    chosen = [m for m in CATALOGUE if not words or any(w in m.why for w in words)]
+def main() -> int:
     with ThreadPoolExecutor(WORKERS) as pool:
-        broken = [b for b in pool.map(_unmutated, dict.fromkeys(m.selector for m in chosen)) if b]
+        broken = [b for b in pool.map(_unmutated, dict.fromkeys(m.selector for m in CATALOGUE)) if b]
         if broken:
             print("\n".join(b + " fails unmutated" for b in broken))
             return 2
-        lines = list(pool.map(_mutated, chosen))
+        lines = list(pool.map(_mutated, CATALOGUE))
     print("\n".join(lines))
     killed = sum(line.startswith("killed") for line in lines)
-    print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
+    print(f"{killed} of {len(CATALOGUE)} mutants killed")
+    return 0 if killed == len(CATALOGUE) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

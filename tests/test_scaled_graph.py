@@ -107,6 +107,13 @@ def build(names, costs):
 
 @settings(max_examples=300, deadline=None)
 @given(graphs())
+# s reaches t at cost 1 through y and through x: the least head, x, wins.
+@example(
+    (
+        ("s", "y", "x", "t"),
+        {("s", "x"): F(1, 2), ("s", "y"): F(1, 3), ("x", "t"): F(1, 2), ("y", "t"): F(2, 3)},
+    )
+)
 def test_scaled_costs_and_distances_match_fractions(drawn):
     names, costs = drawn
     g = build(names, costs)
@@ -139,6 +146,14 @@ def profiles(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(profiles())
+# Only the override on (s, a) breaks the tie that the default bias sees.
+@example(
+    (
+        ("s", "a", "b", "t"),
+        {("s", "a"): F(1), ("s", "b"): F(1), ("a", "t"): F(0), ("b", "t"): F(0)},
+        BiasProfile(F(2), {("s", "a"): F(5)}),
+    )
+)
 def test_best_alternative_and_outside_option_match_fractions(drawn):
     names, costs, profile = drawn
     g = build(names, costs)
