@@ -13,14 +13,16 @@ where outside is the true cost of u's best route to the sink that avoids
 decides which agents traverse the whole chain. The min term, the true cost
 to the sink from chain vertex i, is `_floor(outside, suffix_i + c(v->t))`.
 
-`optimal_edge_chunking` screens its O(k) closed-form candidates in Python
-ints: x, c(v->t) and outside over one common denominator, b = p/r, and one
-list of powers of p and p - r. Bottlenecks compare by exact
-cross-multiplication, and only the candidates tied at the least one become
-`Fraction` chunks. One backward pass in ints over a chunking, its costs over
-the lcm of their denominators, gives its perceived costs, its transition
-vertex, its sum and its bottleneck, for `evaluate_chunking` and
-`perceived_chunk_costs` alike: one `Fraction` per perceived cost.
+`optimal_edge_chunking` screens at most four closed-form candidates in
+Python ints: x, c(v->t) and outside over one common denominator, b = p/r,
+and powers of p and p - r. A binary search over the transition vertex finds
+them in O(log k) steps. Bottlenecks compare by exact cross-multiplication,
+and only the candidates tied at the least one become `Fraction` chunks. One
+backward pass in ints over a chunking, its costs over the lcm of their
+denominators, gives its perceived costs, its transition vertex, its sum and
+its bottleneck, for `evaluate_chunking` and `perceived_chunk_costs` alike:
+one `Fraction` per run of equal perceived costs, so a geometric tail builds
+one.
 
 `greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
 filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
@@ -218,11 +220,14 @@ def _suffix_walk(
     big_o = None if o is None else o.numerator * (d // o.denominator)
     big_c = through = floor = c.numerator * (d // c.denominator)
     rd, tau, top, perceived = r * d, 0, 0, []
+    last = cost = None
     for i in range(len(chunks), 0, -1):
         x_i = chunks[i - 1]
         big_x = x_i.numerator * (d // x_i.denominator)
         n = p * big_x + r * floor
-        perceived.append(Fraction(n, rd))
+        if n != last:
+            last, cost = n, Fraction(n, rd)
+        perceived.append(cost)
         if n > top:
             top = n
         through += big_x
@@ -241,18 +246,21 @@ def optimal_edge_chunking(
     Screens the closed-form candidate set below by each candidate's exact
     bottleneck, also in closed form and in integers, then builds and
     evaluates only the candidates tied at the minimum and returns the argmin
-    of (bottleneck, tau, chunk vector). There are O(k) candidates and each
-    costs O(1) integer multiplications to screen, on numbers of O(k) bits;
-    each tied candidate's evaluation is one O(k) pass in ints.
+    of (bottleneck, tau, chunk vector). Finding the at most four candidates
+    takes O(log k) screens, each a few powers and O(1) integer
+    multiplications on numbers of O(k) bits; each tied candidate's
+    evaluation is one O(k) pass in ints.
 
     * chain on a shortest path (or no outside option): the geometric chunking,
       provably optimal;
     * delta > x: every chain vertex leaves; balance the k-1 equal head chunks
       against the final chunk, clamping the final chunk at zero;
-    * 0 < delta <= x: for each transition vertex tau, the head-heavy chunking
-      (delta/tau on the first tau chunks, geometric tail) and, when its tail
-      perceived cost exceeds its head one, the rebalanced chunking that grows
-      the first tau-1 chunks; plus the tau = k balanced chunking.
+    * 0 < delta <= x: at the transition vertices tau*-1 and tau*, tau* the
+      least at which the head-heavy chunking's (delta/tau on the first tau
+      chunks, geometric tail) tail perceived cost exceeds its head one, the
+      head-heavy chunking and, from tau* on, the rebalanced chunking that
+      grows the first tau-1 chunks; plus the tau = k balanced chunking. No
+      other tau can do better (`_candidates`).
     """
     _check_params(b, k)
     ctx = edge_context(g, dist, edge)
@@ -296,6 +304,31 @@ def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
     1/d0, d0 the common denominator of x, c(v->t) and outside: big_x, big_c,
     big_o and big_d are x, c(v->t), outside and delta times d0. With
     b = p/r, q^j = (p-r)^j / p^j and 1 - q^j = (p^j - (p-r)^j) / p^j.
+
+    When 0 < delta <= x, the head-heavy chunking at tau < k puts delta/tau on
+    each of the first tau chunks. Its head perceives alpha0(tau) =
+    b*delta/tau + outside, which strictly falls as tau grows, and its tail
+    beta0(tau) = (x - delta)/(1 - q^(k-tau)) + c(v->t), which never falls
+    (and strictly rises unless x = delta). So "beta0 > alpha0" is false up to
+    some tau and true from there on: a binary search finds the least tau*
+    where it holds, or tau* = k if none does. When x = delta, beta0 =
+    c(v->t) <= alpha0 everywhere, so tau* = k. Each tau < tau* yields the
+    head-heavy chunking at bottleneck alpha0(tau); each tau >= tau* yields it
+    at bottleneck beta0(tau), and also the rebalanced chunking with tau - 1
+    head chunks (the geometric chunking at tau = 1). Only tau*-1 and tau*
+    are yielded, with the tau = k candidate; the others cannot change the
+    argmin of (bottleneck, tau, chunks):
+
+    * tau <= tau*-2: the only candidate is head-heavy, at alpha0(tau) >
+      alpha0(tau*-1), the bottleneck of the head-heavy candidate at tau*-1.
+    * tau >= tau*+1, head-heavy: beta0(tau) > beta0(tau*), the bottleneck of
+      the head-heavy candidate at tau* (x > delta here, as tau* < k).
+    * tau >= tau*+1, rebalanced: its tau-1 >= tau* head chunks are y <=
+      delta/(tau-1) each, so they carry at most delta, and its tail carries
+      at least x - delta over at most k - tau* chunks. The tail perceives at
+      least beta0(tau*). Equality needs y = delta/tau* at tau = tau*+1: that
+      chunking is the head-heavy one at tau*, so the tie leaves the argmin
+      as it is.
     """
     x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
     p, r = b.numerator, b.denominator
@@ -318,24 +351,36 @@ def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
     if k == 1 or o is None or big_d <= 0:
         yield shape(0, 0, 1, p**k, (p - r) ** k)
         return
-    if big_d <= big_x:  # 0 < delta <= x: a head-heavy candidate per tau < k
-        ppow, spow = _powers(p, k), _powers(p - r, k)
-        for tau in range(1, k):
-            # Head-heavy: shape(tau, d/tau), whose two perceived costs are these.
-            # alpha0 = b*d/tau + outside, beta0 = (x-d)/(1-q^(k-tau)) + c(v->t)
-            alpha_n, alpha_d = p * big_d + r * tau * big_o, r * tau
-            z = ppow[k - tau] - spow[k - tau]
-            beta_n, beta_d = (big_x - big_d) * ppow[k - tau] + big_c * z, z
-            if beta_n * alpha_d <= alpha_n * beta_d:
+    if big_d <= big_x:  # 0 < delta <= x: the window around the crossing tau*
+
+        def head_heavy(tau: int) -> tuple[int, int, int, int]:
+            # shape(tau, d/tau)'s two perceived costs as (alpha_n, alpha_d,
+            # beta_n, beta_d): alpha0 = b*d/tau + outside and
+            # beta0 = (x-d)/(1-q^(k-tau)) + c(v->t).
+            pk, sk = p ** (k - tau), (p - r) ** (k - tau)
+            z = pk - sk
+            return p * big_d + r * tau * big_o, r * tau, (big_x - big_d) * pk + big_c * z, z
+
+        lo, hi = 1, k  # tau* = the least tau < k with beta0 > alpha0, else k
+        while lo < hi:
+            mid = (lo + hi) // 2
+            alpha_n, alpha_d, beta_n, beta_d = head_heavy(mid)
+            if beta_n * alpha_d > alpha_n * beta_d:
+                hi = mid
+            else:
+                lo = mid + 1
+        for tau in range(max(1, lo - 1), min(lo + 1, k)):
+            alpha_n, alpha_d, beta_n, beta_d = head_heavy(tau)
+            if tau < lo:  # beta0 <= alpha0: head-heavy only
                 yield alpha_n, alpha_d * d0, tau, big_d, tau * d0
                 continue
             yield beta_n, beta_d * d0, tau, big_d, tau * d0
+            pk, sk = p ** (k - tau + 1), (p - r) ** (k - tau + 1)
             if tau == 1:
-                yield shape(0, 0, 1, ppow[k], spow[k])
+                yield shape(0, 0, 1, pk, sk)
                 continue
             # Rebalanced: y* = (d*z + (1-z)*x) / (tau-1 + z*b) with
             # z = 1 - q^(k-tau+1), at most d/(tau-1).
-            pk, sk = ppow[k - tau + 1], spow[k - tau + 1]
             y_n = r * (big_d * (pk - sk) + sk * big_x)
             y_d = r * (tau - 1) * pk + p * (pk - sk)
             if y_n * (tau - 1) > big_d * y_d:

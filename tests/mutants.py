@@ -123,6 +123,27 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
+        "        if n != last:\n",
+        "        if cost is None:\n",
+        "tests/test_edge_chunk.py::test_evaluate_geometric_chunking_s32",
+        "_suffix_walk: a perceived cost is reused only while its numerator repeats",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "if beta_n * alpha_d > alpha_n * beta_d:",
+        "if beta_n * alpha_d >= alpha_n * beta_d:",
+        "tests/test_edge_chunk.py::test_candidate_screen_is_exact",
+        "_candidates: tau* is where the head-heavy tail strictly exceeds its head",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "for tau in range(max(1, lo - 1), min(lo + 1, k)):",
+        "for tau in range(lo, min(lo + 1, k)):",
+        "tests/test_edge_chunk.py::test_optimizer_evaluates_only_the_screen_ties",
+        "_candidates: the window starts at tau*-1",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
         "        if mass >= big_x * lp:\n",
         "        if mass > big_x * lp:\n",
         "tests/test_edge_chunk.py::test_min_chunks_to_beat_examples",

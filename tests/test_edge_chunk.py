@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chunkwise import (
@@ -450,6 +450,21 @@ def test_optimal_bottleneck_monotone_in_k_random():
             prev = rep.bottleneck
 
 
+def _one_edge(x, c, o) -> TaskGraph:
+    # Edge (u, v) of cost x, c(v->t) = c, and one outside route of cost o.
+    return TaskGraph(
+        ["u", "v", "z", "t"],
+        [("u", "v", x), ("v", "t", c), ("u", "z", 0), ("z", "t", o)],
+        "u",
+        "t",
+    )
+
+
+def _s32_uv(outside) -> TaskGraph:
+    # (u, v) of s32 (x = 14, c(v->t) = 60.1) with one outside route of the given cost.
+    return _one_edge(14, F(601, 10), outside)
+
+
 @st.composite
 def _edge_queries(draw):
     if draw(st.booleans()):
@@ -459,45 +474,79 @@ def _edge_queries(draw):
     else:
         # One edge (u, v) and one outside route: draws every delta regime.
         cost = st.fractions(min_value=0, max_value=40, max_denominator=12)
-        x, c, o = draw(cost), draw(cost), draw(cost)
-        g = TaskGraph(
-            ["u", "v", "z", "t"],
-            [("u", "v", x), ("v", "t", c), ("u", "z", 0), ("z", "t", o)],
-            "u",
-            "t",
-        )
-        edge = ("u", "v")
+        g, edge = _one_edge(draw(cost), draw(cost), draw(cost)), ("u", "v")
     b = draw(st.fractions(min_value=F(7, 6), max_value=8, max_denominator=6))
     return g, edge, b, draw(st.integers(1, 24))
 
 
+def _all_candidates(ctx, b: F, k: int) -> list[tuple[int, int, F]]:
+    """The optimizer's whole candidate family as (tau, h, y) in `Fraction`s,
+    each h head chunks y and then a geometric tail: one or two for every
+    transition vertex tau < k, then the tau = k one. `_candidates` yields
+    the members at tau*-1, tau* and k."""
+    x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
+    if k == 1 or o is None or x + c - o <= 0:
+        return [(k, 0, F(0))]
+    d, q = x + c - o, (b - 1) / b
+    family = []
+    if d <= x:
+        for tau in range(1, k):
+            family.append((tau, tau, d / tau))  # head-heavy
+            if (x - d) / (1 - q ** (k - tau)) + c <= b * d / tau + o:
+                continue
+            if tau == 1:
+                family.append((1, 0, F(0)))  # geometric
+                continue
+            z = 1 - q ** (k - tau + 1)  # rebalanced
+            y = min((d * z + (1 - z) * x) / (tau - 1 + z * b), d / (tau - 1))
+            family.append((tau, tau - 1, y))
+    family.append((k, k - 1, min((d + (b - 1) * x) / (b * k), d / (k - 1), x / (k - 1))))
+    return family
+
+
+# Two of its k = 2 candidates tie at the least bottleneck for b = 2: its
+# head-heavy chunking at tau = 1 has both perceived costs 115/4.
+_TWO_TIED = _one_edge(21, F(3, 4), F(59, 4))
+# At b = 2 and k = 4 the head-heavy chunking at tau = 2 perceives 25 on its
+# head and on its tail, so tau* = 3.
+_TIED_AT_2 = _one_edge(24, 1, 19)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_edge_queries())
+@example((_s32_uv(F(601, 10)), ("u", "v"), B2, 8))  # delta = x: tau* = k
+@example((_s32_uv(73), ("u", "v"), B2, 3))  # tau* = 1: the geometric one
+@example((_TWO_TIED, ("u", "v"), B2, 2))  # a tie at tau*-1 = 1
+@example((_TIED_AT_2, ("u", "v"), B2, 4))  # a tie at tau*-1 = 2
+@example((s32_graph(), ("u", "v"), B2, 2))
+@example((s32_graph(), ("u", "v"), B2, 64))
 def test_candidate_screen_is_exact(query):
-    # The optimizer fully evaluates only the candidates whose closed-form
-    # bottleneck ties the minimum; that is sound only if every closed form
-    # is exact. Evaluate every candidate here and compare.
+    # The optimizer evaluates only the screened candidates whose closed-form
+    # bottleneck ties the least one. That is sound only if every closed form
+    # is exact and the screen's window around tau* keeps the argmin of the
+    # whole family. Evaluate the screen and the whole family here.
     g, edge, b, k = query
     dist = shortest_to_sink(g)
-    keys = []
     ctx = edge_context(g, dist, edge)
-    for n, m, h, y_n, y_d in _candidates(ctx, b, k):
+    screen = list(_candidates(ctx, b, k))
+    assert len(screen) <= 4
+    family = _all_candidates(ctx, b, k)
+    # tau* is the least tau < k that also yields a rebalanced or geometric
+    # candidate (h < tau), else k.
+    tau_star = min((tau for tau, h, _ in family if h < tau < k), default=k)
+    window = [(h, y) for tau, h, y in family if tau in (tau_star - 1, tau_star, k)]
+    assert [(h, F(y_n, y_d)) for _, _, h, y_n, y_d in screen] == window
+    for n, m, h, y_n, y_d in screen:
         chunking = Chunking(*edge, _head_then_geometric(ctx.x, b, k, h, F(y_n, y_d)))
+        assert evaluate_chunking(g, dist, chunking, b).bottleneck == F(n, m)
+    keys = []
+    for _, h, y in family:
+        chunking = Chunking(*edge, _head_then_geometric(ctx.x, b, k, h, y))
         report = evaluate_chunking(g, dist, chunking, b)
-        assert report.bottleneck == F(n, m)
         keys.append((report.bottleneck, report.tau, chunking.chunks))
     chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
     assert (report.bottleneck, report.tau, chunking.chunks) == min(keys)
     assert report.bottleneck == independent_min_bottleneck(g, dist, edge, b, k)
-
-
-# Two of its k = 2 candidates tie at the least bottleneck for b = 2.
-_TWO_TIED = TaskGraph(
-    ["u", "v", "z", "t"],
-    [("u", "v", 21), ("v", "t", F(3, 4)), ("u", "z", 0), ("z", "t", F(59, 4))],
-    "u",
-    "t",
-)
 
 
 @pytest.mark.parametrize(
@@ -524,21 +573,11 @@ def test_optimizer_evaluates_only_the_screen_ties(monkeypatch, g, k, ties):
     assert len(calls) == bottlenecks.count(min(bottlenecks))
 
 
-def _one_edge_graph(outside: int) -> TaskGraph:
-    # (u, v) of s32 (x = 14, c(v->t) = 60.1) with one outside route of the given cost.
-    return TaskGraph(
-        ["u", "v", "z", "t"],
-        [("u", "v", 14), ("v", "t", F(601, 10)), ("u", "z", 0), ("z", "t", outside)],
-        "u",
-        "t",
-    )
-
-
 _LARGE_K_EDGES = {
     "s32": s32_graph(),
-    "delta<=0": _one_edge_graph(76),  # delta = -19/10
-    "0<delta<=x": _one_edge_graph(70),  # delta = 41/10
-    "delta>x": _one_edge_graph(40),  # delta = 341/10
+    "delta<=0": _s32_uv(76),  # delta = -19/10
+    "0<delta<=x": _s32_uv(70),  # delta = 41/10
+    "delta>x": _s32_uv(40),  # delta = 341/10
 }
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import pytest
+
 from chunkwise import (
     BudgetSpec,
     TaskGraph,
@@ -17,6 +19,8 @@ from chunkwise import (
     shortest_to_sink,
     two_agent_plan,
 )
+from chunkwise.edge_chunk import _candidates, edge_context
+from chunkwise.oracle import max_mass_under_cap
 
 B2 = Fraction(2)
 F = Fraction
@@ -62,8 +66,9 @@ def test_edge_chunking_no_superquadratic_blowup_in_k():
 
 
 def test_interior_delta_edge_chunking_is_linear_in_k(s32):
-    # s32's (u, v) has 0 < delta <= x, the branch with ~2k candidates: each
-    # must be screened in O(1) exact operations, not evaluated in O(k).
+    # s32's (u, v) has 0 < delta <= x, the branch whose at most four
+    # candidates a binary search over tau finds; only the tied ones are
+    # evaluated, each in O(k).
     dist = shortest_to_sink(s32)
 
     def run(k):
@@ -73,6 +78,20 @@ def test_interior_delta_edge_chunking_is_linear_in_k(s32):
     t256 = _timed(run(256))
     assert t256 < 0.25
     assert t256 <= 4 * t128  # quadratic predicts 4x; linear predicts 2x
+
+
+@pytest.mark.parametrize("k", [256, 1024, 4096])
+def test_interior_delta_screen_keeps_four_candidates_at_large_k(s32, k):
+    # The expensive branch at large k, with no wall-clock bound: the screen
+    # yields at most four candidates, and the greedy mass under the reported
+    # bottleneck is exactly the edge cost (the benchmark's edge check).
+    dist = shortest_to_sink(s32)
+    ctx = edge_context(s32, dist, ("u", "v"))
+    assert len(list(_candidates(ctx, B2, k))) <= 4
+    chunking, report = optimal_edge_chunking(s32, dist, ("u", "v"), B2, k)
+    assert chunking.k == k and sum(chunking.chunks) == ctx.x
+    assert report.bottleneck == max(report.perceived) > ctx.cost_to_sink
+    assert max_mass_under_cap(ctx, B2, report.bottleneck, k) == ctx.x
 
 
 def test_two_agent_global_no_supercubic_blowup():
