@@ -9,17 +9,18 @@ pairs these with the single-agent machinery, and reads the local/global
 budget rule from `BudgetSpec`. Types that must share one path (and two
 types with one bias) are planned by graph_chunk's single-path pipeline,
 `shared_path_plan`. Every emitted plan is validated by simulating each
-agent type on it; the two-agent planner falls back to exhaustive path
-pairs when its optimistic DP and the simulation disagree.
+agent type on it; a two-agent plan that fails is an invariant violation.
 
 The two-agent planner builds one `JointMoves` table per call: both
-persuasion profiles, both types' per-edge chunk needs, and every move out
-of a vertex (joint, same-edge or solo) with its witness chunkings, each
-computed on first use. Its DP, its static pair plans, its exhaustive
-fallback and `oracle.brute_force_two_agent_plan` all read that one table.
-The DP is graph_chunk's `cheapest_paths` run on a graph of position pairs,
-which resolves a move only while its lower bound can still win some budget
-level, so a joint move beaten on cost is never built.
+persuasion profiles, and both types' per-edge chunk needs and every move
+out of a vertex (joint, same-edge or solo) with its witness chunkings, each
+computed on first use. Its DP, its static pair plan and
+`oracle.brute_force_two_agent_plan` all read that one table. The DP is
+graph_chunk's `cheapest_paths` run on a graph of position pairs, in which
+the type that is behind moves alone, so both types stand together at every
+vertex their paths share and the DP charges each pair exactly its static
+plan. It resolves a move only while its lower bound can still win some
+budget level, so a joint move beaten on cost is never built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
 from .edge_chunk import (
@@ -49,7 +50,6 @@ from .graph import (
     Edge,
     TaskGraph,
     path_cost,
-    path_pairs_by_cost,
     shortest_to_sink,
     validate,
 )
@@ -61,6 +61,7 @@ from .graph_chunk import (
     cheapest_paths,
     chunk_budget_needed,
     chunk_graph,
+    edge_moves,
     persuasion_profile,
     shared_path_plan,
     walk_choices,
@@ -441,10 +442,10 @@ class Move:
 class JointMoves:
     """Every move the two-agent planner asks about for one (g, b1 < b2, budget).
 
-    Both persuasion profiles and both types' per-edge chunk needs are
-    computed on construction. A move, and each `chunk_split` behind one, is
-    computed on first use and kept on this object, never on the module, so
-    its memory goes with the planner or oracle call that built it.
+    Both persuasion profiles are computed on construction. A type's chunk
+    need on an edge, a move, and each `chunk_split` behind one, are computed
+    on first use and kept on this object, never on the module, so their
+    memory goes with the planner or oracle call that built it.
     """
 
     def __init__(self, g: TaskGraph, b1: Fraction, b2: Fraction, budget: BudgetSpec) -> None:
@@ -456,10 +457,9 @@ class JointMoves:
         self.agents = AgentSet((b1, b2))
         # need[t][e]: chunks routing type t alone through e (see chunk_budget_needed)
         self.need = tuple(
-            {
-                (u, v): chunk_budget_needed(g, self.dist, pers, b, u, v, budget.k)
-                for u, v, _ in g.edges
-            }
+            LazyEdgeMap(
+                lambda e, pers=pers, b=b: chunk_budget_needed(g, self.dist, pers, b, *e, budget.k)
+            )
             for pers, b in zip(self.pers, (b1, b2))
         )
         self._moves: dict[tuple[str, Optional[str], Optional[str]], Optional[Move]] = {}
@@ -619,15 +619,12 @@ def two_agent_plan(
 ) -> tuple[ChunkPlan, tuple[TraversalTrace, TraversalTrace]]:
     """Minimize the sum of both types' incurred costs under one chunk plan.
 
-    The DP over position pairs (`_two_agent_dp`) picks a path pair, which
-    is rebuilt as a static per-vertex plan and validated by simulating each
-    type, falling back to exhaustive enumeration of path pairs when the
-    optimistic DP overreaches (interactions between chunkings installed at
-    a vertex both paths visit at different times). The DP also charges an
-    edge both types take at different steps once per type, where one
-    same-edge chunking may serve both, so the fallback can return a pair
-    cheaper than the DP's own pick.
-    The DP, the pair plans and the fallback read one JointMoves table.
+    The DP over position pairs (`_two_agent_dp`) picks the cheapest path
+    pair whose per-vertex moves fit the budget. Its charges are exactly the
+    moves `_pair_plan` installs for that pair, so the pair's static plan is
+    optimal among all pair plans; the plan is still validated by walking
+    each type on it, and a pick that fails is an `InvariantViolation`.
+    The DP and the pair plan read one JointMoves table.
     """
     if b1 > b2:
         raise InvalidParams("need b1 <= b2")
@@ -636,16 +633,10 @@ def two_agent_plan(
 
     moves = JointMoves(g, b1, b2, budget)
     pair = _two_agent_dp(moves)
-    if pair is not None:
-        planned = _pair_plan(moves, *pair)
-        if planned is not None:
-            return planned
-    # Fallback: exhaustive static search (always contains the default pair).
-    for _, P, Q in path_pairs_by_cost(g):
-        planned = _pair_plan(moves, P, Q)
-        if planned is not None:
-            return planned
-    raise InvariantViolation("the default biased paths failed to validate")
+    planned = None if pair is None else _pair_plan(moves, *pair)
+    if planned is None:
+        raise InvariantViolation(f"the two-agent DP's pick {pair} failed to validate")
+    return planned
 
 
 def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -653,24 +644,41 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
 
     A vertex (u, y) has A1 at u and A2 at y. Where both stand at one vertex
     they leave it by a joint move (rank 0), built by `JointMoves.move` only
-    when the DP reads it. Where they stand apart, A2 joins A1 (rank 1), A1
-    joins A2 (rank 2), or each takes its own edge (rank 3), charged the
-    needs of the edges taken; an unusable edge is skipped before the DP
-    sorts the row. Once one type is at the sink the other moves alone,
-    ranked by its chunks. Ties thus break on (cost, rank, v, z, chunks).
-    A move costs the sum of the edges taken in g's scaled ints. The walk
+    when the DP reads it. Where they stand apart, only the type at the
+    topologically earlier vertex moves, alone, ranked by its chunks; the
+    sink comes after every vertex, so this also moves the type that has not
+    finished. An edge's need, and whether it is usable, is computed only
+    when the DP resolves the move. Ties thus break on (cost, rank, head
+    pair, chunks), where rank is 0 for a joint move and the chunks for a
+    solo move. A move costs the edges taken in g's scaled ints. The walk
     from (s, s) to (t, t) is projected onto each type's path.
+
+    The walk meets at every vertex w both paths share: every vertex before
+    w on a path precedes w topologically, so whichever type reaches w first
+    waits there while the other, behind it, moves along its path up to w.
+    Each DP step is thus the move `_pair_plan` installs at that vertex (a
+    joint move where both paths leave it, a solo move where one does), and
+    the DP charges a pair exactly its plan's chunks.
+
+    Valid per-vertex moves make a valid plan. A type's choice at u reads
+    only u's out-edges and the chains installed at u, and chain vertices
+    copy u's other out-edges unchunked. Chunking changes no original
+    vertex's distance. So the walk from u to the next original vertex on
+    the whole plan is the walk on the view of u's move alone, which the
+    move was checked on.
     """
     g, budget = moves.g, moves.budget
     t = g.sink
-    l1, l2 = ({e: budget.charge(l) for e, l in need.items()} for need in moves.need)
+    topo = validate(g)
+    pos = {u: i for i, u in enumerate(topo)}
+    solo = [
+        edge_moves(g, LazyEdgeMap(lambda e, need=need: budget.charge(need[e])))
+        for need in moves.need
+    ]
 
     def joint(u: str, v: str, z: str) -> Optional[tuple[int, int]]:
         found = moves.move(u, v, z)
         return None if found is None else (0, budget.charge(found.chunk_count))
-
-    def known(rank: int, l: int) -> Callable[[], tuple[int, int]]:
-        return lambda: (rank, l)
 
     def pair_moves(pair: tuple[str, str]) -> Iterator[Step[tuple[str, str]]]:
         u, y = pair
@@ -678,27 +686,14 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
             for v, cv in g.scaled_out_edges(u):
                 for z, cz in g.scaled_out_edges(u):
                     yield cv + cz, (v, z), lambda v=v, z=z: joint(u, v, z)
-        elif y == t:
-            for v, cv in g.scaled_out_edges(u):
-                if l1[(u, v)] is not None:
-                    yield cv, (v, t), known(l1[(u, v)], l1[(u, v)])
-        elif u == t:
-            for z, cz in g.scaled_out_edges(y):
-                if l2[(y, z)] is not None:
-                    yield cz, (t, z), known(l2[(y, z)], l2[(y, z)])
+        elif pos[u] < pos[y]:  # A1 is behind, so it moves alone
+            for c, v, resolve in solo[0](u):
+                yield c, (v, y), resolve
         else:
-            if l2.get((y, u)) is not None:  # A2 joins A1 at u
-                yield g.scaled_cost(y, u), (u, u), known(1, l2[(y, u)])
-            if l1.get((u, y)) is not None:  # A1 joins A2 at y
-                yield g.scaled_cost(u, y), (y, y), known(2, l1[(u, y)])
-            for v, cv in g.scaled_out_edges(u):
-                if v == y or l1[(u, v)] is None:
-                    continue
-                for z, cz in g.scaled_out_edges(y):
-                    if z != u and l2[(y, z)] is not None:
-                        yield cv + cz, (v, z), known(3, l1[(u, v)] + l2[(y, z)])
+            for c, z, resolve in solo[1](y):
+                yield c, (u, z), resolve
 
-    rev = list(reversed(validate(g)))
+    rev = list(reversed(topo))
     order = [(u, y) for u in rev for y in rev if not u == y == t]
     levels = budget.levels
     source = (g.source, g.source)

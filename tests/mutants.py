@@ -191,6 +191,20 @@ CATALOGUE = (
         "tests/test_multi_agent.py",
         "_first_move_ok: a type left unchunked must take its target edge",
     ),
+    Mutant(
+        "src/chunkwise/multi_agent.py",
+        "elif pos[u] < pos[y]:",
+        "elif pos[u] > pos[y]:",
+        "tests/test_multi_agent.py::test_two_agent_dp_charges_a_shared_edge_once",
+        "_two_agent_dp: of two types apart, the one behind moves",
+    ),
+    Mutant(
+        "src/chunkwise/multi_agent.py",
+        "elif pos[u] < pos[y]:",
+        "elif u < y:",
+        "tests/test_multi_agent.py::test_two_agent_dp_moves_the_topologically_earlier_type",
+        "_two_agent_dp: behind means earlier in topological order, not in name order",
+    ),
 )
 
 

@@ -708,37 +708,79 @@ def test_m_agent_random_all_types_follow():
             assert original_path(cg, trace.path) == path
 
 
-def test_two_agent_fallback_path():
-    # The DP's pick sends A1 over (d, f) while A2 passes d on its way to t,
-    # and no joint move at d does that, so the pair plan fails and the
-    # exhaustive static fallback plans the oracle's optimum. The DP charges
-    # (d, t) once per type, 2 + 2 chunks, where one 2-chunk same-edge
-    # chunking serves both, so it priced that cheaper pair out of budget.
+_SHARED_EDGE_EDGES = [
+    ("s", "a", 0), ("s", "d", F(7, 10)), ("s", "f", F(5, 4)), ("a", "b", 5),
+    ("a", "c", F(3, 5)), ("b", "e", F(1, 2)), ("c", "d", F(5, 4)), ("c", "e", F(7, 5)),
+    ("d", "f", F(6, 5)), ("d", "t", 2), ("e", "f", 6), ("f", "t", F(6, 5)),
+]
+
+
+def _assert_dp_charges_a_shared_edge_once(names):
+    # Both types pass d, so the DP has them stand there together and charges
+    # (d, t) once, for the one 2-chunk same-edge chunking that serves both.
+    # A DP that let both types move at once from apart states charged it
+    # 2 + 2 chunks, priced this pair out of the budget, and picked
+    # s->d->f->t for A1, which no joint move at d realises.
     import chunkwise.multi_agent as ma
 
+    def path(p):
+        return tuple(names[v] for v in p)
+
     g = TaskGraph(
-        ["s", "a", "b", "c", "d", "e", "f", "t"],
-        [
-            ("s", "a", 0), ("s", "d", F(7, 10)), ("s", "f", F(5, 4)), ("a", "b", 5),
-            ("a", "c", F(3, 5)), ("b", "e", F(1, 2)), ("c", "d", F(5, 4)), ("c", "e", F(7, 5)),
-            ("d", "f", F(6, 5)), ("d", "t", 2), ("e", "f", 6), ("f", "t", F(6, 5)),
-        ],
+        [names[v] for v in "sabcdeft"],
+        [(names[u], names[v], c) for u, v, c in _SHARED_EDGE_EDGES],
         "s",
         "t",
     )
     b1, b2, budget = F(7, 3), F(22, 3), BudgetSpec("global", 2)
     moves = JointMoves(g, b1, b2, budget)
     picked = ma._two_agent_dp(moves)
-    assert picked == (("s", "d", "f", "t"), ("s", "a", "c", "d", "t"))
-    assert path_cost(g, picked[0]) + path_cost(g, picked[1]) == F(139, 20)
-    assert moves.move("d", "f", "t") is None
-    assert ma._pair_plan(moves, *picked) is None
+    assert picked == (path("sdt"), path("sacdt"))
+    assert path_cost(g, picked[0]) + path_cost(g, picked[1]) == F(131, 20)
+    assert moves.move(names["d"], names["f"], "t") is None
+    planned = ma._pair_plan(moves, *picked)
+    assert planned is not None
     plan, traces = two_agent_plan(g, b1, b2, budget)
-    assert plan.planned_paths == (("s", "d", "t"), ("s", "a", "c", "d", "t"))
-    assert [(ch.edge, ch.chunks) for ch in plan.chunkings] == [(("d", "t"), (F(7, 11), F(15, 11)))]
+    assert (plan, traces) == planned
+    assert plan.planned_paths == (path("sdt"), path("sacdt"))
+    assert [(ch.edge, ch.chunks) for ch in plan.chunkings] == [
+        ((names["d"], "t"), (F(7, 11), F(15, 11)))
+    ]
     assert sum(t.total for t in traces) == F(131, 20)
     _assert_replays(g, plan, traces)
     assert brute_force_two_agent_plan(g, b1, b2, budget)[0] == F(131, 20)
+
+
+def test_two_agent_dp_charges_a_shared_edge_once():
+    _assert_dp_charges_a_shared_edge_once({v: v for v in "sabcdeft"})
+
+
+def test_two_agent_dp_moves_the_topologically_earlier_type():
+    # The same graph with names whose alphabetical order is not topological:
+    # the type behind is the one at the earlier vertex in topological order,
+    # not the one at the smaller name.
+    names = dict(zip("sabcdeft", "srqponmt"))
+    _assert_dp_charges_a_shared_edge_once(names)
+
+
+def test_two_agent_dp_pick_validates_and_matches_the_oracle():
+    # Every pick of the DP is a pair whose static plan validates, at the
+    # exhaustive path-pair minimum: nothing is left for a fallback to find.
+    import chunkwise.multi_agent as ma
+
+    rng = random.Random(2026)
+    for _ in range(100):
+        g = random_task_graph(rng, min_vertices=4, max_vertices=8)
+        b1 = _random_bias(rng)
+        b2 = b1 + F(rng.randint(1, 12), 4)
+        k = rng.randint(1, 4)
+        for mode in ("local", "global"):
+            budget = BudgetSpec(mode, k)
+            moves = JointMoves(g, b1, b2, budget)
+            picked = ma._two_agent_dp(moves)
+            assert picked is not None and ma._pair_plan(moves, *picked) is not None
+            cost = path_cost(g, picked[0]) + path_cost(g, picked[1])
+            assert cost == brute_force_two_agent_plan(g, b1, b2, budget)[0]
 
 
 def test_two_agent_matches_oracle_k3():
@@ -756,8 +798,8 @@ def test_two_agent_matches_oracle_k3():
 
 def test_two_agent_plan_builds_its_tables_once(monkeypatch):
     # One two-agent call computes each type's persuasion profile once and
-    # each chunk_split (edge, chunks, taker) once, however often the DP, the
-    # pair plans and the fallback ask for them.
+    # each chunk_split (edge, chunks, taker) once, however often the DP and
+    # the pair plan ask for them.
     import chunkwise.multi_agent as ma
 
     profiles: list[Fraction] = []
