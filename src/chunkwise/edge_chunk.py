@@ -13,7 +13,7 @@ where outside is the true cost of u's best route to the sink that avoids
 decides which agents traverse the whole chain. The min term, the true cost
 to the sink from chain vertex i, is `_floor(outside, suffix_i + c(v->t))`.
 
-`optimal_edge_chunking` screens at most four closed-form candidates in
+`optimal_edge_chunking` screens at most three closed-form candidates in
 Python ints: x, c(v->t) and outside over one common denominator, b = p/r,
 and powers of p and p - r. A binary search over the transition vertex finds
 them in O(log k) steps. Bottlenecks compare by exact cross-multiplication,
@@ -27,7 +27,7 @@ one.
 `greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
 filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
 and the oracle's saturated witness, several keep every type on one edge
-(`multi_agent.chunk_same_path`). It too steps in ints.
+(`graph_chunk.same_path_fill`). It too steps in ints.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def optimal_edge_chunking(
     Screens the closed-form candidate set below by each candidate's exact
     bottleneck, also in closed form and in integers, then builds and
     evaluates only the candidates tied at the minimum and returns the argmin
-    of (bottleneck, tau, chunk vector). Finding the at most four candidates
+    of (bottleneck, tau, chunk vector). Finding the at most three candidates
     takes O(log k) screens, each a few powers and O(1) integer
     multiplications on numbers of O(k) bits; each tied candidate's
     evaluation is one O(k) pass in ints.
@@ -255,12 +255,12 @@ def optimal_edge_chunking(
       provably optimal;
     * delta > x: every chain vertex leaves; balance the k-1 equal head chunks
       against the final chunk, clamping the final chunk at zero;
-    * 0 < delta <= x: at the transition vertices tau*-1 and tau*, tau* the
-      least at which the head-heavy chunking's (delta/tau on the first tau
-      chunks, geometric tail) tail perceived cost exceeds its head one, the
-      head-heavy chunking and, from tau* on, the rebalanced chunking that
-      grows the first tau-1 chunks; plus the tau = k balanced chunking. No
-      other tau can do better (`_candidates`).
+    * 0 < delta <= x: at the transition vertex tau*, the least at which the
+      head-heavy chunking's (delta/tau on the first tau chunks, geometric
+      tail) tail perceived cost exceeds its head one, the head-heavy
+      chunking and the rebalanced chunking that grows the first tau-1
+      chunks; plus the tau = k balanced chunking. No other tau can do
+      better (`_candidates`).
     """
     _check_params(b, k)
     ctx = edge_context(g, dist, edge)
@@ -315,12 +315,16 @@ def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
     c(v->t) <= alpha0 everywhere, so tau* = k. Each tau < tau* yields the
     head-heavy chunking at bottleneck alpha0(tau); each tau >= tau* yields it
     at bottleneck beta0(tau), and also the rebalanced chunking with tau - 1
-    head chunks (the geometric chunking at tau = 1). Only tau*-1 and tau*
-    are yielded, with the tau = k candidate; the others cannot change the
-    argmin of (bottleneck, tau, chunks):
+    head chunks (the geometric chunking at tau = 1). Only tau* is yielded,
+    with the tau = k candidate; the others cannot change the argmin of
+    (bottleneck, tau, chunks):
 
-    * tau <= tau*-2: the only candidate is head-heavy, at alpha0(tau) >
-      alpha0(tau*-1), the bottleneck of the head-heavy candidate at tau*-1.
+    * tau <= tau*-1: the only candidate is head-heavy, at alpha0(tau) >=
+      alpha0(tau*-1). The head-heavy chunking at tau*-1 is the rebalanced
+      candidate at tau* (the tau = k one when tau* = k) with its head chunks
+      y at their cap delta/(tau*-1). That candidate's head perceived cost
+      rises in y and its tail's falls, so its y minimizes the larger of the
+      two up to that cap: it is strictly lower or the same chunking.
     * tau >= tau*+1, head-heavy: beta0(tau) > beta0(tau*), the bottleneck of
       the head-heavy candidate at tau* (x > delta here, as tau* < k).
     * tau >= tau*+1, rebalanced: its tau-1 >= tau* head chunks are y <=
@@ -369,23 +373,21 @@ def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
                 hi = mid
             else:
                 lo = mid + 1
-        for tau in range(max(1, lo - 1), min(lo + 1, k)):
-            alpha_n, alpha_d, beta_n, beta_d = head_heavy(tau)
-            if tau < lo:  # beta0 <= alpha0: head-heavy only
-                yield alpha_n, alpha_d * d0, tau, big_d, tau * d0
-                continue
+        tau = lo
+        if tau < k:
+            _, _, beta_n, beta_d = head_heavy(tau)
             yield beta_n, beta_d * d0, tau, big_d, tau * d0
             pk, sk = p ** (k - tau + 1), (p - r) ** (k - tau + 1)
             if tau == 1:
                 yield shape(0, 0, 1, pk, sk)
-                continue
-            # Rebalanced: y* = (d*z + (1-z)*x) / (tau-1 + z*b) with
-            # z = 1 - q^(k-tau+1), at most d/(tau-1).
-            y_n = r * (big_d * (pk - sk) + sk * big_x)
-            y_d = r * (tau - 1) * pk + p * (pk - sk)
-            if y_n * (tau - 1) > big_d * y_d:
-                y_n, y_d = big_d, tau - 1
-            yield shape(tau - 1, y_n, y_d, pk, sk)
+            else:
+                # Rebalanced: y* = (d*z + (1-z)*x) / (tau-1 + z*b) with
+                # z = 1 - q^(k-tau+1), at most d/(tau-1).
+                y_n = r * (big_d * (pk - sk) + sk * big_x)
+                y_d = r * (tau - 1) * pk + p * (pk - sk)
+                if y_n * (tau - 1) > big_d * y_d:
+                    y_n, y_d = big_d, tau - 1
+                yield shape(tau - 1, y_n, y_d, pk, sk)
     # tau = k, the only candidate when delta > x: every chain vertex leaves;
     # y = min((d + (b-1)*x) / (b*k), d/(k-1), x/(k-1)).
     y_n, y_d, cap = r * big_d + (p - r) * big_x, p * k, min(big_d, big_x)

@@ -94,11 +94,6 @@ class TaskGraph:
         """u's (head, cost times `scale`) pairs, heads ascending; the one adjacency."""
         return self._scaled_out[u]
 
-    def scaled_cost(self, u: str, v: str) -> int:
-        """cost(u, v) times `scale`, an int."""
-        c = self.cost(u, v)
-        return c.numerator * (self.scale // c.denominator)
-
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self._cost
 

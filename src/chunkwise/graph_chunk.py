@@ -10,18 +10,22 @@ other edge needs at least a 1-chunk marker so ties break toward it.
 edge needing l chunks is charged, how many chunks it gets, and whether a
 plan's total fits.
 
+`GroupNeeds` is the one per-edge decision every planner reads: how many
+chunks, and which chunking, make a group of types take an edge (for one
+bias `min_chunks_to_beat` and the optimal chunking, for several the greedy
+`same_path_fill`).
+
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
 The DP runs on any DAG whose vertices yield their moves: `edge_moves` gives
 it a task graph's edges, and the two-agent planner a graph of position
-pairs. `shared_path_plan` is the one pipeline from a table of per-edge
-chunk needs to a checked plan; `chunk_graph` feeds it one bias's needs and
-optimal edge chunkings, and multi_agent feeds it several types' shared
-needs.
+pairs. `shared_path_plan` is the one pipeline from a group's needs to a
+checked plan, for one type, for m types on one path and for two types of
+one bias.
 
 The DP reads a vertex's moves in the order of a lower bound on what they
-offer and resolves a move only while it can still win, so the planners
-hand it a `LazyEdgeMap` that computes an edge's need on its first read.
+offer and resolves a move only while it can still win, so `GroupNeeds`
+computes an edge's need on its first read (`LazyEdgeMap`).
 """
 
 from __future__ import annotations
@@ -29,10 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, Optional, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, Optional, Sequence, TypeVar
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
-from .edge_chunk import Chunking, min_chunks_to_beat, optimal_edge_chunking
+from .edge_chunk import (
+    Cap,
+    Chunking,
+    edge_context,
+    greedy_fill,
+    min_chunks_to_beat,
+    optimal_edge_chunking,
+    padded_chunking,
+)
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
 from .expansion import ChunkPlan, PlanView, original_path, walk_follows_chunking
 from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
@@ -89,26 +101,6 @@ def persuasion_profile(g: TaskGraph, dist: DistanceMap, b: Fraction) -> Persuasi
     return Persuasion(default, alpha)
 
 
-def chunk_budget_needed(
-    g: TaskGraph,
-    dist: DistanceMap,
-    pers: Persuasion,
-    b: Fraction,
-    u: str,
-    v: str,
-    k_max: int,
-) -> Optional[int]:
-    """Chunks needed to route the agent through (u, v); 0 for the default edge.
-
-    None when no k_max-chunking persuades, which is every other edge at k_max 0.
-    """
-    if pers.default[u] == v:
-        return 0
-    if k_max == 0:
-        return None
-    return min_chunks_to_beat(g, dist, (u, v), b, pers.alpha[u], k_max)
-
-
 V = TypeVar("V")
 N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
 CostTable = dict[tuple[N, int], int]
@@ -133,6 +125,81 @@ class LazyEdgeMap(dict[Edge, V]):
     def __missing__(self, e: Edge) -> V:
         value = self[e] = self._compute(e)
         return value
+
+
+def _caps(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction],
+    perss: Sequence[Persuasion] = (),
+) -> list[Cap]:
+    """Each type's (bias, outside option) on an edge whose tail has another way out.
+
+    Given the types' persuasion profiles, a type's outside option is its
+    alpha at the tail unless the edge is that type's default (a tie with the
+    default still gives alpha): only a default edge asks for the second best.
+    """
+    u, v = edge
+    return [
+        (b, pers.alpha[u]) if pers and pers.default[u] != v
+        else (b, best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)[1])
+        for b, pers in zip(biases, perss or [None] * len(biases))
+    ]
+
+
+def same_path_fill(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int,
+    perss: Sequence[Persuasion] = (),
+) -> Optional[list[Fraction]]:
+    """The `greedy_fill` of at most k chunks that every type traverses, or
+    None when no k-chunking carries them all; perss, the types' persuasion
+    profiles if held, give `_caps`."""
+    ctx = edge_context(g, dist, edge)
+    if ctx.outside is None:  # no type can leave the chain: one chunk carries it
+        return [ctx.x] if k >= 1 else None
+    masses, reached = greedy_fill(ctx, _caps(g, dist, edge, biases, perss), k)
+    return masses if reached else None
+
+
+class GroupNeeds:
+    """What it takes to route a group of agent types together through each edge.
+
+    biases may repeat; each distinct one counts once, with its persuasion
+    profile in perss (computed here when not given). need[e] is 0 when e is
+    every type's default edge, None when no budget.k-chunking carries every
+    type, and otherwise one bias's `min_chunks_to_beat` or the length of
+    several's `same_path_fill`; charged[e] is what the budgeted DP takes
+    for it. Both are computed on first read.
+    """
+
+    def __init__(
+        self, g: TaskGraph, dist: DistanceMap, biases: Sequence[Fraction], budget: BudgetSpec,
+        perss: Sequence[Persuasion] = (),
+    ) -> None:
+        self.g, self.dist, self.budget = g, dist, budget
+        self.biases = tuple(dict.fromkeys(biases))
+        self.perss = tuple(perss) or tuple(persuasion_profile(g, dist, b) for b in self.biases)
+        self._fill = LazyEdgeMap(
+            lambda e: same_path_fill(g, dist, e, self.biases, budget.k, self.perss)
+        )
+        self.need: LazyEdgeMap[Optional[int]] = LazyEdgeMap(self._need)
+        self.charged = LazyEdgeMap(lambda e: budget.charge(self.need[e]))
+
+    def _need(self, e: Edge) -> Optional[int]:
+        u, v = e
+        if all(pers.default[u] == v for pers in self.perss):
+            return 0
+        if len(self.biases) == 1:
+            b, alpha, k = self.biases[0], self.perss[0].alpha[u], self.budget.k
+            return min_chunks_to_beat(self.g, self.dist, e, b, alpha, k) if k else None
+        fill = self._fill[e]
+        return None if fill is None else len(fill)
+
+    def chunking(self, e: Edge) -> Chunking:
+        """e split into budget.chunks(need[e]) chunks that every type takes;
+        need[e] must be at least 1."""
+        n = self.budget.chunks(self.need[e])
+        if len(self.biases) > 1:
+            return padded_chunking(e, self._fill[e], n)
+        return optimal_edge_chunking(self.g, self.dist, e, self.biases[0], n)[0]
 
 
 def cheapest_paths(
@@ -221,37 +288,31 @@ def walk_choices(sink: N, choice: Choices[N], u: N, i: int) -> tuple[N, ...]:
 
 
 def shared_path_plan(
-    g: TaskGraph,
-    dist: DistanceMap,
-    biases: tuple[Fraction, ...],
-    budget: BudgetSpec,
-    need: Mapping[Edge, Optional[int]],
-    chunk_edge: Callable[[Edge, int], Chunking],
+    g: TaskGraph, biases: tuple[Fraction, ...], budget: BudgetSpec
 ) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
     """Cheapest path every type can be routed along, its plan and each trace.
 
-    biases holds one bias per type, ascending; one bias may repeat. need[e]
-    is the chunks e needs to carry every type (0 for each type's default
-    edge, None when no budget.k-chunking does), and chunk_edge(e, n) splits
-    e into n chunks. One bias's chunkings are listed in path order, several
-    biases' in edge order. Each distinct bias is walked once on one view of
-    the plan's expanded graph, and must follow the path and every chunking
-    at the DP's cost. Raises InfeasibleChunking when no path fits the budget.
+    biases holds one bias per type, ascending; one bias may repeat. Each
+    edge is charged and chunked as the types' `GroupNeeds` say. One bias's
+    chunkings are listed in path order, several biases' in edge order. Each
+    distinct bias is walked once on one view of the plan's expanded graph,
+    and must follow the path and every chunking at the DP's cost. Raises
+    InfeasibleChunking when no path fits the budget.
     """
+    dist = shortest_to_sink(g)
+    needs = GroupNeeds(g, dist, biases, budget)
     levels = budget.levels
     order = [u for u in reversed(validate(g)) if u != g.sink]
-    charged = LazyEdgeMap(lambda e: budget.charge(need[e]))
-    table, choice = cheapest_paths(order, g.sink, edge_moves(g, charged), levels)
+    table, choice = cheapest_paths(order, g.sink, edge_moves(g, needs.charged), levels)
     if (g.source, levels) not in table:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
     path = walk_choices(g.sink, choice, g.source, levels)
     predicted = Fraction(table[(g.source, levels)], g.scale)
-    types = dict.fromkeys(biases)
     edges = list(zip(path, path[1:]))
-    if len(types) > 1:
+    if len(needs.biases) > 1:
         edges.sort()
     plan = ChunkPlan(
-        chunkings=tuple(chunk_edge(e, budget.chunks(need[e])) for e in edges if need[e]),
+        chunkings=tuple(needs.chunking(e) for e in edges if needs.need[e]),
         mode=budget.mode,
         k=budget.k,
         planned_paths=(path,) * len(biases),
@@ -260,7 +321,7 @@ def shared_path_plan(
     )
     view = PlanView(g, dist, plan)
     traces: dict[Fraction, TraversalTrace] = {}
-    for b in types:
+    for b in needs.biases:
         trace = traverse(view, view, BiasProfile(b), view.marks)
         realized = original_path(view, trace.path)
         if realized != path or trace.total != predicted:
@@ -275,24 +336,6 @@ def shared_path_plan(
     return plan, tuple(traces[b] for b in biases)
 
 
-def chunk_graph(
-    g: TaskGraph, b: Fraction, budget: BudgetSpec, types: int
-) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
-    """shared_path_plan for `types` agent types that all have bias b.
-
-    An edge needs its least persuading chunk count (`chunk_budget_needed`,
-    counted when the DP first reads the edge) and is chunked optimally; a
-    default edge is never chunked, since that never helps one bias.
-    """
-    dist = shortest_to_sink(g)
-    pers = persuasion_profile(g, dist, b)
-    need = LazyEdgeMap(lambda e: chunk_budget_needed(g, dist, pers, b, *e, budget.k))
-    return shared_path_plan(
-        g, dist, (b,) * types, budget, need,
-        lambda e, n: optimal_edge_chunking(g, dist, e, b, n)[0],
-    )
-
-
 def chunk_graph_local(
     g: TaskGraph, b: Fraction, k: int
 ) -> tuple[ChunkPlan, TraversalTrace]:
@@ -301,7 +344,7 @@ def chunk_graph_local(
     Only the non-default edges of the cheapest persuadable path are chunked,
     each optimally into k. The trace's cost equals the DP value exactly.
     """
-    plan, (trace,) = chunk_graph(g, b, BudgetSpec("local", k), 1)
+    plan, (trace,) = shared_path_plan(g, (b,), BudgetSpec("local", k))
     return plan, trace
 
 
@@ -313,5 +356,5 @@ def chunk_graph_global(
     Each edge consumes its least persuading chunk count (0 for the default
     edge) and is chunked optimally into that many.
     """
-    plan, (trace,) = chunk_graph(g, b, BudgetSpec("global", k), 1)
+    plan, (trace,) = shared_path_plan(g, (b,), BudgetSpec("global", k))
     return plan, trace

@@ -2,25 +2,24 @@
 
 Splitting two agents at one vertex works by reshaping a chunking the taker
 still accepts until the other type's perceived cost of one chunk is as high
-as possible. Keeping m agents on one edge is edge_chunk's back-to-front
-`greedy_fill` with each type's (bias, outside option) as a cap; with one
-type it is the fill that persuades a single agent. Graph-level planning
-pairs these with the single-agent machinery, and reads the local/global
-budget rule from `BudgetSpec`. Types that must share one path (and two
-types with one bias) are planned by graph_chunk's single-path pipeline,
-`shared_path_plan`. Every emitted plan is validated by simulating each
-agent type on it; a two-agent plan that fails is an invariant violation.
+as possible. Keeping m agents on one edge is graph_chunk's `same_path_fill`,
+and `chunk_same_path` adds the reason when it fails. Graph-level planning
+reads the local/global budget rule from `BudgetSpec`. Types that must share
+one path (and two types with one bias) are planned by graph_chunk's
+single-path pipeline, `shared_path_plan`. Every emitted plan is validated by
+simulating each agent type on it; a two-agent plan that fails is an
+invariant violation.
 
-The two-agent planner builds one `JointMoves` table per call: both
-persuasion profiles, and both types' per-edge chunk needs and every move
-out of a vertex (joint, same-edge or solo) with its witness chunkings, each
-computed on first use. Its DP, its static pair plan and
-`oracle.brute_force_two_agent_plan` all read that one table. The DP is
-graph_chunk's `cheapest_paths` run on a graph of position pairs, in which
-the type that is behind moves alone, so both types stand together at every
-vertex their paths share and the DP charges each pair exactly its static
-plan. It resolves a move only while its lower bound can still win some
-budget level, so a joint move beaten on cost is never built.
+The two-agent planner builds one `JointMoves` table per call: graph_chunk's
+`GroupNeeds` for each type alone and for the pair on one edge, which give
+its solo and same-edge moves, and every joint split out of a vertex with
+its witness chunkings, each computed on first use. Its DP, its static pair
+plan and `oracle.brute_force_two_agent_plan` all read that one table. The
+DP is graph_chunk's `cheapest_paths` run on a graph of position pairs, in
+which the type that is behind moves alone, so both types stand together at
+every vertex their paths share and the DP charges each pair exactly its
+static plan. It resolves a move only while its lower bound can still win
+some budget level, so a joint move beaten on cost is never built.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
 from .edge_chunk import (
-    Cap,
     Chunking,
     EdgeContext,
     _floor,
@@ -55,14 +53,12 @@ from .graph import (
 )
 from .graph_chunk import (
     BudgetSpec,
-    LazyEdgeMap,
-    Persuasion,
+    GroupNeeds,
     Step,
+    _caps,
     cheapest_paths,
-    chunk_budget_needed,
-    chunk_graph,
     edge_moves,
-    persuasion_profile,
+    same_path_fill,
     shared_path_plan,
     walk_choices,
 )
@@ -373,57 +369,26 @@ def chunk_same_path(
     """Chunking of (u, v) every agent type traverses, if one exists.
 
     Fills chunks k..1, maximizing each chunk subject to every agent's
-    threshold given the mass already placed behind it; a feasible chunking
-    exists iff this greedy one covers the full edge cost.
+    threshold given the mass already placed behind it (`same_path_fill`); a
+    feasible chunking exists iff this greedy one covers the full edge cost.
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    ctx = edge_context(g, dist, edge)
-    if ctx.outside is None:  # no type can leave the chain: one chunk carries it
-        return padded_chunking(edge, [ctx.x], k)
-    caps = _caps(g, dist, edge, agents)
-    masses, reached = greedy_fill(ctx, caps, k)
-    if reached:
-        return padded_chunking(edge, masses, k)
+    fill = same_path_fill(g, dist, edge, agents.biases, k)
+    if fill is not None:
+        return padded_chunking(edge, fill, k)
     # Only the first chunk filled, chunk k, can go negative: its floor is
     # c(v->t), and later floors never pass the least cap.
+    ctx = edge_context(g, dist, edge)
+    caps = _caps(g, dist, edge, agents.biases)
     low = min(alpha for _, alpha in caps)
     if low < ctx.cost_to_sink:
         raise InfeasibleChunking(
             f"chunk {k} forced negative: some type's outside option "
             f"({low}) is below the unavoidable continuation cost {ctx.cost_to_sink}"
         )
+    masses, _ = greedy_fill(ctx, caps, k)
     raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {masses[-1]} of {ctx.x}")
-
-
-def _caps(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, perss: Sequence[Persuasion] = ()
-) -> list[Cap]:
-    """Each type's (bias, outside option) on an edge whose tail has another way out.
-
-    Given the types' persuasion profiles, a type's outside option is its
-    alpha at the tail unless the edge is that type's default (a tie with the
-    default still gives alpha): only a default edge asks for the second best.
-    """
-    u, v = edge
-    return [
-        (profile.default, pers.alpha[u]) if pers and pers.default[u] != v
-        else (profile.default, best_alternative(g, dist, profile, u, exclude_head=v)[1])
-        for profile, pers in zip(agents.profiles, perss or [None] * agents.m)
-    ]
-
-
-def _same_path_fill(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, agents: AgentSet, k: int,
-    perss: Sequence[Persuasion] = (),
-) -> Optional[list[Fraction]]:
-    """chunk_same_path's `greedy_fill`, or None when no k-chunking carries
-    every type; perss, the types' persuasion profiles if held, give `_caps`."""
-    ctx = edge_context(g, dist, edge)
-    if ctx.outside is None:  # no type can leave the chain: one chunk carries it
-        return [ctx.x] if k >= 1 else None
-    masses, reached = greedy_fill(ctx, _caps(g, dist, edge, agents, perss), k)
-    return masses if reached else None
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +407,9 @@ class Move:
 class JointMoves:
     """Every move the two-agent planner asks about for one (g, b1 < b2, budget).
 
-    Both persuasion profiles are computed on construction. A type's chunk
-    need on an edge, a move, and each `chunk_split` behind one, are computed
+    solo[t] is type t's `GroupNeeds` alone and pair the two types' on one
+    shared edge, which reuses the solo tables' persuasion profiles, computed
+    on construction. A move, and each `chunk_split` behind one, are computed
     on first use and kept on this object, never on the module, so their
     memory goes with the planner or oracle call that built it.
     """
@@ -453,15 +419,10 @@ class JointMoves:
         self.budget = budget
         self.dist = shortest_to_sink(g)
         self.vertices = frozenset(g.vertices)
-        self.pers = tuple(persuasion_profile(g, self.dist, b) for b in (b1, b2))
+        self.solo = tuple(GroupNeeds(g, self.dist, (b,), budget) for b in (b1, b2))
+        self.pers = tuple(needs.perss[0] for needs in self.solo)
         self.agents = AgentSet((b1, b2))
-        # need[t][e]: chunks routing type t alone through e (see chunk_budget_needed)
-        self.need = tuple(
-            LazyEdgeMap(
-                lambda e, pers=pers, b=b: chunk_budget_needed(g, self.dist, pers, b, *e, budget.k)
-            )
-            for pers, b in zip(self.pers, (b1, b2))
-        )
+        self.pair = GroupNeeds(g, self.dist, (b1, b2), budget, self.pers)
         self._moves: dict[tuple[str, Optional[str], Optional[str]], Optional[Move]] = {}
         self._splits: dict[tuple[Edge, int, int], Optional[Chunking]] = {}
 
@@ -473,33 +434,19 @@ class JointMoves:
         """
         key = (u, v, z)
         if key not in self._moves:
-            if z is None:
-                found = self._solo(0, u, v)
-            elif v is None:
-                found = self._solo(1, u, z)
-            elif v == z:
-                found = self._same_edge(u, v)
+            if v is not None and z is not None and v != z:
+                self._moves[key] = self._split(u, v, z)
             else:
-                found = self._split(u, v, z)
-            self._moves[key] = found
+                needs = self.pair if v == z else self.solo[v is None]
+                self._moves[key] = self._shared(needs, (u, z if v is None else v))
         return self._moves[key]
 
-    def _solo(self, t: int, u: str, v: str) -> Optional[Move]:
-        l = self.need[t][(u, v)]
-        if not l:  # unusable, or type t's own default edge
+    def _shared(self, needs: GroupNeeds, e: Edge) -> Optional[Move]:
+        """Every type in needs takes e: unchunked on their default edge."""
+        l = needs.need[e]
+        if not l:  # unusable, or the types' default edge
             return None if l is None else Move(0, ())
-        n = self.budget.chunks(l)
-        b = self.agents.biases[t]
-        return Move(n, (optimal_edge_chunking(self.g, self.dist, (u, v), b, n)[0],))
-
-    def _same_edge(self, u: str, v: str) -> Optional[Move]:
-        if all(pers.default[u] == v for pers in self.pers):
-            return Move(0, ())
-        fill = _same_path_fill(self.g, self.dist, (u, v), self.agents, self.budget.k, self.pers)
-        if fill is None:
-            return None
-        n = self.budget.chunks(len(fill))
-        return Move(n, (padded_chunking((u, v), fill, n),))
+        return Move(self.budget.chunks(l), (needs.chunking(e),))
 
     def _split(self, u: str, v: str, z: str) -> Optional[Move]:
         """Least validated pair of splits sending A1 to v and A2 to z.
@@ -629,7 +576,7 @@ def two_agent_plan(
     if b1 > b2:
         raise InvalidParams("need b1 <= b2")
     if b1 == b2:
-        return chunk_graph(g, b1, budget, 2)
+        return shared_path_plan(g, (b1, b2), budget)
 
     moves = JointMoves(g, b1, b2, budget)
     pair = _two_agent_dp(moves)
@@ -671,10 +618,7 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     t = g.sink
     topo = validate(g)
     pos = {u: i for i, u in enumerate(topo)}
-    solo = [
-        edge_moves(g, LazyEdgeMap(lambda e, need=need: budget.charge(need[e])))
-        for need in moves.need
-    ]
+    solo = [edge_moves(g, needs.charged) for needs in moves.solo]
 
     def joint(u: str, v: str, z: str) -> Optional[tuple[int, int]]:
         found = moves.move(u, v, z)
@@ -715,25 +659,12 @@ def single_path_plan(
 ) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
     """Cheapest single path every agent type can be persuaded to follow.
 
-    One type is `chunk_graph`'s plan. Several types need each edge's least
-    group chunk count (0 when it is every type's default) and get
-    `chunk_same_path` chunkings, both from one greedy fill per edge, run
-    when the DP first reads the edge. Returns the plan and each type's trace
-    on it; raises InfeasibleChunking when no path survives.
+    `shared_path_plan` for the set's biases: each edge is charged and
+    chunked as the types' `GroupNeeds` say, the edge's need computed when
+    the DP first reads it. Returns the plan and each type's trace on it;
+    raises InfeasibleChunking when no path survives.
     """
-    if agents.m == 1:
-        return chunk_graph(g, agents.biases[0], budget, 1)
-    dist = shortest_to_sink(g)
-    perss = [persuasion_profile(g, dist, b) for b in agents.biases]
-    fills = LazyEdgeMap(
-        lambda e: [] if all(p.default[e[0]] == e[1] for p in perss)
-        else _same_path_fill(g, dist, e, agents, budget.k, perss),
-    )
-    return shared_path_plan(
-        g, dist, agents.biases, budget,
-        LazyEdgeMap(lambda e: None if fills[e] is None else len(fills[e])),
-        lambda e, n: padded_chunking(e, fills[e], n),
-    )
+    return shared_path_plan(g, agents.biases, budget)
 
 
 def m_agent_single_path_plan(

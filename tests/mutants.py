@@ -137,10 +137,10 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
-        "for tau in range(max(1, lo - 1), min(lo + 1, k)):",
-        "for tau in range(lo, min(lo + 1, k)):",
-        "tests/test_edge_chunk.py::test_optimizer_evaluates_only_the_screen_ties",
-        "_candidates: the window starts at tau*-1",
+        "        tau = lo\n",
+        "        tau = max(1, lo - 1)\n",
+        "tests/test_edge_chunk.py::test_candidate_screen_is_exact",
+        "_candidates: the screen's transition vertex is tau*, not tau*-1",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
@@ -176,6 +176,20 @@ CATALOGUE = (
         "if realized != path:",
         "tests/test_graph_chunk.py::test_simulation_deviating_from_the_plan_is_an_invariant_violation",
         "shared_path_plan: a walk off the DP's cost is an invariant violation",
+    ),
+    Mutant(
+        "src/chunkwise/graph_chunk.py",
+        "if len(self.biases) > 1:",
+        "if len(self.biases) >= 1:",
+        "tests/test_graph_chunk.py::test_optimizer_runs_only_for_the_chunked_plan_edges",
+        "GroupNeeds.chunking: one bias gets the optimal edge chunking, not the greedy fill",
+    ),
+    Mutant(
+        "src/chunkwise/graph_chunk.py",
+        "self.biases = tuple(dict.fromkeys(biases))",
+        "self.biases = tuple(biases)",
+        "tests/test_multi_agent.py::test_two_agent_equal_types_reduce_to_single",
+        "GroupNeeds: a repeated bias is one type",
     ),
     Mutant(
         "src/chunkwise/multi_agent.py",

@@ -40,7 +40,8 @@ from chunkwise import (
     two_agent_plan,
 )
 from chunkwise.expansion import original_path
-from chunkwise.multi_agent import _same_path_fill, chunk_split
+from chunkwise.graph_chunk import same_path_fill
+from chunkwise.multi_agent import chunk_split
 from chunkwise.oracle import brute_force_two_agent_plan, grid_max_repelled, grid_same_path_feasible
 from chunkwise.errors import TakerRefuses
 
@@ -275,7 +276,7 @@ def test_criterion_6_multi_agent_soundness():
                 edge = edges[rng.randrange(len(edges))]
                 k = rng.randint(1, 3)
                 if grid_same_path_feasible(g, dist, edge, agents.biases, GridSpec(32, k)):
-                    assert _same_path_fill(g, dist, edge, agents, k) is not None
+                    assert same_path_fill(g, dist, edge, agents.biases, k) is not None
             # split dominance (one-sided vs the taker-accepted grid)
             if edges:
                 edge = edges[rng.randrange(len(edges))]
@@ -297,7 +298,7 @@ def test_criterion_6_multi_agent_soundness():
         dist = shortest_to_sink(g)
         agents = AgentSet((B2, F(4)))
         for k in (1, 2, 3):
-            assert (_same_path_fill(g, dist, ("u", "v"), agents, k) is not None) == (
+            assert (same_path_fill(g, dist, ("u", "v"), agents.biases, k) is not None) == (
                 grid_same_path_feasible(g, dist, ("u", "v"), agents.biases, GridSpec(32, k))
             )
         assert time.time() - start < 600

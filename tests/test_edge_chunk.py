@@ -483,7 +483,7 @@ def _all_candidates(ctx, b: F, k: int) -> list[tuple[int, int, F]]:
     """The optimizer's whole candidate family as (tau, h, y) in `Fraction`s,
     each h head chunks y and then a geometric tail: one or two for every
     transition vertex tau < k, then the tau = k one. `_candidates` yields
-    the members at tau*-1, tau* and k."""
+    the members at tau* and k."""
     x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
     if k == 1 or o is None or x + c - o <= 0:
         return [(k, 0, F(0))]
@@ -504,8 +504,8 @@ def _all_candidates(ctx, b: F, k: int) -> list[tuple[int, int, F]]:
     return family
 
 
-# Two of its k = 2 candidates tie at the least bottleneck for b = 2: its
-# head-heavy chunking at tau = 1 has both perceived costs 115/4.
+# At b = 2 and k = 2 its head-heavy chunking at tau = 1 has both perceived
+# costs 115/4, so tau* = k and the tau = k candidate is that same chunking.
 _TWO_TIED = _one_edge(21, F(3, 4), F(59, 4))
 # At b = 2 and k = 4 the head-heavy chunking at tau = 2 perceives 25 on its
 # head and on its tail, so tau* = 3.
@@ -516,25 +516,25 @@ _TIED_AT_2 = _one_edge(24, 1, 19)
 @given(_edge_queries())
 @example((_s32_uv(F(601, 10)), ("u", "v"), B2, 8))  # delta = x: tau* = k
 @example((_s32_uv(73), ("u", "v"), B2, 3))  # tau* = 1: the geometric one
-@example((_TWO_TIED, ("u", "v"), B2, 2))  # a tie at tau*-1 = 1
-@example((_TIED_AT_2, ("u", "v"), B2, 4))  # a tie at tau*-1 = 2
+@example((_TWO_TIED, ("u", "v"), B2, 2))  # tau*-1 = 1 ties the tau = k candidate
+@example((_TIED_AT_2, ("u", "v"), B2, 4))  # a head-heavy tie at tau*-1 = 2
 @example((s32_graph(), ("u", "v"), B2, 2))
 @example((s32_graph(), ("u", "v"), B2, 64))
 def test_candidate_screen_is_exact(query):
     # The optimizer evaluates only the screened candidates whose closed-form
     # bottleneck ties the least one. That is sound only if every closed form
-    # is exact and the screen's window around tau* keeps the argmin of the
+    # is exact and the screen's candidates at tau* and k keep the argmin of the
     # whole family. Evaluate the screen and the whole family here.
     g, edge, b, k = query
     dist = shortest_to_sink(g)
     ctx = edge_context(g, dist, edge)
     screen = list(_candidates(ctx, b, k))
-    assert len(screen) <= 4
+    assert len(screen) <= 3
     family = _all_candidates(ctx, b, k)
     # tau* is the least tau < k that also yields a rebalanced or geometric
     # candidate (h < tau), else k.
     tau_star = min((tau for tau, h, _ in family if h < tau < k), default=k)
-    window = [(h, y) for tau, h, y in family if tau in (tau_star - 1, tau_star, k)]
+    window = [(h, y) for tau, h, y in family if tau in (tau_star, k)]
     assert [(h, F(y_n, y_d)) for _, _, h, y_n, y_d in screen] == window
     for n, m, h, y_n, y_d in screen:
         chunking = Chunking(*edge, _head_then_geometric(ctx.x, b, k, h, F(y_n, y_d)))
@@ -551,7 +551,7 @@ def test_candidate_screen_is_exact(query):
 
 @pytest.mark.parametrize(
     "g, k, ties",
-    [(s32_graph(), 3, 1), (s32_graph(), 8, 1), (_DELTA_ABOVE_X, 3, 1), (_TWO_TIED, 2, 2)],
+    [(s32_graph(), 3, 1), (s32_graph(), 8, 1), (_DELTA_ABOVE_X, 3, 1), (_TWO_TIED, 2, 1)],
     ids=["s32-k3", "s32-k8", "delta>x-k3", "two-tied-k2"],
 )
 def test_optimizer_evaluates_only_the_screen_ties(monkeypatch, g, k, ties):

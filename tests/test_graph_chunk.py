@@ -181,7 +181,7 @@ def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):
     monkeypatch.setattr(gc, "min_chunks_to_beat", counting)
     for mode in ("local", "global"):
         for k in (1, 2, 3):
-            _, (trace,) = gc.chunk_graph(g, B2, BudgetSpec(mode, k), 1)
+            _, (trace,) = gc.shared_path_plan(g, (B2,), BudgetSpec(mode, k))
             assert trace.total == (6 if k == 1 else 4)
     assert ("s", "a") in asked
     assert ("s", "d") not in asked

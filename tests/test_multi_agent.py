@@ -37,8 +37,8 @@ from chunkwise.errors import (
 )
 from chunkwise.expansion import ChunkPlan, original_path
 from chunkwise.graph import path_cost
-from chunkwise.graph_chunk import persuasion_profile
-from chunkwise.multi_agent import JointMoves, Move, _caps, _same_path_fill, single_path_plan
+from chunkwise.graph_chunk import _caps, persuasion_profile, same_path_fill
+from chunkwise.multi_agent import JointMoves, Move, single_path_plan
 from chunkwise.oracle import (
     GridSpec,
     brute_force_two_agent_plan,
@@ -276,7 +276,7 @@ def test_same_path_single_agent_matches_optimal_feasibility():
         alpha = outside_alpha(g, dist, b, *edge)
         _, report = optimal_edge_chunking(g, dist, edge, b, k)
         optimal_ok = alpha is None or report.bottleneck <= alpha
-        assert (_same_path_fill(g, dist, edge, AgentSet((b,)), k) is not None) == optimal_ok
+        assert (same_path_fill(g, dist, edge, (b,), k) is not None) == optimal_ok
 
 
 def test_same_path_two_types_simulate(s32):
@@ -336,10 +336,10 @@ def test_same_path_agent_set_reused_across_graphs():
 
 def test_same_path_feasibility_monotone_and_binary_search(s32):
     dist = shortest_to_sink(s32)
-    agents = AgentSet((B2, F(5, 2)))
-    feas = [_same_path_fill(s32, dist, ("u", "w"), agents, k) is not None for k in range(1, 12)]
+    biases = (B2, F(5, 2))
+    feas = [same_path_fill(s32, dist, ("u", "w"), biases, k) is not None for k in range(1, 12)]
     assert feas == sorted(feas)  # False... then True
-    fill = _same_path_fill(s32, dist, ("u", "w"), agents, 11)
+    fill = same_path_fill(s32, dist, ("u", "w"), biases, 11)
     assert fill is not None
     l = len(fill)
     assert feas[l - 1] and (l == 1 or not feas[l - 2])
@@ -367,7 +367,7 @@ def test_same_path_one_type_is_the_saturated_greedy_fill():
                 except InfeasibleChunking:
                     chunking = None
                 assert chunking == saturated_chunking(g, dist, (u, v), b, alpha, k)
-                fill = _same_path_fill(g, dist, (u, v), agents, k)
+                fill = same_path_fill(g, dist, (u, v), agents.biases, k)
                 assert (None if fill is None else len(fill)) == (
                     min_chunks_to_beat(g, dist, (u, v), b, alpha, k)
                 )
@@ -391,8 +391,8 @@ def test_caps_read_from_the_profiles_are_the_outside_options():
             checked += 1
             defaults += any(p.default[u] == v for p in perss)
             expected = [(b, outside_alpha(g, dist, b, u, v)) for b in agents.biases]
-            assert _caps(g, dist, (u, v), agents, perss) == expected
-            assert _caps(g, dist, (u, v), agents) == expected
+            assert _caps(g, dist, (u, v), agents.biases, perss) == expected
+            assert _caps(g, dist, (u, v), agents.biases) == expected
     assert defaults > 100
 
 
@@ -412,7 +412,7 @@ def test_same_path_matches_grid_feasibility_one_sided():
         agents = AgentSet((b1, b1 + F(1, 2), b1 + 1))
         k = rng.randint(1, 3)
         checked += 1
-        greedy = _same_path_fill(g, dist, edge, agents, k) is not None
+        greedy = same_path_fill(g, dist, edge, agents.biases, k) is not None
         grid = grid_same_path_feasible(g, dist, edge, agents.biases, GridSpec(32, k))
         if grid:
             assert greedy
@@ -433,7 +433,7 @@ def test_same_path_matches_grid_exactly_on_aligned_instances():
     dist = shortest_to_sink(g)
     agents = AgentSet((B2, F(4)))
     for k in (1, 2, 3):
-        greedy = _same_path_fill(g, dist, ("u", "v"), agents, k) is not None
+        greedy = same_path_fill(g, dist, ("u", "v"), agents.biases, k) is not None
         grid = grid_same_path_feasible(g, dist, ("u", "v"), agents.biases, GridSpec(32, k))
         assert greedy == grid
 
@@ -660,6 +660,10 @@ def test_m_agent_reduces_to_single_agent(s32):
         assert plan.to_json() == ref_plan.to_json()
         assert path == ref_plan.planned_paths[0]
         assert single_path_plan(g, AgentSet((b,)), budget) == (ref_plan, (ref_trace,))
+        # One type's chunkings are optimal, not the same-path greedy fill.
+        dist = shortest_to_sink(g)
+        for ch in plan.chunkings:
+            assert ch == optimal_edge_chunking(g, dist, ch.edge, b, ch.k)[0]
         chunked += len(plan.chunkings)
     assert chunked > 0
 
@@ -800,11 +804,12 @@ def test_two_agent_plan_builds_its_tables_once(monkeypatch):
     # One two-agent call computes each type's persuasion profile once and
     # each chunk_split (edge, chunks, taker) once, however often the DP and
     # the pair plan ask for them.
+    import chunkwise.graph_chunk as gc
     import chunkwise.multi_agent as ma
 
     profiles: list[Fraction] = []
     splits: list[tuple] = []
-    real_profile, real_split = ma.persuasion_profile, ma.chunk_split
+    real_profile, real_split = gc.persuasion_profile, ma.chunk_split
 
     def counting_profile(g, dist, b):
         profiles.append(b)
@@ -814,7 +819,7 @@ def test_two_agent_plan_builds_its_tables_once(monkeypatch):
         splits.append((edge, k, taker))
         return real_split(g, dist, edge, b1, b2, k, taker)
 
-    monkeypatch.setattr(ma, "persuasion_profile", counting_profile)
+    monkeypatch.setattr(gc, "persuasion_profile", counting_profile)
     monkeypatch.setattr(ma, "chunk_split", counting_split)
     rng = random.Random(4040)
     total_splits = 0
@@ -1001,7 +1006,7 @@ def test_m_agent_single_path_matches_exhaustive_paths():
                 u, v = cand[i], cand[i + 1]
                 if all(p.default[u] == v for p in perss):
                     continue
-                fill = _same_path_fill(g, dist, (u, v), agents, k)
+                fill = same_path_fill(g, dist, (u, v), agents.biases, k)
                 if fill is None:
                     ok = False
                     break

@@ -282,7 +282,7 @@ def test_load_graph_accepts_exactly_what_rat_accepts(text):
         return
     g = load_graph(one_edge(text))
     assert g.cost("s", "t") == value and type(g.cost("s", "t")) is F
-    assert g.scale == value.denominator and g.scaled_cost("s", "t") == value.numerator
+    assert g.scale == value.denominator and dict(g.scaled_out_edges("s"))["t"] == value.numerator
 
 
 @pytest.mark.parametrize(
