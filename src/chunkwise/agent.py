@@ -7,11 +7,12 @@ agent picks it, otherwise the lexicographically least head wins.
 
 A chunk plan is walked by one of two routes that share `traverse`, and so
 the tie rule. The fast route walks a `PlanView` of the plan on the
-distances the caller already holds: the planners build one view per plan
-and walk every type on it, and `walk_plan` does the same for one walk, for
-the CLI and `verify`. `simulate_plan` is the independent cross-check route
-the oracles, `verify` and the benchmark use: it builds the expanded graph
-with `expand_plan` and recomputes its distances from scratch.
+distances the caller already holds: `replay_plan` walks every type of a
+planner's plan on one view and checks each against its planned path, and
+`walk_plan` makes one walk, for the CLI and `verify`. `simulate_plan` is
+the independent cross-check route the oracles, `verify` and the benchmark
+use: it builds the expanded graph with `expand_plan` and recomputes its
+distances from scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Collection, Container, Mapping, Optional
+from typing import Collection, Container, Iterable, Mapping, Optional
 
 from .edge_chunk import Chunking
 from .errors import (
@@ -35,10 +36,11 @@ from .expansion import (
     ChunkPlan,
     PlanView,
     expand_plan,
+    original_path,
     single_edge_plan,
     walk_follows_chunking,
 )
-from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink
+from .graph import DistanceMap, Edge, TaskGraph, path_cost, shortest_to_sink
 from .rational import format_rat
 
 
@@ -230,6 +232,29 @@ def walk_plan(
     """simulate_plan's walk, on a view of the plan; dist is shortest_to_sink(g)."""
     view = PlanView(g, dist, plan)
     return traverse(view, view, profile, view.marks, start=start, until=until), view
+
+
+def replay_plan(
+    g: TaskGraph, dist: DistanceMap, plan: ChunkPlan,
+    walks: Iterable[tuple[BiasProfile, tuple[str, ...]]],
+) -> Optional[tuple[TraversalTrace, ...]]:
+    """Walk each (profile, planned path) on one view of the plan; dist is
+    shortest_to_sink(g). The traces, or None unless each walk projects onto
+    its planned path at that path's cost.
+
+    A walk that projects onto its path has crossed the chain of every
+    chunked edge on it: from the edge's tail, the only route to its head
+    that passes no other original vertex is the whole chain, because a
+    chain vertex's deviation edges lead only to other original vertices.
+    """
+    view = PlanView(g, dist, plan)
+    traces = []
+    for profile, path in walks:
+        trace = traverse(view, view, profile, view.marks)
+        if original_path(view, trace.path) != path or trace.total != path_cost(g, path):
+            return None
+        traces.append(trace)
+    return tuple(traces)
 
 
 def simulate_plan(

@@ -39,8 +39,8 @@ from .graph import (
     save_graph,
     shortest_to_sink,
 )
-from .graph_chunk import BudgetSpec
-from .multi_agent import AgentSet, chunk_same_path, chunk_split, single_path_plan, two_agent_plan
+from .graph_chunk import BudgetSpec, shared_path_plan
+from .multi_agent import AgentSet, chunk_same_path, chunk_split, two_agent_plan
 from .oracle import EXPERIMENT_HEADER, chunks_needed_rows, cost_ratio_curve
 from .rational import format_rat, rat
 from .verify import SUITES
@@ -151,7 +151,7 @@ def cmd_chunk_graph(args: argparse.Namespace) -> int:
     budget = BudgetSpec(args.mode, args.k)
     biases = _parse_biases(args.biases)
     if len(biases) == 1 or args.single_path:
-        plan, traces = single_path_plan(g, AgentSet(biases), budget)
+        plan, traces = shared_path_plan(g, AgentSet(biases).biases, budget)
     elif len(biases) == 2:
         plan, traces = two_agent_plan(g, biases[0], biases[1], budget)
     else:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, Optional, Sequence, TypeVar
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
+from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan
 from .edge_chunk import (
     Cap,
     Chunking,
@@ -46,8 +46,8 @@ from .edge_chunk import (
     padded_chunking,
 )
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
-from .expansion import ChunkPlan, PlanView, original_path, walk_follows_chunking
-from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
+from .expansion import ChunkPlan
+from .graph import DistanceMap, Edge, TaskGraph, path_cost, shortest_to_sink, validate
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ V = TypeVar("V")
 N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
 CostTable = dict[tuple[N, int], int]
 Choices = dict[tuple[N, int], tuple[N, int]]
-# A move: (step cost, head, resolve); resolve() gives (rank, chunks) or None.
-Step = tuple[int, N, Callable[[], Optional[tuple[int, int]]]]
+# A move: (step cost, head, resolve); resolve() gives its chunks, or None.
+Step = tuple[int, N, Callable[[], Optional[int]]]
 
 
 class LazyEdgeMap(dict[Edge, V]):
@@ -209,14 +209,13 @@ def cheapest_paths(
 
     The graph is any DAG. order lists every vertex but the sink, each after
     the heads of its moves. moves(u) yields u's moves as (step cost, head,
-    resolve), where resolve() gives the move's (rank, chunks), or None when
+    resolve), where resolve() gives the chunks the move takes, or None when
     the move is unusable. table[(u, i)] is absent when no usable path fits
     in i chunks; choice[(u, i)] is the (head, chunks) of the first move.
-    Offers compare as (cost, rank, head, chunks), so ties break on rank
-    first: `edge_moves` ranks an edge by its chunks, for the tie rule
-    (cost, chunks, head). Costs are exact numbers; the planners' moves
-    give ints, a task graph's costs times its `scale`, so the table is in
-    those units too.
+    Offers compare as (cost, chunks, head): at equal cost the move taking
+    fewer chunks wins, then the least head. Costs are exact numbers; the
+    planners' moves give ints, a task graph's costs times its `scale`, so
+    the table is in those units too.
 
     More budget never costs more, so step + table[(head, k)] bounds what a
     move offers at every level. u's moves are read in the order of that
@@ -235,44 +234,39 @@ def cheapest_paths(
             ),
             key=itemgetter(0),
         )
-        best: list[Optional[tuple[int, int, N, int]]] = [None] * (k + 1)
+        best: list[Optional[tuple[int, int, N]]] = [None] * (k + 1)
         for bound, step, head, resolve in bounded:
             if None not in best and bound > max(offer[0] for offer in best):
                 break
-            ranked = resolve()
-            if ranked is None:
+            l = resolve()
+            if l is None:
                 continue
-            rank, l = ranked
             for i in range(l, k + 1):
                 rest = table.get((head, i - l))
                 if rest is not None:
-                    offer = (step + rest, rank, head, l)
+                    offer = (step + rest, l, head)
                     if best[i] is None or offer < best[i]:
                         best[i] = offer
         for i, offer in enumerate(best):
             if offer is not None:
                 table[(u, i)] = offer[0]
-                choice[(u, i)] = (offer[2], offer[3])
+                choice[(u, i)] = (offer[2], offer[1])
     return table, choice
 
 
 def edge_moves(
     g: TaskGraph, need: Mapping[Edge, Optional[int]]
 ) -> Callable[[str], Iterator[Step[str]]]:
-    """cheapest_paths' moves on g: each out-edge e at its scaled cost, ranked
-    by its chunks need[e].
+    """cheapest_paths' moves on g: each out-edge e at its scaled cost, taking
+    need[e] chunks.
 
     need[e] is None when e is unusable, and is read only when the DP
     resolves e.
     """
 
-    def ranked(e: Edge) -> Optional[tuple[int, int]]:
-        l = need[e]
-        return None if l is None else (l, l)
-
     def moves(u: str) -> Iterator[Step[str]]:
         for head, c in g.scaled_out_edges(u):
-            yield c, head, lambda e=(u, head): ranked(e)
+            yield c, head, lambda e=(u, head): need[e]
 
     return moves
 
@@ -295,9 +289,9 @@ def shared_path_plan(
     biases holds one bias per type, ascending; one bias may repeat. Each
     edge is charged and chunked as the types' `GroupNeeds` say. One bias's
     chunkings are listed in path order, several biases' in edge order. Each
-    distinct bias is walked once on one view of the plan's expanded graph,
-    and must follow the path and every chunking at the DP's cost. Raises
-    InfeasibleChunking when no path fits the budget.
+    distinct bias is walked once by `replay_plan` and must follow the path
+    at its cost, which must be the DP's. Raises InfeasibleChunking when no
+    path fits the budget.
     """
     dist = shortest_to_sink(g)
     needs = GroupNeeds(g, dist, biases, budget)
@@ -319,21 +313,11 @@ def shared_path_plan(
         predicted_cost=predicted * len(biases),
         biases=biases,
     )
-    view = PlanView(g, dist, plan)
-    traces: dict[Fraction, TraversalTrace] = {}
-    for b in needs.biases:
-        trace = traverse(view, view, BiasProfile(b), view.marks)
-        realized = original_path(view, trace.path)
-        if realized != path or trace.total != predicted:
-            raise InvariantViolation(
-                f"plan/trace mismatch for bias {b}: planned {path} at {predicted}, "
-                f"agent took {realized} at {trace.total}"
-            )
-        for ch in plan.chunkings:
-            if not walk_follows_chunking(trace.path, view.chain_of(ch.edge)):
-                raise InvariantViolation(f"planned chunking of {ch.edge} was abandoned")
-        traces[b] = trace
-    return plan, tuple(traces[b] for b in biases)
+    traces = replay_plan(g, dist, plan, [(BiasProfile(b), path) for b in needs.biases])
+    if traces is None or predicted != path_cost(g, path):
+        raise InvariantViolation(f"plan/trace mismatch: planned {path} at {predicted}")
+    by_bias = dict(zip(needs.biases, traces))
+    return plan, tuple(by_bias[b] for b in biases)
 
 
 def chunk_graph_local(

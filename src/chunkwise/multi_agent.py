@@ -6,9 +6,9 @@ as possible. Keeping m agents on one edge is graph_chunk's `same_path_fill`,
 and `chunk_same_path` adds the reason when it fails. Graph-level planning
 reads the local/global budget rule from `BudgetSpec`. Types that must share
 one path (and two types with one bias) are planned by graph_chunk's
-single-path pipeline, `shared_path_plan`. Every emitted plan is validated by
-simulating each agent type on it; a two-agent plan that fails is an
-invariant violation.
+single-path pipeline, `shared_path_plan`. Every emitted plan is checked by
+`agent.replay_plan`, which walks each type on one view of it; a two-agent
+plan that fails is an invariant violation.
 
 The two-agent planner builds one `JointMoves` table per call: graph_chunk's
 `GroupNeeds` for each type alone and for the pair on one edge, which give
@@ -18,8 +18,10 @@ plan and `oracle.brute_force_two_agent_plan` all read that one table. The
 DP is graph_chunk's `cheapest_paths` run on a graph of position pairs, in
 which the type that is behind moves alone, so both types stand together at
 every vertex their paths share and the DP charges each pair exactly its
-static plan. It resolves a move only while its lower bound can still win
-some budget level, so a joint move beaten on cost is never built.
+static plan. Every move takes the chunks it is charged, so ties break as
+in the one-type DP, on (cost, chunks, head). It resolves a move only while
+its lower bound can still win some budget level, so a joint move beaten on
+cost is never built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator, Literal, Optional
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, traverse
+from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan, traverse
 from .edge_chunk import (
     Chunking,
     EdgeContext,
@@ -42,7 +44,7 @@ from .edge_chunk import (
     perceived_chunk_costs,
 )
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
-from .expansion import ChunkPlan, PlanView, original_path, walk_follows_chunking
+from .expansion import ChunkPlan, PlanView, walk_follows_chunking
 from .graph import (
     DistanceMap,
     Edge,
@@ -395,13 +397,7 @@ def chunk_same_path(
 # Joint moves for the two-agent planner
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Move:
-    """How the types at one vertex leave it: chunks used and witness chunkings."""
-
-    chunk_count: int
-    witnesses: tuple[Chunking, ...]
+Witnesses = tuple[Chunking, ...]  # a move's chunkings, () for an unchunked move
 
 
 class JointMoves:
@@ -409,9 +405,10 @@ class JointMoves:
 
     solo[t] is type t's `GroupNeeds` alone and pair the two types' on one
     shared edge, which reuses the solo tables' persuasion profiles, computed
-    on construction. A move, and each `chunk_split` behind one, are computed
-    on first use and kept on this object, never on the module, so their
-    memory goes with the planner or oracle call that built it.
+    on construction. A move (its witness chunkings), and each `chunk_split`
+    behind one, are computed on first use and kept on this object, never on
+    the module, so their memory goes with the planner or oracle call that
+    built it.
     """
 
     def __init__(self, g: TaskGraph, b1: Fraction, b2: Fraction, budget: BudgetSpec) -> None:
@@ -423,11 +420,12 @@ class JointMoves:
         self.pers = tuple(needs.perss[0] for needs in self.solo)
         self.agents = AgentSet((b1, b2))
         self.pair = GroupNeeds(g, self.dist, (b1, b2), budget, self.pers)
-        self._moves: dict[tuple[str, Optional[str], Optional[str]], Optional[Move]] = {}
+        self._moves: dict[tuple[str, Optional[str], Optional[str]], Optional[Witnesses]] = {}
         self._splits: dict[tuple[Edge, int, int], Optional[Chunking]] = {}
 
-    def move(self, u: str, v: Optional[str], z: Optional[str]) -> Optional[Move]:
-        """A1 leaves u by (u, v) while A2 leaves it by (u, z); None if impossible.
+    def move(self, u: str, v: Optional[str], z: Optional[str]) -> Optional[Witnesses]:
+        """The witness chunkings for A1 leaving u by (u, v) while A2 leaves it
+        by (u, z): () when no edge is chunked, None when the move is impossible.
 
         v or z is None when that type does not pass u, and the other type is
         then persuaded alone.
@@ -441,14 +439,14 @@ class JointMoves:
                 self._moves[key] = self._shared(needs, (u, z if v is None else v))
         return self._moves[key]
 
-    def _shared(self, needs: GroupNeeds, e: Edge) -> Optional[Move]:
+    def _shared(self, needs: GroupNeeds, e: Edge) -> Optional[Witnesses]:
         """Every type in needs takes e: unchunked on their default edge."""
         l = needs.need[e]
         if not l:  # unusable, or the types' default edge
-            return None if l is None else Move(0, ())
-        return Move(self.budget.chunks(l), (needs.chunking(e),))
+            return None if l is None else ()
+        return (needs.chunking(e),)
 
-    def _split(self, u: str, v: str, z: str) -> Optional[Move]:
+    def _split(self, u: str, v: str, z: str) -> Optional[Witnesses]:
         """Least validated pair of splits sending A1 to v and A2 to z.
 
         Every pair (i, j) of the budget's chunk counts is tried, fewest
@@ -459,12 +457,10 @@ class JointMoves:
         for i, j in sorted(product(counts, repeat=2), key=lambda p: (p[0] + p[1], p[1])):
             wit = self._split_witnesses(u, v, z, i, j)
             if wit is not None:
-                return Move(i + j, wit)
+                return wit
         return None
 
-    def _split_witnesses(
-        self, u: str, v: str, z: str, i: int, j: int
-    ) -> Optional[tuple[Chunking, ...]]:
+    def _split_witnesses(self, u: str, v: str, z: str, i: int, j: int) -> Optional[Witnesses]:
         """Witnesses for A1 taking (u,v) with i chunks while A2 takes (u,z) with j.
 
         i or j of zero means the edge is left alone (only sensible when it is
@@ -527,22 +523,18 @@ def _pair_plan(
 
     Every vertex on P or Q contributes its move from the joint-move table: a
     joint move where both paths leave it, a solo move where one does. The
-    assembled plan must survive walking each type once on one view of it
-    (installing a chunking for one type is visible to the other).
+    assembled plan must survive `replay_plan`, which walks both types on one
+    view of it (installing a chunking for one type is visible to the other).
     """
     g, budget = moves.g, moves.budget
     next_p = dict(zip(P, P[1:]))
     next_q = dict(zip(Q, Q[1:]))
     chunkings: list[Chunking] = []
-    total = 0
     for u in dict.fromkeys([*next_p, *next_q]):
         found = moves.move(u, next_p.get(u), next_q.get(u))
         if found is None:
             return None
-        chunkings.extend(found.witnesses)
-        total += found.chunk_count
-    if not budget.fits(total):
-        return None
+        chunkings.extend(found)
     plan = ChunkPlan(
         chunkings=tuple(sorted(chunkings, key=lambda ch: ch.edge)),
         mode=budget.mode,
@@ -551,14 +543,10 @@ def _pair_plan(
         predicted_cost=path_cost(g, P) + path_cost(g, Q),
         biases=moves.agents.biases,
     )
-    view = PlanView(g, moves.dist, plan)
-    traces: list[TraversalTrace] = []
-    for profile, path in zip(moves.agents.profiles, (P, Q)):
-        trace = traverse(view, view, profile, view.marks)
-        if original_path(view, trace.path) != path or trace.total != path_cost(g, path):
-            return None
-        traces.append(trace)
-    return plan, (traces[0], traces[1])
+    if not budget.fits(plan.total_chunks):
+        return None
+    traces = replay_plan(g, moves.dist, plan, zip(moves.agents.profiles, (P, Q)))
+    return None if traces is None else (plan, (traces[0], traces[1]))
 
 
 def two_agent_plan(
@@ -590,15 +578,15 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     """The cheapest path pair: `cheapest_paths` on the graph of position pairs.
 
     A vertex (u, y) has A1 at u and A2 at y. Where both stand at one vertex
-    they leave it by a joint move (rank 0), built by `JointMoves.move` only
-    when the DP reads it. Where they stand apart, only the type at the
-    topologically earlier vertex moves, alone, ranked by its chunks; the
-    sink comes after every vertex, so this also moves the type that has not
-    finished. An edge's need, and whether it is usable, is computed only
-    when the DP resolves the move. Ties thus break on (cost, rank, head
-    pair, chunks), where rank is 0 for a joint move and the chunks for a
-    solo move. A move costs the edges taken in g's scaled ints. The walk
-    from (s, s) to (t, t) is projected onto each type's path.
+    they leave it by a joint move, built by `JointMoves.move` only when the
+    DP reads it. Where they stand apart, only the type at the topologically
+    earlier vertex moves, alone; the sink comes after every vertex, so this
+    also moves the type that has not finished. A move, joint or solo, takes
+    the chunks the budget charges for it, and whether it is usable is
+    computed only when the DP resolves it. Ties thus break on (cost, chunks,
+    head pair), the one-type rule. A move costs the edges taken in g's
+    scaled ints. The walk from (s, s) to (t, t) is projected onto each
+    type's path.
 
     The walk meets at every vertex w both paths share: every vertex before
     w on a path precedes w topologically, so whichever type reaches w first
@@ -620,9 +608,9 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     pos = {u: i for i, u in enumerate(topo)}
     solo = [edge_moves(g, needs.charged) for needs in moves.solo]
 
-    def joint(u: str, v: str, z: str) -> Optional[tuple[int, int]]:
+    def joint(u: str, v: str, z: str) -> Optional[int]:
         found = moves.move(u, v, z)
-        return None if found is None else (0, budget.charge(found.chunk_count))
+        return None if found is None else budget.charge(sum(ch.k for ch in found))
 
     def pair_moves(pair: tuple[str, str]) -> Iterator[Step[tuple[str, str]]]:
         u, y = pair
@@ -654,22 +642,10 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
 # ---------------------------------------------------------------------------
 
 
-def single_path_plan(
-    g: TaskGraph, agents: AgentSet, budget: BudgetSpec
-) -> tuple[ChunkPlan, tuple[TraversalTrace, ...]]:
-    """Cheapest single path every agent type can be persuaded to follow.
-
-    `shared_path_plan` for the set's biases: each edge is charged and
-    chunked as the types' `GroupNeeds` say, the edge's need computed when
-    the DP first reads it. Returns the plan and each type's trace on it;
-    raises InfeasibleChunking when no path survives.
-    """
-    return shared_path_plan(g, agents.biases, budget)
-
-
 def m_agent_single_path_plan(
     g: TaskGraph, agents: AgentSet, budget: BudgetSpec
 ) -> tuple[ChunkPlan, tuple[str, ...]]:
-    """single_path_plan's plan and the path every type follows on it."""
-    plan, _ = single_path_plan(g, agents, budget)
+    """`shared_path_plan`'s plan for the set's biases and the path every
+    type follows on it; raises InfeasibleChunking when no path survives."""
+    plan, _ = shared_path_plan(g, agents.biases, budget)
     return plan, plan.planned_paths[0]

@@ -80,6 +80,13 @@ CATALOGUE = (
         "traverse: per-edge bias overrides must be read",
     ),
     Mutant(
+        "src/chunkwise/agent.py",
+        "if original_path(view, trace.path) != path or trace.total != path_cost(g, path):",
+        "if original_path(view, trace.path) != path:",
+        "tests/test_graph_chunk.py::test_simulation_deviating_from_the_plan_is_an_invariant_violation",
+        "replay_plan: a walk off its path's cost is an invariant violation",
+    ),
+    Mutant(
         "src/chunkwise/expansion.py",
         "self._scaled[chain[i]] = _floor(outside, through)",
         "self._scaled[chain[i]] = through",
@@ -172,10 +179,11 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
-        "if realized != path or trace.total != predicted:",
-        "if realized != path:",
-        "tests/test_graph_chunk.py::test_simulation_deviating_from_the_plan_is_an_invariant_violation",
-        "shared_path_plan: a walk off the DP's cost is an invariant violation",
+        "if best[i] is None or offer < best[i]:",
+        "if best[i] is None or offer[::2] < best[i][::2]:",
+        "tests/test_graph_chunk.py::test_cheapest_paths_breaks_ties_on_chunks_before_head "
+        "tests/test_multi_agent.py::test_a_global_plan_at_the_unaided_cost_installs_no_chunking",
+        "cheapest_paths: at equal cost the move taking fewer chunks wins before the least head",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",

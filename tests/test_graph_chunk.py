@@ -137,26 +137,27 @@ def test_cheapest_paths_matches_a_full_scan():
     assert len(reads) < edges  # some needs were never read
 
 
-def test_cheapest_paths_breaks_ties_on_rank_before_head_and_chunks():
-    # Three equal-cost moves out of "u" on a DAG of integers: rank decides
-    # before head and chunks, and a move is resolved only when it is read.
+def test_cheapest_paths_breaks_ties_on_chunks_before_head():
+    # Three equal-cost moves out of "u" on a DAG of integers, read in the
+    # order given: the move to 3 fills every level first, yet the moves
+    # whose bound ties it are still read. The chunk-free move to 2 beats the
+    # one-chunk move to 1 though its head is larger, and beats the move to
+    # 3 on its head. A move is resolved only when it is read.
     steps = {
-        "u": [(F(1), 1, (2, 0)), (F(1), 2, (1, 1)), (F(5), 3, (0, 0))],
-        1: [(F(0), 0, (0, 0))],
-        2: [(F(0), 0, (0, 0))],
-        3: [(F(0), 0, (0, 0))],
+        "u": [(F(1), 3, 0), (F(1), 1, 1), (F(1), 2, 0), (F(5), 4, 0)],
+        **{head: [(F(0), 0, 0)] for head in (1, 2, 3, 4)},
     }
     resolved = []
 
     def moves(u):
-        for step, head, ranked in steps[u]:
-            yield step, head, lambda head=head, ranked=ranked: resolved.append(head) or ranked
+        for step, head, chunks in steps[u]:
+            yield step, head, lambda head=head, chunks=chunks: resolved.append(head) or chunks
 
-    table, choice = cheapest_paths([3, 2, 1, "u"], 0, moves, 1)
+    table, choice = cheapest_paths([4, 3, 2, 1, "u"], 0, moves, 1)
     assert table[("u", 0)] == table[("u", 1)] == 1
-    assert choice[("u", 0)] == (1, 0) and choice[("u", 1)] == (2, 1)
+    assert choice[("u", 0)] == choice[("u", 1)] == (2, 0)
     assert walk_choices(0, choice, "u", 1) == ("u", 2, 0)
-    assert resolved == [0, 0, 0, 1, 2]  # the cost-5 move out of "u" is never resolved
+    assert resolved == [0, 0, 0, 0, 3, 1, 2]  # the cost-5 move out of "u" is never resolved
 
 
 def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):
@@ -404,18 +405,18 @@ def test_optimizer_runs_only_for_the_chunked_plan_edges(monkeypatch):
 )
 def test_simulation_deviating_from_the_plan_is_an_invariant_violation(s32, monkeypatch, plan):
     # The planners' final simulation checks must not vanish under python -O.
-    # Every single-path planner walks its plan in graph_chunk.shared_path_plan,
+    # Every single-path planner replays its plan with agent.replay_plan,
     # each type with traverse on one view of the plan.
     import dataclasses
 
-    import chunkwise.graph_chunk as gc
+    import chunkwise.agent as ag
 
-    walk = gc.traverse
+    walk = ag.traverse
 
     def deviating(*args, **kwargs):
         trace = walk(*args, **kwargs)
         return dataclasses.replace(trace, total=trace.total + 1)
 
-    monkeypatch.setattr(gc, "traverse", deviating)
+    monkeypatch.setattr(ag, "traverse", deviating)
     with pytest.raises(InvariantViolation):
         plan(s32)

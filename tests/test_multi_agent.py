@@ -25,6 +25,7 @@ from chunkwise import (
     save_graph,
     shortest_to_sink,
     simulate_plan,
+    traverse,
     two_agent_plan,
 )
 from chunkwise.cli import main as cli_main
@@ -37,8 +38,8 @@ from chunkwise.errors import (
 )
 from chunkwise.expansion import ChunkPlan, original_path
 from chunkwise.graph import path_cost
-from chunkwise.graph_chunk import _caps, persuasion_profile, same_path_fill
-from chunkwise.multi_agent import JointMoves, Move, single_path_plan
+from chunkwise.graph_chunk import _caps, persuasion_profile, same_path_fill, shared_path_plan
+from chunkwise.multi_agent import JointMoves
 from chunkwise.oracle import (
     GridSpec,
     brute_force_two_agent_plan,
@@ -448,7 +449,7 @@ def test_joint_move_shared_tail_split(s32):
     split = moves.move("u", "v", "z")
     assert split is not None
     # A2's default is z, so only (u, v) carries a witness chunking.
-    assert [w.edge for w in split.witnesses] == [("u", "v")]
+    assert [w.edge for w in split] == [("u", "v")]
     assert moves.move("u", "z", "z") is not None  # both defaults
     assert moves.move("u", "v", "v") is None  # no chunking of (u,v) that b=10 takes
 
@@ -459,8 +460,9 @@ def test_joint_move_same_edge_infeasible(s32):
 
 def test_joint_move_global_minimal_counts(s32):
     moves = JointMoves(s32, B2, F(10), BudgetSpec("global", 3))
-    assert moves.move("u", "v", "z").chunk_count == 3  # (u,v) needs all three; (u,z) is default
-    assert moves.move("u", "z", "z").chunk_count == 0
+    # (u,v) needs all three chunks; (u,z) is A2's default and stays unchunked.
+    assert [ch.k for ch in moves.move("u", "v", "z")] == [3]
+    assert moves.move("u", "z", "z") == ()
 
 
 def _non_monotone_split_moves():
@@ -491,7 +493,7 @@ def test_joint_split_feasibility_is_not_monotone():
 
 def test_joint_split_finds_a_pair_below_an_infeasible_full_budget_row():
     found = _non_monotone_split_moves().move("s", "a", "b")
-    assert found is not None and found.chunk_count == 2
+    assert found is not None and sum(ch.k for ch in found) == 2
 
 
 def test_joint_split_is_the_least_feasible_cell_of_the_full_matrix():
@@ -515,7 +517,7 @@ def test_joint_split_is_the_least_feasible_cell_of_the_full_matrix():
                 for i, j in cells:
                     wit = moves._split_witnesses(u, v, z, i, j)
                     if wit is not None:
-                        least = Move(i + j, wit)
+                        least = wit
                         break
                 assert found == least, (u, v, z)
                 triples += 1
@@ -659,7 +661,7 @@ def test_m_agent_reduces_to_single_agent(s32):
         plan, path = m_agent_single_path_plan(g, AgentSet((b,)), budget)
         assert plan.to_json() == ref_plan.to_json()
         assert path == ref_plan.planned_paths[0]
-        assert single_path_plan(g, AgentSet((b,)), budget) == (ref_plan, (ref_trace,))
+        assert shared_path_plan(g, (b,), budget) == (ref_plan, (ref_trace,))
         # One type's chunkings are optimal, not the same-path greedy fill.
         dist = shortest_to_sink(g)
         for ch in plan.chunkings:
@@ -837,6 +839,66 @@ def test_two_agent_plan_builds_its_tables_once(monkeypatch):
     assert total_splits > 0  # the split memo was exercised
 
 
+def _tie_graph():
+    return TaskGraph(
+        ["s", "a", "b", "t"],
+        [("s", "a", 2), ("a", "t", 2), ("s", "b", 1), ("b", "t", 3)],
+        source="s",
+        sink="t",
+    )
+
+
+def _graph(edges):
+    vertices = sorted({v for e in edges for v in e[:2]})
+    return TaskGraph(vertices, [(u, v, F(c)) for u, v, c in edges], source="s", sink="t")
+
+
+# Draws 91 and 1334 of random_task_graph(Random(2026), 4, 9), both planned at
+# global k = 2: with every joint move ranked 0 at equal cost, each plan
+# chunked one edge though the unaided pair of walks costs as little.
+DRAW_91 = _graph([
+    ("s", "a", "3"), ("s", "b", "2"), ("s", "d", "3"), ("s", "g", "9"), ("a", "b", "17/5"),
+    ("a", "t", "0"), ("b", "c", "16"), ("b", "e", "0"), ("b", "f", "23/2"), ("b", "g", "3"),
+    ("c", "d", "7/2"), ("c", "e", "17"), ("d", "e", "9/10"), ("d", "g", "5/2"), ("d", "t", "1"),
+    ("e", "f", "23"), ("e", "t", "1"), ("f", "t", "9/2"), ("g", "t", "0"),
+])
+DRAW_1334 = _graph([
+    ("s", "a", "5/2"), ("s", "b", "9/10"), ("s", "d", "9/5"), ("s", "e", "23/5"),
+    ("s", "f", "7/4"), ("s", "g", "16"), ("a", "c", "0"), ("a", "e", "7/5"), ("a", "g", "9/5"),
+    ("a", "t", "5"), ("b", "c", "7"), ("b", "d", "1/2"), ("b", "e", "3/10"), ("b", "f", "15/4"),
+    ("c", "d", "18/5"), ("c", "f", "4/5"), ("d", "f", "0"), ("d", "t", "23"), ("e", "f", "1/5"),
+    ("e", "g", "11/2"), ("f", "t", "5"), ("g", "t", "21"),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**16).map(lambda seed: random_task_graph(random.Random(seed), 4, 9)),
+    st.sampled_from((F(3, 2), F(2), F(5, 2), F(7, 2))),
+    st.integers(1, 12),
+    st.integers(1, 5),
+)
+@example(_tie_graph(), F(7, 2), 1, 4)
+@example(DRAW_91, F(3, 2), 1, 2)
+@example(DRAW_1334, F(3, 2), 9, 2)
+def test_a_global_plan_at_the_unaided_cost_installs_no_chunking(g, b1, step, k):
+    # In global mode the only move out of a vertex that takes no chunks is
+    # the types' default one: any other edge needs at least one chunk, and a
+    # joint split with no chunks on either side needs both defaults. So when
+    # the unaided walks are optimal, the DP's offer for them ties the best
+    # cost with the fewest chunks at every step, and nothing is chunked.
+    b2 = b1 + F(step, 4)
+    dist = shortest_to_sink(g)
+    unaided = [traverse(g, dist, BiasProfile(b)).total for b in (b1, b2)]
+    plan, traces = two_agent_plan(g, b1, b2, BudgetSpec("global", k))
+    if sum(t.total for t in traces) == sum(unaided):
+        assert plan.chunkings == ()
+    for b, walked in zip((b1, b2), unaided):
+        plan, trace = chunk_graph_global(g, b, k)
+        if trace.total == walked:
+            assert plan.chunkings == ()
+
+
 def test_two_agent_plans_match_their_pinned_bytes():
     # Reading joint moves in bound order must not change a byte of any plan
     # or trace. The digest was recorded before the DP read its moves lazily.
@@ -857,18 +919,11 @@ def test_two_agent_plans_match_their_pinned_bytes():
     assert digest.hexdigest() == PINNED
     assert chunked > 0
     # The tie rule: s->a->t and s->b->t both cost 8 for the pair. The
-    # two-agent DP breaks ties on (cost, rank, v, z, chunks), so the joint
-    # move to (a, a) beats the one to (b, b) and (s, a) is chunked, where the
-    # one-type rule (cost, chunks, head) would leave the graph unchunked.
-    tie = TaskGraph(
-        ["s", "a", "b", "t"],
-        [("s", "a", 2), ("a", "t", 2), ("s", "b", 1), ("b", "t", 3)],
-        source="s",
-        sink="t",
-    )
-    plan, traces = two_agent_plan(tie, F(7, 2), F(15, 4), BudgetSpec("global", 4))
-    assert [(ch.edge, ch.chunks) for ch in plan.chunkings] == [(("s", "a"), (F(11, 15), F(19, 15)))]
-    assert plan.planned_paths == (("s", "a", "t"), ("s", "a", "t"))
+    # two-agent DP breaks ties on (cost, chunks, v, z), the one-type rule,
+    # so both types keep their default s->b->t and nothing is chunked.
+    plan, traces = two_agent_plan(_tie_graph(), F(7, 2), F(15, 4), BudgetSpec("global", 4))
+    assert plan.chunkings == ()
+    assert plan.planned_paths == (("s", "b", "t"), ("s", "b", "t"))
     assert [t.total for t in traces] == [4, 4]
 
 
@@ -900,14 +955,15 @@ def test_a_joint_pair_beaten_on_cost_is_never_split(monkeypatch):
 
 
 def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
+    import chunkwise.agent as ag
     import chunkwise.multi_agent as ma
 
     moves = ma.JointMoves(s32, B2, F(10), BudgetSpec("local", 3))
     P, Q = ("u", "v", "t"), ("u", "z", "t")
     plan, traces = ma._pair_plan(moves, P, Q)  # fills the joint-move table
-    views: list[ma.PlanView] = []
+    views: list[ag.PlanView] = []
     walked: list[Fraction] = []
-    real_view, real_traverse = ma.PlanView, ma.traverse
+    real_view, real_traverse = ag.PlanView, ag.traverse
 
     def counting_view(g, dist, plan):
         views.append(real_view(g, dist, plan))
@@ -918,8 +974,8 @@ def test_pair_plan_simulates_each_type_once(monkeypatch, s32):
         walked.append(profile.default)
         return real_traverse(g, dist, profile, *args, **kwargs)
 
-    monkeypatch.setattr(ma, "PlanView", counting_view)
-    monkeypatch.setattr(ma, "traverse", counting_traverse)
+    monkeypatch.setattr(ag, "PlanView", counting_view)
+    monkeypatch.setattr(ag, "traverse", counting_traverse)
     again = ma._pair_plan(moves, P, Q)
     assert len(views) == 1  # both types walk one view of the plan
     assert walked == [B2, F(10)]
