@@ -42,7 +42,7 @@ from .graph import (
 from .graph_chunk import BudgetSpec, shared_path_plan
 from .multi_agent import AgentSet, chunk_same_path, chunk_split, two_agent_plan
 from .oracle import EXPERIMENT_HEADER, chunks_needed_rows, cost_ratio_curve
-from .rational import format_rat, rat
+from .rational import dump_json, format_rat, rat
 from .verify import SUITES
 
 MULTI_AGENT_MAX_K, MULTI_AGENT_MAX_D = 2, 32  # the multi-agent suite's caps on -k and -d
@@ -56,7 +56,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, dump_json(payload) + "\n")
 
 
 def _read_graph(path: str) -> TaskGraph:
@@ -117,7 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     profile = BiasProfile(_parse_bias(args.bias))
     if args.plan:
-        plan = ChunkPlan.from_json(json.loads(Path(args.plan).read_text()))
+        plan = ChunkPlan.from_json(json.loads(Path(args.plan).read_bytes().decode("utf-8")))
         try:
             dist = shortest_to_sink(g)
         except (CycleDetected, SinkUnreachable):
@@ -340,10 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ChunkwiseError as exc:
-        sys.stdout.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2)
-            + "\n"
-        )
+        sys.stdout.write(dump_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
 
 

@@ -6,6 +6,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -21,7 +22,7 @@ from .errors import (
     SinkUnreachable,
 )
 from .oracle_limits import enumeration_cap
-from .rational import RatLike, format_rat, rat
+from .rational import RatLike, dump_json, format_rat, parse_rat, rat
 
 Edge = tuple[str, str]
 
@@ -30,11 +31,11 @@ class TaskGraph:
     """A weighted DAG with a designated source and sink.
 
     Immutable after construction. Edge costs are exact nonnegative rationals;
-    at most one edge per ordered vertex pair, no self-loops. The edge map
-    keeps each cost as a `Fraction`; the one adjacency keeps it as a Python
-    int over one common denominator, `scale` (the lcm of the cost
-    denominators), for the exact integer relaxations of the distances, the
-    planners' DPs and every walk.
+    at most one edge per ordered vertex pair, no self-loops. Each cost is
+    kept once, as a Python int over one common denominator, `scale` (the lcm
+    of the cost denominators), in the one adjacency that the exact integer
+    relaxations of the distances, the planners' DPs and every walk read;
+    `cost`, `out_edges` and `edges` build `Fraction`s from those ints.
     """
 
     def __init__(
@@ -43,6 +44,8 @@ class TaskGraph:
         edges: Iterable[tuple[str, str, RatLike]],
         source: str,
         sink: str,
+        *,
+        _exact: bool = False,  # edges carry (numerator, denominator) in lowest terms
     ) -> None:
         self.vertices: tuple[str, ...] = tuple(vertices)
         seen: set[str] = set()
@@ -59,56 +62,60 @@ class TaskGraph:
         self.source = source
         self.sink = sink
 
-        self._cost: dict[Edge, Fraction] = {}
+        costs: dict[Edge, tuple[int, int]] = {}
         for tail, head, raw in edges:
             if tail not in seen or head not in seen:
                 raise ParseError("edges", f"edge ({tail}, {head}) references unknown vertex")
             if tail == head:
                 raise ParseError("edges", f"self-loop at {tail}")
-            if (tail, head) in self._cost:
+            if (tail, head) in costs:
                 raise ParseError("edges", f"duplicate edge ({tail}, {head})")
-            cost = rat(raw)
-            if cost.numerator < 0:  # every denominator is positive
-                raise NegativeCost(tail, head, cost)
-            self._cost[(tail, head)] = cost
-        # Sorted once, so `edges` reads the edges in order without sorting,
-        # and each vertex's adjacency lists its heads ascending, which keeps
-        # every downstream iteration deterministic.
-        self._cost = dict(sorted(self._cost.items()))
-        self.scale: int = lcm(*{c.denominator for c in self._cost.values()})
+            num, den = raw if _exact else rat(raw).as_integer_ratio()
+            if num < 0:  # every denominator is positive
+                raise NegativeCost(tail, head, Fraction(num, den))
+            costs[(tail, head)] = (num, den)
+        self.scale: int = lcm(*{den for _, den in costs.values()})
+        # Sorted once, so each vertex's adjacency lists its heads ascending,
+        # which keeps every downstream iteration deterministic.
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for (tail, head), cost in self._cost.items():
-            out[tail].append((head, cost.numerator * (self.scale // cost.denominator)))
+        for (tail, head), (num, den) in sorted(costs.items()):
+            out[tail].append((head, num * (self.scale // den)))
         self._scaled_out = {v: tuple(hops) for v, hops in out.items()}
         self._order: tuple[str, ...] | None = None  # set by the first validate()
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[str, str, Fraction], ...]:
-        return tuple((u, v, c) for (u, v), c in self._cost.items())
+        """Every (tail, head, cost), sorted by (tail, head); built on first read."""
+        out = self._scaled_out
+        return tuple((u, h, Fraction(c, self.scale)) for u in sorted(out) for h, c in out[u])
 
     def out_edges(self, u: str) -> tuple[tuple[str, Fraction], ...]:
         """u's (head, cost) pairs, heads ascending, built from scaled_out_edges(u)."""
-        return tuple((h, self._cost[(u, h)]) for h, _ in self._scaled_out[u])
+        return tuple((h, Fraction(c, self.scale)) for h, c in self._scaled_out[u])
 
     def scaled_out_edges(self, u: str) -> tuple[tuple[str, int], ...]:
         """u's (head, cost times `scale`) pairs, heads ascending; the one adjacency."""
         return self._scaled_out[u]
 
+    def _scaled_cost(self, u: str, v: str) -> int:
+        """The cost of edge (u, v) times `scale`; KeyError if there is no such edge."""
+        for head, cost in self._scaled_out.get(u, ()):
+            if head == v:
+                return cost
+        raise KeyError(f"no edge ({u}, {v})")
+
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self._cost
+        return any(head == v for head, _ in self._scaled_out.get(u, ()))
 
     def cost(self, u: str, v: str) -> Fraction:
-        try:
-            return self._cost[(u, v)]
-        except KeyError:
-            raise KeyError(f"no edge ({u}, {v})") from None
+        return Fraction(self._scaled_cost(u, v), self.scale)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._scaled_out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TaskGraph({len(self.vertices)} vertices, {len(self._cost)} edges, "
+            f"TaskGraph({len(self.vertices)} vertices, {len(self.edges)} edges, "
             f"{self.source}->{self.sink})"
         )
 
@@ -123,8 +130,9 @@ def validate(g: TaskGraph) -> tuple[str, ...]:
     if g._order is not None:
         return g._order
     indegree = {v: 0 for v in g.vertices}
-    for _, head, _ in g.edges:
-        indegree[head] += 1
+    for v in g.vertices:
+        for head, _ in g.scaled_out_edges(v):
+            indegree[head] += 1
     ready = [v for v in g.vertices if indegree[v] == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -138,9 +146,10 @@ def validate(g: TaskGraph) -> tuple[str, ...]:
     if len(order) != len(g.vertices):
         done = set(order)
         leftover = {v for v in g.vertices if v not in done}
-        for u, v, _ in g.edges:
-            if u in leftover and v in leftover:
-                raise CycleDetected(u, v)
+        for u in sorted(leftover):
+            for v, _ in g.scaled_out_edges(u):
+                if v in leftover:
+                    raise CycleDetected(u, v)
         raise CycleDetected("?", "?")  # pragma: no cover - leftover always has an edge
     g._order = tuple(order)
     return g._order
@@ -201,7 +210,7 @@ def shortest_to_sink(g: TaskGraph) -> DistanceMap:
 
 
 def path_cost(g: TaskGraph, path: Sequence[str]) -> Fraction:
-    return sum((g.cost(path[i], path[i + 1]) for i in range(len(path) - 1)), Fraction(0))
+    return Fraction(sum(g._scaled_cost(u, v) for u, v in zip(path, path[1:])), g.scale)
 
 
 def all_paths(g: TaskGraph) -> list[tuple[str, ...]]:
@@ -266,12 +275,11 @@ def make_n_fan(spec: FanSpec) -> TaskGraph:
 
 
 def load_graph(data: bytes | str) -> TaskGraph:
-    """Parse the graph JSON format; costs are integers or strings in `rat`'s grammar."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse the graph JSON format; costs are integers or strings in `rat`'s grammar,
+    each parsed once, into the exact integer pair the graph keeps as an int."""
     try:
-        payload = json.loads(data)
-    except ValueError as exc:  # malformed JSON, or an integer past int()'s digit limit
+        payload = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as exc:  # malformed JSON or UTF-8, or an integer past int()'s digit limit
         raise ParseError("json", str(exc)) from exc
     if not isinstance(payload, dict):
         raise ParseError("json", "top level must be an object")
@@ -284,7 +292,7 @@ def load_graph(data: bytes | str) -> TaskGraph:
     raw_edges = payload["edges"]
     if not isinstance(raw_edges, list):
         raise ParseError("edges", "must be a list")
-    edges: list[tuple[str, str, Fraction]] = []
+    edges: list[tuple[str, str, tuple[int, int]]] = []
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             raise ParseError(f"edges[{i}]", "must be an object")
@@ -297,13 +305,13 @@ def load_graph(data: bytes | str) -> TaskGraph:
         if not isinstance(cost_text, (str, int)) or isinstance(cost_text, bool):
             raise ParseError(f"edges[{i}].cost", "must be an exact string or integer")
         try:
-            cost = rat(cost_text)
+            cost = (cost_text, 1) if isinstance(cost_text, int) else parse_rat(cost_text)
         except ValueError as exc:
             raise ParseError(f"edges[{i}].cost", str(exc)) from exc
         edges.append((tail, head, cost))
     if not isinstance(payload["source"], str) or not isinstance(payload["sink"], str):
         raise ParseError("source/sink", "must be strings")
-    return TaskGraph(vertices, edges, source=payload["source"], sink=payload["sink"])
+    return TaskGraph(vertices, edges, source=payload["source"], sink=payload["sink"], _exact=True)
 
 
 def save_graph(g: TaskGraph) -> bytes:
@@ -316,7 +324,7 @@ def save_graph(g: TaskGraph) -> bytes:
         "source": g.source,
         "sink": g.sink,
     }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    return (dump_json(payload) + "\n").encode("utf-8")
 
 
 def graph_to_dot(g: TaskGraph, marked: Iterable[Edge] = ()) -> str:

@@ -1,4 +1,4 @@
-"""Exact rational parsing and rendering on top of fractions.Fraction.
+"""Exact rational parsing and rendering on top of fractions.Fraction; the JSON writer.
 
 Every cost, bias, and perceived cost in this package is a Fraction; nothing
 is ever rounded. Machine output renders as "p/q" in lowest terms (plain
@@ -7,8 +7,11 @@ integers render without the "/1").
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Union
 
 Rat = Fraction
@@ -20,27 +23,37 @@ RULE = ("an optional sign, then ASCII digits with an optional '.digits', or digi
 _LITERAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
-def rat(value: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or exact string ("74.1", "741/10") to Fraction.
+def parse_rat(text: str) -> tuple[int, int]:
+    """The (numerator, denominator) in lowest terms of an exact string such
+    as "74.1" or "741/10"; the denominator is positive.
 
-    A string, stripped of surrounding whitespace, must be an optional sign,
+    The string, stripped of surrounding whitespace, must be an optional sign,
     then ASCII digits with an optional ".digits", or digits "/" digits, with
     at most MAX_DIGITS digits above the bar (a decimal's on both sides of
     the point) and below it, checked before any int(); any other string, or
-    a zero denominator, raises ValueError naming this rule (RULE). Floats
+    a zero denominator, raises ValueError naming this rule (RULE).
+    """
+    text = text.strip()
+    m = _LITERAL.fullmatch(text)
+    if m is not None:
+        num, frac, den = m.groups("")
+        if len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
+            n, d = int(num + frac), int(den) if den else 10 ** len(frac)
+            if d:
+                common = gcd(n, d)
+                return n // common, d // common
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    raise ValueError(f"not an exact rational: {shown!r}; expected {RULE}")
+
+
+def rat(value: RatLike) -> Fraction:
+    """Coerce an int, Fraction, or exact string ("74.1", "741/10") to Fraction.
+
+    A string is read by `parse_rat`, whose ValueError it raises. Floats
     (inexact) and bools (which Python counts as ints) raise TypeError.
     """
     if isinstance(value, str):
-        text = value.strip()
-        m = _LITERAL.fullmatch(text)
-        if m is not None:
-            num, frac, den = m.groups("")
-            if len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
-                denominator = int(den) if den else 10 ** len(frac)
-                if denominator:
-                    return Fraction(int(num + frac), denominator)
-        shown = text if len(text) <= 40 else text[:40] + "..."
-        raise ValueError(f"not an exact rational: {shown!r}; expected {RULE}")
+        return Fraction(*parse_rat(value))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -51,3 +64,22 @@ def rat(value: RatLike) -> Fraction:
 def format_rat(value: Fraction) -> str:
     """Render a Fraction in lowest terms, e.g. "741/10" or "76"."""
     return str(value)
+
+
+def dump_json(value: object, indent: str = "\n") -> str:
+    """What `json.dumps` writes at an indent of 2, for str dict keys: strings go
+    through the C string encoder, lists, tuples and dicts are laid out here,
+    one item a line, and every other value is handed to `json.dumps`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {dump_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [dump_json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]

@@ -164,6 +164,27 @@ CATALOGUE = (
         "rat: only ASCII digits are accepted",
     ),
     Mutant(
+        "src/chunkwise/rational.py",
+        'len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS',
+        'len(num.lstrip("+-")) + len(frac) < MAX_DIGITS',
+        "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
+        "parse_rat: a numerator of exactly MAX_DIGITS digits is accepted",
+    ),
+    Mutant(
+        "src/chunkwise/rational.py",
+        " and len(den) <= MAX_DIGITS:",
+        ":",
+        "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
+        "parse_rat: a denominator past MAX_DIGITS digits is refused",
+    ),
+    Mutant(
+        "src/chunkwise/rational.py",
+        "    if not items:\n        return brackets\n",
+        "",
+        "tests/test_cli.py::test_dump_json_writes_what_json_dumps_writes",
+        "dump_json: an empty list or dict is written on one line",
+    ),
+    Mutant(
         "src/chunkwise/graph_chunk.py",
         "if None not in best and bound > max(offer[0] for offer in best):",
         "if None not in best and bound >= max(offer[0] for offer in best):",

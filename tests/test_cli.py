@@ -5,8 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chunkwise.cli import main
+from chunkwise.rational import dump_json
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -185,6 +188,28 @@ def test_edge_commands_on_an_unknown_tail_report_unknown_edge(s32_path, capsys):
         assert run(capsys, *argv) == (1, unknown, "")
 
 
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": ((), [{}])})
+@example([[[]], {"x": {"y": []}}])
+@example({"\u00e9t\u00e9 \u2603": "\x00\t\n\"\\ \u2028 \U0001f600 caf\u00e9"})
+@example([0, -7, 10**40, 1.5, -0.0, 1e300, float("inf"), float("nan"), True, False, None])
+def test_dump_json_writes_what_json_dumps_writes(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
 def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
     assert run(capsys, "chunk-edge", "-g", str(s32_path), "-e", "nope", "-b", "2", "-k", "3")[0] == 2
     assert run(capsys, "simulate", "-g", str(tmp_path / "missing.json"), "-b", "2")[0] == 2
@@ -211,6 +236,12 @@ def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
     }))
     assert run(capsys, "simulate", "-g", str(bool_cost), "-b", "2") == (
         2, "", "error: edges[0].cost: must be an exact string or integer\n"
+    )
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff{}")
+    assert run(capsys, "simulate", "-g", str(not_utf8), "-b", "2") == (
+        2, "", "error: json: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
     )
 
 

@@ -151,6 +151,9 @@ def test_parse_errors_name_the_field():
     assert "edges[0]" in str(exc.value)
     with pytest.raises(ParseError):
         load_graph(b"not json")
+    # Bytes that are not UTF-8 used to escape as a bare UnicodeDecodeError.
+    with pytest.raises(ParseError, match="^json: 'utf-8' codec can't decode byte 0xff"):
+        load_graph(b"\xff{}")
 
 
 def test_duplicate_and_self_loop_edges_rejected():

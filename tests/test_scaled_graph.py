@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import re
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +29,7 @@ from chunkwise import (
     chunk_graph_global,
     chunk_graph_local,
     load_graph,
+    save_graph,
     shortest_to_sink,
     two_agent_plan,
 )
@@ -45,6 +48,20 @@ bias = st.builds(
     lambda n, d: 1 + F(n, d), st.integers(1, 30), st.sampled_from((1, 2, 3, 7, 12, *BIG_PRIMES))
 )
 diagnostic_bias = st.builds(F, st.integers(1, 40), st.sampled_from((1, 2, 5, 12, 10**6 + 3)))
+
+
+@contextmanager
+def counting_fractions():
+    """Record the arguments of every Fraction built inside the block."""
+    made = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(F, "__new__", counting):
+        yield made
 
 
 def reference(names, costs):
@@ -117,11 +134,29 @@ def build(names, costs):
 def test_scaled_costs_and_distances_match_fractions(drawn):
     names, costs = drawn
     g = build(names, costs)
-    assert g.scale == lcm(*(c.denominator for c in costs.values()))
+    text = save_graph(g)
+    with counting_fractions() as made:
+        loaded = load_graph(text)
+    assert made == []  # each cost is parsed straight into the scaled adjacency
+    assert g.scale == loaded.scale == lcm(*(c.denominator for c in costs.values()))
     for u in names:
         out = sorted((v, c) for (a, v), c in costs.items() if a == u)
+        assert g.scaled_out_edges(u) == loaded.scaled_out_edges(u)
         assert g.scaled_out_edges(u) == tuple((v, c * g.scale) for v, c in out)
         assert all(type(c) is int for _, c in g.scaled_out_edges(u))
+        for graph in (g, loaded):
+            # The Fraction views are the scaled adjacency over the scale.
+            scaled = graph.scaled_out_edges(u)
+            assert graph.out_edges(u) == tuple((v, F(c, g.scale)) for v, c in scaled)
+            assert all(graph.cost(u, v) == F(c, g.scale) for v, c in scaled)
+            assert all(type(c) is F for _, c in graph.out_edges(u))
+            assert all(type(graph.cost(u, v)) is F for v, _ in scaled)
+    for graph in (g, loaded):
+        assert graph.edges == tuple(
+            (u, v, F(c, g.scale)) for u in sorted(names) for v, c in graph.scaled_out_edges(u)
+        )
+        assert [(u, v) for u, v, _ in graph.edges] == sorted(costs)
+        assert all(type(c) is F for _, _, c in graph.edges)
     dist, succ = reference(names, costs)
     got = shortest_to_sink(g)
     assert got.scale == g.scale
