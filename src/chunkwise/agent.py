@@ -28,7 +28,6 @@ from .errors import (
     DeadEnd,
     InvalidParams,
     Stuck,
-    UnknownEdge,
     ZeroShortestPath,
 )
 from .expansion import (
@@ -129,8 +128,6 @@ def perceived_cost(
     g: TaskGraph, dist: DistanceMap, profile: BiasProfile, edge: Edge
 ) -> Fraction:
     """b_eff * c(u,v) + c(v->t) for one edge."""
-    if not g.has_edge(*edge):
-        raise UnknownEdge(*edge)
     return profile.effective(edge) * g.cost(*edge) + dist[edge[1]]
 
 

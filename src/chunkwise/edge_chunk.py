@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence, TypeVar
 
-from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
+from .errors import InvalidParams, InvariantViolation, NoAlternative
 from .graph import DistanceMap, Edge, TaskGraph
 
 
@@ -111,13 +111,10 @@ def _floor(outside: Optional[Cost], through: Cost) -> Cost:
 
 def edge_context(g: TaskGraph, dist: DistanceMap, edge: Edge) -> EdgeContext:
     u, v = edge
-    if not g.has_edge(u, v):
-        raise UnknownEdge(u, v)
+    x = g.cost(u, v)
     scaled = dist.scaled_for(g)
     outside = min((c + scaled[h] for h, c in g.scaled_out_edges(u) if h != v), default=None)
-    return EdgeContext(
-        u, v, g.cost(u, v), dist[v], None if outside is None else Fraction(outside, g.scale)
-    )
+    return EdgeContext(u, v, x, dist[v], None if outside is None else Fraction(outside, g.scale))
 
 
 def selective_bias_closed_form(b: Fraction, k: int) -> Fraction:

@@ -20,6 +20,7 @@ from .errors import (
     NegativeCost,
     ParseError,
     SinkUnreachable,
+    UnknownEdge,
 )
 from .oracle_limits import enumeration_cap
 from .rational import RatLike, dump_json, format_rat, parse_rat, rat
@@ -98,16 +99,14 @@ class TaskGraph:
         return self._scaled_out[u]
 
     def _scaled_cost(self, u: str, v: str) -> int:
-        """The cost of edge (u, v) times `scale`; KeyError if there is no such edge."""
+        """The cost of edge (u, v) times `scale`; UnknownEdge if there is no such edge."""
         for head, cost in self._scaled_out.get(u, ()):
             if head == v:
                 return cost
-        raise KeyError(f"no edge ({u}, {v})")
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return any(head == v for head, _ in self._scaled_out.get(u, ()))
+        raise UnknownEdge(u, v)
 
     def cost(self, u: str, v: str) -> Fraction:
+        """The cost of edge (u, v); UnknownEdge if there is no such edge."""
         return Fraction(self._scaled_cost(u, v), self.scale)
 
     def has_vertex(self, v: str) -> bool:

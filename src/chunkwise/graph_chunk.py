@@ -17,15 +17,17 @@ bias `min_chunks_to_beat` and the optimal chunking, for several the greedy
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
-The DP runs on any DAG whose vertices yield their moves: `edge_moves` gives
-it a task graph's edges, and the two-agent planner a graph of position
+The DP runs on any DAG whose vertices yield their moves as (head, step
+cost) pairs, the shape of a task graph's `scaled_out_edges`, and asks
+`chunks(u, head)` what a move takes: on a task graph, an edge's charged
+need for one group of types; for two types, a move on a graph of position
 pairs. `shared_path_plan` is the one pipeline from a group's needs to a
 checked plan, for one type, for m types on one path and for two types of
 one bias.
 
 The DP reads a vertex's moves in the order of a lower bound on what they
-offer and resolves a move only while it can still win, so `GroupNeeds`
-computes an edge's need on its first read (`LazyEdgeMap`).
+offer and asks for a move's chunks only while it can still win, so
+`GroupNeeds` computes an edge's need on its first read (`LazyEdgeMap`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Literal, Optional, Sequence, TypeVar
 
 from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan
 from .edge_chunk import (
@@ -105,8 +107,6 @@ V = TypeVar("V")
 N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
 CostTable = dict[tuple[N, int], int]
 Choices = dict[tuple[N, int], tuple[N, int]]
-# A move: (step cost, head, resolve); resolve() gives its chunks, or None.
-Step = tuple[int, N, Callable[[], Optional[int]]]
 
 
 class LazyEdgeMap(dict[Edge, V]):
@@ -166,8 +166,7 @@ class GroupNeeds:
     profile in perss (computed here when not given). need[e] is 0 when e is
     every type's default edge, None when no budget.k-chunking carries every
     type, and otherwise one bias's `min_chunks_to_beat` or the length of
-    several's `same_path_fill`; charged[e] is what the budgeted DP takes
-    for it. Both are computed on first read.
+    several's `same_path_fill`, computed on first read.
     """
 
     def __init__(
@@ -181,7 +180,6 @@ class GroupNeeds:
             lambda e: same_path_fill(g, dist, e, self.biases, budget.k, self.perss)
         )
         self.need: LazyEdgeMap[Optional[int]] = LazyEdgeMap(self._need)
-        self.charged = LazyEdgeMap(lambda e: budget.charge(self.need[e]))
 
     def _need(self, e: Edge) -> Optional[int]:
         u, v = e
@@ -203,15 +201,16 @@ class GroupNeeds:
 
 
 def cheapest_paths(
-    order: Iterable[N], sink: N, moves: Callable[[N], Iterable[Step[N]]], k: int
+    order: Iterable[N], sink: N, moves: Callable[[N], Iterable[tuple[N, int]]],
+    chunks: Callable[[N, N], Optional[int]], k: int,
 ) -> tuple[CostTable[N], Choices[N]]:
     """Cheapest u-to-sink cost using at most i chunks, for every u and i <= k.
 
     The graph is any DAG. order lists every vertex but the sink, each after
-    the heads of its moves. moves(u) yields u's moves as (step cost, head,
-    resolve), where resolve() gives the chunks the move takes, or None when
-    the move is unusable. table[(u, i)] is absent when no usable path fits
-    in i chunks; choice[(u, i)] is the (head, chunks) of the first move.
+    the heads of its moves. moves(u) yields u's moves as (head, step cost)
+    pairs, and chunks(u, head) gives the chunks a move takes, or None when
+    it is unusable. table[(u, i)] is absent when no usable path fits in i
+    chunks; choice[(u, i)] is the (head, chunks) of the first move.
     Offers compare as (cost, chunks, head): at equal cost the move taking
     fewer chunks wins, then the least head. Costs are exact numbers; the
     planners' moves give ints, a task graph's costs times its `scale`, so
@@ -220,7 +219,7 @@ def cheapest_paths(
     More budget never costs more, so step + table[(head, k)] bounds what a
     move offers at every level. u's moves are read in the order of that
     bound until every level has an offer and the next bound exceeds the
-    costliest level's best, and resolve() is called only for moves read
+    costliest level's best, and chunks() is asked only for moves read
     before then; a move whose head has no path at k is never read.
     """
     table: CostTable[N] = {(sink, i): 0 for i in range(k + 1)}
@@ -228,17 +227,17 @@ def cheapest_paths(
     for u in order:
         bounded = sorted(
             (
-                (step + table[(head, k)], step, head, resolve)
-                for step, head, resolve in moves(u)
+                (step + table[(head, k)], step, head)
+                for head, step in moves(u)
                 if (head, k) in table
             ),
             key=itemgetter(0),
         )
         best: list[Optional[tuple[int, int, N]]] = [None] * (k + 1)
-        for bound, step, head, resolve in bounded:
+        for bound, step, head in bounded:
             if None not in best and bound > max(offer[0] for offer in best):
                 break
-            l = resolve()
+            l = chunks(u, head)
             if l is None:
                 continue
             for i in range(l, k + 1):
@@ -252,23 +251,6 @@ def cheapest_paths(
                 table[(u, i)] = offer[0]
                 choice[(u, i)] = (offer[2], offer[1])
     return table, choice
-
-
-def edge_moves(
-    g: TaskGraph, need: Mapping[Edge, Optional[int]]
-) -> Callable[[str], Iterator[Step[str]]]:
-    """cheapest_paths' moves on g: each out-edge e at its scaled cost, taking
-    need[e] chunks.
-
-    need[e] is None when e is unusable, and is read only when the DP
-    resolves e.
-    """
-
-    def moves(u: str) -> Iterator[Step[str]]:
-        for head, c in g.scaled_out_edges(u):
-            yield c, head, lambda e=(u, head): need[e]
-
-    return moves
 
 
 def walk_choices(sink: N, choice: Choices[N], u: N, i: int) -> tuple[N, ...]:
@@ -297,7 +279,10 @@ def shared_path_plan(
     needs = GroupNeeds(g, dist, biases, budget)
     levels = budget.levels
     order = [u for u in reversed(validate(g)) if u != g.sink]
-    table, choice = cheapest_paths(order, g.sink, edge_moves(g, needs.charged), levels)
+    table, choice = cheapest_paths(
+        order, g.sink, g.scaled_out_edges,
+        lambda u, v: budget.charge(needs.need[(u, v)]), levels,
+    )
     if (g.source, levels) not in table:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
     path = walk_choices(g.sink, choice, g.source, levels)

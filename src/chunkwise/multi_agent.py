@@ -18,10 +18,11 @@ plan and `oracle.brute_force_two_agent_plan` all read that one table. The
 DP is graph_chunk's `cheapest_paths` run on a graph of position pairs, in
 which the type that is behind moves alone, so both types stand together at
 every vertex their paths share and the DP charges each pair exactly its
-static plan. Every move takes the chunks it is charged, so ties break as
-in the one-type DP, on (cost, chunks, head). It resolves a move only while
-its lower bound can still win some budget level, so a joint move beaten on
-cost is never built.
+static plan. A joint move is charged its witnesses' chunks, and a solo move
+its type's own need for the edge, so ties break as in the one-type DP, on
+(cost, chunks, head). The DP asks for a move's chunks only while its lower
+bound can still win some budget level, so a joint move beaten on cost is
+never built.
 """
 
 from __future__ import annotations
@@ -56,10 +57,8 @@ from .graph import (
 from .graph_chunk import (
     BudgetSpec,
     GroupNeeds,
-    Step,
     _caps,
     cheapest_paths,
-    edge_moves,
     same_path_fill,
     shared_path_plan,
     walk_choices,
@@ -582,11 +581,10 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     DP reads it. Where they stand apart, only the type at the topologically
     earlier vertex moves, alone; the sink comes after every vertex, so this
     also moves the type that has not finished. A move, joint or solo, takes
-    the chunks the budget charges for it, and whether it is usable is
-    computed only when the DP resolves it. Ties thus break on (cost, chunks,
-    head pair), the one-type rule. A move costs the edges taken in g's
-    scaled ints. The walk from (s, s) to (t, t) is projected onto each
-    type's path.
+    the chunks the budget charges for it, and `pair_chunks` computes them
+    only when the DP asks. Ties thus break on (cost, chunks, head pair), the
+    one-type rule. A move costs the edges taken in g's scaled ints. The walk
+    from (s, s) to (t, t) is projected onto each type's path.
 
     The walk meets at every vertex w both paths share: every vertex before
     w on a path precedes w topologically, so whichever type reaches w first
@@ -606,30 +604,32 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     t = g.sink
     topo = validate(g)
     pos = {u: i for i, u in enumerate(topo)}
-    solo = [edge_moves(g, needs.charged) for needs in moves.solo]
 
-    def joint(u: str, v: str, z: str) -> Optional[int]:
-        found = moves.move(u, v, z)
-        return None if found is None else budget.charge(sum(ch.k for ch in found))
-
-    def pair_moves(pair: tuple[str, str]) -> Iterator[Step[tuple[str, str]]]:
+    def pair_moves(pair: tuple[str, str]) -> Iterator[tuple[tuple[str, str], int]]:
         u, y = pair
         if u == y:
             for v, cv in g.scaled_out_edges(u):
                 for z, cz in g.scaled_out_edges(u):
-                    yield cv + cz, (v, z), lambda v=v, z=z: joint(u, v, z)
+                    yield (v, z), cv + cz
         elif pos[u] < pos[y]:  # A1 is behind, so it moves alone
-            for c, v, resolve in solo[0](u):
-                yield c, (v, y), resolve
+            for v, c in g.scaled_out_edges(u):
+                yield (v, y), c
         else:
-            for c, z, resolve in solo[1](y):
-                yield c, (u, z), resolve
+            for z, c in g.scaled_out_edges(y):
+                yield (u, z), c
+
+    def pair_chunks(pair: tuple[str, str], head: tuple[str, str]) -> Optional[int]:
+        if pair[0] == pair[1]:
+            found = moves.move(pair[0], *head)
+            return None if found is None else budget.charge(sum(ch.k for ch in found))
+        mover = int(pair[0] == head[0])  # A1 moved iff its coordinate changed
+        return budget.charge(moves.solo[mover].need[(pair[mover], head[mover])])
 
     rev = list(reversed(topo))
     order = [(u, y) for u in rev for y in rev if not u == y == t]
     levels = budget.levels
     source = (g.source, g.source)
-    table, choice = cheapest_paths(order, (t, t), pair_moves, levels)
+    table, choice = cheapest_paths(order, (t, t), pair_moves, pair_chunks, levels)
     if (source, levels) not in table:
         return None
     walk = walk_choices((t, t), choice, source, levels)

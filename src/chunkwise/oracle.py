@@ -31,6 +31,7 @@ from .edge_chunk import (
     Chunking,
     EdgeContext,
     _floor,
+    chunk_shortest_edge,
     edge_context,
     greedy_fill,
     optimal_edge_chunking,
@@ -51,6 +52,7 @@ from .graph import (
     shortest_to_sink,
 )
 from .graph_chunk import BudgetSpec, Persuasion, persuasion_profile
+from .multi_agent import JointMoves, _pair_plan
 from .oracle_limits import enumeration_cap
 from .rational import format_rat
 
@@ -368,8 +370,6 @@ def brute_force_two_agent_plan(
             predicted_cost=2 * plan.predicted_cost,
             biases=(b1, b2),
         )
-    from .multi_agent import JointMoves, _pair_plan
-
     moves = JointMoves(g, b1, b2, budget)
     best: Optional[tuple[Fraction, ChunkPlan]] = None
     for cost, P, Q in path_pairs_by_cost(g):
@@ -415,8 +415,6 @@ EXPERIMENT_HEADER = ["n", "b", "c", "k", "ratio_num", "ratio_den", "bound_num", 
 
 def geometric_fan_plan(g: TaskGraph, b: Fraction, k: int) -> ChunkPlan:
     """Geometric k-chunking of every positive-cost edge (fan experiment)."""
-    from .edge_chunk import chunk_shortest_edge
-
     chunkings = []
     for u, v, c in g.edges:
         if c > 0:

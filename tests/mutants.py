@@ -193,6 +193,15 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
+        "            if None not in best and bound > max(offer[0] for offer in best):\n"
+        "                break\n",
+        "",
+        "tests/test_graph_chunk.py::test_cheapest_paths_breaks_ties_on_chunks_before_head "
+        "tests/test_graph_chunk.py::test_a_detour_that_cannot_win_is_never_counted",
+        "cheapest_paths: a move whose bound cannot win any level is never asked for its chunks",
+    ),
+    Mutant(
+        "src/chunkwise/graph_chunk.py",
         "return self.mode == \"local\" or total <= self.k",
         "return self.mode == \"local\" or total < self.k",
         "tests/test_multi_agent.py",
@@ -247,6 +256,13 @@ CATALOGUE = (
         "elif u < y:",
         "tests/test_multi_agent.py::test_two_agent_dp_moves_the_topologically_earlier_type",
         "_two_agent_dp: behind means earlier in topological order, not in name order",
+    ),
+    Mutant(
+        "src/chunkwise/multi_agent.py",
+        "moves.solo[mover].need",
+        "moves.solo[1 - mover].need",
+        "tests/test_multi_agent.py::test_two_agent_plan_finds_a_split_below_a_failing_full_row",
+        "_two_agent_dp: a type moving alone is charged from its own needs table",
     ),
 )
 

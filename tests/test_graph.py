@@ -22,6 +22,7 @@ from chunkwise.errors import (
     NegativeCost,
     ParseError,
     SinkUnreachable,
+    UnknownEdge,
 )
 from chunkwise.rational import format_rat, rat
 
@@ -135,6 +136,11 @@ def test_decimal_cost_parses_exactly():
         b'"source":"s","sink":"t"}'
     )
     assert g.cost("s", "t") == Fraction(1, 10)
+    # A missing edge, and an edge from an unknown tail, are domain errors.
+    with pytest.raises(UnknownEdge, match=r"^edge \(t -> s\) does not exist$"):
+        g.cost("t", "s")
+    with pytest.raises(UnknownEdge, match=r"^edge \(x -> t\) does not exist$"):
+        g.cost("x", "t")
 
 
 def test_negative_cost_rejected():

@@ -19,7 +19,7 @@ from chunkwise import (
 from chunkwise.errors import InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
 from chunkwise.graph import all_paths, path_cost, validate
-from chunkwise.graph_chunk import cheapest_paths, edge_moves, persuasion_profile, walk_choices
+from chunkwise.graph_chunk import cheapest_paths, persuasion_profile, walk_choices
 from chunkwise.multi_agent import AgentSet, m_agent_single_path_plan
 from chunkwise.oracle import brute_force_graph_plan
 from conftest import series_gadgets
@@ -31,7 +31,7 @@ F = Fraction
 def _dp(g, need, k):
     """cheapest_paths over g's edges, each charged need[e] chunks."""
     order = [u for u in reversed(validate(g)) if u != g.sink]
-    return cheapest_paths(order, g.sink, edge_moves(g, need), k)
+    return cheapest_paths(order, g.sink, g.scaled_out_edges, lambda u, v: need[(u, v)], k)
 
 
 def test_cheapest_paths_matches_path_enumeration():
@@ -142,22 +142,23 @@ def test_cheapest_paths_breaks_ties_on_chunks_before_head():
     # order given: the move to 3 fills every level first, yet the moves
     # whose bound ties it are still read. The chunk-free move to 2 beats the
     # one-chunk move to 1 though its head is larger, and beats the move to
-    # 3 on its head. A move is resolved only when it is read.
+    # 3 on its head. A move's chunks are asked for only when it is read.
     steps = {
-        "u": [(F(1), 3, 0), (F(1), 1, 1), (F(1), 2, 0), (F(5), 4, 0)],
-        **{head: [(F(0), 0, 0)] for head in (1, 2, 3, 4)},
+        "u": [(3, F(1)), (1, F(1)), (2, F(1)), (4, F(5))],
+        **{head: [(0, F(0))] for head in (1, 2, 3, 4)},
     }
-    resolved = []
+    needs = {("u", 1): 1}
+    asked = []
 
-    def moves(u):
-        for step, head, chunks in steps[u]:
-            yield step, head, lambda head=head, chunks=chunks: resolved.append(head) or chunks
+    def chunks(u, head):
+        asked.append(head)
+        return needs.get((u, head), 0)
 
-    table, choice = cheapest_paths([4, 3, 2, 1, "u"], 0, moves, 1)
+    table, choice = cheapest_paths([4, 3, 2, 1, "u"], 0, steps.__getitem__, chunks, 1)
     assert table[("u", 0)] == table[("u", 1)] == 1
     assert choice[("u", 0)] == choice[("u", 1)] == (2, 0)
     assert walk_choices(0, choice, "u", 1) == ("u", 2, 0)
-    assert resolved == [0, 0, 0, 0, 3, 1, 2]  # the cost-5 move out of "u" is never resolved
+    assert asked == [0, 0, 0, 0, 3, 1, 2]  # the cost-5 move out of "u" is never asked about
 
 
 def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):

@@ -1,8 +1,11 @@
-"""Every module under src/chunkwise uses every name it imports.
+"""Every module under src/chunkwise uses every name it imports, and imports
+only at module level.
 
 A deletion can leave an import behind that nothing reads any more. The check
 parses each module with ast: a name imported at any level must appear as a
 name somewhere in the module, or, for the package's __init__, in __all__.
+An import inside a function hides a module's dependencies and runs on every
+call; no module of the package needs one to break an import cycle.
 """
 
 from __future__ import annotations
@@ -46,5 +49,34 @@ def test_no_module_imports_a_name_it_never_uses():
         path.name: unused
         for path in modules
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def imports_in_functions(source: str) -> list[str]:
+    lines = {
+        node.lineno
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_imports_inside_functions_are_detected():
+    source = (
+        "import os\n\n\ndef f():\n    from json import dumps\n\n"
+        "    def g():\n        import re\n\n\nclass C:\n    def m(self):\n        import io\n"
+    )
+    assert imports_in_functions(source) == ["line 5", "line 8", "line 13"]
+    assert imports_in_functions("import os\n\n\ndef f():\n    return os\n") == []
+
+
+def test_no_module_imports_inside_a_function():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := imports_in_functions(path.read_text(encoding="utf-8")))
     }
     assert found == {}
