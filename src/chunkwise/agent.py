@@ -8,8 +8,9 @@ agent picks it, otherwise the lexicographically least head wins.
 A chunk plan is walked by one of two routes that share `traverse`, and so
 the tie rule. The fast route walks a `PlanView` of the plan on the
 distances the caller already holds: `replay_plan` walks every type of a
-planner's plan on one view and checks each against its planned path, and
-`walk_plan` makes one walk, for the CLI and `verify`. `simulate_plan` is
+planner's plan, or of one joint move, on one view and checks each walk step
+for step against its planned path with each chunked edge's chain in place,
+and `walk_plan` makes one walk, for the CLI and `verify`. `simulate_plan` is
 the independent cross-check route the oracles, `verify` and the benchmark
 use: it builds the expanded graph with `expand_plan` and recomputes its
 distances from scratch.
@@ -35,7 +36,6 @@ from .expansion import (
     ChunkPlan,
     PlanView,
     expand_plan,
-    original_path,
     single_edge_plan,
     walk_follows_chunking,
 )
@@ -236,19 +236,24 @@ def replay_plan(
     walks: Iterable[tuple[BiasProfile, tuple[str, ...]]],
 ) -> Optional[tuple[TraversalTrace, ...]]:
     """Walk each (profile, planned path) on one view of the plan; dist is
-    shortest_to_sink(g). The traces, or None unless each walk projects onto
-    its planned path at that path's cost.
+    shortest_to_sink(g). The traces, or None unless each walk is its path
+    with every chunked edge replaced by its chain, step for step, at the
+    path's cost.
 
-    A walk that projects onto its path has crossed the chain of every
-    chunked edge on it: from the edge's tail, the only route to its head
-    that passes no other original vertex is the whole chain, because a
-    chain vertex's deviation edges lead only to other original vertices.
+    A walk starts at its path's first vertex and stops at the path's last
+    vertex or at the first original vertex off the path, so a path may be a
+    whole plan's source-sink path or one hop out of a vertex.
     """
     view = PlanView(g, dist, plan)
+    originals = frozenset(g.vertices)
     traces = []
     for profile, path in walks:
-        trace = traverse(view, view, profile, view.marks)
-        if original_path(view, trace.path) != path or trace.total != path_cost(g, path):
+        route = path[:1]
+        for edge in zip(path, path[1:]):
+            route += view.chains.get(edge, edge)[1:]
+        until = originals.difference(path[:-1])
+        trace = traverse(view, view, profile, view.marks, start=path[0], until=until)
+        if trace.path != route or trace.total != path_cost(g, path):
             return None
         traces.append(trace)
     return tuple(traces)

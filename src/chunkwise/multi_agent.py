@@ -6,9 +6,11 @@ as possible. Keeping m agents on one edge is graph_chunk's `same_path_fill`,
 and `chunk_same_path` adds the reason when it fails. Graph-level planning
 reads the local/global budget rule from `BudgetSpec`. Types that must share
 one path (and two types with one bias) are planned by graph_chunk's
-single-path pipeline, `shared_path_plan`. Every emitted plan is checked by
-`agent.replay_plan`, which walks each type on one view of it; a two-agent
-plan that fails is an invariant violation.
+single-path pipeline, `shared_path_plan`. `agent.replay_plan` is the one
+plan check: it walks each type on one view of a plan and accepts only a
+walk that is the type's path with each chunked edge's chain in place, step
+for step. It checks every emitted plan, where a two-agent plan that fails
+is an invariant violation, and every joint split, on its two one-hop paths.
 
 The two-agent planner builds one `JointMoves` table per call: graph_chunk's
 `GroupNeeds` for each type alone and for the pair on one edge, which give
@@ -33,7 +35,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator, Literal, Optional
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan, traverse
+from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan
 from .edge_chunk import (
     Chunking,
     EdgeContext,
@@ -45,7 +47,7 @@ from .edge_chunk import (
     perceived_chunk_costs,
 )
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
-from .expansion import ChunkPlan, PlanView, walk_follows_chunking
+from .expansion import ChunkPlan
 from .graph import (
     DistanceMap,
     Edge,
@@ -414,7 +416,6 @@ class JointMoves:
         self.g = g
         self.budget = budget
         self.dist = shortest_to_sink(g)
-        self.vertices = frozenset(g.vertices)
         self.solo = tuple(GroupNeeds(g, self.dist, (b,), budget) for b in (b1, b2))
         self.pers = tuple(needs.perss[0] for needs in self.solo)
         self.agents = AgentSet((b1, b2))
@@ -464,8 +465,9 @@ class JointMoves:
 
         i or j of zero means the edge is left alone (only sensible when it is
         that agent's unaided choice). Both chunkings are installed together on
-        one view and validated by walking both agents on it from u under the
-        shared tie rule.
+        one view, and `replay_plan` walks each agent on it from u to the next
+        original vertex: A1's walk must be (u, v) with its chain in place,
+        step for step, and A2's (u, z).
         """
         sides = ((0, v, i), (1, z, j))
         # Check both unchunked sides before building any split.
@@ -478,11 +480,9 @@ class JointMoves:
                 if ch is None:
                     return None
                 witnesses.append(ch)
-        view = PlanView(self.g, self.dist, ChunkPlan(chunkings=tuple(witnesses)))
-        for profile, head in zip(self.agents.profiles, (v, z)):
-            if not _first_move_ok(view, profile, u, head, until=self.vertices):
-                return None
-        return tuple(witnesses)
+        plan = ChunkPlan(chunkings=tuple(witnesses))
+        hops = zip(self.agents.profiles, ((u, v), (u, z)))
+        return None if replay_plan(self.g, self.dist, plan, hops) is None else plan.chunkings
 
     def _chunk_split(self, edge: Edge, k: int, taker: Literal[1, 2]) -> Optional[Chunking]:
         """chunk_split's chunking, or None when the taker refuses it."""
@@ -494,20 +494,6 @@ class JointMoves:
             except TakerRefuses:
                 self._splits[key] = None
         return self._splits[key]
-
-
-def _first_move_ok(
-    view: PlanView, profile: BiasProfile, u: str, target: str, until: frozenset[str]
-) -> bool:
-    """Walk one agent from u on the view of the witnesses; check its first move.
-
-    The walk ends at the first original vertex (in `until`) after u: by then
-    the agent has either crossed a chain installed at u or left it.
-    """
-    trace = traverse(view, view, profile, view.marks, start=u, until=until)
-    if (u, target) in view.chains:
-        return walk_follows_chunking(trace.path, view.chains[(u, target)])
-    return len(trace.path) > 1 and trace.path[1] == target
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +583,9 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     only u's out-edges and the chains installed at u, and chain vertices
     copy u's other out-edges unchunked. Chunking changes no original
     vertex's distance. So the walk from u to the next original vertex on
-    the whole plan is the walk on the view of u's move alone, which the
-    move was checked on.
+    the whole plan is the walk on the view of u's move alone, which
+    `replay_plan` accepted only as the move's chain, or its unchunked edge,
+    step for step.
     """
     g, budget = moves.g, moves.budget
     t = g.sink

@@ -81,10 +81,31 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/agent.py",
-        "if original_path(view, trace.path) != path or trace.total != path_cost(g, path):",
-        "if original_path(view, trace.path) != path:",
+        "if trace.path != route or trace.total != path_cost(g, path):",
+        "if trace.path != route:",
         "tests/test_graph_chunk.py::test_simulation_deviating_from_the_plan_is_an_invariant_violation",
         "replay_plan: a walk off its path's cost is an invariant violation",
+    ),
+    Mutant(
+        "src/chunkwise/agent.py",
+        "trace.path != route",
+        "tuple(v for v in trace.path if v in originals) != path",
+        "tests/test_agent.py::test_replay_plan_rejects_a_walk_through_another_edges_chain",
+        "replay_plan: a walk is checked step for step, not projected onto original vertices",
+    ),
+    Mutant(
+        "src/chunkwise/agent.py",
+        "trace.path != route",
+        "trace.path[:2] != route[:2]",
+        "tests/test_agent.py::test_replay_plan_rejects_a_hop_that_leaves_its_chain_at_the_planned_cost",
+        "replay_plan: a type sent into a chain must cross the whole chain",
+    ),
+    Mutant(
+        "src/chunkwise/agent.py",
+        "trace.path != route",
+        "trace.path[-1:] != route[-1:]",
+        "tests/test_agent.py::test_replay_plan_rejects_a_walk_through_another_edges_chain",
+        "replay_plan: a type planned over an edge must take it, not another edge's chain",
     ),
     Mutant(
         "src/chunkwise/expansion.py",
@@ -228,20 +249,6 @@ CATALOGUE = (
         "self.biases = tuple(biases)",
         "tests/test_multi_agent.py::test_two_agent_equal_types_reduce_to_single",
         "GroupNeeds: a repeated bias is one type",
-    ),
-    Mutant(
-        "src/chunkwise/multi_agent.py",
-        "        return walk_follows_chunking(trace.path, view.chains[(u, target)])\n",
-        "        return True\n",
-        "tests/test_multi_agent.py",
-        "_first_move_ok: a type sent into a chain must cross the whole chain",
-    ),
-    Mutant(
-        "src/chunkwise/multi_agent.py",
-        "    return len(trace.path) > 1 and trace.path[1] == target\n",
-        "    return True\n",
-        "tests/test_multi_agent.py",
-        "_first_move_ok: a type left unchunked must take its target edge",
     ),
     Mutant(
         "src/chunkwise/multi_agent.py",

@@ -21,6 +21,7 @@ from chunkwise import (
     simulate_plan,
     traverse,
 )
+from chunkwise.agent import replay_plan
 from chunkwise.errors import InvalidParams, UnknownEdge, ZeroShortestPath
 from chunkwise.expansion import ChunkPlan, single_edge_plan
 
@@ -224,3 +225,45 @@ def test_two_tied_chunk_candidates_fall_back_to_lexicographic():
     assert trace.path == ("u", "u>a#1", "a", "t")
     assert trace.tie_events[0].tied == ("u>a#1", "u>b#1")
     assert trace.tie_events[0].winner == "u>a#1"
+
+
+def _shared_tail_graph():
+    from chunkwise import TaskGraph
+
+    return TaskGraph(
+        ["u", "v", "z", "t"],
+        [("u", "v", 10), ("u", "z", 10), ("v", "t", 0), ("z", "t", 1)],
+        "u",
+        "t",
+    )
+
+
+def test_replay_plan_rejects_a_walk_through_another_edges_chain():
+    # Two chunked edges share the tail u. A bias-2 walk planned on (u, v, t)
+    # enters (u, z)'s chain at its free first chunk and leaves it for v: it
+    # passes the planned original vertices at the planned cost 10, but it
+    # is not the planned route (u, v, t), so the plan does not hold.
+    g = _shared_tail_graph()
+    plan = ChunkPlan(
+        chunkings=(
+            Chunking("u", "v", (Fraction(10),)),
+            Chunking("u", "z", (Fraction(0), Fraction(10))),
+        )
+    )
+    profile = BiasProfile(B2)
+    trace, _ = simulate_plan(g, plan, profile)
+    assert trace.path == ("u", "u>z#1", "v", "t") and trace.total == 10
+    assert replay_plan(g, shortest_to_sink(g), plan, [(profile, ("u", "v", "t"))]) is None
+
+
+def test_replay_plan_rejects_a_hop_that_leaves_its_chain_at_the_planned_cost():
+    # A bias-2 walk planned on the one hop (u, z) enters its chain at the
+    # free first chunk and leaves it for v, an edge as costly as (u, z): the
+    # walk's first step and its cost match the hop, but it never crosses
+    # the chain, so the hop does not hold.
+    g = _shared_tail_graph()
+    plan = ChunkPlan(chunkings=(Chunking("u", "z", (Fraction(0), Fraction(10))),))
+    profile = BiasProfile(B2)
+    trace, _ = simulate_plan(g, plan, profile)
+    assert trace.path == ("u", "u>z#1", "v", "t") and trace.total == 10
+    assert replay_plan(g, shortest_to_sink(g), plan, [(profile, ("u", "z"))]) is None

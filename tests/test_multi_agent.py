@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +14,7 @@ from chunkwise import (
     AgentSet,
     BiasProfile,
     BudgetSpec,
+    Chunking,
     TaskGraph,
     chunk_graph_global,
     chunk_graph_local,
@@ -523,6 +524,35 @@ def test_joint_split_is_the_least_feasible_cell_of_the_full_matrix():
                 triples += 1
                 splits += found is not None
     assert splits > 0 and triples > splits
+
+
+def test_every_accepted_joint_split_replays_on_the_expanded_graph():
+    # A joint split JointMoves accepts must hold on the independent route:
+    # walked from u on the graph expand_plan builds of its witnesses, each
+    # type crosses its edge's whole chain, or takes its unchunked edge.
+    rng = random.Random(2828)
+    checked = chunked = 0
+    for _ in range(60):
+        g = random_task_graph(rng, min_vertices=4, max_vertices=7)
+        b1 = _random_bias(rng)
+        b2 = b1 * rng.choice((2, 3, 5))
+        k = rng.randint(1, 3)
+        for mode in ("local", "global"):
+            moves = JointMoves(g, b1, b2, BudgetSpec(mode, k))
+            for u in g.vertices:
+                heads = [v for v, _ in g.out_edges(u)]
+                for v, z in permutations(heads, 2):
+                    witnesses = moves.move(u, v, z)
+                    if witnesses is None:
+                        continue
+                    plan = ChunkPlan(chunkings=witnesses)
+                    for b, head in ((b1, v), (b2, z)):
+                        trace, cg = simulate_plan(g, plan, BiasProfile(b), start=u)
+                        chain = cg.chains.get((u, head), (u, head))
+                        assert trace.path[: len(chain)] == chain, (u, v, z, b)
+                    checked += 1
+                    chunked += len(witnesses) > 0
+    assert checked > chunked > 0
 
 
 def test_two_agent_plan_keeps_the_default_split_when_every_full_row_fails(tmp_path, capsys):
@@ -1101,3 +1131,34 @@ def test_chunk_split_mass_loss_is_an_invariant_violation(s32, monkeypatch):
     dist = shortest_to_sink(s32)
     with pytest.raises(InvariantViolation, match="conserve mass"):
         chunk_split(s32, dist, ("u", "v"), B2, F(10), 3, taker=1)
+
+
+# A static plan the two-type planner misses, with b = (5/2, 25/2) and k = 2.
+_MISS_GRAPH = _graph([
+    ("s", "a", "7/4"), ("s", "b", "1/2"), ("s", "d", "3"), ("a", "b", "24/5"),
+    ("a", "c", "7/10"), ("a", "d", "0"), ("b", "d", "2"), ("c", "t", "3/4"), ("d", "t", "0"),
+])
+_MISS_PLAN = ChunkPlan(chunkings=(Chunking("s", "a", (F(1), F(3, 4))),))
+
+
+def test_a_two_chunk_split_of_s_a_costs_17_4():
+    # Chunking (s, a) into (1, 3/4) sends the 5/2 type over s->a->d->t for
+    # 7/4 and keeps the 25/2 type on s->b->d->t for 5/2: 17/4 for the pair,
+    # in two chunks, which fits k = 2 in both budget modes.
+    for b, path, cost in ((F(5, 2), "sadt", F(7, 4)), (F(25, 2), "sbdt", F(5, 2))):
+        trace, cg = simulate_plan(_MISS_GRAPH, _MISS_PLAN, BiasProfile(b))
+        assert original_path(cg, trace.path) == tuple(path) and trace.total == cost
+    assert _MISS_PLAN.total_chunks == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="chunk_split maximizes the repelled type's largest perceived chunk, "
+    "but a type decides at s on its first chunk, so two_agent_plan returns 5 "
+    "with nothing chunked",
+)
+def test_two_agent_plan_finds_the_17_4_split_of_s_a():
+    for mode in ("local", "global"):
+        _, traces = two_agent_plan(_MISS_GRAPH, F(5, 2), F(25, 2), BudgetSpec(mode, 2))
+        assert sum(t.total for t in traces) <= F(17, 4), mode
