@@ -142,10 +142,26 @@ def best_alternative(
 
     exclude_head restricts to alternatives other than one edge, which is how
     chunking thresholds are computed. Raises DeadEnd if nothing qualifies.
+    Scored in ints by `scaled_best_alternative`; only the minimum becomes a
+    `Fraction`.
+    """
+    head, val = scaled_best_alternative(g, dist, profile, u, exclude_head)
+    return head, Fraction(val, profile.scaled[0] * g.scale)
 
-    Scores in ints: with every bias b = p/r over one denominator r
-    (`BiasProfile.scaled`) and costs and distances over g.scale, b*c + d is
-    (p*C + r*D) / (r * g.scale); only the minimum becomes a `Fraction`.
+
+def scaled_best_alternative(
+    g: TaskGraph,
+    dist: DistanceMap,
+    profile: BiasProfile,
+    u: str,
+    exclude_head: Optional[str] = None,
+) -> tuple[str, int]:
+    """`best_alternative` in ints: the head and its perceived cost times
+    r * g.scale, r the profile's common bias denominator (`BiasProfile.scaled`;
+    b.denominator for a profile without overrides).
+
+    With every bias b = p/r over r and costs and distances over g.scale,
+    b*c + d is (p*C + r*D) / (r * g.scale).
     """
     scaled = dist.scaled_for(g)
     r, p, over = profile.scaled
@@ -159,7 +175,7 @@ def best_alternative(
             best_head, best_val = head, val
     if best_head is None or best_val is None:
         raise DeadEnd(u)
-    return best_head, Fraction(best_val, r * g.scale)
+    return best_head, best_val
 
 
 def traverse(

@@ -27,7 +27,9 @@ one.
 `greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
 filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
 and the oracle's saturated witness, several keep every type on one edge
-(`graph_chunk.same_path_fill`). It too steps in ints.
+(`graph_chunk.same_path_fill`). It too steps in ints: one int loop,
+`_greedy_ints`, behind a front that takes an edge's `Fraction`s, and which
+`graph_chunk.GroupNeeds` feeds straight from the graph's scaled ints.
 """
 
 from __future__ import annotations
@@ -417,26 +419,50 @@ def greedy_fill(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> tuple[list[Fra
     largest k gives both the least chunk count within every cap (its
     length) and the chunking for any count at least that.
     """
-    ns, reached, d0, big_l = _greedy_ints(ctx, caps, k)
+    ns, reached, d0, big_l = _greedy_front(ctx, caps, k)
+    return _fill_masses(ns, reached, d0, big_l, ctx.x), reached
+
+
+def _fill_masses(
+    ns: Sequence[int], reached: bool, d0: int, big_l: int, x: Fraction
+) -> list[Fraction]:
+    """The masses M_i = n_i / (d0 * L**i) of an int fill, the last cut to x
+    when the fill reached it."""
     masses = [Fraction(n, d0 * big_l**i) for i, n in enumerate(ns[: len(ns) - reached], 1)]
-    return (masses + [ctx.x] if reached else masses), reached
+    return masses + [x] if reached else masses
 
 
-def _greedy_ints(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> tuple[list[int], bool, int, int]:
-    """greedy_fill in ints, the last mass uncut: (n_1..n_l, reached, d0, L)
-    with M_i = n_i / (d0 * L**i), d0 the lcm of the denominators of x,
-    c(v->t), outside and the caps, and L the lcm of the biases' numerators.
-    With b_j = p_j/r_j, the bound (cap_j - floor)/b_j over d0 * L**(i+1) is
-    w_j * (cap_j - floor) over d0 * L**i, w_j = r_j * L / p_j: no gcd.
-    """
+def _greedy_front(
+    ctx: EdgeContext, caps: Sequence[Cap], k: int
+) -> tuple[list[int], bool, int, int]:
+    """`_greedy_ints` on an edge's `Fraction`s: (n_1..n_l, reached, d0, L),
+    d0 the lcm of the denominators of x, c(v->t), outside and the caps."""
     x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
     d0 = lcm(x.denominator, c.denominator, 1 if o is None else o.denominator,
              *(cap.denominator for _, cap in caps))
+
+    def ints(q: Fraction) -> int:
+        return q.numerator * (d0 // q.denominator)
+
+    tops = [(b, ints(cap)) for b, cap in caps]
+    ns, reached, big_l = _greedy_ints(ints(x), ints(c), None if o is None else ints(o), tops, k)
+    return ns, reached, d0, big_l
+
+
+def _greedy_ints(
+    big_x: int, big_c: int, big_o: Optional[int], caps: Sequence[tuple[Fraction, int]], k: int
+) -> tuple[list[int], bool, int]:
+    """greedy_fill in ints over one unit 1/d0, the last mass uncut.
+
+    big_x, big_c and big_o are x, c(v->t) and outside (None: no way out)
+    times d0, and caps holds each type's (bias, cap times d0). Returns
+    (n_1..n_l, reached, L) with M_i = n_i / (d0 * L**i), L the lcm of the
+    biases' numerators. With b_j = p_j/r_j, the bound (cap_j - floor)/b_j
+    over d0 * L**(i+1) is w_j * (cap_j - floor) over d0 * L**i,
+    w_j = r_j * L / p_j: no gcd.
+    """
     big_l = lcm(*(b.numerator for b, _ in caps))
-    bounds = [(b.denominator * (big_l // b.numerator), cap.numerator * (d0 // cap.denominator))
-              for b, cap in caps]
-    big_x, big_c = x.numerator * (d0 // x.denominator), c.numerator * (d0 // c.denominator)
-    big_o = None if o is None else o.numerator * (d0 // o.denominator)
+    bounds = [(b.denominator * (big_l // b.numerator), top) for b, top in caps]
     masses: list[int] = []
     mass, floor, lp = 0, big_c, 1  # lp = L**i; the last chunk's floor is c(v->t)
     for _ in range(k):
@@ -448,9 +474,9 @@ def _greedy_ints(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> tuple[list[in
         mass, lp = mass * big_l + step, lp * big_l
         masses.append(mass)
         if mass >= big_x * lp:
-            return masses, True, d0, big_l
+            return masses, True, big_l
         floor = _floor(None if big_o is None else big_o * lp, mass + big_c * lp)
-    return masses, False, d0, big_l
+    return masses, False, big_l
 
 
 def padded_chunking(edge: Edge, fill: Sequence[Fraction], n: int) -> Chunking:
@@ -476,7 +502,7 @@ def min_chunks_to_beat(
     """
     if k_max < 1:
         raise InvalidParams("k_max must be >= 1")
-    masses, reached, _, _ = _greedy_ints(edge_context(g, dist, edge), ((b, alpha),), k_max)
+    masses, reached, _, _ = _greedy_front(edge_context(g, dist, edge), ((b, alpha),), k_max)
     return len(masses) if reached else None
 
 

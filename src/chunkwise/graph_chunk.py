@@ -11,9 +11,15 @@ edge needing l chunks is charged, how many chunks it gets, and whether a
 plan's total fits.
 
 `GroupNeeds` is the one per-edge decision every planner reads: how many
-chunks, and which chunking, make a group of types take an edge (for one
-bias `min_chunks_to_beat` and the optimal chunking, for several the greedy
-`same_path_fill`).
+chunks, and which chunking, make a group of types take an edge. It decides
+in the graph's scaled ints: each type's `persuasion_profile` keeps its
+default head and alpha at every vertex as ints scored by
+`agent.scaled_best_alternative`, and an edge's need is the length of the
+types' greedy fill, stepped by `edge_chunk`'s int loop on the edge's cost,
+distance and outside option read from one scan of the tail's adjacency (for
+one bias, `min_chunks_to_beat`'s count). `Fraction`s are built only for the
+chunkings of a plan's chunked edges: for one bias the optimal chunking, for
+several the greedy `same_path_fill`.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
@@ -34,20 +40,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Literal, Optional, Sequence, TypeVar
 
-from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan
+from .agent import BiasProfile, TraversalTrace, replay_plan, scaled_best_alternative
 from .edge_chunk import (
-    Cap,
     Chunking,
-    edge_context,
-    greedy_fill,
-    min_chunks_to_beat,
+    _fill_masses,
+    _greedy_ints,
     optimal_edge_chunking,
     padded_chunking,
 )
-from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
+from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, UnknownEdge
 from .expansion import ChunkPlan
 from .graph import DistanceMap, Edge, TaskGraph, path_cost, shortest_to_sink, validate
 
@@ -83,24 +88,22 @@ class BudgetSpec:
 
 @dataclass(frozen=True)
 class Persuasion:
-    """Per-vertex defaults and per-edge persuasion data for one bias."""
+    """One bias b's unaided choice at each vertex, scored in ints as
+    `scaled_best_alternative` scores it."""
 
     default: dict[str, str]  # vertex -> head of the unaided choice
-    alpha: dict[str, Fraction]  # vertex -> perceived cost of that choice
+    scaled_alpha: dict[str, int]  # vertex -> its perceived cost times b.denominator * g.scale
 
 
 def persuasion_profile(g: TaskGraph, dist: DistanceMap, b: Fraction) -> Persuasion:
     """Defaults and alphas, computed on the original graph."""
     profile = BiasProfile(b)
     default: dict[str, str] = {}
-    alpha: dict[str, Fraction] = {}
+    scaled_alpha: dict[str, int] = {}
     for u in g.vertices:
-        if u == g.sink or not g.scaled_out_edges(u):
-            continue
-        head, val = best_alternative(g, dist, profile, u)
-        default[u] = head
-        alpha[u] = val
-    return Persuasion(default, alpha)
+        if u != g.sink and g.scaled_out_edges(u):
+            default[u], scaled_alpha[u] = scaled_best_alternative(g, dist, profile, u)
+    return Persuasion(default, scaled_alpha)
 
 
 V = TypeVar("V")
@@ -130,8 +133,9 @@ class LazyEdgeMap(dict[Edge, V]):
 def _caps(
     g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction],
     perss: Sequence[Persuasion] = (),
-) -> list[Cap]:
-    """Each type's (bias, outside option) on an edge whose tail has another way out.
+) -> list[int]:
+    """Each type's outside option on an edge whose tail has another way out,
+    times b.denominator * g.scale for its bias b.
 
     Given the types' persuasion profiles, a type's outside option is its
     alpha at the tail unless the edge is that type's default (a tie with the
@@ -139,10 +143,42 @@ def _caps(
     """
     u, v = edge
     return [
-        (b, pers.alpha[u]) if pers and pers.default[u] != v
-        else (b, best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)[1])
+        pers.scaled_alpha[u] if pers and pers.default[u] != v
+        else scaled_best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)[1]
         for b, pers in zip(biases, perss or [None] * len(biases))
     ]
+
+
+def _same_path_ints(
+    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int,
+    perss: Sequence[Persuasion] = (),
+) -> tuple[list[int], bool, int, int]:
+    """`same_path_fill` as `_greedy_ints` steps it, in the graph's scaled
+    ints: (n_1..n_l, reached, d0, L) with M_i = n_i / (d0 * L**i).
+
+    x, c(v->t) and the outside option come from one scan of u's adjacency
+    and the scaled distances. With R the lcm of the biases' denominators,
+    d0 = R * g.scale: costs are scaled by R, and a type's cap, over
+    b.denominator * g.scale, by R / b.denominator.
+    """
+    u, v = edge
+    scaled = dist.scaled_for(g)
+    x: Optional[int] = None
+    outside: Optional[int] = None
+    for head, cost in g.scaled_out_edges(u) if g.has_vertex(u) else ():
+        if head == v:
+            x = cost
+        elif outside is None or cost + scaled[head] < outside:
+            outside = cost + scaled[head]
+    if x is None:
+        raise UnknownEdge(u, v)
+    if outside is None:  # no type can leave the chain: one chunk carries it
+        return ([x], True, g.scale, 1) if k else ([], False, g.scale, 1)
+    big_r = lcm(*(b.denominator for b in biases))
+    caps = _caps(g, dist, edge, biases, perss)
+    tops = [(b, cap * (big_r // b.denominator)) for b, cap in zip(biases, caps)]
+    ns, reached, big_l = _greedy_ints(x * big_r, scaled[v] * big_r, outside * big_r, tops, k)
+    return ns, reached, big_r * g.scale, big_l
 
 
 def same_path_fill(
@@ -152,11 +188,8 @@ def same_path_fill(
     """The `greedy_fill` of at most k chunks that every type traverses, or
     None when no k-chunking carries them all; perss, the types' persuasion
     profiles if held, give `_caps`."""
-    ctx = edge_context(g, dist, edge)
-    if ctx.outside is None:  # no type can leave the chain: one chunk carries it
-        return [ctx.x] if k >= 1 else None
-    masses, reached = greedy_fill(ctx, _caps(g, dist, edge, biases, perss), k)
-    return masses if reached else None
+    ns, reached, d0, big_l = _same_path_ints(g, dist, edge, biases, k, perss)
+    return _fill_masses(ns, reached, d0, big_l, g.cost(*edge)) if reached else None
 
 
 class GroupNeeds:
@@ -165,8 +198,9 @@ class GroupNeeds:
     biases may repeat; each distinct one counts once, with its persuasion
     profile in perss (computed here when not given). need[e] is 0 when e is
     every type's default edge, None when no budget.k-chunking carries every
-    type, and otherwise one bias's `min_chunks_to_beat` or the length of
-    several's `same_path_fill`, computed on first read.
+    type, and otherwise the length of the types' same-path fill (for one
+    bias, `min_chunks_to_beat` at its alpha), computed on first read in the
+    graph's scaled ints.
     """
 
     def __init__(
@@ -176,27 +210,24 @@ class GroupNeeds:
         self.g, self.dist, self.budget = g, dist, budget
         self.biases = tuple(dict.fromkeys(biases))
         self.perss = tuple(perss) or tuple(persuasion_profile(g, dist, b) for b in self.biases)
-        self._fill = LazyEdgeMap(
-            lambda e: same_path_fill(g, dist, e, self.biases, budget.k, self.perss)
-        )
         self.need: LazyEdgeMap[Optional[int]] = LazyEdgeMap(self._need)
 
     def _need(self, e: Edge) -> Optional[int]:
         u, v = e
         if all(pers.default[u] == v for pers in self.perss):
             return 0
-        if len(self.biases) == 1:
-            b, alpha, k = self.biases[0], self.perss[0].alpha[u], self.budget.k
-            return min_chunks_to_beat(self.g, self.dist, e, b, alpha, k) if k else None
-        fill = self._fill[e]
-        return None if fill is None else len(fill)
+        ns, reached, _, _ = _same_path_ints(
+            self.g, self.dist, e, self.biases, self.budget.k, self.perss
+        )
+        return len(ns) if reached else None
 
     def chunking(self, e: Edge) -> Chunking:
         """e split into budget.chunks(need[e]) chunks that every type takes;
         need[e] must be at least 1."""
         n = self.budget.chunks(self.need[e])
         if len(self.biases) > 1:
-            return padded_chunking(e, self._fill[e], n)
+            fill = same_path_fill(self.g, self.dist, e, self.biases, self.budget.k, self.perss)
+            return padded_chunking(e, fill, n)
         return optimal_edge_chunking(self.g, self.dist, e, self.biases[0], n)[0]
 
 

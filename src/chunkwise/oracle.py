@@ -9,12 +9,13 @@ can be repelled while another takes the edge (`grid_max_repelled`, checking
 options come from the agent's own rule, `agent.best_alternative`.
 `independent_min_bottleneck` inverts the greedy max-mass fill, which shares
 nothing with the optimizer's candidate formulas, in its own `Fraction`
-recurrence (`greedy_masses`). The graph oracle enumerates candidate paths
-and decides per-edge persuadability as "optimal l-chunking bottleneck <=
-alpha" for l = 1, 2, ..., so it shares nothing with the greedy fill the
-planners decide it with. It builds witness chunkings from the
-saturated greedy profile and validates every winner by full expansion and
-simulation.
+recurrence (`greedy_masses`). The graph oracle enumerates candidate paths,
+takes each vertex's default and alpha from `agent.perceived_cost` in
+`Fraction`s, and decides per-edge persuadability as "optimal l-chunking
+bottleneck <= alpha" for l = 1, 2, ..., so it shares nothing with the int
+scorer and the greedy fill the planners decide it with. It builds witness
+chunkings from the saturated greedy profile and validates every winner by
+full expansion and simulation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .agent import BiasProfile, best_alternative, simulate_plan
+from .agent import BiasProfile, best_alternative, perceived_cost, simulate_plan
 from .edge_chunk import (
     Cap,
     Chunking,
@@ -51,7 +52,7 @@ from .graph import (
     path_pairs_by_cost,
     shortest_to_sink,
 )
-from .graph_chunk import BudgetSpec, Persuasion, persuasion_profile
+from .graph_chunk import BudgetSpec
 from .multi_agent import JointMoves, _pair_plan
 from .oracle_limits import enumeration_cap
 from .rational import format_rat
@@ -285,30 +286,34 @@ def brute_force_graph_plan(
 ) -> tuple[Fraction, ChunkPlan]:
     """Minimal simulated agent cost over exhaustively enumerated paths.
 
-    For each candidate path, each non-default edge needs its minimal
-    persuading chunk count, the least l whose optimal l-chunking bottleneck
-    is within the tail's threshold (`min_chunks_independent`); witness
-    chunkings come from the saturated greedy profile at that threshold. Both
-    are solved once per edge and call. Every candidate plan is validated by
-    full simulation before its cost counts.
+    Each vertex's default edge and alpha come from `agent.perceived_cost` in
+    `Fraction`s, the least head winning ties (`_unaided_choices`), so they
+    share nothing with the planners' int scorer. For each candidate path,
+    each non-default edge needs its minimal persuading chunk count, the
+    least l whose optimal l-chunking bottleneck is within the tail's alpha
+    (`min_chunks_independent`); witness chunkings come from the saturated
+    greedy profile at that alpha. Both are solved once per edge and call.
+    Every candidate plan is validated by full simulation before its cost
+    counts.
     """
     dist = shortest_to_sink(g)
-    pers = persuasion_profile(g, dist, b)
+    choices = _unaided_choices(g, dist, b)
     witnesses: dict[Edge, Optional[Chunking]] = {}
 
     def witness(edge: Edge) -> Optional[Chunking]:
         """Least-count persuading chunking of a non-default edge, or None."""
         if edge not in witnesses:
-            alpha = pers.alpha[edge[0]]
+            alpha = choices[edge[0]][1]
             l = min_chunks_independent(g, dist, edge, b, alpha, budget.k)
             witnesses[edge] = (
                 None if l is None else saturated_chunking(g, dist, edge, b, alpha, l)
             )
         return witnesses[edge]
 
+    defaults = {u: head for u, (head, _) in choices.items()}
     best: Optional[tuple[Fraction, ChunkPlan]] = None
     for path in sorted(all_paths(g), key=lambda p: (path_cost(g, p), p)):
-        plan = _oracle_path_plan(g, pers, b, path, budget, witness)
+        plan = _oracle_path_plan(g, defaults, b, path, budget, witness)
         if plan is None:
             continue
         trace, cg = simulate_plan(g, plan, BiasProfile(b))
@@ -322,9 +327,24 @@ def brute_force_graph_plan(
     return best
 
 
+def _unaided_choices(
+    g: TaskGraph, dist: DistanceMap, b: Fraction
+) -> dict[str, tuple[str, Fraction]]:
+    """Each vertex's (default head, alpha) for bias b: its least perceived
+    out-edge by `perceived_cost`, the least head among ties."""
+    profile = BiasProfile(b)
+    choices: dict[str, tuple[str, Fraction]] = {}
+    for u in g.vertices:
+        for head, _ in g.out_edges(u):  # heads ascending
+            val = perceived_cost(g, dist, profile, (u, head))
+            if u not in choices or val < choices[u][1]:
+                choices[u] = (head, val)
+    return choices
+
+
 def _oracle_path_plan(
     g: TaskGraph,
-    pers: Persuasion,
+    defaults: dict[str, str],
     b: Fraction,
     path: Sequence[str],
     budget: BudgetSpec,
@@ -332,7 +352,7 @@ def _oracle_path_plan(
 ) -> Optional[ChunkPlan]:
     chunkings: list[Chunking] = []
     for u, v in zip(path, path[1:]):
-        if pers.default[u] == v:
+        if defaults[u] == v:
             continue
         ch = witness((u, v))
         if ch is None:

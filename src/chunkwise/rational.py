@@ -34,14 +34,24 @@ def parse_rat(text: str) -> tuple[int, int]:
     a zero denominator, raises ValueError naming this rule (RULE).
     """
     text = text.strip()
-    m = _LITERAL.fullmatch(text)
-    if m is not None:
-        num, frac, den = m.groups("")
-        if len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
-            n, d = int(num + frac), int(den) if den else 10 ** len(frac)
-            if d:
-                common = gcd(n, d)
-                return n // common, d // common
+    # Plain integers and "p/q", the common costs, are read without the regex.
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (
+        digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS
+        and (not slash or den.isascii() and den.isdigit() and len(den) <= MAX_DIGITS)
+    ):
+        n, d = int(num), int(den) if slash else 1
+    else:
+        n = d = 0
+        m = _LITERAL.fullmatch(text)
+        if m is not None:
+            num, frac, den = m.groups("")
+            if len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
+                n, d = int(num + frac), int(den) if den else 10 ** len(frac)
+    if d:
+        common = gcd(n, d)
+        return n // common, d // common
     shown = text if len(text) <= 40 else text[:40] + "..."
     raise ValueError(f"not an exact rational: {shown!r}; expected {RULE}")
 
@@ -74,9 +84,16 @@ def dump_json(value: object, indent: str = "\n") -> str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {dump_json(v, inner)}" for k, v in value.items()]
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (encode_basestring_ascii(v) if isinstance(v, str) else dump_json(v, inner))
+            for k, v in value.items()
+        ]
     elif isinstance(value, (list, tuple)):
-        items = [dump_json(v, inner) for v in value]
+        items = [
+            encode_basestring_ascii(v) if isinstance(v, str) else dump_json(v, inner)
+            for v in value
+        ]
     else:
         return json.dumps(value)
     brackets = "{}" if isinstance(value, dict) else "[]"

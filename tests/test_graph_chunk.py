@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chunkwise import (
     BiasProfile,
@@ -16,13 +19,21 @@ from chunkwise import (
     simulate_plan,
     traverse,
 )
+from chunkwise.agent import best_alternative, perceived_cost
+from chunkwise.edge_chunk import edge_context
 from chunkwise.errors import InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
 from chunkwise.graph import all_paths, path_cost, validate
-from chunkwise.graph_chunk import cheapest_paths, persuasion_profile, walk_choices
+from chunkwise.graph_chunk import (
+    GroupNeeds,
+    cheapest_paths,
+    persuasion_profile,
+    same_path_fill,
+    walk_choices,
+)
 from chunkwise.multi_agent import AgentSet, m_agent_single_path_plan
-from chunkwise.oracle import brute_force_graph_plan
-from conftest import series_gadgets
+from chunkwise.oracle import brute_force_graph_plan, greedy_masses, min_chunks_independent
+from conftest import outside_alpha, series_gadgets
 
 B2 = Fraction(2)
 F = Fraction
@@ -174,19 +185,108 @@ def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):
         sink="t",
     )
     asked = []
-    count = gc.min_chunks_to_beat
+    need = gc.GroupNeeds._need
 
-    def counting(g, dist, edge, *args):
+    def counting(self, edge):
         asked.append(edge)
-        return count(g, dist, edge, *args)
+        return need(self, edge)
 
-    monkeypatch.setattr(gc, "min_chunks_to_beat", counting)
+    monkeypatch.setattr(gc.GroupNeeds, "_need", counting)
     for mode in ("local", "global"):
         for k in (1, 2, 3):
             _, (trace,) = gc.shared_path_plan(g, (B2,), BudgetSpec(mode, k))
             assert trace.total == (6 if k == 1 else 4)
     assert ("s", "a") in asked
     assert ("s", "d") not in asked
+
+
+def test_persuasion_defaults_take_the_least_head_at_a_tie():
+    # s->a and s->b look alike to every bias, so the default at s is the
+    # least head, and its alpha, in ints over b.denominator * g.scale, is
+    # the tie's perceived cost b * 2 + 1.
+    g = TaskGraph(
+        ["s", "a", "b", "t"], [("s", "a", 2), ("a", "t", 1), ("s", "b", 2), ("b", "t", 1)], "s", "t"
+    )
+    dist = shortest_to_sink(g)
+    for b in (B2, F(5, 2)):
+        pers = persuasion_profile(g, dist, b)
+        assert pers.default == {"s": "a", "a": "t", "b": "t"}
+        assert pers.scaled_alpha["s"] == (b * 2 + 1) * b.denominator * g.scale
+
+
+def test_a_tails_only_edge_is_carried_by_one_chunk():
+    # No type can leave an edge that is its tail's only way out, so one chunk
+    # of the whole cost carries every type: the scan that finds the outside
+    # option must not count the edge itself.
+    g = TaskGraph(["s", "v", "t"], [("s", "v", F(7, 2)), ("v", "t", 1)], "s", "t")
+    dist = shortest_to_sink(g)
+    for biases in ((B2,), (B2, F(7, 3))):
+        assert same_path_fill(g, dist, ("s", "v"), biases, 3) == [F(7, 2)]
+        assert same_path_fill(g, dist, ("s", "v"), biases, 0) is None
+
+
+@pytest.mark.parametrize("b", [B2, F(5, 2), F(7, 3)], ids=str)
+def test_one_types_needs_are_its_least_persuading_counts(b):
+    # For one type the int fill behind GroupNeeds counts what the optimizer
+    # finds: the least l whose optimal l-chunking is within the type's alpha.
+    g = series_gadgets()
+    dist = shortest_to_sink(g)
+    checked = 0
+    for mode in ("local", "global"):
+        needs = GroupNeeds(g, dist, (b,), BudgetSpec(mode, 8))
+        for u, v, _ in g.edges:
+            head, alpha = best_alternative(g, dist, BiasProfile(b), u)
+            if head != v:
+                checked += 1
+                assert needs.need[(u, v)] == min_chunks_independent(g, dist, (u, v), b, alpha, 8)
+    assert checked == 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    biases=st.lists(
+        st.fractions(min_value=F(7, 6), max_value=6, max_denominator=6), min_size=1, max_size=3
+    ),
+    mode=st.sampled_from(("local", "global")),
+    k=st.integers(0, 4),
+)
+@example(seed=0, biases=[F(5, 2)], mode="local", k=3)
+@example(seed=1, biases=[B2, F(7, 3)], mode="global", k=2)
+@example(seed=2, biases=[F(3, 2), F(5, 2), F(7, 2)], mode="global", k=0)
+def test_group_needs_match_the_independent_routes(seed, biases, mode, k):
+    # On random task graphs, each type's int persuasion is best_alternative's
+    # choice and the least head of perceived_cost's Fraction minimum. One
+    # type's need is the optimizer's least persuading count, and several
+    # types' the length of their same-path fill and of the oracle's Fraction
+    # greedy recurrence, at the outside options best_alternative gives.
+    assume(mode == "global" or k >= 1)
+    g = random_task_graph(random.Random(seed), min_vertices=3, max_vertices=7)
+    dist = shortest_to_sink(g)
+    needs = GroupNeeds(g, dist, sorted(biases), BudgetSpec(mode, k))
+    for b, pers in zip(needs.biases, needs.perss):
+        profile = BiasProfile(b)
+        for u in dist.successor:  # every vertex but the sink
+            head, alpha = best_alternative(g, dist, profile, u)
+            scores = [(perceived_cost(g, dist, profile, (u, h)), h) for h, _ in g.out_edges(u)]
+            assert (alpha, head) == min(scores)
+            assert pers.default[u] == head
+            assert F(pers.scaled_alpha[u], b.denominator * g.scale) == alpha
+    for u, v, _ in g.edges:
+        need = needs.need[(u, v)]
+        if all(pers.default[u] == v for pers in needs.perss):
+            assert need == 0
+        elif len(needs.biases) == 1:
+            (b,) = needs.biases
+            _, alpha = best_alternative(g, dist, BiasProfile(b), u)
+            assert need == min_chunks_independent(g, dist, (u, v), b, alpha, k)
+        else:
+            fill = same_path_fill(g, dist, (u, v), needs.biases, k)
+            assert need == (None if fill is None else len(fill))
+            ctx = edge_context(g, dist, (u, v))
+            caps = [(b, outside_alpha(g, dist, b, u, v)) for b in needs.biases]
+            masses = islice(greedy_masses(ctx, caps), k)
+            assert need == next((l for l, m in enumerate(masses, 1) if m >= ctx.x), None)
 
 
 def test_local_k3_chunks_only_the_cheap_detour(s32):
@@ -310,7 +410,8 @@ def test_never_chunk_off_path_and_persuasion_soundness():
                 u = c.edge[0]
                 from chunkwise import evaluate_chunking
 
-                assert evaluate_chunking(g, dist, c, b).bottleneck <= pers.alpha[u]
+                alpha = F(pers.scaled_alpha[u], b.denominator * g.scale)
+                assert evaluate_chunking(g, dist, c, b).bottleneck <= alpha
 
 
 def test_matches_oracle_exactly_random():

@@ -392,7 +392,10 @@ def test_caps_read_from_the_profiles_are_the_outside_options():
                 continue
             checked += 1
             defaults += any(p.default[u] == v for p in perss)
-            expected = [(b, outside_alpha(g, dist, b, u, v)) for b in agents.biases]
+            # A cap is in ints, times b.denominator * g.scale for its bias b.
+            expected = [
+                outside_alpha(g, dist, b, u, v) * b.denominator * g.scale for b in agents.biases
+            ]
             assert _caps(g, dist, (u, v), agents.biases, perss) == expected
             assert _caps(g, dist, (u, v), agents.biases) == expected
     assert defaults > 100
