@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence, TypeVar
 
-from .errors import InvalidParams, InvariantViolation, NoAlternative
+from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
 
 
@@ -111,6 +111,26 @@ def _floor(outside: Optional[Cost], through: Cost) -> Cost:
     return through if outside is None else min(outside, through)
 
 
+def scaled_edge_scan(g: TaskGraph, dist: DistanceMap, edge: Edge) -> tuple[int, Optional[int]]:
+    """x and the outside option of (u, v), ints over g.scale, from one scan
+    of u's adjacency; the outside option is None when (u, v) is u's only
+    out-edge. `edge_context` takes its outside option by the same rule, the
+    least c(u, h) + d(h) over u's other edges; change the two together."""
+    u, v = edge
+    scaled = dist.scaled_for(g)
+    x: Optional[int] = None
+    outside: Optional[int] = None
+    for head, cost in g.scaled_out_edges(u) if g.has_vertex(u) else ():
+        if head == v:
+            x = cost
+        elif outside is None or cost + scaled[head] < outside:
+            outside = cost + scaled[head]
+    if x is None:
+        raise UnknownEdge(u, v)
+    return x, outside
+
+
+# Its outside option follows `scaled_edge_scan`'s rule, with a Fraction built at the end.
 def edge_context(g: TaskGraph, dist: DistanceMap, edge: Edge) -> EdgeContext:
     u, v = edge
     x = g.cost(u, v)

@@ -15,11 +15,11 @@ chunks, and which chunking, make a group of types take an edge. It decides
 in the graph's scaled ints: each type's `persuasion_profile` keeps its
 default head and alpha at every vertex as ints scored by
 `agent.scaled_best_alternative`, and an edge's need is the length of the
-types' greedy fill, stepped by `edge_chunk`'s int loop on the edge's cost,
-distance and outside option read from one scan of the tail's adjacency (for
-one bias, `min_chunks_to_beat`'s count). `Fraction`s are built only for the
-chunkings of a plan's chunked edges: for one bias the optimal chunking, for
-several the greedy `same_path_fill`.
+types' greedy fill, stepped by `edge_chunk`'s int loop on the edge's cost
+and outside option (`edge_chunk.scaled_edge_scan`), its head's distance,
+and the types' caps over one unit (`_caps`). `Fraction`s are built only for
+the chunkings of a plan's chunked edges: for one bias the optimal chunking,
+for several the greedy `same_path_fill`.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
@@ -51,8 +51,9 @@ from .edge_chunk import (
     _greedy_ints,
     optimal_edge_chunking,
     padded_chunking,
+    scaled_edge_scan,
 )
-from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, UnknownEdge
+from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
 from .expansion import ChunkPlan
 from .graph import DistanceMap, Edge, TaskGraph, path_cost, shortest_to_sink, validate
 
@@ -133,20 +134,24 @@ class LazyEdgeMap(dict[Edge, V]):
 def _caps(
     g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction],
     perss: Sequence[Persuasion] = (),
-) -> list[int]:
-    """Each type's outside option on an edge whose tail has another way out,
-    times b.denominator * g.scale for its bias b.
+) -> tuple[int, list[int]]:
+    """(unit, caps): each type's outside option on an edge whose tail has
+    another way out, as an int over unit = R * g.scale, R the lcm of the
+    biases' denominators.
 
     Given the types' persuasion profiles, a type's outside option is its
     alpha at the tail unless the edge is that type's default (a tie with the
     default still gives alpha): only a default edge asks for the second best.
     """
     u, v = edge
-    return [
+    big_r = lcm(*(b.denominator for b in biases))
+    caps = [
         pers.scaled_alpha[u] if pers and pers.default[u] != v
         else scaled_best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)[1]
         for b, pers in zip(biases, perss or [None] * len(biases))
     ]
+    # Each cap is over its own b.denominator * g.scale until rescaled here.
+    return big_r * g.scale, [cap * (big_r // b.denominator) for b, cap in zip(biases, caps)]
 
 
 def _same_path_ints(
@@ -156,29 +161,20 @@ def _same_path_ints(
     """`same_path_fill` as `_greedy_ints` steps it, in the graph's scaled
     ints: (n_1..n_l, reached, d0, L) with M_i = n_i / (d0 * L**i).
 
-    x, c(v->t) and the outside option come from one scan of u's adjacency
-    and the scaled distances. With R the lcm of the biases' denominators,
-    d0 = R * g.scale: costs are scaled by R, and a type's cap, over
-    b.denominator * g.scale, by R / b.denominator.
+    x and the outside option come from `scaled_edge_scan`, c(v->t) from the
+    scaled distances, and d0 is `_caps`' unit R * g.scale: every cost is
+    scaled by R.
     """
-    u, v = edge
-    scaled = dist.scaled_for(g)
-    x: Optional[int] = None
-    outside: Optional[int] = None
-    for head, cost in g.scaled_out_edges(u) if g.has_vertex(u) else ():
-        if head == v:
-            x = cost
-        elif outside is None or cost + scaled[head] < outside:
-            outside = cost + scaled[head]
-    if x is None:
-        raise UnknownEdge(u, v)
+    x, outside = scaled_edge_scan(g, dist, edge)
     if outside is None:  # no type can leave the chain: one chunk carries it
         return ([x], True, g.scale, 1) if k else ([], False, g.scale, 1)
-    big_r = lcm(*(b.denominator for b in biases))
-    caps = _caps(g, dist, edge, biases, perss)
-    tops = [(b, cap * (big_r // b.denominator)) for b, cap in zip(biases, caps)]
-    ns, reached, big_l = _greedy_ints(x * big_r, scaled[v] * big_r, outside * big_r, tops, k)
-    return ns, reached, big_r * g.scale, big_l
+    d0, caps = _caps(g, dist, edge, biases, perss)
+    big_r = d0 // g.scale
+    ns, reached, big_l = _greedy_ints(
+        x * big_r, dist.scaled_for(g)[edge[1]] * big_r, outside * big_r,
+        list(zip(biases, caps)), k,
+    )
+    return ns, reached, d0, big_l
 
 
 def same_path_fill(
@@ -198,9 +194,9 @@ class GroupNeeds:
     biases may repeat; each distinct one counts once, with its persuasion
     profile in perss (computed here when not given). need[e] is 0 when e is
     every type's default edge, None when no budget.k-chunking carries every
-    type, and otherwise the length of the types' same-path fill (for one
-    bias, `min_chunks_to_beat` at its alpha), computed on first read in the
-    graph's scaled ints.
+    type, and otherwise the length of the types' same-path fill, stepped by
+    the int greedy loop `_greedy_ints` in the graph's scaled ints on first
+    read (for one bias, the count `min_chunks_to_beat` gives at its alpha).
     """
 
     def __init__(

@@ -383,10 +383,8 @@ def chunk_same_path(
     # Only the first chunk filled, chunk k, can go negative: its floor is
     # c(v->t), and later floors never pass the least cap.
     ctx = edge_context(g, dist, edge)
-    caps = [
-        (b, Fraction(cap, b.denominator * g.scale))
-        for b, cap in zip(agents.biases, _caps(g, dist, edge, agents.biases))
-    ]
+    unit, scaled_caps = _caps(g, dist, edge, agents.biases)
+    caps = [(b, Fraction(cap, unit)) for b, cap in zip(agents.biases, scaled_caps)]
     low = min(alpha for _, alpha in caps)
     if low < ctx.cost_to_sink:
         raise InfeasibleChunking(

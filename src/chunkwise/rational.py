@@ -8,7 +8,6 @@ integers render without the "/1").
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -20,7 +19,6 @@ RatLike = Union[Fraction, int, str]
 MAX_DIGITS = 4300  # Python's int-to-str limit: every value rat accepts renders and reparses
 RULE = ("an optional sign, then ASCII digits with an optional '.digits', or digits '/' digits,"
         f" with at most {MAX_DIGITS} digits above and below the bar")
-_LITERAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def parse_rat(text: str) -> tuple[int, int]:
@@ -34,21 +32,22 @@ def parse_rat(text: str) -> tuple[int, int]:
     a zero denominator, raises ValueError naming this rule (RULE).
     """
     text = text.strip()
-    # Plain integers and "p/q", the common costs, are read without the regex.
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
+    # Split at "/" for "p/q", else at "." for a decimal; sep is "" for an integer.
+    num, sep, low = text.partition("/")
+    if not sep:
+        num, sep, low = num.partition(".")
+    digits = num[1:] if num[:1] in "+-" else num
+    body = digits + low
+    top = body if sep == "." else digits  # a decimal's numerator: both sides of the point
+    n = d = 0
     if (
-        digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS
-        and (not slash or den.isascii() and den.isdigit() and len(den) <= MAX_DIGITS)
+        body.isascii() and body.isdigit() and digits and (low or not sep)
+        and len(top) <= MAX_DIGITS and len(low) <= MAX_DIGITS
     ):
-        n, d = int(num), int(den) if slash else 1
-    else:
-        n = d = 0
-        m = _LITERAL.fullmatch(text)
-        if m is not None:
-            num, frac, den = m.groups("")
-            if len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
-                n, d = int(num + frac), int(den) if den else 10 ** len(frac)
+        if sep == ".":
+            n, d = int(num + low), 10 ** len(low)
+        else:
+            n, d = int(num), int(low) if sep else 1
     if d:
         common = gcd(n, d)
         return n // common, d // common

@@ -179,38 +179,24 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/rational.py",
-        "digits.isdigit() and len(digits) <= MAX_DIGITS",
-        "digits.isdigit()",
-        "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
-        "parse_rat: the fast path refuses an integer or p past MAX_DIGITS digits before any int()",
-    ),
-    Mutant(
-        "src/chunkwise/rational.py",
-        "den.isdigit() and len(den) <= MAX_DIGITS",
-        "den.isdigit()",
-        "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
-        "parse_rat: the fast path refuses a q past MAX_DIGITS digits before any int()",
-    ),
-    Mutant(
-        "src/chunkwise/rational.py",
-        r'_LITERAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")',
-        r'_LITERAL = re.compile(r"([+-]?\d+)(?:\.(\d+)|/(\d+))?")',
+        "body.isascii() and body.isdigit()",
+        "body.isdigit()",
         "tests/test_scaled_graph.py::test_load_graph_pinned_costs",
         "rat: only ASCII digits are accepted",
     ),
     Mutant(
         "src/chunkwise/rational.py",
-        'len(num.lstrip("+-")) + len(frac) <= MAX_DIGITS',
-        'len(num.lstrip("+-")) + len(frac) < MAX_DIGITS',
+        "len(top) <= MAX_DIGITS",
+        "len(top) < MAX_DIGITS",
         "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
-        "parse_rat: the regex path accepts a decimal of exactly MAX_DIGITS digits",
+        "parse_rat: a numerator of exactly MAX_DIGITS digits is accepted",
     ),
     Mutant(
         "src/chunkwise/rational.py",
-        " and len(den) <= MAX_DIGITS:",
-        ":",
+        " and len(low) <= MAX_DIGITS\n",
+        "\n",
         "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
-        "parse_rat: the regex path refuses a denominator past MAX_DIGITS digits",
+        "parse_rat: a denominator past MAX_DIGITS digits is refused before any int()",
     ),
     Mutant(
         "src/chunkwise/rational.py",
@@ -227,18 +213,18 @@ CATALOGUE = (
         "persuasion_profile: the least head is the default at a perceived-cost tie",
     ),
     Mutant(
-        "src/chunkwise/graph_chunk.py",
+        "src/chunkwise/edge_chunk.py",
         "        elif outside is None or cost + scaled[head] < outside:\n",
         "        if outside is None or cost + scaled[head] < outside:\n",
         "tests/test_graph_chunk.py::test_a_tails_only_edge_is_carried_by_one_chunk",
-        "_same_path_ints: the outside option is scanned over the tail's other edges only",
+        "scaled_edge_scan: the outside option is scanned over the tail's other edges only",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
         "cap * (big_r // b.denominator)",
         "cap * big_r",
         "tests/test_graph_chunk.py::test_one_types_needs_are_its_least_persuading_counts",
-        "_same_path_ints: one type's cap is already over its own b.denominator * g.scale",
+        "_caps: a type's alpha over b.denominator * g.scale is rescaled to R * g.scale",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",

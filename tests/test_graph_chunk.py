@@ -462,8 +462,9 @@ def test_matches_oracle_on_tie_heavy_integer_graphs():
 
 
 def test_optimizer_runs_only_for_the_chunked_plan_edges(monkeypatch):
-    # min_chunks_to_beat decides persuadability without optimizing; the
-    # planners then optimize each chunked edge of their plan exactly once.
+    # GroupNeeds decides each edge's need with the int greedy loop, without
+    # optimizing; the planners then optimize each chunked edge of their plan
+    # exactly once.
     import chunkwise.edge_chunk as ec
     import chunkwise.graph_chunk as gc
 
@@ -478,9 +479,9 @@ def test_optimizer_runs_only_for_the_chunked_plan_edges(monkeypatch):
     monkeypatch.setattr(gc, "optimal_edge_chunking", counted)
     g = series_gadgets()
     dist = shortest_to_sink(g)
-    for u, v, _ in g.edges:
-        for alpha in (F(60), F(76), F(100)):
-            ec.min_chunks_to_beat(g, dist, (u, v), B2, alpha, 8)
+    for mode in ("local", "global"):
+        needs = GroupNeeds(g, dist, (B2,), BudgetSpec(mode, 8))
+        assert any(needs.need[(u, v)] for u, v, _ in g.edges)
     assert calls == []
     rng = random.Random(5)
     graphs = [g] + [random_task_graph(rng, min_vertices=4, max_vertices=9) for _ in range(20)]

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -392,10 +393,9 @@ def test_caps_read_from_the_profiles_are_the_outside_options():
                 continue
             checked += 1
             defaults += any(p.default[u] == v for p in perss)
-            # A cap is in ints, times b.denominator * g.scale for its bias b.
-            expected = [
-                outside_alpha(g, dist, b, u, v) * b.denominator * g.scale for b in agents.biases
-            ]
+            # Caps are ints over R * g.scale, R the lcm of the biases' denominators.
+            unit = lcm(*(b.denominator for b in agents.biases)) * g.scale
+            expected = (unit, [outside_alpha(g, dist, b, u, v) * unit for b in agents.biases])
             assert _caps(g, dist, (u, v), agents.biases, perss) == expected
             assert _caps(g, dist, (u, v), agents.biases) == expected
     assert defaults > 100

@@ -282,6 +282,7 @@ def grammar_reference(text: str):
 @example("")
 @example("1.5.2")
 @example("1/2.5")
+@example("1.5/2")
 @example(".5")
 @example("5.")
 @example("1_000")
