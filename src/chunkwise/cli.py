@@ -60,7 +60,8 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
 
 
 def _read_graph(path: str) -> TaskGraph:
-    return load_graph(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return load_graph(f.read())
 
 
 def _parse_edge(text: str) -> tuple[str, str]:
@@ -241,11 +242,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="chunkwise",
         description="Plan chunkings of weighted task DAGs for present-biased agents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=help)
+        return p
 
     def add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
         if graph:
@@ -255,24 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
             "--decimal", action="store_true", help="add display-only decimal columns"
         )
 
-    p = sub.add_parser("fan", help="generate an n-fan graph")
+    p = add_command("fan", "generate an n-fan graph")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-c", required=True, help="exit growth factor, exact rational > 1")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     add_common(p, graph=False)
 
-    p = sub.add_parser("simulate", help="walk a biased agent and emit its trace")
+    p = add_command("simulate", "walk a biased agent and emit its trace")
     add_common(p)
     p.add_argument("-b", "--bias", required=True)
     p.add_argument("--plan", help="chunk plan JSON to install first")
 
-    p = sub.add_parser("chunk-edge", help="optimally chunk one edge")
+    p = add_command("chunk-edge", "optimally chunk one edge")
     add_common(p)
     p.add_argument("-e", "--edge", required=True, help="tail,head")
     p.add_argument("-b", "--bias", required=True)
     p.add_argument("-k", type=int, required=True)
 
-    p = sub.add_parser("chunk-graph", help="plan chunks across the whole graph")
+    p = add_command("chunk-graph", "plan chunks across the whole graph")
     add_common(p)
     p.add_argument("--biases", required=True, help="comma-separated biases")
     p.add_argument("--mode", choices=("local", "global"), default="local")
@@ -281,20 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--single-path", action="store_true", help="force all types onto one path"
     )
 
-    p = sub.add_parser("split-edge", help="chunk an edge so the types separate")
+    p = add_command("split-edge", "chunk an edge so the types separate")
     add_common(p)
     p.add_argument("-e", "--edge", required=True)
     p.add_argument("--biases", required=True, help="low,high")
     p.add_argument("--taker", type=int, choices=(1, 2), default=1)
     p.add_argument("-k", type=int, required=True)
 
-    p = sub.add_parser("same-path-edge", help="chunk an edge every type accepts")
+    p = add_command("same-path-edge", "chunk an edge every type accepts")
     add_common(p)
     p.add_argument("-e", "--edge", required=True)
     p.add_argument("--biases", required=True)
     p.add_argument("-k", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run randomized oracle cross-checks")
+    p = add_command("verify", "run randomized oracle cross-checks")
     p.add_argument(
         "--suite", choices=("all", *SUITES), default="all"
     )
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, default=64, help="grid denominator of the grid oracles; "
                    f"the multi-agent suite caps it at {MULTI_AGENT_MAX_D}")
 
-    p = sub.add_parser("experiment", help="emit experiment CSVs")
+    p = add_command("experiment", "emit experiment CSVs")
     p.add_argument("which", choices=("cost-ratio", "chunks-needed"))
     p.add_argument("-b", "--bias", required=True)
     p.add_argument("-c", required=True)
@@ -314,20 +325,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("-o", "--output")
 
-    return parser
+    return parser, commands
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process: building the subcommand tree costs more than
     # most commands. Parsing leaves the parser unchanged, and argparse looks
     # up sys.stdout and sys.stderr when it writes, so reuse is invisible.
-    return build_parser()
+    return _build_parsers()
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """What the full parser makes of argv, scanning it once where it can.
+
+    A known command's own parser reads the rest of argv, as the full parser
+    would hand it on; when nothing is left over, its Namespace with the
+    command is the full parser's. Anything else (no argv, an unknown
+    command, an option before it, or leftover arguments) goes through the
+    full parser, so help, usage errors and exit codes are argparse's own.
+    """
+    parser, commands = _parser()
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args and args[0] in commands:
+        namespace, extra = commands[args[0]].parse_known_args(args[1:])
+        if not extra:
+            namespace.command = args[0]
+            return namespace
+    return parser.parse_args(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # The command is looked up on every call, not stored in the cached

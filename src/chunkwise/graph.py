@@ -75,12 +75,12 @@ class TaskGraph:
             if num < 0:  # every denominator is positive
                 raise NegativeCost(tail, head, Fraction(num, den))
             costs[(tail, head)] = (num, den)
-        self.scale: int = lcm(*{den for _, den in costs.values()})
+        scale = self.scale = lcm(*{den for _, den in costs.values()})
         # Sorted once, so each vertex's adjacency lists its heads ascending,
         # which keeps every downstream iteration deterministic.
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
         for (tail, head), (num, den) in sorted(costs.items()):
-            out[tail].append((head, num * (self.scale // den)))
+            out[tail].append((head, num if den == scale else num * (scale // den)))
         self._scaled_out = {v: tuple(hops) for v, hops in out.items()}
         self._order: tuple[str, ...] | None = None  # set by the first validate()
 
@@ -275,40 +275,46 @@ def make_n_fan(spec: FanSpec) -> TaskGraph:
 
 def load_graph(data: bytes | str) -> TaskGraph:
     """Parse the graph JSON format; costs are integers or strings in `rat`'s grammar,
-    each parsed once, into the exact integer pair the graph keeps as an int."""
+    each parsed once, into the exact integer pair the graph keeps as an int.
+
+    `json.loads` builds only exact dict, list, str, int, float, bool and None
+    values, so each value's type is tested exactly."""
     try:
         payload = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except ValueError as exc:  # malformed JSON or UTF-8, or an integer past int()'s digit limit
         raise ParseError("json", str(exc)) from exc
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise ParseError("json", "top level must be an object")
     for key in ("vertices", "edges", "source", "sink"):
         if key not in payload:
             raise ParseError(key, "missing required field")
     vertices = payload["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if type(vertices) is not list or not all(type(v) is str for v in vertices):
         raise ParseError("vertices", "must be a list of strings")
     raw_edges = payload["edges"]
-    if not isinstance(raw_edges, list):
+    if type(raw_edges) is not list:
         raise ParseError("edges", "must be a list")
     edges: list[tuple[str, str, tuple[int, int]]] = []
     for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             raise ParseError(f"edges[{i}]", "must be an object")
         try:
             tail, head, cost_text = entry["from"], entry["to"], entry["cost"]
         except KeyError as exc:
             raise ParseError(f"edges[{i}]", f"missing field {exc.args[0]!r}") from exc
-        if not isinstance(tail, str) or not isinstance(head, str):
+        if type(tail) is not str or type(head) is not str:
             raise ParseError(f"edges[{i}]", "'from' and 'to' must be strings")
-        if not isinstance(cost_text, (str, int)) or isinstance(cost_text, bool):
+        if type(cost_text) is int:
+            cost = (cost_text, 1)
+        elif type(cost_text) is str:
+            try:
+                cost = parse_rat(cost_text)
+            except ValueError as exc:
+                raise ParseError(f"edges[{i}].cost", str(exc)) from exc
+        else:
             raise ParseError(f"edges[{i}].cost", "must be an exact string or integer")
-        try:
-            cost = (cost_text, 1) if isinstance(cost_text, int) else parse_rat(cost_text)
-        except ValueError as exc:
-            raise ParseError(f"edges[{i}].cost", str(exc)) from exc
         edges.append((tail, head, cost))
-    if not isinstance(payload["source"], str) or not isinstance(payload["sink"], str):
+    if type(payload["source"]) is not str or type(payload["sink"]) is not str:
         raise ParseError("source/sink", "must be strings")
     return TaskGraph(vertices, edges, source=payload["source"], sink=payload["sink"], _exact=True)
 

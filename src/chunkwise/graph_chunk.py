@@ -22,7 +22,8 @@ the chunkings of a plan's chunked edges: for one bias the optimal chunking,
 for several the greedy `same_path_fill`.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
-cheapest-path DP, `cheapest_paths`, and reads it back with `walk_choices`.
+cheapest-path DP, `cheapest_paths`, which keeps one row of costs and one of
+picks per vertex, and reads it back with `walk_choices`.
 The DP runs on any DAG whose vertices yield their moves as (head, step
 cost) pairs, the shape of a task graph's `scaled_out_edges`, and asks
 `chunks(u, head)` what a move takes: on a task graph, an edge's charged
@@ -109,8 +110,8 @@ def persuasion_profile(g: TaskGraph, dist: DistanceMap, b: Fraction) -> Persuasi
 
 V = TypeVar("V")
 N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
-CostTable = dict[tuple[N, int], int]
-Choices = dict[tuple[N, int], tuple[N, int]]
+Rows = dict[N, Optional[list[Optional[int]]]]  # a vertex's cost at each budget level
+Picks = dict[N, list[Optional[tuple[N, int]]]]  # its first move's (head, chunks) at each
 
 
 class LazyEdgeMap(dict[Edge, V]):
@@ -230,61 +231,73 @@ class GroupNeeds:
 def cheapest_paths(
     order: Iterable[N], sink: N, moves: Callable[[N], Iterable[tuple[N, int]]],
     chunks: Callable[[N, N], Optional[int]], k: int,
-) -> tuple[CostTable[N], Choices[N]]:
+) -> tuple[Rows[N], Picks[N]]:
     """Cheapest u-to-sink cost using at most i chunks, for every u and i <= k.
 
-    The graph is any DAG. order lists every vertex but the sink, each after
-    the heads of its moves. moves(u) yields u's moves as (head, step cost)
-    pairs, and chunks(u, head) gives the chunks a move takes, or None when
-    it is unusable. table[(u, i)] is absent when no usable path fits in i
-    chunks; choice[(u, i)] is the (head, chunks) of the first move.
-    Offers compare as (cost, chunks, head): at equal cost the move taking
-    fewer chunks wins, then the least head. Costs are exact numbers; the
-    planners' moves give ints, a task graph's costs times its `scale`, so
-    the table is in those units too.
+    The graph is any DAG. order lists the vertices to solve, each after the
+    heads of its moves; the sink is solved already. moves(u) yields u's
+    moves as (head, step cost) pairs, and chunks(u, head) gives the chunks a
+    move takes, or None when it is unusable. rows[u] holds u's k + 1 costs,
+    None at each level where no usable path fits in i chunks, and is None
+    itself when no level has one; picks[u] holds the (head, chunks) of the
+    first move at each level. Every vertex of order, and the sink, has a
+    row; a move whose head has none is an InvariantViolation, so an order
+    that misses a head never passes for one without a path. Offers compare
+    as (cost, chunks, head): at equal cost the move taking fewer chunks
+    wins, then the least head. Costs are exact numbers; the planners' moves
+    give ints, a task graph's costs times its `scale`, so the rows are in
+    those units too.
 
-    More budget never costs more, so step + table[(head, k)] bounds what a
+    More budget never costs more, so step + rows[head][k] bounds what a
     move offers at every level. u's moves are read in the order of that
-    bound until every level has an offer and the next bound exceeds the
-    costliest level's best, and chunks() is asked only for moves read
-    before then; a move whose head has no path at k is never read.
+    bound (a stable sort, so equal bounds keep moves(u)'s order) until every
+    level has an offer and the next bound exceeds the costliest level's
+    best, and chunks() is asked only for moves read before then; a move
+    whose head has no path at k is never read.
     """
-    table: CostTable[N] = {(sink, i): 0 for i in range(k + 1)}
-    choice: Choices[N] = {}
+    rows: Rows[N] = {sink: [0] * (k + 1)}
+    picks: Picks[N] = {}
     for u in order:
-        bounded = sorted(
-            (
-                (step + table[(head, k)], step, head)
-                for head, step in moves(u)
-                if (head, k) in table
-            ),
-            key=itemgetter(0),
-        )
+        bounded = []
+        for head, step in moves(u):
+            try:
+                rest = rows[head]
+            except KeyError:
+                raise InvariantViolation(f"{u!r}'s move to {head!r} is read before its row") from None
+            if rest is not None:
+                bounded.append((step + rest[k], step, head, rest))
+        bounded.sort(key=itemgetter(0))
         best: list[Optional[tuple[int, int, N]]] = [None] * (k + 1)
-        for bound, step, head in bounded:
-            if None not in best and bound > max(offer[0] for offer in best):
+        worst: Optional[int] = None  # the costliest level's best, once every level has one
+        for bound, step, head, rest in bounded:
+            if worst is not None and bound > worst:
                 break
             l = chunks(u, head)
             if l is None:
                 continue
+            changed = False
             for i in range(l, k + 1):
-                rest = table.get((head, i - l))
-                if rest is not None:
-                    offer = (step + rest, l, head)
+                cost = rest[i - l]
+                if cost is not None:
+                    offer = (step + cost, l, head)
                     if best[i] is None or offer < best[i]:
                         best[i] = offer
-        for i, offer in enumerate(best):
-            if offer is not None:
-                table[(u, i)] = offer[0]
-                choice[(u, i)] = (offer[2], offer[1])
-    return table, choice
+                        changed = True
+            if changed and None not in best:
+                worst = max(best)[0]
+        if best[k] is None:  # an offer at any level offers at k too
+            rows[u] = None
+        else:
+            rows[u] = [None if offer is None else offer[0] for offer in best]
+            picks[u] = [None if offer is None else (offer[2], offer[1]) for offer in best]
+    return rows, picks
 
 
-def walk_choices(sink: N, choice: Choices[N], u: N, i: int) -> tuple[N, ...]:
-    """Follow choice from (u, i) to the sink."""
+def walk_choices(sink: N, picks: Picks[N], u: N, i: int) -> tuple[N, ...]:
+    """Follow picks from u at level i to the sink."""
     path = [u]
     while path[-1] != sink:
-        head, used = choice[(path[-1], i)]
+        head, used = picks[path[-1]][i]
         path.append(head)
         i -= used
     return tuple(path)
@@ -306,14 +319,15 @@ def shared_path_plan(
     needs = GroupNeeds(g, dist, biases, budget)
     levels = budget.levels
     order = [u for u in reversed(validate(g)) if u != g.sink]
-    table, choice = cheapest_paths(
+    rows, picks = cheapest_paths(
         order, g.sink, g.scaled_out_edges,
         lambda u, v: budget.charge(needs.need[(u, v)]), levels,
     )
-    if (g.source, levels) not in table:
+    row = rows[g.source]
+    if row is None:
         raise InfeasibleChunking("no path every type can be persuaded to follow")
-    path = walk_choices(g.sink, choice, g.source, levels)
-    predicted = Fraction(table[(g.source, levels)], g.scale)
+    path = walk_choices(g.sink, picks, g.source, levels)
+    predicted = Fraction(row[levels], g.scale)
     edges = list(zip(path, path[1:]))
     if len(needs.biases) > 1:
         edges.sort()

@@ -24,7 +24,7 @@ static plan. A joint move is charged its witnesses' chunks, and a solo move
 its type's own need for the edge, so ties break as in the one-type DP, on
 (cost, chunks, head). The DP asks for a move's chunks only while its lower
 bound can still win some budget level, so a joint move beaten on cost is
-never built.
+never built, and the DP solves only the pairs reachable from (s, s).
 """
 
 from __future__ import annotations
@@ -580,6 +580,13 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     joint move where both paths leave it, a solo move where one does), and
     the DP charges a pair exactly its plan's chunks.
 
+    Only the pairs a walk along `pair_moves` reaches from (s, s) are
+    solved, in the full pairs' reverse topological order. A pair's row
+    reads only its moves' heads, which the walk reaches whenever it reaches
+    the pair, so every row the source's walk reads is the full DP's row;
+    `cheapest_paths` raises on a head without a row, so a pair the walk
+    missed cannot pass for one without a path.
+
     Valid per-vertex moves make a valid plan. A type's choice at u reads
     only u's out-edges and the chains installed at u, and chain vertices
     copy u's other out-edges unchunked. Chunking changes no original
@@ -613,14 +620,22 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
         mover = int(pair[0] == head[0])  # A1 moved iff its coordinate changed
         return budget.charge(moves.solo[mover].need[(pair[mover], head[mover])])
 
-    rev = list(reversed(topo))
-    order = [(u, y) for u in rev for y in rev if not u == y == t]
-    levels = budget.levels
     source = (g.source, g.source)
-    table, choice = cheapest_paths(order, (t, t), pair_moves, pair_chunks, levels)
-    if (source, levels) not in table:
+    reached = {source}
+    frontier = [source]
+    for pair in frontier:
+        for head, _ in pair_moves(pair):
+            if head not in reached:
+                reached.add(head)
+                frontier.append(head)
+    reached.discard((t, t))
+    # Reverse topological order of the first coordinate, then of the second.
+    order = sorted(reached, key=lambda p: (pos[p[0]], pos[p[1]]), reverse=True)
+    levels = budget.levels
+    rows, picks = cheapest_paths(order, (t, t), pair_moves, pair_chunks, levels)
+    if rows[source] is None:
         return None
-    walk = walk_choices((t, t), choice, source, levels)
+    walk = walk_choices((t, t), picks, source, levels)
     # A type that waits repeats its vertex, and no walk on a DAG comes back.
     return tuple(dict.fromkeys(u for u, _ in walk)), tuple(dict.fromkeys(y for _, y in walk))
 

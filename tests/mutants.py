@@ -228,14 +228,14 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
-        "if None not in best and bound > max(offer[0] for offer in best):",
-        "if None not in best and bound >= max(offer[0] for offer in best):",
+        "if worst is not None and bound > worst:",
+        "if worst is not None and bound >= worst:",
         "tests/test_graph_chunk.py",
         "cheapest_paths: a move whose bound ties the costliest level may still win its tie",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
-        "            if None not in best and bound > max(offer[0] for offer in best):\n"
+        "            if worst is not None and bound > worst:\n"
         "                break\n",
         "",
         "tests/test_graph_chunk.py::test_cheapest_paths_breaks_ties_on_chunks_before_head "
@@ -291,6 +291,27 @@ CATALOGUE = (
         "moves.solo[1 - mover].need",
         "tests/test_multi_agent.py::test_two_agent_plan_finds_a_split_below_a_failing_full_row",
         "_two_agent_dp: a type moving alone is charged from its own needs table",
+    ),
+    Mutant(
+        "src/chunkwise/multi_agent.py",
+        "        for head, _ in pair_moves(pair):\n",
+        "        for head, _ in pair_moves(pair) if t not in pair else ():\n",
+        "tests/test_multi_agent.py::test_the_pair_dp_solves_the_reachable_pairs_as_the_full_one",
+        "_two_agent_dp: the reachable walk expands a pair after one type is at t",
+    ),
+    Mutant(
+        "src/chunkwise/graph_chunk.py",
+        "raise InvariantViolation(f\"{u!r}'s move to {head!r} is read before its row\") from None",
+        "continue",
+        "tests/test_graph_chunk.py::test_cheapest_paths_raises_on_a_head_read_before_its_row",
+        "cheapest_paths: a head read before its row raises instead of counting as no path",
+    ),
+    Mutant(
+        "src/chunkwise/cli.py",
+        "        if not extra:\n            namespace.command = args[0]\n            return namespace\n",
+        "        namespace.command = args[0]\n        return namespace\n",
+        "tests/test_cli.py::test_main_reuses_one_parser",
+        "main: a command's own parser answers only when no argument is left over",
     ),
 )
 

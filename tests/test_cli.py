@@ -472,17 +472,72 @@ def test_verify_sees_a_wrong_chain_vertex_distance(monkeypatch, capsys):
 
 
 def test_main_reuses_one_parser(s32_path, capsys, monkeypatch):
-    # main parses with one parser per process; repeated calls must give the
-    # exit codes and bytes that a freshly built parser gives.
+    # main parses with one parser per process and hands a known command's
+    # arguments straight to that command's parser. Every argv must give the
+    # Namespace, exit code and bytes that a freshly built full parser gives.
+    import sys
+
     import chunkwise.cli as cli
 
+    g = str(s32_path)
+    valid = {
+        "fan": ["-n", "3", "-c", "2"],
+        "simulate": ["-g", g, "-b", "2"],
+        "chunk-edge": ["-g", g, "-e", "u,v", "-b", "2", "-k", "3"],
+        "chunk-graph": ["-g", g, "--biases", "2", "-k", "3"],
+        "split-edge": ["-g", g, "-e", "u,v", "--biases", "2,10", "-k", "3"],
+        "same-path-edge": ["-g", g, "-e", "u,v", "--biases", "2,10", "-k", "3"],
+        "verify": ["--suite", "graph-dp", "--trials", "1"],
+        "experiment": ["cost-ratio", "-b", "2", "-c", "2"],
+    }
+    assert set(valid) == set(cli._parser()[1])
+    tails = [
+        [],  # a valid call
+        ["--sing"],  # an abbreviated option: --single-path on chunk-graph
+        ["--graph=x"],
+        ["--help"],
+        ["--bogus"],  # an unknown option
+        ["--mode", "sideways"],  # a bad choice on chunk-graph
+        ["--taker", "3"],  # and on split-edge
+        ["--"],
+        ["--", "x"],
+    ]
+    argvs = [[], ["--help"], ["-h", "fan"], ["nope"], ["chunk"], ["--bogus", "fan"]]
+    for name, args in valid.items():
+        argvs.append([name])  # a missing required option, where one is required
+        argvs += [[name, *args, *tail] for tail in tails]
+
+    def parse(parse_args, argv):
+        try:
+            result = parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    for argv in argvs:
+        fresh = parse(cli.build_parser().parse_args, argv)
+        assert parse(cli._parse_args, argv) == fresh, argv
+        with monkeypatch.context() as m:  # the console script's route, argv=None
+            m.setattr(sys, "argv", ["chunkwise", *argv])
+            assert parse(cli._parse_args, None) == fresh, argv
+    # A valid call never reaches the full parser; leftover arguments get its
+    # usage error.
+    chunk_graph = ["chunk-graph", *valid["chunk-graph"]]
+    with monkeypatch.context() as m:
+        m.setattr(cli._parser()[0], "parse_args", None)
+        assert cli._parse_args(chunk_graph).command == "chunk-graph"
+    assert "chunkwise: error: unrecognized arguments: --bogus" in run(
+        capsys, *chunk_graph, "--bogus"
+    )[2]
+
     cases = [
-        ("chunk-edge", "-g", str(s32_path), "-e", "u,v", "-b", "2"),  # -k missing
-        ("chunk-edge", "-g", str(s32_path), "-e", "u,v", "-b", "2", "-k", "3"),
+        ("chunk-edge", "-g", g, "-e", "u,v", "-b", "2"),  # -k missing
+        ("chunk-edge", "-g", g, "-e", "u,v", "-b", "2", "-k", "3"),
         ("--help",),
     ]
     with monkeypatch.context() as m:
-        m.setattr(cli, "_parser", cli.build_parser)
+        m.setattr(cli, "_parser", cli._build_parsers)
         fresh = [run(capsys, *argv) for argv in cases]
     assert [code for code, _, _ in fresh] == [2, 0, 0]
     assert "required: -k" in fresh[0][2] and fresh[2][1].startswith("usage: chunkwise")

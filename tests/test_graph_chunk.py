@@ -53,11 +53,13 @@ def test_cheapest_paths_matches_path_enumeration():
         need = {
             (u, v): rng.choice((None, 0, 0, *range(1, k + 1))) for u, v, _ in g.edges
         }
-        table, choice = _dp(g, need, k)
+        rows, picks = _dp(g, need, k)
         # Every vertex is reachable from the source, so the u-to-sink paths
         # are exactly the suffixes of source-sink paths.
         suffixes = {p[p.index(u):] for p in all_paths(g) for u in p}
         for u in g.vertices:
+            row = rows[u]  # every vertex has a row, None when no level has a path
+            assert row is None or len(row) == k + 1
             for i in range(k + 1):
                 costs = [
                     path_cost(g, p)
@@ -66,17 +68,17 @@ def test_cheapest_paths_matches_path_enumeration():
                     and all(need[e] is not None for e in zip(p, p[1:]))
                     and sum(need[e] for e in zip(p, p[1:])) <= i
                 ]
-                # The table is in the graph's scaled units: cost times g.scale.
-                assert table.get((u, i)) == (min(costs) * g.scale if costs else None)
+                # The rows are in the graph's scaled units: cost times g.scale.
+                assert (row and row[i]) == (min(costs) * g.scale if costs else None)
                 if costs:
-                    path = walk_choices(g.sink, choice, u, i)
+                    path = walk_choices(g.sink, picks, u, i)
                     assert path[0] == u and path[-1] == g.sink
-                    assert path_cost(g, path) * g.scale == table[(u, i)]
+                    assert path_cost(g, path) * g.scale == row[i]
                     assert sum(need[e] for e in zip(path, path[1:])) <= i
                     # Each step's recorded chunk count is its edge's need.
                     j = i
                     for a, b in zip(path, path[1:]):
-                        assert choice[(a, j)] == (b, need[(a, b)])
+                        assert picks[a][j] == (b, need[(a, b)])
                         j -= need[(a, b)]
 
 
@@ -87,31 +89,36 @@ def test_cheapest_paths_at_budget_zero_is_shortest_to_sink():
     for _ in range(40):
         g = random_task_graph(rng, min_vertices=3, max_vertices=8)
         dist = shortest_to_sink(g)
-        table, choice = _dp(g, {(u, v): 0 for u, v, _ in g.edges}, 0)
+        rows, picks = _dp(g, {(u, v): 0 for u, v, _ in g.edges}, 0)
         for u in g.vertices:
-            assert table[(u, 0)] == dist.scaled[u]
+            assert rows[u] == [dist.scaled[u]]
             if u != g.sink:
-                assert choice[(u, 0)] == (dist.successor[u], 0)
+                assert picks[u] == [(dist.successor[u], 0)]
 
 
 def _full_scan(g, need, k):
     """cheapest_paths' recurrence, reading every out-edge at every level."""
-    table = {(g.sink, i): F(0) for i in range(k + 1)}
-    choice = {}
-    for u in reversed(validate(g)):
-        for i in range(k + 1):
-            cands = [
-                (c + table[(head, i - need[(u, head)])], need[(u, head)], head)
-                for head, c in g.out_edges(u)
-                if need[(u, head)] is not None
-                and need[(u, head)] <= i
-                and (head, i - need[(u, head)]) in table
-            ]
-            if cands:
-                cost, used, head = min(cands)
-                table[(u, i)] = cost
-                choice[(u, i)] = (head, used)
-    return table, choice
+    rows = {g.sink: [0] * (k + 1)}
+    picks = {}
+    for u in reversed(validate(g)[:-1]):  # the sink is last
+        best = [
+            min(
+                (
+                    (c + rows[head][i - need[(u, head)]], need[(u, head)], head)
+                    for head, c in g.scaled_out_edges(u)
+                    if need[(u, head)] is not None
+                    and need[(u, head)] <= i
+                    and rows[head] is not None
+                    and rows[head][i - need[(u, head)]] is not None
+                ),
+                default=None,
+            )
+            for i in range(k + 1)
+        ]
+        rows[u] = None if best[k] is None else [o and o[0] for o in best]
+        if best[k] is not None:
+            picks[u] = [o and (o[2], o[1]) for o in best]
+    return rows, picks
 
 
 class _CountingNeeds(dict):
@@ -165,11 +172,21 @@ def test_cheapest_paths_breaks_ties_on_chunks_before_head():
         asked.append(head)
         return needs.get((u, head), 0)
 
-    table, choice = cheapest_paths([4, 3, 2, 1, "u"], 0, steps.__getitem__, chunks, 1)
-    assert table[("u", 0)] == table[("u", 1)] == 1
-    assert choice[("u", 0)] == choice[("u", 1)] == (2, 0)
-    assert walk_choices(0, choice, "u", 1) == ("u", 2, 0)
+    rows, picks = cheapest_paths([4, 3, 2, 1, "u"], 0, steps.__getitem__, chunks, 1)
+    assert rows["u"] == [1, 1]
+    assert picks["u"] == [(2, 0), (2, 0)]
+    assert walk_choices(0, picks, "u", 1) == ("u", 2, 0)
     assert asked == [0, 0, 0, 0, 3, 1, 2]  # the cost-5 move out of "u" is never asked about
+
+
+def test_cheapest_paths_raises_on_a_head_read_before_its_row():
+    # An order that misses a head must not pass the head off as one with no
+    # path: "u"'s move to 2 would then drop out and the costlier move to 1 win.
+    steps = {"u": [(1, 5), (2, 1)], 1: [(0, 0)], 2: [(0, 0)]}
+    rows, _ = cheapest_paths([2, 1, "u"], 0, steps.__getitem__, lambda u, v: 0, 0)
+    assert rows["u"] == [1]
+    with pytest.raises(InvariantViolation, match="is read before its row"):
+        cheapest_paths([1, "u"], 0, steps.__getitem__, lambda u, v: 0, 0)
 
 
 def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):

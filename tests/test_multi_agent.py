@@ -39,8 +39,14 @@ from chunkwise.errors import (
     TakerRefuses,
 )
 from chunkwise.expansion import ChunkPlan, original_path
-from chunkwise.graph import path_cost
-from chunkwise.graph_chunk import _caps, persuasion_profile, same_path_fill, shared_path_plan
+from chunkwise.graph import path_cost, validate
+from chunkwise.graph_chunk import (
+    _caps,
+    persuasion_profile,
+    same_path_fill,
+    shared_path_plan,
+    walk_choices,
+)
 from chunkwise.multi_agent import JointMoves
 from chunkwise.oracle import (
     GridSpec,
@@ -930,6 +936,74 @@ def test_a_global_plan_at_the_unaided_cost_installs_no_chunking(g, b1, step, k):
         plan, trace = chunk_graph_global(g, b, k)
         if trace.total == walked:
             assert plan.chunkings == ()
+
+
+def _reachable_pairs(g):
+    """The position pairs a walk from (s, s) reaches, (t, t) aside, where
+    both types move together from a shared vertex and, apart, the type at
+    the topologically earlier vertex moves alone."""
+    pos = {u: i for i, u in enumerate(validate(g))}
+    seen, stack = set(), [(g.source, g.source)]
+    while stack:
+        u, y = stack.pop()
+        if (u, y) in seen:
+            continue
+        seen.add((u, y))
+        if u == y:
+            heads = [(v, z) for v, _ in g.scaled_out_edges(u) for z, _ in g.scaled_out_edges(u)]
+        elif pos[u] < pos[y]:
+            heads = [(v, y) for v, _ in g.scaled_out_edges(u)]
+        else:
+            heads = [(u, z) for z, _ in g.scaled_out_edges(y)]
+        stack.extend(heads)
+    return seen - {(g.sink, g.sink)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**16).map(lambda seed: random_task_graph(random.Random(seed), 4, 9)),
+    st.sampled_from(((F(3, 2), F(3)), (F(2), F(10)), (F(5, 2), F(25, 2)), (F(7, 4), F(9, 4)))),
+    st.integers(1, 3),
+    st.sampled_from(("local", "global")),
+)
+@example(DRAW_91, (F(3, 2), F(3)), 2, "global")
+@example(DRAW_1334, (F(2), F(10)), 1, "local")
+def test_the_pair_dp_solves_the_reachable_pairs_as_the_full_one(g, biases, k, mode):
+    # The two-type DP is handed exactly the pairs reachable from (s, s), in
+    # the full reverse-topological pair order, and asks chunks() about no
+    # other pair; the DP over every pair gives the same source row and walk.
+    import chunkwise.multi_agent as ma
+
+    rev = list(reversed(validate(g)))
+    full = [(u, y) for u in rev for y in rev if not u == y == g.sink]
+    source = (g.source, g.source)
+    real = ma.cheapest_paths
+    seen = []
+
+    def spy(order, sink, moves, chunks, levels):
+        asked = set()
+
+        def counting(u, head):
+            asked.add(u)
+            return chunks(u, head)
+
+        rows, picks = real(order, sink, moves, counting, levels)
+        full_rows, full_picks = real(full, sink, moves, chunks, levels)
+        seen.append((list(order), asked, rows[source], full_rows[source]))
+        if rows[source] is not None:
+            walk = walk_choices(sink, picks, source, levels)
+            assert walk == walk_choices(sink, full_picks, source, levels)
+        return rows, picks
+
+    reachable = _reachable_pairs(g)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ma, "cheapest_paths", spy)
+        ma._two_agent_dp(JointMoves(g, *biases, BudgetSpec(mode, k)))
+    ((order, asked, row, full_row),) = seen
+    assert set(order) <= reachable  # every pair solved is reachable
+    assert order == [p for p in full if p in reachable]  # and every reachable one, in order
+    assert asked <= reachable
+    assert row == full_row
 
 
 def test_two_agent_plans_match_their_pinned_bytes():
