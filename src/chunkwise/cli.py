@@ -97,14 +97,6 @@ def _report_json(report, decimal: bool) -> dict:
     return payload
 
 
-def _chunking_json(chunking) -> dict:
-    return {
-        "from": chunking.tail,
-        "to": chunking.head,
-        "chunks": [format_rat(x) for x in chunking.chunks],
-    }
-
-
 def cmd_fan(args: argparse.Namespace) -> int:
     g = make_n_fan(FanSpec(args.n, rat(args.c)))
     if args.format == "dot":
@@ -141,7 +133,7 @@ def cmd_chunk_edge(args: argparse.Namespace) -> int:
     dist = shortest_to_sink(g)
     edge = _parse_edge(args.edge)
     chunking, report = optimal_edge_chunking(g, dist, edge, _parse_bias(args.bias), args.k)
-    payload = _chunking_json(chunking)
+    payload = chunking.to_json()
     payload["report"] = _report_json(report, args.decimal)
     _emit_json(args, payload)
     return 0
@@ -179,7 +171,7 @@ def cmd_split_edge(args: argparse.Namespace) -> int:
     except TakerRefuses as exc:
         _emit_json(args, {"infeasible": "taker-refuses", "reason": str(exc)})
         return 1
-    payload = _chunking_json(chunking)
+    payload = chunking.to_json()
     payload["repelled_bottleneck"] = format_rat(repelled)
     payload["report"] = _report_json(
         evaluate_chunking(g, dist, chunking, biases[0] if args.taker == 1 else biases[1]),
@@ -199,7 +191,7 @@ def cmd_same_path_edge(args: argparse.Namespace) -> int:
     except InfeasibleChunking as exc:
         _emit_json(args, {"infeasible": "same-path", "reason": exc.reason})
         return 1
-    _emit_json(args, _chunking_json(chunking))
+    _emit_json(args, chunking.to_json())
     return 0
 
 

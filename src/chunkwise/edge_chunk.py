@@ -24,12 +24,13 @@ its bottleneck, for `evaluate_chunking` and `perceived_chunk_costs` alike:
 one `Fraction` per run of equal perceived costs, so a geometric tail builds
 one.
 
-`greedy_fill` inverts p_i <= cap for one (bias, cap) pair per agent type,
-filling from the last chunk backwards: one pair answers `min_chunks_to_beat`
-and the oracle's saturated witness, several keep every type on one edge
-(`graph_chunk.same_path_fill`). It too steps in ints: one int loop,
-`_greedy_ints`, behind a front that takes an edge's `Fraction`s, and which
-`graph_chunk.GroupNeeds` feeds straight from the graph's scaled ints.
+An edge's x, c(v->t) and outside option come from one scan of the tail's
+adjacency in the graph's scaled ints, `scaled_edge_scan`; `edge_context` is
+its `Fraction` image. The greedy fill inverts p_i <= cap for one (bias,
+cap) pair per agent type, filling from the last chunk backwards, in one int
+loop, `_greedy_ints`, fed from that scan: one pair answers
+`min_chunks_to_beat`, several keep every type on one edge
+(`graph_chunk.same_path_fill`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Iterator, Optional, Sequence, TypeVar
 
 from .errors import InvalidParams, InvariantViolation, NoAlternative, UnknownEdge
 from .graph import DistanceMap, Edge, TaskGraph
+from .rational import format_rat
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,9 @@ class Chunking:
     @property
     def total(self) -> Fraction:
         return sum(self.chunks, Fraction(0))
+
+    def to_json(self) -> dict:
+        return {"from": self.tail, "to": self.head, "chunks": [format_rat(x) for x in self.chunks]}
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,10 @@ def _floor(outside: Optional[Cost], through: Cost) -> Cost:
     return through if outside is None else min(outside, through)
 
 
-def scaled_edge_scan(g: TaskGraph, dist: DistanceMap, edge: Edge) -> tuple[int, Optional[int]]:
-    """x and the outside option of (u, v), ints over g.scale, from one scan
-    of u's adjacency; the outside option is None when (u, v) is u's only
-    out-edge. `edge_context` takes its outside option by the same rule, the
-    least c(u, h) + d(h) over u's other edges; change the two together."""
+def scaled_edge_scan(g: TaskGraph, dist: DistanceMap, edge: Edge) -> tuple[int, int, Optional[int]]:
+    """x, c(v->t) and the outside option of (u, v), ints over g.scale, from
+    the one scan of u's adjacency: the outside option is the least
+    c(u, h) + d(h) over u's other edges, None when (u, v) is u's only one."""
     u, v = edge
     scaled = dist.scaled_for(g)
     x: Optional[int] = None
@@ -127,16 +131,14 @@ def scaled_edge_scan(g: TaskGraph, dist: DistanceMap, edge: Edge) -> tuple[int, 
             outside = cost + scaled[head]
     if x is None:
         raise UnknownEdge(u, v)
-    return x, outside
+    return x, scaled[v], outside
 
 
-# Its outside option follows `scaled_edge_scan`'s rule, with a Fraction built at the end.
 def edge_context(g: TaskGraph, dist: DistanceMap, edge: Edge) -> EdgeContext:
-    u, v = edge
-    x = g.cost(u, v)
-    scaled = dist.scaled_for(g)
-    outside = min((c + scaled[h] for h, c in g.scaled_out_edges(u) if h != v), default=None)
-    return EdgeContext(u, v, x, dist[v], None if outside is None else Fraction(outside, g.scale))
+    """`scaled_edge_scan` in `Fraction`s."""
+    x, c, o = scaled_edge_scan(g, dist, edge)
+    s = g.scale
+    return EdgeContext(*edge, Fraction(x, s), Fraction(c, s), None if o is None else Fraction(o, s))
 
 
 def selective_bias_closed_form(b: Fraction, k: int) -> Fraction:
@@ -421,28 +423,6 @@ def _head_then_geometric(
     return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
 
 
-Cap = tuple[Fraction, Fraction]  # (bias, most perceived cost that type accepts)
-
-
-def greedy_fill(ctx: EdgeContext, caps: Sequence[Cap], k: int) -> tuple[list[Fraction], bool]:
-    """Most mass l chunks can carry within every (bias, cap) pair, l <= k:
-    (M_1..M_l, reached), stopping at the first M_l >= x, which is cut to x.
-
-    Fills from the last chunk backwards, each chunk as large as every cap
-    allows given the mass M_l already behind it: M_1 = min (cap - c(v->t))/b
-    and M_{l+1} = M_l + min (cap - floor(M_l))/b over the pairs. Maximal by
-    the suffix-sum exchange argument. Empty when some cap < c(v->t), since
-    even a zero-mass final chunk breaks it.
-
-    Consecutive masses of a reached fill differ by the chunks, last first
-    (`padded_chunking`). The fill reads k only to stop, so one fill at the
-    largest k gives both the least chunk count within every cap (its
-    length) and the chunking for any count at least that.
-    """
-    ns, reached, d0, big_l = _greedy_front(ctx, caps, k)
-    return _fill_masses(ns, reached, d0, big_l, ctx.x), reached
-
-
 def _fill_masses(
     ns: Sequence[int], reached: bool, d0: int, big_l: int, x: Fraction
 ) -> list[Fraction]:
@@ -452,34 +432,26 @@ def _fill_masses(
     return masses + [x] if reached else masses
 
 
-def _greedy_front(
-    ctx: EdgeContext, caps: Sequence[Cap], k: int
-) -> tuple[list[int], bool, int, int]:
-    """`_greedy_ints` on an edge's `Fraction`s: (n_1..n_l, reached, d0, L),
-    d0 the lcm of the denominators of x, c(v->t), outside and the caps."""
-    x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
-    d0 = lcm(x.denominator, c.denominator, 1 if o is None else o.denominator,
-             *(cap.denominator for _, cap in caps))
-
-    def ints(q: Fraction) -> int:
-        return q.numerator * (d0 // q.denominator)
-
-    tops = [(b, ints(cap)) for b, cap in caps]
-    ns, reached, big_l = _greedy_ints(ints(x), ints(c), None if o is None else ints(o), tops, k)
-    return ns, reached, d0, big_l
-
-
 def _greedy_ints(
     big_x: int, big_c: int, big_o: Optional[int], caps: Sequence[tuple[Fraction, int]], k: int
 ) -> tuple[list[int], bool, int]:
-    """greedy_fill in ints over one unit 1/d0, the last mass uncut.
+    """Most mass l chunks can carry within every (bias, cap) pair, l <= k,
+    in ints over one unit 1/d0: M_1..M_l, stopping at the first M_l >= x.
+
+    Fills from the last chunk backwards, each chunk as large as every cap
+    allows given the mass M_l already behind it: M_1 = min (cap - c(v->t))/b
+    and M_{l+1} = M_l + min (cap - floor(M_l))/b over the pairs. Maximal by
+    the suffix-sum exchange argument. Empty when some cap < c(v->t), since
+    even a zero-mass final chunk breaks it. The fill reads k only to stop,
+    so one fill at the largest k gives both the least chunk count within
+    every cap (its length) and, cut to x and zero-padded, the chunking for
+    any count at least that (`_fill_masses`, `padded_chunking`).
 
     big_x, big_c and big_o are x, c(v->t) and outside (None: no way out)
     times d0, and caps holds each type's (bias, cap times d0). Returns
-    (n_1..n_l, reached, L) with M_i = n_i / (d0 * L**i), L the lcm of the
-    biases' numerators. With b_j = p_j/r_j, the bound (cap_j - floor)/b_j
-    over d0 * L**(i+1) is w_j * (cap_j - floor) over d0 * L**i,
-    w_j = r_j * L / p_j: no gcd.
+    (n_1..n_l, reached, L) with M_i = n_i / (d0 * L**i), the last uncut, L
+    the lcm of the biases' numerators: with b_j = p_j/r_j, (cap_j - floor)/b_j
+    over d0 * L**(i+1) is w_j * (cap_j - floor) over d0 * L**i, w_j = r_j * L / p_j.
     """
     big_l = lcm(*(b.numerator for b, _ in caps))
     bounds = [(b.denominator * (big_l // b.numerator), top) for b, top in caps]
@@ -517,13 +489,19 @@ def min_chunks_to_beat(
 
     Returns None when even k_max chunks cannot reach alpha. Some l-chunking
     keeps every perceived cost within alpha exactly when the greedy mass
-    M_l >= x (pad the greedy fill with zero head chunks), so one greedy fill
-    answers it in O(k_max) integer steps, with no optimization.
+    M_l >= x (pad the greedy fill with zero head chunks), so one greedy fill,
+    in ints over lcm(g.scale, alpha's denominator), answers it in O(k_max)
+    integer steps, with no optimization.
     """
     if k_max < 1:
         raise InvalidParams("k_max must be >= 1")
-    masses, reached, _, _ = _greedy_front(edge_context(g, dist, edge), ((b, alpha),), k_max)
-    return len(masses) if reached else None
+    x, c, outside = scaled_edge_scan(g, dist, edge)
+    unit = lcm(g.scale, alpha.denominator)
+    f = unit // g.scale
+    cap = alpha.numerator * (unit // alpha.denominator)
+    big_o = None if outside is None else outside * f
+    ns, reached, _ = _greedy_ints(x * f, c * f, big_o, ((b, cap),), k_max)
+    return len(ns) if reached else None
 
 
 def _check_params(b: Fraction, k: int) -> None:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional
 
-from .edge_chunk import Chunking, _floor
+from .edge_chunk import Chunking, _floor, scaled_edge_scan
 from .errors import InvalidParams, ParseError
 from .graph import DistanceMap, Edge, TaskGraph
 from .rational import format_rat, rat
@@ -51,16 +51,7 @@ class ChunkPlan:
                 raise InvalidParams(f"chunking of {ch.edge} sums to {ch.total}, edge costs {cost}")
 
     def to_json(self) -> dict:
-        payload: dict = {
-            "chunkings": [
-                {
-                    "from": ch.tail,
-                    "to": ch.head,
-                    "chunks": [format_rat(x) for x in ch.chunks],
-                }
-                for ch in self.chunkings
-            ]
-        }
+        payload: dict = {"chunkings": [ch.to_json() for ch in self.chunkings]}
         if self.mode is not None:
             payload["mode"] = self.mode
         if self.k is not None:
@@ -202,12 +193,13 @@ class PlanView:
     a chain's chunks sum to the edge cost and its deviations keep full cost.
     So the view takes dist = shortest_to_sink(g) as it is. The vertex after
     chunk i of (u, v) lies `_floor(outside, chunks after i + c(v->t))` from
-    the sink. Out-edges use expand_plan's vertex names. The view serves
-    agent.traverse as both its graph and its distances, and, like a
-    ChunkedGraph, offers marks, chain_of and original. Like a TaskGraph, it
-    keeps costs and distances as ints over `scale`, here the lcm of g.scale
-    and the chunks' denominators, each chain vertex's computed once, at
-    construction; it has no `Fraction` out-edges.
+    the sink, outside and c(v->t) as `scaled_edge_scan` gives them. Out-edges
+    use expand_plan's vertex names. The view serves agent.traverse as both
+    its graph and its distances, and, like a ChunkedGraph, offers marks,
+    chain_of and original. Like a TaskGraph, it keeps costs and distances as
+    ints over `scale`, here the lcm of g.scale and the chunks' denominators,
+    each chain vertex's computed once, at construction; it has no `Fraction`
+    out-edges.
 
     Construction raises expand_plan's plan errors, in expand_plan's order.
     """
@@ -239,8 +231,9 @@ class PlanView:
                 continue
             xs = [x.numerator * (self.scale // x.denominator) for x in chunking.chunks]
             scaled_out = [(h, c * f) for h, c in g.scaled_out_edges(u)]
-            outside = min((c + self._scaled[h] for h, c in scaled_out if h != v), default=None)
-            through = self._scaled[v]  # c(v->t), then plus the chunks after chain vertex i
+            _, c, o = scaled_edge_scan(g, dist, (u, v))
+            outside = None if o is None else o * f
+            through = c * f  # c(v->t), then plus the chunks after chain vertex i
             for i in range(k - 1, 0, -1):
                 through += xs[i]
                 self._scaled[chain[i]] = _floor(outside, through)

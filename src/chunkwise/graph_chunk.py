@@ -15,8 +15,8 @@ chunks, and which chunking, make a group of types take an edge. It decides
 in the graph's scaled ints: each type's `persuasion_profile` keeps its
 default head and alpha at every vertex as ints scored by
 `agent.scaled_best_alternative`, and an edge's need is the length of the
-types' greedy fill, stepped by `edge_chunk`'s int loop on the edge's cost
-and outside option (`edge_chunk.scaled_edge_scan`), its head's distance,
+types' greedy fill, stepped by `edge_chunk`'s int loop on the edge's cost,
+its head's distance and its outside option (`edge_chunk.scaled_edge_scan`),
 and the types' caps over one unit (`_caps`). `Fraction`s are built only for
 the chunkings of a plan's chunked edges: for one bias the optimal chunking,
 for several the greedy `same_path_fill`.
@@ -162,18 +162,16 @@ def _same_path_ints(
     """`same_path_fill` as `_greedy_ints` steps it, in the graph's scaled
     ints: (n_1..n_l, reached, d0, L) with M_i = n_i / (d0 * L**i).
 
-    x and the outside option come from `scaled_edge_scan`, c(v->t) from the
-    scaled distances, and d0 is `_caps`' unit R * g.scale: every cost is
-    scaled by R.
+    x, c(v->t) and the outside option come from `scaled_edge_scan`, and d0
+    is `_caps`' unit R * g.scale: every cost is scaled by R.
     """
-    x, outside = scaled_edge_scan(g, dist, edge)
+    x, c, outside = scaled_edge_scan(g, dist, edge)
     if outside is None:  # no type can leave the chain: one chunk carries it
         return ([x], True, g.scale, 1) if k else ([], False, g.scale, 1)
     d0, caps = _caps(g, dist, edge, biases, perss)
     big_r = d0 // g.scale
     ns, reached, big_l = _greedy_ints(
-        x * big_r, dist.scaled_for(g)[edge[1]] * big_r, outside * big_r,
-        list(zip(biases, caps)), k,
+        x * big_r, c * big_r, outside * big_r, list(zip(biases, caps)), k
     )
     return ns, reached, d0, big_l
 
@@ -182,9 +180,9 @@ def same_path_fill(
     g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int,
     perss: Sequence[Persuasion] = (),
 ) -> Optional[list[Fraction]]:
-    """The `greedy_fill` of at most k chunks that every type traverses, or
-    None when no k-chunking carries them all; perss, the types' persuasion
-    profiles if held, give `_caps`."""
+    """The greedy fill of at most k chunks that every type traverses, its
+    masses with the last cut to x, or None when no k-chunking carries them
+    all; perss, the types' persuasion profiles if held, give `_caps`."""
     ns, reached, d0, big_l = _same_path_ints(g, dist, edge, biases, k, perss)
     return _fill_masses(ns, reached, d0, big_l, g.cost(*edge)) if reached else None
 

@@ -2,15 +2,16 @@
 
 Splitting two agents at one vertex works by reshaping a chunking the taker
 still accepts until the other type's perceived cost of one chunk is as high
-as possible. Keeping m agents on one edge is graph_chunk's `same_path_fill`,
-and `chunk_same_path` adds the reason when it fails. Graph-level planning
-reads the local/global budget rule from `BudgetSpec`. Types that must share
-one path (and two types with one bias) are planned by graph_chunk's
-single-path pipeline, `shared_path_plan`. `agent.replay_plan` is the one
-plan check: it walks each type on one view of a plan and accepts only a
-walk that is the type's path with each chunked edge's chain in place, step
-for step. It checks every emitted plan, where a two-agent plan that fails
-is an invariant violation, and every joint split, on its two one-hop paths.
+as possible. Keeping m agents on one edge is graph_chunk's one int greedy
+fill, which `chunk_same_path` runs once for the chunking or the reason it
+fails. Graph-level planning reads the local/global budget rule from
+`BudgetSpec`. Types that must share one path (and two types with one bias)
+are planned by graph_chunk's single-path pipeline, `shared_path_plan`.
+`agent.replay_plan` is the one plan check: it walks each type on one view
+of a plan and accepts only a walk that is the type's path with each chunked
+edge's chain in place, step for step. It checks every emitted plan, where a
+two-agent plan that fails is an invariant violation, and every joint split,
+on its two one-hop paths.
 
 The two-agent planner builds one `JointMoves` table per call: graph_chunk's
 `GroupNeeds` for each type alone and for the pair on one edge, which give
@@ -39,9 +40,9 @@ from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan
 from .edge_chunk import (
     Chunking,
     EdgeContext,
+    _fill_masses,
     _floor,
     edge_context,
-    greedy_fill,
     optimal_edge_chunking,
     padded_chunking,
     perceived_chunk_costs,
@@ -60,8 +61,8 @@ from .graph_chunk import (
     BudgetSpec,
     GroupNeeds,
     _caps,
+    _same_path_ints,
     cheapest_paths,
-    same_path_fill,
     shared_path_plan,
     walk_choices,
 )
@@ -372,27 +373,26 @@ def chunk_same_path(
     """Chunking of (u, v) every agent type traverses, if one exists.
 
     Fills chunks k..1, maximizing each chunk subject to every agent's
-    threshold given the mass already placed behind it (`same_path_fill`); a
-    feasible chunking exists iff this greedy one covers the full edge cost.
+    threshold given the mass already placed behind it, in one int fill
+    (`graph_chunk._same_path_ints`); a feasible chunking exists iff this
+    greedy one covers the full edge cost, and the fill also names why not.
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    fill = same_path_fill(g, dist, edge, agents.biases, k)
-    if fill is not None:
-        return padded_chunking(edge, fill, k)
-    # Only the first chunk filled, chunk k, can go negative: its floor is
-    # c(v->t), and later floors never pass the least cap.
-    ctx = edge_context(g, dist, edge)
-    unit, scaled_caps = _caps(g, dist, edge, agents.biases)
-    caps = [(b, Fraction(cap, unit)) for b, cap in zip(agents.biases, scaled_caps)]
-    low = min(alpha for _, alpha in caps)
-    if low < ctx.cost_to_sink:
+    x = g.cost(*edge)
+    ns, reached, d0, big_l = _same_path_ints(g, dist, edge, agents.biases, k)
+    masses = _fill_masses(ns, reached, d0, big_l, x)
+    if reached:
+        return padded_chunking(edge, masses, k)
+    if not masses:
+        # Only the first chunk filled, chunk k, can go negative: its floor is
+        # c(v->t), and later floors never pass the least cap.
+        unit, caps = _caps(g, dist, edge, agents.biases)
         raise InfeasibleChunking(
-            f"chunk {k} forced negative: some type's outside option "
-            f"({low}) is below the unavoidable continuation cost {ctx.cost_to_sink}"
+            f"chunk {k} forced negative: some type's outside option ({Fraction(min(caps), unit)})"
+            f" is below the unavoidable continuation cost {dist[edge[1]]}"
         )
-    masses, _ = greedy_fill(ctx, caps, k)
-    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {masses[-1]} of {ctx.x}")
+    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {masses[-1]} of {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +581,10 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
     the DP charges a pair exactly its plan's chunks.
 
     Only the pairs a walk along `pair_moves` reaches from (s, s) are
-    solved, in the full pairs' reverse topological order. A pair's row
-    reads only its moves' heads, which the walk reaches whenever it reaches
-    the pair, so every row the source's walk reads is the full DP's row;
+    solved, in the full pairs' reverse topological order, each with the
+    moves the walk enumerated for it. A pair's row reads only its moves'
+    heads, which the walk reaches whenever it reaches the pair, so every
+    row the source's walk reads is the full DP's row;
     `cheapest_paths` raises on a head without a row, so a pair the walk
     missed cannot pass for one without a path.
 
@@ -621,18 +622,17 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
         return budget.charge(moves.solo[mover].need[(pair[mover], head[mover])])
 
     source = (g.source, g.source)
-    reached = {source}
+    reached: dict[tuple[str, str], list] = {}  # each pair the walk reaches -> its moves
     frontier = [source]
     for pair in frontier:
-        for head, _ in pair_moves(pair):
-            if head not in reached:
-                reached.add(head)
-                frontier.append(head)
-    reached.discard((t, t))
+        if pair not in reached:
+            reached[pair] = list(pair_moves(pair))
+            frontier.extend(head for head, _ in reached[pair])
+    del reached[(t, t)]
     # Reverse topological order of the first coordinate, then of the second.
     order = sorted(reached, key=lambda p: (pos[p[0]], pos[p[1]]), reverse=True)
     levels = budget.levels
-    rows, picks = cheapest_paths(order, (t, t), pair_moves, pair_chunks, levels)
+    rows, picks = cheapest_paths(order, (t, t), reached.__getitem__, pair_chunks, levels)
     if rows[source] is None:
         return None
     walk = walk_choices((t, t), picks, source, levels)

@@ -14,8 +14,8 @@ takes each vertex's default and alpha from `agent.perceived_cost` in
 `Fraction`s, and decides per-edge persuadability as "optimal l-chunking
 bottleneck <= alpha" for l = 1, 2, ..., so it shares nothing with the int
 scorer and the greedy fill the planners decide it with. It builds witness
-chunkings from the saturated greedy profile and validates every winner by
-full expansion and simulation.
+chunkings from its own saturated greedy profile (`greedy_masses`) and
+validates every winner by full expansion and simulation.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .agent import BiasProfile, best_alternative, perceived_cost, simulate_plan
 from .edge_chunk import (
-    Cap,
     Chunking,
     EdgeContext,
     _floor,
     chunk_shortest_edge,
     edge_context,
-    greedy_fill,
     optimal_edge_chunking,
-    padded_chunking,
     selective_bias_closed_form,
 )
 from .errors import DeadEnd, GridTooLarge, InvalidParams, InvariantViolation
@@ -185,10 +182,13 @@ def grid_same_path_feasible(
 # ---------------------------------------------------------------------------
 
 
-def greedy_masses(ctx: EdgeContext, caps: Sequence[Cap]) -> Iterator[Fraction]:
-    """`edge_chunk.greedy_fill`'s masses M_1, M_2, ... in `Fraction`s, uncut and
+def greedy_masses(
+    ctx: EdgeContext, caps: Sequence[tuple[Fraction, Fraction]]
+) -> Iterator[Fraction]:
+    """The greedy fill's masses M_1, M_2, ... in `Fraction`s, uncut and
     unending (none when some cap < c(v->t)): M_1 = min (cap - c(v->t))/b and
-    M_{l+1} = M_l + min (cap - floor(M_l))/b over the (bias, cap) pairs."""
+    M_{l+1} = M_l + min (cap - floor(M_l))/b over the (bias, cap) pairs; the
+    planners step the same recurrence in ints (`edge_chunk._greedy_ints`)."""
     mass = min([(cap - ctx.cost_to_sink) / b for b, cap in caps])
     if mass < 0:
         return
@@ -212,14 +212,20 @@ def max_mass_under_cap(
 def saturated_chunking(
     g: TaskGraph, dist: DistanceMap, edge: Edge, b: Fraction, beta: Fraction, k: int
 ) -> Optional[Chunking]:
-    """Witness chunking with all perceived costs <= beta, from the greedy fill.
+    """Witness chunking with all perceived costs <= beta, from `greedy_masses`.
 
     Its last chunks are the greedy steps, the one that reaches the edge cost
     is cut short, and the chunks before it are zero. None when k greedy
     chunks cannot carry the edge.
     """
-    fill, reached = greedy_fill(edge_context(g, dist, edge), ((b, beta),), k)
-    return padded_chunking(edge, fill, k) if reached else None
+    ctx = edge_context(g, dist, edge)
+    before, steps = Fraction(0), []
+    for mass in islice(greedy_masses(ctx, ((b, beta),)), k):
+        steps.append(min(mass, ctx.x) - before)
+        if mass >= ctx.x:
+            return Chunking(*edge, (Fraction(0),) * (k - len(steps)) + tuple(reversed(steps)))
+        before = mass
+    return None
 
 
 def min_chunks_independent(

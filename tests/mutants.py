@@ -130,13 +130,6 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
-        "outside = min((c + scaled[h] for h, c in g.scaled_out_edges(u) if h != v), default=None)",
-        "outside = min((c + scaled[h] for h, c in g.scaled_out_edges(u)), default=None)",
-        "tests/test_edge_chunk.py::test_delta_examples",
-        "edge_context: the outside option excludes the edge itself",
-    ),
-    Mutant(
-        "src/chunkwise/edge_chunk.py",
         "if not tau and big_o is not None and big_o < through:",
         "if not tau and big_o is not None and big_o <= through:",
         "tests/test_edge_chunk.py::test_transition_vertex_stays_on_the_chain_at_an_exact_tie",
@@ -216,7 +209,8 @@ CATALOGUE = (
         "src/chunkwise/edge_chunk.py",
         "        elif outside is None or cost + scaled[head] < outside:\n",
         "        if outside is None or cost + scaled[head] < outside:\n",
-        "tests/test_graph_chunk.py::test_a_tails_only_edge_is_carried_by_one_chunk",
+        "tests/test_graph_chunk.py::test_a_tails_only_edge_is_carried_by_one_chunk "
+        "tests/test_edge_chunk.py::test_delta_examples",
         "scaled_edge_scan: the outside option is scanned over the tail's other edges only",
     ),
     Mutant(
@@ -294,10 +288,38 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/multi_agent.py",
-        "        for head, _ in pair_moves(pair):\n",
-        "        for head, _ in pair_moves(pair) if t not in pair else ():\n",
+        "frontier.extend(head for head, _ in reached[pair])",
+        "frontier.extend(head for head, _ in reached[pair] if t not in head or head == (t, t))",
         "tests/test_multi_agent.py::test_the_pair_dp_solves_the_reachable_pairs_as_the_full_one",
-        "_two_agent_dp: the reachable walk expands a pair after one type is at t",
+        "_two_agent_dp: the reachable walk follows a move that brings one type to t",
+    ),
+    Mutant(
+        "src/chunkwise/multi_agent.py",
+        "reached[pair] = list(pair_moves(pair))",
+        "reached[pair] = pair_moves(pair)",
+        "tests/test_multi_agent.py::test_the_pair_dp_solves_the_reachable_pairs_as_the_full_one",
+        "_two_agent_dp: the DP reads each pair's moves as the walk listed them, not a spent generator",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "unit = lcm(g.scale, alpha.denominator)",
+        "unit = g.scale",
+        "tests/test_edge_chunk.py::test_min_chunks_to_beat_at_a_threshold_off_the_graphs_scale",
+        "min_chunks_to_beat: alpha is scaled by lcm(g.scale, its denominator), not g.scale alone",
+    ),
+    Mutant(
+        "src/chunkwise/oracle.py",
+        "steps.append(min(mass, ctx.x) - before)",
+        "steps.append(mass - before)",
+        "tests/test_multi_agent.py::test_same_path_one_type_is_the_saturated_greedy_fill",
+        "saturated_chunking: the mass that reaches x is cut to x",
+    ),
+    Mutant(
+        "src/chunkwise/multi_agent.py",
+        "    if not masses:\n",
+        "    if len(masses) <= k:\n",
+        "tests/test_multi_agent.py::test_same_path_infeasible_cases",
+        "chunk_same_path: only an empty fill is forced negative; a short one is a mass deficit",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",

@@ -372,6 +372,16 @@ def test_large_k_golden_output_fixture_matches(s32_path, capsys):
     assert out == (FIXTURES / "golden_chunk_edge_uv_k64.json").read_text()
 
 
+def test_same_path_golden_output_fixture_matches(s32_path, capsys):
+    # Eleven chunks, the first five zero: the padded greedy fill of two types.
+    from conftest import FIXTURES
+
+    _, out, _ = run(
+        capsys, "same-path-edge", "-g", str(s32_path), "-e", "u,w", "--biases", "2,3", "-k", "11"
+    )
+    assert out == (FIXTURES / "golden_same_path_uw_k11.json").read_text()
+
+
 def test_split_edge_taker_refuses_is_data(s32_path, capsys):
     # bias 10 cannot be persuaded onto (u, v) with three chunks
     code, out, _ = run(

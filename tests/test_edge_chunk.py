@@ -413,6 +413,16 @@ def test_min_chunks_to_beat_examples(s32):
     assert min_chunks_to_beat(s32, dist, ("u", "w"), B2, F(60), 64) is None
 
 
+def test_min_chunks_to_beat_at_a_threshold_off_the_graphs_scale(s32):
+    # 2221/30 is the optimal 3-chunking's bottleneck of (u, v) at b = 2; its
+    # denominator 30 does not divide s32's scale 10, so the fill's unit is
+    # their lcm, 30.
+    dist = shortest_to_sink(s32)
+    assert s32.scale == 10
+    assert min_chunks_to_beat(s32, dist, ("u", "v"), B2, F(2221, 30), 8) == 3
+    assert min_chunks_to_beat(s32, dist, ("u", "v"), B2, F(2221, 30) - F(1, 10**6), 8) == 4
+
+
 def test_optimal_matches_inverse_at_bias_extremes():
     # Barely biased and extremely biased agents, k up to 10.
     rng = random.Random(20240810)

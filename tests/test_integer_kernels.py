@@ -1,10 +1,10 @@
 """The shared-path pipeline's integer kernels against `Fraction` references.
 
-`edge_chunk.greedy_fill` steps in scaled ints; `oracle.greedy_masses` runs the
-same recurrence in `Fraction`s. `agent.traverse` scores in scaled ints, on a
-plan view (`walk_plan`) and on the expanded graph (`simulate_plan`); both
-routes must give the trace of the plain `Fraction` walk below, byte for
-byte, ties included.
+`edge_chunk._greedy_ints` steps the greedy fill in scaled ints;
+`oracle.greedy_masses` runs the same recurrence in `Fraction`s.
+`agent.traverse` scores in scaled ints, on a plan view (`walk_plan`) and on
+the expanded graph (`simulate_plan`); both routes must give the trace of the
+plain `Fraction` walk below, byte for byte, ties included.
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ from chunkwise import (
     walk_plan,
 )
 from chunkwise.agent import TieEvent, TraceStep, TraversalTrace
-from chunkwise.edge_chunk import EdgeContext, greedy_fill
+from chunkwise.edge_chunk import EdgeContext, _fill_masses, _greedy_ints
 from chunkwise.oracle import greedy_masses
 
 F = Fraction
 
-cost = st.fractions(min_value=0, max_value=40, max_denominator=12)
 bias = st.fractions(min_value=F(7, 6), max_value=8, max_denominator=7)
 
 
 def reference_fill(ctx: EdgeContext, caps, k: int) -> tuple[list[Fraction], bool]:
-    """greedy_fill from the oracle's recurrence: up to k masses, cut at x."""
+    """The greedy fill from the oracle's recurrence: up to k masses, cut at x."""
     masses = []
     for mass in islice(greedy_masses(ctx, caps), k):
         if mass >= ctx.x:
@@ -50,53 +49,56 @@ def reference_fill(ctx: EdgeContext, caps, k: int) -> tuple[list[Fraction], bool
 
 @st.composite
 def fills(draw):
-    """An edge context and 1-4 (bias, cap) pairs, caps near c(v->t) and
-    sometimes below it, with or without an outside option."""
-    c = draw(cost)
-    ctx = EdgeContext("u", "v", draw(cost), c, draw(st.one_of(st.none(), cost)))
-    n = draw(st.integers(1, 4))
-    over = st.one_of(cost, st.fractions(min_value=-2, max_value=0, max_denominator=5))
-    caps = [(draw(bias), c + draw(over)) for _ in range(n)]
-    return ctx, caps, draw(st.integers(1, 64))
+    """Ints over a drawn unit 1/d0: x, c(v->t), an outside option or none,
+    and 1-4 (bias, cap) pairs, caps near c(v->t) and sometimes below it."""
+    d0 = draw(st.integers(1, 60))
+    cost = st.integers(0, 40 * d0)
+    big_x, big_c, big_o = draw(cost), draw(cost), draw(st.one_of(st.none(), cost))
+    over = st.integers(-2 * d0, 40 * d0)
+    caps = [(draw(bias), big_c + draw(over)) for _ in range(draw(st.integers(1, 4)))]
+    return big_x, big_c, big_o, caps, d0, draw(st.integers(1, 64))
+
+
+def check_fill(big_x, big_c, big_o, caps, d0, k):
+    """_greedy_ints on ints over 1/d0 against the recurrence on their `Fraction`
+    images; returns the int fill."""
+    ns, reached, big_l = _greedy_ints(big_x, big_c, big_o, caps, k)
+    ctx = EdgeContext("u", "v", F(big_x, d0), F(big_c, d0), None if big_o is None else F(big_o, d0))
+    masses = _fill_masses(ns, reached, d0, big_l, ctx.x)
+    assert (masses, reached) == reference_fill(ctx, [(b, F(top, d0)) for b, top in caps], k)
+    assert all(type(m) is F for m in masses)
+    return ns, reached, big_l
 
 
 @settings(max_examples=400, deadline=None)
 @given(fills())
-@example((EdgeContext("u", "v", F(14), F(601, 10), None), [(F(2), F(881, 10))], 3))
-@example((EdgeContext("u", "v", F(14), F(601, 10), F(76)), [(F(2), F(60))], 3))
-@example(
-    (
-        EdgeContext("u", "v", F(14), F(601, 10), F(76)),
-        [(F(2), F(76)), (F(3), F(1001, 10)), (F(7, 4), F(79))],
-        64,
-    )
-)
+@example((140, 601, None, [(F(2), 881)], 10, 3))
+@example((140, 601, 760, [(F(2), 600)], 10, 3))
+@example((140, 601, 760, [(F(2), 760), (F(3), 1001), (F(7, 4), 790)], 10, 64))
 def test_integer_fill_matches_the_fraction_recurrence(drawn):
-    ctx, caps, k = drawn
-    masses, reached = greedy_fill(ctx, caps, k)
-    assert (masses, reached) == reference_fill(ctx, caps, k)
-    assert all(type(m) is F for m in masses)
-    if min(cap for _, cap in caps) < ctx.cost_to_sink:
-        assert masses == [] and not reached
+    ns, reached, _ = check_fill(*drawn)
+    big_c, caps = drawn[1], drawn[3]
+    if min(top for _, top in caps) < big_c:
+        assert ns == [] and not reached
 
 
 def test_three_cap_fill_scales_to_k_256():
     # Every step runs: the edge is far too long for 256 chunks. The first
     # steps follow the chain, the rest the outside option, and the three
-    # biases' numerators have lcm 105, so mass i is over d0 * 105**i.
-    ctx = EdgeContext("u", "v", F(10**6), F(601, 10), F(70))
-    caps = [(F(3, 2), F(141, 2)), (F(7, 4), F(71)), (F(5, 2), F(357, 5))]
+    # biases' numerators have lcm 105, so mass i is over d0 * 105**i. Costs
+    # are in tenths: x = 10**6, c(v->t) = 60.1, outside 70.
+    edge = (10**7, 601, 700, [(F(3, 2), 705), (F(7, 4), 710), (F(5, 2), 714)])
 
     def run(k):
         start = time.perf_counter()
         for _ in range(20):
-            got = greedy_fill(ctx, caps, k)
+            got = _greedy_ints(*edge, k)
         return time.perf_counter() - start, got
 
     t64, _ = run(64)
-    t256, (masses, reached) = run(256)
-    assert not reached and len(masses) == 256
-    assert (masses, reached) == reference_fill(ctx, caps, 256)
+    t256, (ns, reached, big_l) = run(256)
+    assert not reached and len(ns) == 256 and big_l == 105
+    assert check_fill(*edge, 10, 256) == (ns, reached, big_l)
     # Linear in k at fixed width predicts 4x; the masses' bits grow with k too.
     assert t256 <= 16 * max(t64, 0.005)
 

@@ -938,24 +938,33 @@ def test_a_global_plan_at_the_unaided_cost_installs_no_chunking(g, b1, step, k):
             assert plan.chunkings == ()
 
 
-def _reachable_pairs(g):
-    """The position pairs a walk from (s, s) reaches, (t, t) aside, where
-    both types move together from a shared vertex and, apart, the type at
-    the topologically earlier vertex moves alone."""
+def _pair_moves(g):
+    """Every position pair's moves as (head pair, scaled cost): both types
+    move together from a shared vertex and, apart, the type at the
+    topologically earlier vertex moves alone."""
     pos = {u: i for i, u in enumerate(validate(g))}
+
+    def moves(pair):
+        u, y = pair
+        if u == y:
+            out = g.scaled_out_edges(u)
+            return [((v, z), cv + cz) for v, cv in out for z, cz in out]
+        if pos[u] < pos[y]:
+            return [((v, y), c) for v, c in g.scaled_out_edges(u)]
+        return [((u, z), c) for z, c in g.scaled_out_edges(y)]
+
+    return moves
+
+
+def _reachable_pairs(g):
+    """The position pairs a walk along `_pair_moves` reaches from (s, s), (t, t) aside."""
+    moves = _pair_moves(g)
     seen, stack = set(), [(g.source, g.source)]
     while stack:
-        u, y = stack.pop()
-        if (u, y) in seen:
-            continue
-        seen.add((u, y))
-        if u == y:
-            heads = [(v, z) for v, _ in g.scaled_out_edges(u) for z, _ in g.scaled_out_edges(u)]
-        elif pos[u] < pos[y]:
-            heads = [(v, y) for v, _ in g.scaled_out_edges(u)]
-        else:
-            heads = [(u, z) for z, _ in g.scaled_out_edges(y)]
-        stack.extend(heads)
+        pair = stack.pop()
+        if pair not in seen:
+            seen.add(pair)
+            stack.extend(head for head, _ in moves(pair))
     return seen - {(g.sink, g.sink)}
 
 
@@ -970,12 +979,14 @@ def _reachable_pairs(g):
 @example(DRAW_1334, (F(2), F(10)), 1, "local")
 def test_the_pair_dp_solves_the_reachable_pairs_as_the_full_one(g, biases, k, mode):
     # The two-type DP is handed exactly the pairs reachable from (s, s), in
-    # the full reverse-topological pair order, and asks chunks() about no
-    # other pair; the DP over every pair gives the same source row and walk.
+    # the full reverse-topological pair order, each with its full moves, and
+    # asks chunks() about no other pair; the DP over every pair, with moves
+    # built here, gives the same source row and walk.
     import chunkwise.multi_agent as ma
 
     rev = list(reversed(validate(g)))
     full = [(u, y) for u in rev for y in rev if not u == y == g.sink]
+    full_moves = _pair_moves(g)
     source = (g.source, g.source)
     real = ma.cheapest_paths
     seen = []
@@ -987,8 +998,9 @@ def test_the_pair_dp_solves_the_reachable_pairs_as_the_full_one(g, biases, k, mo
             asked.add(u)
             return chunks(u, head)
 
+        assert all(list(moves(p)) == full_moves(p) for p in order)
         rows, picks = real(order, sink, moves, counting, levels)
-        full_rows, full_picks = real(full, sink, moves, chunks, levels)
+        full_rows, full_picks = real(full, sink, full_moves, chunks, levels)
         seen.append((list(order), asked, rows[source], full_rows[source]))
         if rows[source] is not None:
             walk = walk_choices(sink, picks, source, levels)
