@@ -3,7 +3,8 @@
 At each vertex the agent scales the next edge's cost by its bias b and adds
 the true shortest remaining cost, then moves to the minimizer. Ties are exact
 rational equality: if exactly one tied candidate continues a chunking the
-agent picks it, otherwise the lexicographically least head wins.
+agent picks it, otherwise the lexicographically least head wins. One
+scorer, `scaled_top_two`, keeps a vertex's best head and its runner-up.
 
 A chunk plan is walked by one of two routes that share `traverse`, and so
 the tie rule. The fast route walks a `PlanView` of the plan on the
@@ -132,11 +133,7 @@ def perceived_cost(
 
 
 def best_alternative(
-    g: TaskGraph,
-    dist: DistanceMap,
-    profile: BiasProfile,
-    u: str,
-    exclude_head: Optional[str] = None,
+    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, u: str, exclude_head: Optional[str] = None
 ) -> tuple[str, Fraction]:
     """Perceived-cost argmin over u's out-edges (lexicographic tie-break).
 
@@ -150,32 +147,45 @@ def best_alternative(
 
 
 def scaled_best_alternative(
-    g: TaskGraph,
-    dist: DistanceMap,
-    profile: BiasProfile,
-    u: str,
-    exclude_head: Optional[str] = None,
+    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, u: str, exclude_head: Optional[str] = None
 ) -> tuple[str, int]:
     """`best_alternative` in ints: the head and its perceived cost times
     r * g.scale, r the profile's common bias denominator (`BiasProfile.scaled`;
-    b.denominator for a profile without overrides).
+    b.denominator for a profile without overrides). Of the two that
+    `scaled_top_two` keeps, the runner-up when exclude_head is the best head,
+    else the best.
+    """
+    best, runner_up = scaled_top_two(g, dist, profile, u)
+    pick = runner_up if best[0] == exclude_head else best
+    if pick is None:
+        raise DeadEnd(u)
+    return pick
 
-    With every bias b = p/r over r and costs and distances over g.scale,
-    b*c + d is (p*C + r*D) / (r * g.scale).
+
+def scaled_top_two(
+    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, u: str
+) -> tuple[tuple[str, int], Optional[tuple[str, int]]]:
+    """The one scorer: u's best (head, perceived cost) and its runner-up,
+    the best over the other heads (None when u has one out-edge), each the
+    least head on ties, in `scaled_best_alternative`'s ints: with every bias
+    b = p/r over r and costs and distances over g.scale, b*c + d is
+    (p*C + r*D) / (r * g.scale). Raises DeadEnd when u has no out-edge.
     """
     scaled = dist.scaled_for(g)
     r, p, over = profile.scaled
-    best_head: Optional[str] = None
+    best_head = second_head = ""
     best_val: Optional[int] = None
+    second_val: Optional[int] = None
     for head, cost in g.scaled_out_edges(u):  # heads ascending: least head wins ties
-        if head == exclude_head:
-            continue
         val = over.get((u, head), p) * cost + r * scaled[head]
         if best_val is None or val < best_val:
+            second_head, second_val = best_head, best_val
             best_head, best_val = head, val
-    if best_head is None or best_val is None:
+        elif second_val is None or val < second_val:
+            second_head, second_val = head, val
+    if best_val is None:
         raise DeadEnd(u)
-    return best_head, best_val
+    return (best_head, best_val), None if second_val is None else (second_head, second_val)
 
 
 def traverse(
@@ -205,9 +215,9 @@ def traverse(
         if not out:
             raise Stuck(cur)
         scored = [(over.get((cur, head), p) * c + r * scaled[head], head, c) for head, c in out]
-        best_val = min(s[0] for s in scored)
-        tied = [s for s in scored if s[0] == best_val]  # heads ascending
-        winner = tied[0]
+        winner = min(scored)  # the least value, then the least head
+        val = winner[0]
+        tied = [s for s in scored if s[0] == val]  # heads ascending
         if len(tied) > 1:
             marked = [s for s in tied if (cur, s[1]) in marks]
             if len(marked) == 1:
@@ -215,7 +225,7 @@ def traverse(
             ties.append(TieEvent(cur, tuple(s[1] for s in tied), winner[1]))
         _, head, c = winner
         steps.append(
-            TraceStep(cur, (cur, head), Fraction(c, g.scale), Fraction(best_val, r * g.scale))
+            TraceStep(cur, (cur, head), Fraction(c, g.scale), Fraction(val, r * g.scale))
         )
         total += c
         cur = head

@@ -26,11 +26,11 @@ one.
 
 An edge's x, c(v->t) and outside option come from one scan of the tail's
 adjacency in the graph's scaled ints, `scaled_edge_scan`; `edge_context` is
-its `Fraction` image. The greedy fill inverts p_i <= cap for one (bias,
-cap) pair per agent type, filling from the last chunk backwards, in one int
-loop, `_greedy_ints`, fed from that scan: one pair answers
-`min_chunks_to_beat`, several keep every type on one edge
-(`graph_chunk.same_path_fill`).
+its `Fraction` image. The greedy fill inverts p_i <= cap for each agent
+type, filling from the last chunk backwards, in one int loop,
+`_greedy_ints`, fed from that scan with the caller's L and one (step
+weight, cap) bound per type: one bound answers `min_chunks_to_beat`,
+several keep every type on one edge (`graph_chunk.GroupNeeds.fill`).
 """
 
 from __future__ import annotations
@@ -433,14 +433,15 @@ def _fill_masses(
 
 
 def _greedy_ints(
-    big_x: int, big_c: int, big_o: Optional[int], caps: Sequence[tuple[Fraction, int]], k: int
-) -> tuple[list[int], bool, int]:
-    """Most mass l chunks can carry within every (bias, cap) pair, l <= k,
-    in ints over one unit 1/d0: M_1..M_l, stopping at the first M_l >= x.
+    big_x: int, big_c: int, big_o: Optional[int], big_l: int, bounds: Sequence[tuple[int, int]],
+    k: int,
+) -> tuple[list[int], bool]:
+    """Most mass l chunks can carry within every type's cap, l <= k, in ints
+    over one unit 1/d0: M_1..M_l, stopping at the first M_l >= x.
 
     Fills from the last chunk backwards, each chunk as large as every cap
     allows given the mass M_l already behind it: M_1 = min (cap - c(v->t))/b
-    and M_{l+1} = M_l + min (cap - floor(M_l))/b over the pairs. Maximal by
+    and M_{l+1} = M_l + min (cap - floor(M_l))/b over the types. Maximal by
     the suffix-sum exchange argument. Empty when some cap < c(v->t), since
     even a zero-mass final chunk breaks it. The fill reads k only to stop,
     so one fill at the largest k gives both the least chunk count within
@@ -448,13 +449,12 @@ def _greedy_ints(
     any count at least that (`_fill_masses`, `padded_chunking`).
 
     big_x, big_c and big_o are x, c(v->t) and outside (None: no way out)
-    times d0, and caps holds each type's (bias, cap times d0). Returns
-    (n_1..n_l, reached, L) with M_i = n_i / (d0 * L**i), the last uncut, L
-    the lcm of the biases' numerators: with b_j = p_j/r_j, (cap_j - floor)/b_j
-    over d0 * L**(i+1) is w_j * (cap_j - floor) over d0 * L**i, w_j = r_j * L / p_j.
+    times d0. The caller fixes L, a common multiple of the biases'
+    numerators, and gives each type's bound as (w, cap times d0) with
+    w = r * L / p for its bias p/r. Returns (n_1..n_l, reached) with
+    M_i = n_i / (d0 * L**i), the last uncut: (cap - floor)/b over
+    d0 * L**(i+1) is w * (cap - floor) over d0 * L**i.
     """
-    big_l = lcm(*(b.numerator for b, _ in caps))
-    bounds = [(b.denominator * (big_l // b.numerator), top) for b, top in caps]
     masses: list[int] = []
     mass, floor, lp = 0, big_c, 1  # lp = L**i; the last chunk's floor is c(v->t)
     for _ in range(k):
@@ -466,9 +466,9 @@ def _greedy_ints(
         mass, lp = mass * big_l + step, lp * big_l
         masses.append(mass)
         if mass >= big_x * lp:
-            return masses, True, big_l
+            return masses, True
         floor = _floor(None if big_o is None else big_o * lp, mass + big_c * lp)
-    return masses, False, big_l
+    return masses, False
 
 
 def padded_chunking(edge: Edge, fill: Sequence[Fraction], n: int) -> Chunking:
@@ -500,7 +500,7 @@ def min_chunks_to_beat(
     f = unit // g.scale
     cap = alpha.numerator * (unit // alpha.denominator)
     big_o = None if outside is None else outside * f
-    ns, reached, _ = _greedy_ints(x * f, c * f, big_o, ((b, cap),), k_max)
+    ns, reached = _greedy_ints(x * f, c * f, big_o, b.numerator, ((b.denominator, cap),), k_max)
     return len(ns) if reached else None
 
 

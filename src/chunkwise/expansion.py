@@ -201,18 +201,27 @@ class PlanView:
     each chain vertex's computed once, at construction; it has no `Fraction`
     out-edges.
 
-    Construction raises expand_plan's plan errors, in expand_plan's order.
+    Construction raises expand_plan's plan errors, in its order; it checks
+    chunk sums in the view's ints, expand_plan in `Fraction`s.
     """
 
     def __init__(self, g: TaskGraph, dist: DistanceMap, plan: ChunkPlan) -> None:
-        plan.validate_against(g)
         self.original = g
         self.source = g.source
         self.sink = g.sink
-        self._by_edge = plan.by_edge()
         self.scale = lcm(g.scale, *{x.denominator for ch in plan.chunkings for x in ch.chunks})
         f = self._factor = self.scale // g.scale
         self._scaled = {v: d * f for v, d in dist.scaled_for(g).items()}
+        # ChunkPlan.validate_against's check in the view's ints, in plan order.
+        scans: dict[Edge, tuple[list[int], int, Optional[int]]] = {}
+        for ch in plan.chunkings:
+            x, c, o = scaled_edge_scan(g, dist, ch.edge)
+            xs = [x_i.numerator * (self.scale // x_i.denominator) for x_i in ch.chunks]
+            if sum(xs) != x * f:
+                total, cost = Fraction(sum(xs), self.scale), Fraction(x, g.scale)
+                raise InvalidParams(f"chunking of {ch.edge} sums to {total}, edge costs {cost}")
+            scans[ch.edge] = xs, c, o
+        self._by_edge = plan.by_edge()
         self.chains: dict[Edge, tuple[str, ...]] = {}
         self._at: dict[str, tuple[Edge, int]] = {}  # chain vertex -> (edge, index)
         self._scaled_out: dict[str, tuple[tuple[str, int], ...]] = {}
@@ -229,9 +238,8 @@ class PlanView:
             marks.update(zip(chain, chain[1:]))
             if k == 1:
                 continue
-            xs = [x.numerator * (self.scale // x.denominator) for x in chunking.chunks]
+            xs, c, o = scans[(u, v)]
             scaled_out = [(h, c * f) for h, c in g.scaled_out_edges(u)]
-            _, c, o = scaled_edge_scan(g, dist, (u, v))
             outside = None if o is None else o * f
             through = c * f  # c(v->t), then plus the chunks after chain vertex i
             for i in range(k - 1, 0, -1):

@@ -12,14 +12,13 @@ plan's total fits.
 
 `GroupNeeds` is the one per-edge decision every planner reads: how many
 chunks, and which chunking, make a group of types take an edge. It decides
-in the graph's scaled ints: each type's `persuasion_profile` keeps its
-default head and alpha at every vertex as ints scored by
-`agent.scaled_best_alternative`, and an edge's need is the length of the
-types' greedy fill, stepped by `edge_chunk`'s int loop on the edge's cost,
-its head's distance and its outside option (`edge_chunk.scaled_edge_scan`),
-and the types' caps over one unit (`_caps`). `Fraction`s are built only for
-the chunkings of a plan's chunked edges: for one bias the optimal chunking,
-for several the greedy `same_path_fill`.
+in the graph's scaled ints from tables built once per plan: each type's
+`persuasion_profile` (its default head, alpha and runner-up at every vertex,
+from `agent.scaled_top_two`), and the group's units, fixed at construction.
+An edge's need is the length of the types' greedy fill (`GroupNeeds.fill`),
+stepped by `edge_chunk`'s int loop from `edge_chunk.scaled_edge_scan`.
+`Fraction`s are built only for the chunkings of a plan's chunked edges: for
+one bias the optimal chunking, for several the kept fill's masses, padded.
 
 Every planner, here and in multi_agent, finds its path with one budgeted
 cheapest-path DP, `cheapest_paths`, which keeps one row of costs and one of
@@ -45,7 +44,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Literal, Optional, Sequence, TypeVar
 
-from .agent import BiasProfile, TraversalTrace, replay_plan, scaled_best_alternative
+from .agent import BiasProfile, TraversalTrace, replay_plan, scaled_top_two
 from .edge_chunk import (
     Chunking,
     _fill_masses,
@@ -90,22 +89,30 @@ class BudgetSpec:
 
 @dataclass(frozen=True)
 class Persuasion:
-    """One bias b's unaided choice at each vertex, scored in ints as
-    `scaled_best_alternative` scores it."""
+    """One bias's unaided choice at each vertex, scored by
+    `agent.scaled_top_two` over profile.default.denominator * g.scale."""
 
+    profile: BiasProfile
     default: dict[str, str]  # vertex -> head of the unaided choice
-    scaled_alpha: dict[str, int]  # vertex -> its perceived cost times b.denominator * g.scale
+    scaled_alpha: dict[str, int]  # vertex -> its perceived cost
+    runner_up: dict[str, Optional[tuple[str, int]]]  # vertex -> the next best, None: one edge
 
 
 def persuasion_profile(g: TaskGraph, dist: DistanceMap, b: Fraction) -> Persuasion:
     """Defaults and alphas, computed on the original graph."""
-    profile = BiasProfile(b)
+    return _persuasion(g, dist, BiasProfile(b), dist.successor)  # every vertex but the sink
+
+
+def _persuasion(
+    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, vertices: Iterable[str]
+) -> Persuasion:
+    """profile's Persuasion at each of vertices, every one with an out-edge."""
     default: dict[str, str] = {}
     scaled_alpha: dict[str, int] = {}
-    for u in g.vertices:
-        if u != g.sink and g.scaled_out_edges(u):
-            default[u], scaled_alpha[u] = scaled_best_alternative(g, dist, profile, u)
-    return Persuasion(default, scaled_alpha)
+    runner_up: dict[str, Optional[tuple[str, int]]] = {}
+    for u in vertices:
+        (default[u], scaled_alpha[u]), runner_up[u] = scaled_top_two(g, dist, profile, u)
+    return Persuasion(profile, default, scaled_alpha, runner_up)
 
 
 V = TypeVar("V")
@@ -132,59 +139,19 @@ class LazyEdgeMap(dict[Edge, V]):
         return value
 
 
-def _caps(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction],
-    perss: Sequence[Persuasion] = (),
-) -> tuple[int, list[int]]:
-    """(unit, caps): each type's outside option on an edge whose tail has
-    another way out, as an int over unit = R * g.scale, R the lcm of the
-    biases' denominators.
-
-    Given the types' persuasion profiles, a type's outside option is its
-    alpha at the tail unless the edge is that type's default (a tie with the
-    default still gives alpha): only a default edge asks for the second best.
-    """
-    u, v = edge
-    big_r = lcm(*(b.denominator for b in biases))
-    caps = [
-        pers.scaled_alpha[u] if pers and pers.default[u] != v
-        else scaled_best_alternative(g, dist, BiasProfile(b), u, exclude_head=v)[1]
-        for b, pers in zip(biases, perss or [None] * len(biases))
-    ]
-    # Each cap is over its own b.denominator * g.scale until rescaled here.
-    return big_r * g.scale, [cap * (big_r // b.denominator) for b, cap in zip(biases, caps)]
-
-
-def _same_path_ints(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int,
-    perss: Sequence[Persuasion] = (),
-) -> tuple[list[int], bool, int, int]:
-    """`same_path_fill` as `_greedy_ints` steps it, in the graph's scaled
-    ints: (n_1..n_l, reached, d0, L) with M_i = n_i / (d0 * L**i).
-
-    x, c(v->t) and the outside option come from `scaled_edge_scan`, and d0
-    is `_caps`' unit R * g.scale: every cost is scaled by R.
-    """
-    x, c, outside = scaled_edge_scan(g, dist, edge)
-    if outside is None:  # no type can leave the chain: one chunk carries it
-        return ([x], True, g.scale, 1) if k else ([], False, g.scale, 1)
-    d0, caps = _caps(g, dist, edge, biases, perss)
-    big_r = d0 // g.scale
-    ns, reached, big_l = _greedy_ints(
-        x * big_r, c * big_r, outside * big_r, list(zip(biases, caps)), k
-    )
-    return ns, reached, d0, big_l
-
-
 def same_path_fill(
     g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int,
     perss: Sequence[Persuasion] = (),
 ) -> Optional[list[Fraction]]:
     """The greedy fill of at most k chunks that every type traverses, its
     masses with the last cut to x, or None when no k-chunking carries them
-    all; perss, the types' persuasion profiles if held, give `_caps`."""
-    ns, reached, d0, big_l = _same_path_ints(g, dist, edge, biases, k, perss)
-    return _fill_masses(ns, reached, d0, big_l, g.cost(*edge)) if reached else None
+    all; perss are the types' persuasion profiles at the tail, read there
+    when not given."""
+    if not perss:
+        perss = [_persuasion(g, dist, BiasProfile(b), edge[:1]) for b in dict.fromkeys(biases)]
+    needs = GroupNeeds(g, dist, biases, BudgetSpec("global", k), perss)
+    ns, reached, _ = needs.fill(edge)
+    return needs.masses(edge, ns) if reached else None
 
 
 class GroupNeeds:
@@ -193,9 +160,14 @@ class GroupNeeds:
     biases may repeat; each distinct one counts once, with its persuasion
     profile in perss (computed here when not given). need[e] is 0 when e is
     every type's default edge, None when no budget.k-chunking carries every
-    type, and otherwise the length of the types' same-path fill, stepped by
-    the int greedy loop `_greedy_ints` in the graph's scaled ints on first
-    read (for one bias, the count `min_chunks_to_beat` gives at its alpha).
+    type, and otherwise the length of the types' same-path fill (`fill`)
+    on first read (for one bias, the count `min_chunks_to_beat` gives at its
+    alpha); a fill that carries e is kept for `chunking`.
+
+    The group's units are fixed here: costs are scaled by R, the lcm of the
+    biases' denominators, so caps are ints over unit = R * g.scale; a type
+    b = p/r has cap factor R / r (from over r * g.scale to over unit) and
+    step weight w = r * L / p, L the lcm of the biases' numerators.
     """
 
     def __init__(
@@ -205,24 +177,59 @@ class GroupNeeds:
         self.g, self.dist, self.budget = g, dist, budget
         self.biases = tuple(dict.fromkeys(biases))
         self.perss = tuple(perss) or tuple(persuasion_profile(g, dist, b) for b in self.biases)
+        big_r = self._big_r = lcm(*(b.denominator for b in self.biases))
+        big_l = self.big_l = lcm(*(b.numerator for b in self.biases))
+        self.unit = big_r * g.scale
+        self._types = [
+            (b.denominator * (big_l // b.numerator), big_r // b.denominator, pers)
+            for b, pers in zip(self.biases, self.perss)
+        ]
+        self._default = self.perss[0].default  # vertex -> the head every type takes unaided
+        for pers in self.perss[1:]:
+            self._default = {u: h for u, h in self._default.items() if pers.default[u] == h}
+        self._fills: dict[Edge, list[int]] = {}
         self.need: LazyEdgeMap[Optional[int]] = LazyEdgeMap(self._need)
 
-    def _need(self, e: Edge) -> Optional[int]:
+    def fill(self, e: Edge) -> tuple[list[int], bool, list[tuple[int, int]]]:
+        """The types' greedy fill of e in at most budget.k chunks, by
+        `_greedy_ints` on `scaled_edge_scan`'s x, c(v->t) and outside option:
+        (n_1..n_l, reached, bounds), mass M_i = n_i / (unit * L**i) with the
+        last uncut, and each type's (step weight, cap over unit) in bounds.
+        A type's cap is its alpha at the tail, or its runner-up on its own
+        default edge (a tie with the default still gives alpha). When e is
+        its tail's only edge, one chunk carries it and bounds is empty.
+        """
         u, v = e
-        if all(pers.default[u] == v for pers in self.perss):
+        k, big_r = self.budget.k, self._big_r
+        x, c, outside = scaled_edge_scan(self.g, self.dist, e)
+        if outside is None:
+            return ([x * big_r * self.big_l], True, []) if k else ([], False, [])
+        bounds = [
+            (w, (pers.scaled_alpha[u] if pers.default[u] != v else pers.runner_up[u][1]) * f)
+            for w, f, pers in self._types
+        ]
+        ns, reached = _greedy_ints(x * big_r, c * big_r, outside * big_r, self.big_l, bounds, k)
+        return ns, reached, bounds
+
+    def masses(self, e: Edge, ns: Sequence[int]) -> list[Fraction]:
+        """A fill of e that reached its cost as `Fraction` masses, the last cut to x."""
+        return _fill_masses(ns, True, self.unit, self.big_l, self.g.cost(*e))
+
+    def _need(self, e: Edge) -> Optional[int]:
+        if self._default.get(e[0]) == e[1]:
             return 0
-        ns, reached, _, _ = _same_path_ints(
-            self.g, self.dist, e, self.biases, self.budget.k, self.perss
-        )
-        return len(ns) if reached else None
+        ns, reached, _ = self.fill(e)
+        if not reached:
+            return None
+        self._fills[e] = ns
+        return len(ns)
 
     def chunking(self, e: Edge) -> Chunking:
         """e split into budget.chunks(need[e]) chunks that every type takes;
         need[e] must be at least 1."""
         n = self.budget.chunks(self.need[e])
         if len(self.biases) > 1:
-            fill = same_path_fill(self.g, self.dist, e, self.biases, self.budget.k, self.perss)
-            return padded_chunking(e, fill, n)
+            return padded_chunking(e, self.masses(e, self._fills[e]), n)
         return optimal_edge_chunking(self.g, self.dist, e, self.biases[0], n)[0]
 
 
@@ -337,7 +344,7 @@ def shared_path_plan(
         predicted_cost=predicted * len(biases),
         biases=biases,
     )
-    traces = replay_plan(g, dist, plan, [(BiasProfile(b), path) for b in needs.biases])
+    traces = replay_plan(g, dist, plan, [(pers.profile, path) for pers in needs.perss])
     if traces is None or predicted != path_cost(g, path):
         raise InvariantViolation(f"plan/trace mismatch: planned {path} at {predicted}")
     by_bias = dict(zip(needs.biases, traces))

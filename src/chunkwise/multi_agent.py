@@ -40,7 +40,6 @@ from .agent import BiasProfile, TraversalTrace, best_alternative, replay_plan
 from .edge_chunk import (
     Chunking,
     EdgeContext,
-    _fill_masses,
     _floor,
     edge_context,
     optimal_edge_chunking,
@@ -60,8 +59,7 @@ from .graph import (
 from .graph_chunk import (
     BudgetSpec,
     GroupNeeds,
-    _caps,
-    _same_path_ints,
+    _persuasion,
     cheapest_paths,
     shared_path_plan,
     walk_choices,
@@ -374,25 +372,28 @@ def chunk_same_path(
 
     Fills chunks k..1, maximizing each chunk subject to every agent's
     threshold given the mass already placed behind it, in one int fill
-    (`graph_chunk._same_path_ints`); a feasible chunking exists iff this
-    greedy one covers the full edge cost, and the fill also names why not.
+    (`graph_chunk.GroupNeeds.fill`, on the types' persuasion at u); a
+    feasible chunking exists iff this greedy one covers the full edge cost,
+    and the fill and its caps also name why not.
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
     x = g.cost(*edge)
-    ns, reached, d0, big_l = _same_path_ints(g, dist, edge, agents.biases, k)
-    masses = _fill_masses(ns, reached, d0, big_l, x)
+    perss = [_persuasion(g, dist, profile, edge[:1]) for profile in agents.profiles]
+    needs = GroupNeeds(g, dist, agents.biases, BudgetSpec("local", k), perss)
+    ns, reached, bounds = needs.fill(edge)
     if reached:
-        return padded_chunking(edge, masses, k)
-    if not masses:
+        return padded_chunking(edge, needs.masses(edge, ns), k)
+    if not ns:
         # Only the first chunk filled, chunk k, can go negative: its floor is
         # c(v->t), and later floors never pass the least cap.
-        unit, caps = _caps(g, dist, edge, agents.biases)
+        least = Fraction(min(cap for _, cap in bounds), needs.unit)
         raise InfeasibleChunking(
-            f"chunk {k} forced negative: some type's outside option ({Fraction(min(caps), unit)})"
+            f"chunk {k} forced negative: some type's outside option ({least})"
             f" is below the unavoidable continuation cost {dist[edge[1]]}"
         )
-    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {masses[-1]} of {x}")
+    most = Fraction(ns[-1], needs.unit * needs.big_l ** len(ns))
+    raise InfeasibleChunking(f"mass deficit: {k} chunks can carry at most {most} of {x}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,14 @@ CATALOGUE = (
         "if best_val is None or val < best_val:",
         "if best_val is None or val <= best_val:",
         "tests/test_agent.py tests/test_graph_chunk.py",
-        "best_alternative: the least head must win a perceived-cost tie",
+        "scaled_top_two: the least head must win a perceived-cost tie",
+    ),
+    Mutant(
+        "src/chunkwise/agent.py",
+        "            second_head, second_val = best_head, best_val\n",
+        "",
+        "tests/test_graph_chunk.py::test_the_scorer_and_its_runner_up_match_a_brute_force",
+        "scaled_top_two: a new best demotes the old best to runner-up",
     ),
     Mutant(
         "src/chunkwise/agent.py",
@@ -120,6 +127,13 @@ CATALOGUE = (
         "scaled_out = list(g.scaled_out_edges(u))",
         "tests/test_plan_view.py",
         "PlanView: a chunked tail's deviations are rescaled to the view's scale",
+    ),
+    Mutant(
+        "src/chunkwise/expansion.py",
+        "if sum(xs) != x * f:",
+        "if sum(xs) < x * f:",
+        "tests/test_plan_view.py::test_view_raises_what_expansion_raises_in_the_same_order",
+        "PlanView: chunks summing to more than their edge's cost are refused",
     ),
     Mutant(
         "src/chunkwise/expansion.py",
@@ -215,10 +229,10 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
-        "cap * (big_r // b.denominator)",
-        "cap * big_r",
+        "big_r // b.denominator, pers)",
+        "big_r, pers)",
         "tests/test_graph_chunk.py::test_one_types_needs_are_its_least_persuading_counts",
-        "_caps: a type's alpha over b.denominator * g.scale is rescaled to R * g.scale",
+        "GroupNeeds: a type's alpha over b.denominator * g.scale is rescaled to R * g.scale",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
@@ -316,8 +330,8 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/multi_agent.py",
-        "    if not masses:\n",
-        "    if len(masses) <= k:\n",
+        "    if not ns:\n",
+        "    if len(ns) <= k:\n",
         "tests/test_multi_agent.py::test_same_path_infeasible_cases",
         "chunk_same_path: only an empty fill is forced negative; a short one is a mass deficit",
     ),

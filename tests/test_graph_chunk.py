@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -21,7 +22,7 @@ from chunkwise import (
 )
 from chunkwise.agent import best_alternative, perceived_cost
 from chunkwise.edge_chunk import edge_context
-from chunkwise.errors import InvalidParams, InvariantViolation
+from chunkwise.errors import DeadEnd, InfeasibleChunking, InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
 from chunkwise.graph import all_paths, path_cost, validate
 from chunkwise.graph_chunk import (
@@ -229,6 +230,83 @@ def test_persuasion_defaults_take_the_least_head_at_a_tie():
         pers = persuasion_profile(g, dist, b)
         assert pers.default == {"s": "a", "a": "t", "b": "t"}
         assert pers.scaled_alpha["s"] == (b * 2 + 1) * b.denominator * g.scale
+
+
+def _brute_best(g, dist, b, u, exclude):
+    """The least (perceived cost, head) over u's out-edges to heads other
+    than exclude, in `Fraction`s; None when there is none."""
+    return min(((b * c + dist[h], h) for h, c in g.out_edges(u) if h != exclude), default=None)
+
+
+def test_the_scorer_and_its_runner_up_match_a_brute_force():
+    # One loop keeps the best head and the runner-up, the best over the
+    # other heads, least head on ties. On random graphs whose small costs
+    # force ties, best_alternative excluding each head (and a non-head) is
+    # the least (perceived cost, head) over the rest, and each persuasion
+    # profile keeps the brute force's best and runner-up.
+    rng = random.Random(33)
+    queries = best_ties = runner_up_ties = 0
+    for _ in range(600):
+        g = random_task_graph(rng, min_vertices=3, max_vertices=9, max_cost=rng.randint(2, 24))
+        dist = shortest_to_sink(g)
+        for b in (F(3, 2), B2, F(5, 2), F(3)):
+            profile, pers = BiasProfile(b), persuasion_profile(g, dist, b)
+            unit = b.denominator * g.scale
+            for u in dist.successor:  # every vertex but the sink
+                best = _brute_best(g, dist, b, u, None)
+                second = _brute_best(g, dist, b, u, best[1])
+                assert (pers.default[u], F(pers.scaled_alpha[u], unit)) == (best[1], best[0])
+                runner_up = None if second is None else (second[1], second[0] * unit)
+                assert pers.runner_up[u] == runner_up
+                for exclude in [h for h, _ in g.out_edges(u)] + ["no such head"]:
+                    queries += 1
+                    want = _brute_best(g, dist, b, u, exclude)
+                    if want is None:
+                        with pytest.raises(DeadEnd):
+                            best_alternative(g, dist, profile, u, exclude_head=exclude)
+                    else:
+                        got = best_alternative(g, dist, profile, u, exclude_head=exclude)
+                        assert got == (want[1], want[0])
+                if second is not None:
+                    best_ties += second[0] == best[0]
+                    rest = [b * c + dist[h] for h, c in g.out_edges(u) if h != best[1]]
+                    runner_up_ties += rest.count(second[0]) > 1
+    assert queries > 25_000
+    assert min(best_ties, runner_up_ties) > 40
+
+
+def test_a_several_type_plan_fills_each_chunked_edge_once(monkeypatch):
+    # GroupNeeds keeps the int fill behind an edge's need, and its chunking
+    # of the edge reads that fill: each chunked edge of a three-type plan is
+    # filled by _greedy_ints once.
+    import chunkwise.graph_chunk as gc
+
+    scanned, fills = [], Counter()
+    scan, greedy = gc.scaled_edge_scan, gc._greedy_ints
+
+    def scanning(g, dist, edge):
+        scanned.append(edge)
+        return scan(g, dist, edge)
+
+    def filling(*args):
+        fills[scanned[-1]] += 1
+        return greedy(*args)
+
+    monkeypatch.setattr(gc, "scaled_edge_scan", scanning)
+    monkeypatch.setattr(gc, "_greedy_ints", filling)
+    rng = random.Random(8)
+    chunked = 0
+    for _ in range(40):
+        g = random_task_graph(rng, min_vertices=5, max_vertices=9)
+        for budget in (BudgetSpec("local", 3), BudgetSpec("global", 4)):
+            fills.clear()
+            try:
+                plan, _ = gc.shared_path_plan(g, (B2, F(3), F(4)), budget)
+            except InfeasibleChunking:
+                continue
+            assert [fills[ch.edge] for ch in plan.chunkings] == [1] * len(plan.chunkings)
+            chunked += len(plan.chunkings)
+    assert chunked > 20
 
 
 def test_a_tails_only_edge_is_carried_by_one_chunk():

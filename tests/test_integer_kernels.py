@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,10 +60,18 @@ def fills(draw):
     return big_x, big_c, big_o, caps, d0, draw(st.integers(1, 64))
 
 
+def greedy(big_x, big_c, big_o, caps, k):
+    """_greedy_ints on (bias, cap) pairs: L is the lcm of the biases'
+    numerators and b = p/r steps by w = r * L / p. Returns (ns, reached, L)."""
+    big_l = lcm(*(b.numerator for b, _ in caps))
+    bounds = [(b.denominator * big_l // b.numerator, top) for b, top in caps]
+    return (*_greedy_ints(big_x, big_c, big_o, big_l, bounds, k), big_l)
+
+
 def check_fill(big_x, big_c, big_o, caps, d0, k):
     """_greedy_ints on ints over 1/d0 against the recurrence on their `Fraction`
     images; returns the int fill."""
-    ns, reached, big_l = _greedy_ints(big_x, big_c, big_o, caps, k)
+    ns, reached, big_l = greedy(big_x, big_c, big_o, caps, k)
     ctx = EdgeContext("u", "v", F(big_x, d0), F(big_c, d0), None if big_o is None else F(big_o, d0))
     masses = _fill_masses(ns, reached, d0, big_l, ctx.x)
     assert (masses, reached) == reference_fill(ctx, [(b, F(top, d0)) for b, top in caps], k)
@@ -92,7 +101,7 @@ def test_three_cap_fill_scales_to_k_256():
     def run(k):
         start = time.perf_counter()
         for _ in range(20):
-            got = _greedy_ints(*edge, k)
+            got = greedy(*edge, k)
         return time.perf_counter() - start, got
 
     t64, _ = run(64)

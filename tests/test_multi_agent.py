@@ -41,7 +41,8 @@ from chunkwise.errors import (
 from chunkwise.expansion import ChunkPlan, original_path
 from chunkwise.graph import path_cost, validate
 from chunkwise.graph_chunk import (
-    _caps,
+    GroupNeeds,
+    _persuasion,
     persuasion_profile,
     same_path_fill,
     shared_path_plan,
@@ -384,8 +385,9 @@ def test_same_path_one_type_is_the_saturated_greedy_fill():
 
 def test_caps_read_from_the_profiles_are_the_outside_options():
     # A planner holding the types' persuasion profiles reads a type's cap as
-    # its alpha at the tail, and asks best_alternative only on that type's
-    # default edge; every cap must still be the type's outside option.
+    # its alpha at the tail, and its runner-up there on that type's default
+    # edge; chunk_same_path reads the same from the types' persuasion at the
+    # tail alone. Every cap must still be the type's outside option.
     rng = random.Random(53)
     defaults = checked = 0
     while checked < 600:
@@ -401,9 +403,12 @@ def test_caps_read_from_the_profiles_are_the_outside_options():
             defaults += any(p.default[u] == v for p in perss)
             # Caps are ints over R * g.scale, R the lcm of the biases' denominators.
             unit = lcm(*(b.denominator for b in agents.biases)) * g.scale
-            expected = (unit, [outside_alpha(g, dist, b, u, v) * unit for b in agents.biases])
-            assert _caps(g, dist, (u, v), agents.biases, perss) == expected
-            assert _caps(g, dist, (u, v), agents.biases) == expected
+            expected = [outside_alpha(g, dist, b, u, v) * unit for b in agents.biases]
+            at_tail = [_persuasion(g, dist, p, (u,)) for p in agents.profiles]
+            for held in (perss, at_tail):
+                needs = GroupNeeds(g, dist, agents.biases, BudgetSpec("local", 3), held)
+                assert needs.unit == unit
+                assert [cap for _, cap in needs.fill((u, v))[2]] == expected
     assert defaults > 100
 
 
