@@ -140,15 +140,12 @@ class LazyEdgeMap(dict[Edge, V]):
 
 
 def same_path_fill(
-    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int,
-    perss: Sequence[Persuasion] = (),
+    g: TaskGraph, dist: DistanceMap, edge: Edge, biases: Sequence[Fraction], k: int
 ) -> Optional[list[Fraction]]:
     """The greedy fill of at most k chunks that every type traverses, its
     masses with the last cut to x, or None when no k-chunking carries them
-    all; perss are the types' persuasion profiles at the tail, read there
-    when not given."""
-    if not perss:
-        perss = [_persuasion(g, dist, BiasProfile(b), edge[:1]) for b in dict.fromkeys(biases)]
+    all; the types' caps come from their persuasion at the tail alone."""
+    perss = [_persuasion(g, dist, BiasProfile(b), edge[:1]) for b in dict.fromkeys(biases)]
     needs = GroupNeeds(g, dist, biases, BudgetSpec("global", k), perss)
     ns, reached, _ = needs.fill(edge)
     return needs.masses(edge, ns) if reached else None
