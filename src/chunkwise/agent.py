@@ -268,18 +268,22 @@ def replay_plan(
 
     A walk starts at its path's first vertex and stops at the path's last
     vertex or at the first original vertex off the path, so a path may be a
-    whole plan's source-sink path or one hop out of a vertex.
+    whole plan's source-sink path or one hop out of a vertex. Each distinct
+    path's route, stopping set and cost are built once per call.
     """
     view = PlanView(g, dist, plan)
     originals = frozenset(g.vertices)
+    expected: dict[tuple[str, ...], tuple[tuple[str, ...], frozenset[str], Fraction]] = {}
     traces = []
     for profile, path in walks:
-        route = path[:1]
-        for edge in zip(path, path[1:]):
-            route += view.chains.get(edge, edge)[1:]
-        until = originals.difference(path[:-1])
+        if path not in expected:
+            route = path[:1]
+            for edge in zip(path, path[1:]):
+                route += view.chains.get(edge, edge)[1:]
+            expected[path] = route, originals.difference(path[:-1]), path_cost(g, path)
+        route, until, cost = expected[path]
         trace = traverse(view, view, profile, view.marks, start=path[0], until=until)
-        if trace.path != route or trace.total != path_cost(g, path):
+        if trace.path != route or trace.total != cost:
             return None
         traces.append(trace)
     return tuple(traces)

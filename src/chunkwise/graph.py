@@ -49,13 +49,13 @@ class TaskGraph:
         _exact: bool = False,  # edges carry (numerator, denominator) in lowest terms
     ) -> None:
         self.vertices: tuple[str, ...] = tuple(vertices)
-        seen: set[str] = set()
-        for v in self.vertices:
-            if not v:
-                raise ParseError("vertices", "vertex ids must be non-empty")
-            if v in seen:
-                raise ParseError("vertices", f"duplicate vertex id {v!r}")
-            seen.add(v)
+        seen = set(self.vertices)
+        if len(seen) != len(self.vertices) or not all(self.vertices):
+            for i, v in enumerate(self.vertices):  # walked only to name the first bad id
+                if not v:
+                    raise ParseError("vertices", "vertex ids must be non-empty")
+                if v in self.vertices[:i]:
+                    raise ParseError("vertices", f"duplicate vertex id {v!r}")
         if source not in seen or sink not in seen:
             raise MissingSourceOrSink(
                 f"source {source!r} and sink {sink!r} must both be vertices"
@@ -76,11 +76,13 @@ class TaskGraph:
                 raise NegativeCost(tail, head, Fraction(num, den))
             costs[(tail, head)] = (num, den)
         scale = self.scale = lcm(*{den for _, den in costs.values()})
-        # Sorted once, so each vertex's adjacency lists its heads ascending,
-        # which keeps every downstream iteration deterministic.
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for (tail, head), (num, den) in sorted(costs.items()):
-            out[tail].append((head, num if den == scale else num * (scale // den)))
+        for (tail, head), (num, den) in costs.items():
+            out[tail].append((head, num * (scale // den)))
+        # Each vertex's adjacency lists its heads ascending, which keeps
+        # every downstream iteration deterministic.
+        for hops in out.values():
+            hops.sort()
         self._scaled_out = {v: tuple(hops) for v, hops in out.items()}
         self._order: tuple[str, ...] | None = None  # set by the first validate()
 
@@ -128,25 +130,25 @@ def validate(g: TaskGraph) -> tuple[str, ...]:
     """
     if g._order is not None:
         return g._order
-    indegree = {v: 0 for v in g.vertices}
-    for v in g.vertices:
-        for head, _ in g.scaled_out_edges(v):
+    out = g._scaled_out
+    indegree = dict.fromkeys(out, 0)
+    for hops in out.values():
+        for head, _ in hops:
             indegree[head] += 1
-    ready = [v for v in g.vertices if indegree[v] == 0]
+    ready = [v for v, n in indegree.items() if not n]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for head, _ in g.scaled_out_edges(v):
+        for head, _ in out[v]:
             indegree[head] -= 1
-            if indegree[head] == 0:
+            if not indegree[head]:
                 heapq.heappush(ready, head)
-    if len(order) != len(g.vertices):
-        done = set(order)
-        leftover = {v for v in g.vertices if v not in done}
+    if len(order) != len(out):
+        leftover = out.keys() - order
         for u in sorted(leftover):
-            for v, _ in g.scaled_out_edges(u):
+            for v, _ in out[u]:
                 if v in leftover:
                     raise CycleDetected(u, v)
         raise CycleDetected("?", "?")  # pragma: no cover - leftover always has an edge
@@ -187,24 +189,18 @@ def shortest_to_sink(g: TaskGraph) -> DistanceMap:
     scaled: dict[str, int] = {g.sink: 0}
     succ: dict[str, str] = {}
     for u in reversed(order):
-        if u == g.sink:
-            continue
         best: int | None = None
-        best_head: str | None = None
-        for head, cost in g.scaled_out_edges(u):  # heads ascending: least head wins ties
+        for head, cost in g._scaled_out[u]:  # heads ascending: least head wins ties
             rest = scaled.get(head)
-            if rest is None:
-                continue
-            total = cost + rest
-            if best is None or total < best:
-                best, best_head = total, head
-        if best is None:
-            continue
-        scaled[u] = best
-        succ[u] = best_head  # type: ignore[assignment]
-    missing = tuple(v for v in g.vertices if v not in scaled)
-    if missing:
-        raise SinkUnreachable(missing)
+            if rest is not None:
+                total = cost + rest
+                if best is None or total < best:
+                    best, best_head = total, head
+        if best is not None and u != g.sink:
+            scaled[u] = best
+            succ[u] = best_head
+    if len(scaled) != len(order):
+        raise SinkUnreachable(tuple(v for v in g.vertices if v not in scaled))
     return DistanceMap(successor=succ, scaled=scaled, scale=g.scale)
 
 
@@ -274,9 +270,9 @@ def make_n_fan(spec: FanSpec) -> TaskGraph:
 
 
 def load_graph(data: bytes | str) -> TaskGraph:
-    """Parse the graph JSON format; costs are integers or strings in `rat`'s grammar,
-    each parsed once, into the exact integer pair the graph keeps as an int.
-
+    """Parse the graph JSON format; costs are integers or strings that `parse_rat`
+    reads once each. The first defect is raised: field types, then each edge's
+    fields and cost in turn, source and sink, and last `TaskGraph`'s checks.
     `json.loads` builds only exact dict, list, str, int, float, bool and None
     values, so each value's type is tested exactly."""
     try:

@@ -55,7 +55,7 @@ from .edge_chunk import (
 )
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation
 from .expansion import ChunkPlan
-from .graph import DistanceMap, Edge, TaskGraph, path_cost, shortest_to_sink, validate
+from .graph import DistanceMap, Edge, TaskGraph, shortest_to_sink, validate
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def shared_path_plan(
         biases=biases,
     )
     traces = replay_plan(g, dist, plan, [(pers.profile, path) for pers in needs.perss])
-    if traces is None or predicted != path_cost(g, path):
+    if traces is None or traces[0].total != predicted:
         raise InvariantViolation(f"plan/trace mismatch: planned {path} at {predicted}")
     by_bias = dict(zip(needs.biases, traces))
     return plan, tuple(by_bias[b] for b in biases)

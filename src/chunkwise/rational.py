@@ -30,24 +30,36 @@ def parse_rat(text: str) -> tuple[int, int]:
     at most MAX_DIGITS digits above the bar (a decimal's on both sides of
     the point) and below it, checked before any int(); any other string, or
     a zero denominator, raises ValueError naming this rule (RULE).
+
+    The forms every saved graph holds, unsigned digits or "p/q" with no
+    whitespace, are read first; any other string takes the full rule above.
     """
-    text = text.strip()
-    # Split at "/" for "p/q", else at "." for a decimal; sep is "" for an integer.
     num, sep, low = text.partition("/")
-    if not sep:
-        num, sep, low = num.partition(".")
-    digits = num[1:] if num[:1] in "+-" else num
-    body = digits + low
-    top = body if sep == "." else digits  # a decimal's numerator: both sides of the point
-    n = d = 0
     if (
-        body.isascii() and body.isdigit() and digits and (low or not sep)
-        and len(top) <= MAX_DIGITS and len(low) <= MAX_DIGITS
+        text.isascii() and num.isdigit() and (not sep or low.isdigit())
+        and len(low) <= MAX_DIGITS and len(num) <= MAX_DIGITS
     ):
-        if sep == ".":
-            n, d = int(num + low), 10 ** len(low)
-        else:
-            n, d = int(num), int(low) if sep else 1
+        if not sep:
+            return int(num), 1
+        n, d = int(num), int(low)
+    else:
+        text = text.strip()
+        # Split at "/" for "p/q", else at "." for a decimal; sep is "" for an integer.
+        num, sep, low = text.partition("/")
+        if not sep:
+            num, sep, low = num.partition(".")
+        digits = num[1:] if num[:1] in "+-" else num
+        body = digits + low
+        top = body if sep == "." else digits  # a decimal's numerator: both sides of the point
+        n = d = 0
+        if (
+            body.isascii() and body.isdigit() and digits and (low or not sep)
+            and len(top) <= MAX_DIGITS and len(low) <= MAX_DIGITS
+        ):
+            if sep == ".":
+                n, d = int(num + low), 10 ** len(low)
+            else:
+                n, d = int(num), int(low) if sep else 1
     if d:
         common = gcd(n, d)
         return n // common, d // common
@@ -78,24 +90,26 @@ def format_rat(value: Fraction) -> str:
 def dump_json(value: object, indent: str = "\n") -> str:
     """What `json.dumps` writes at an indent of 2, for str dict keys: strings go
     through the C string encoder, lists, tuples and dicts are laid out here,
-    one item a line, and every other value is handed to `json.dumps`."""
-    if isinstance(value, str):
+    one item a line, and every other value is handed to `json.dumps`. Types
+    match exactly: no caller passes a dict, list or tuple subclass."""
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
-    if isinstance(value, dict):
+    if kind is dict:
         items = [
             encode_basestring_ascii(k) + ": "
-            + (encode_basestring_ascii(v) if isinstance(v, str) else dump_json(v, inner))
+            + (encode_basestring_ascii(v) if type(v) is str else dump_json(v, inner))
             for k, v in value.items()
         ]
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         items = [
-            encode_basestring_ascii(v) if isinstance(v, str) else dump_json(v, inner)
+            encode_basestring_ascii(v) if type(v) is str else dump_json(v, inner)
             for v in value
         ]
     else:
         return json.dumps(value)
-    brackets = "{}" if isinstance(value, dict) else "[]"
+    brackets = "{}" if kind is dict else "[]"
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]

@@ -88,10 +88,10 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/agent.py",
-        "if trace.path != route or trace.total != path_cost(g, path):",
+        "if trace.path != route or trace.total != cost:",
         "if trace.path != route:",
-        "tests/test_graph_chunk.py::test_simulation_deviating_from_the_plan_is_an_invariant_violation",
-        "replay_plan: a walk off its path's cost is an invariant violation",
+        "tests/test_agent.py::test_replay_plan_checks_each_walk_at_its_paths_cost",
+        "replay_plan: a walk off its path's cost fails the plan",
     ),
     Mutant(
         "src/chunkwise/agent.py",
@@ -190,6 +190,28 @@ CATALOGUE = (
         "body.isdigit()",
         "tests/test_scaled_graph.py::test_load_graph_pinned_costs",
         "rat: only ASCII digits are accepted",
+    ),
+    Mutant(
+        "src/chunkwise/rational.py",
+        "text.isascii() and num.isdigit() and (not sep or low.isdigit())",
+        "num.isdigit() and (not sep or low.isdigit())",
+        "tests/test_scaled_graph.py::test_load_graph_pinned_costs "
+        "tests/test_scaled_graph.py::test_load_graph_accepts_exactly_what_rat_accepts",
+        "parse_rat: the saved forms' fast road reads only ASCII digits",
+    ),
+    Mutant(
+        "src/chunkwise/graph.py",
+        "if len(seen) != len(self.vertices) or not all(self.vertices):",
+        "if len(seen) != len(self.vertices):",
+        "tests/test_graph.py::test_task_graph_errors_name_the_first_bad_input",
+        "TaskGraph: the one set test of the vertex ids also refuses an empty id",
+    ),
+    Mutant(
+        "src/chunkwise/graph.py",
+        "if len(scaled) != len(order):",
+        "if len(succ) != len(scaled) - 1:",
+        "tests/test_graph.py::test_shortest_unreachable_vertex",
+        "shortest_to_sink: a vertex with no sink path is missing from the distances",
     ),
     Mutant(
         "src/chunkwise/rational.py",

@@ -24,6 +24,7 @@ from chunkwise import (
 from chunkwise.agent import replay_plan
 from chunkwise.errors import InvalidParams, UnknownEdge, ZeroShortestPath
 from chunkwise.expansion import ChunkPlan, single_edge_plan
+from chunkwise.graph import path_cost
 
 B2 = Fraction(2)
 
@@ -267,3 +268,26 @@ def test_replay_plan_rejects_a_hop_that_leaves_its_chain_at_the_planned_cost():
     trace, _ = simulate_plan(g, plan, profile)
     assert trace.path == ("u", "u>z#1", "v", "t") and trace.total == 10
     assert replay_plan(g, shortest_to_sink(g), plan, [(profile, ("u", "z"))]) is None
+
+
+def test_replay_plan_checks_each_walk_at_its_paths_cost(s32, monkeypatch):
+    # Two types walk one path: its cost is computed once per call, and each
+    # walk is held to it, the second as much as the first.
+    import dataclasses
+
+    import chunkwise.agent as ag
+
+    dist, plan = shortest_to_sink(s32), ChunkPlan(chunkings=())
+    walks = [(BiasProfile(Fraction(3, 2)), ("u", "z", "t")), (BiasProfile(B2), ("u", "z", "t"))]
+    costs, walked = [], []
+    monkeypatch.setattr(ag, "path_cost", lambda g, p: costs.append(p) or path_cost(g, p))
+    traces = replay_plan(s32, dist, plan, walks)
+    assert [t.total for t in traces] == [76, 76] and len(costs) == 1
+
+    def second_walk_off_by_one(*args, **kwargs):
+        trace = traverse(*args, **kwargs)
+        walked.append(trace)
+        return dataclasses.replace(trace, total=trace.total + len(walked) - 1)
+
+    monkeypatch.setattr(ag, "traverse", second_walk_off_by_one)
+    assert replay_plan(s32, dist, plan, walks) is None and len(walked) == 2

@@ -210,6 +210,55 @@ def test_dump_json_writes_what_json_dumps_writes(value):
     assert dump_json(value) == json.dumps(value, indent=2)
 
 
+def test_every_json_output_is_built_of_exact_containers(s32_path, tmp_path, capsys, monkeypatch):
+    # dump_json dispatches on the exact type, so a dict, list or tuple
+    # subclass (a NamedTuple, say) would be handed whole to json.dumps and
+    # written on one line. Every value the commands write must hold none.
+    import chunkwise.cli as cli
+    import chunkwise.graph as graph
+
+    seen: list[object] = []
+
+    def recording(value, *rest):
+        seen.append(value)
+        return dump_json(value, *rest)
+
+    monkeypatch.setattr(cli, "dump_json", recording)
+    monkeypatch.setattr(graph, "dump_json", recording)
+    g, plan = str(s32_path), str(tmp_path / "plan.json")
+    for argv in (
+        ["fan", "-n", "3", "-c", "3/2"],
+        ["chunk-graph", "-g", g, "--biases", "2", "-k", "3", "-o", plan],
+        ["simulate", "-g", g, "-b", "2", "--decimal"],
+        ["simulate", "-g", g, "-b", "2", "--plan", plan],
+        ["chunk-edge", "-g", g, "-e", "u,v", "-b", "2", "-k", "3", "--decimal"],
+        ["chunk-graph", "-g", g, "--biases", "2,10", "--mode", "global", "-k", "3"],
+        ["chunk-graph", "-g", g, "--biases", "2,3,4", "-k", "3", "--single-path"],
+        ["split-edge", "-g", g, "-e", "u,v", "--biases", "2,10", "-k", "3", "--decimal"],
+        ["split-edge", "-g", g, "-e", "u,v", "--biases", "2,10", "-k", "3", "--taker", "2"],
+        ["same-path-edge", "-g", g, "-e", "u,w", "--biases", "2,3", "-k", "11"],
+        ["same-path-edge", "-g", g, "-e", "u,v", "--biases", "2,3", "-k", "3"],
+        ["chunk-edge", "-g", g, "-e", "u,x", "-b", "2", "-k", "3"],
+    ):
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    assert len(seen) == 12
+
+    def walk(value) -> None:
+        if type(value) is dict:
+            for key, item in value.items():
+                assert type(key) is str
+                walk(item)
+        elif type(value) in (list, tuple):
+            for item in value:
+                walk(item)
+        else:
+            assert type(value) in (str, int, float, bool, type(None)), type(value)
+
+    for value in seen:
+        walk(value)
+
+
 def test_usage_errors_exit_two(s32_path, capsys, tmp_path):
     assert run(capsys, "chunk-edge", "-g", str(s32_path), "-e", "nope", "-b", "2", "-k", "3")[0] == 2
     assert run(capsys, "simulate", "-g", str(tmp_path / "missing.json"), "-b", "2")[0] == 2

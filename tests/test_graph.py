@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,12 +20,13 @@ from chunkwise import (
 from chunkwise.errors import (
     CycleDetected,
     InvalidSpec,
+    MissingSourceOrSink,
     NegativeCost,
     ParseError,
     SinkUnreachable,
     UnknownEdge,
 )
-from chunkwise.rational import format_rat, rat
+from chunkwise.rational import RULE, format_rat, rat
 
 
 def test_validate_two_vertex_chain():
@@ -68,7 +70,11 @@ def test_shortest_s32_distances(s32):
 
 def test_shortest_unreachable_vertex():
     g = TaskGraph(["s", "a", "t"], [("s", "t", 1), ("t", "a", 0)], "s", "t")
-    with pytest.raises(SinkUnreachable):
+    with pytest.raises(SinkUnreachable, match=r"^no path to sink from: a$"):
+        shortest_to_sink(g)
+    # Every such vertex is named, in the graph's vertex order.
+    g = TaskGraph(["s", "b", "a", "t"], [("s", "t", 1), ("s", "b", 1), ("b", "a", 1)], "s", "t")
+    with pytest.raises(SinkUnreachable, match=r"^no path to sink from: b, a$"):
         shortest_to_sink(g)
 
 
@@ -167,6 +173,71 @@ def test_duplicate_and_self_loop_edges_rejected():
         TaskGraph(["a", "b"], [("a", "b", 1), ("a", "b", 2)], "a", "b")
     with pytest.raises(ParseError):
         TaskGraph(["a", "b"], [("a", "a", 1)], "a", "b")
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, source, sink, error, message",
+    [
+        (["s", "", "t"], [], "s", "t", ParseError, "vertices: vertex ids must be non-empty"),
+        (["s", "t", "s"], [], "s", "t", ParseError, "vertices: duplicate vertex id 's'"),
+        # The first bad id is named, whichever kind it is.
+        (["s", "t", "t", ""], [], "s", "t", ParseError, "vertices: duplicate vertex id 't'"),
+        (["", "s", "s"], [], "s", "t", ParseError, "vertices: vertex ids must be non-empty"),
+        (["s", None, "t"], [], "s", "t", ParseError, "vertices: vertex ids must be non-empty"),
+        (["s", "t"], [], "s", "x", MissingSourceOrSink,
+         "source 's' and sink 'x' must both be vertices"),
+        (["s", "t"], [], "x", "t", MissingSourceOrSink,
+         "source 'x' and sink 't' must both be vertices"),
+        # The vertex checks run before any edge is read.
+        (["s", "t", "s"], [("s", "x", 1)], "s", "t", ParseError,
+         "vertices: duplicate vertex id 's'"),
+        (["s", "t"], [("s", "t", 1), ("s", "x", 1)], "s", "t", ParseError,
+         "edges: edge (s, x) references unknown vertex"),
+        (["s", "t"], [("x", "t", 1)], "s", "t", ParseError,
+         "edges: edge (x, t) references unknown vertex"),
+        (["s", "t"], [("s", "s", 1)], "s", "t", ParseError, "edges: self-loop at s"),
+        (["s", "t"], [("s", "t", 1), ("s", "t", 1)], "s", "t", ParseError,
+         "edges: duplicate edge (s, t)"),
+        # Each edge is checked in full before the next: a self-loop first.
+        (["s", "t"], [("t", "t", 1), ("s", "x", 1)], "s", "t", ParseError, "edges: self-loop at t"),
+        (["s", "t"], [("s", "t", -1), ("s", "t", 1)], "s", "t", NegativeCost,
+         "edge (s -> t) has negative cost -1"),
+    ],
+)
+def test_task_graph_errors_name_the_first_bad_input(vertices, edges, source, sink, error, message):
+    with pytest.raises(error) as exc:
+        TaskGraph(vertices, edges, source, sink)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def _graph_file(**fields) -> bytes:
+    payload = {"vertices": ["s", "t"], "edges": [], "source": "s", "sink": "t", **fields}
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize(
+    "data, error, message",
+    [
+        # load_graph reads every edge's shape and cost before the graph checks
+        # its vertices and edges: the cost error is named first.
+        (_graph_file(edges=[{"from": "s", "to": "x", "cost": 1},
+                            {"from": "s", "to": "t", "cost": "1/0"}]),
+         ParseError, "edges[1].cost: not an exact rational: '1/0'; expected " + RULE),
+        (_graph_file(vertices=["s", "t", "s"], edges=[{"from": "s", "to": "x", "cost": 1}]),
+         ParseError, "vertices: duplicate vertex id 's'"),
+        (_graph_file(vertices=["s", "t", "s"], edges=[{"from": "s", "to": "t", "cost": "x"}]),
+         ParseError, "edges[0].cost: not an exact rational: 'x'; expected " + RULE),
+        # source and sink are read after the edges, and before the graph is built.
+        (_graph_file(edges=[{"from": "s", "to": "x", "cost": 1}], source=3),
+         ParseError, "source/sink: must be strings"),
+        (_graph_file(edges=[{"from": "s", "cost": 1}], source=3),
+         ParseError, "edges[0]: missing field 'to'"),
+    ],
+)
+def test_load_graph_names_the_first_of_two_defects(data, error, message):
+    with pytest.raises(error) as exc:
+        load_graph(data)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_rational_arithmetic_is_exact():

@@ -268,8 +268,13 @@ def grammar_reference(text: str):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="0123456789/.-+_eE \t٣", max_size=12))
+# "\u00b2" (superscript two) passes str.isdigit() but int() refuses it;
+# "\u00a0" (no-break space) is whitespace that str.strip() removes.
+@given(st.text(alphabet="0123456789/.-+_eE \t٣\u00b2\u00a0", max_size=12))
 @example(" 3/4 ")
+@example("\u00a03/4\u00a0")
+@example("\u00b2")
+@example("3/\u00b2")
 @example("007/010")
 @example("1/0")
 @example("0/000")
