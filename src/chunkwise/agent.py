@@ -1,10 +1,14 @@
 """Present-biased agent semantics: perceived costs, traversal, cost ratio.
 
-At each vertex the agent scales the next edge's cost by its bias b and adds
-the true shortest remaining cost, then moves to the minimizer. Ties are exact
+An agent type has one bias b, applied to every edge (`BiasProfile`). At
+each vertex the agent scales the next edge's cost by b and adds the true
+shortest remaining cost, then moves to the minimizer. Ties are exact
 rational equality: if exactly one tied candidate continues a chunking the
 agent picks it, otherwise the lexicographically least head wins. One
 scorer, `scaled_top_two`, keeps a vertex's best head and its runner-up.
+Chunking an edge makes the agent act as if it had a selective bias b' on
+that edge alone; `selective_bias_equivalence_check` decides that agent at
+the edge's tail.
 
 A chunk plan is walked by one of two routes that share `traverse`, and so
 the tie rule. The fast route walks a `PlanView` of the plan on the
@@ -19,11 +23,10 @@ distances from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Collection, Container, Iterable, Mapping, Optional
+from typing import Collection, Container, Iterable, Optional
 
 from .edge_chunk import Chunking
 from .errors import (
@@ -46,36 +49,27 @@ from .rational import format_rat
 
 @dataclass(frozen=True)
 class BiasProfile:
-    """Default bias plus optional per-edge overrides.
+    """One agent type's present bias b, applied to every edge.
 
-    Biases are strictly greater than 1; diagnostic profiles (used by oracle
-    checks and the selective-bias equivalence test) may carry values down to,
-    or below, 1 by passing diagnostic=True.
+    Biases are strictly greater than 1; a diagnostic profile
+    (diagnostic=True), such as the unbiased agent's b = 1, may carry any
+    positive value.
     """
 
     default: Fraction
-    overrides: Mapping[Edge, Fraction] = field(default_factory=dict)
     diagnostic: bool = False
 
     def __post_init__(self) -> None:
-        values = [self.default, *self.overrides.values()]
         if self.diagnostic:
-            if any(v <= 0 for v in values):
+            if self.default <= 0:
                 raise InvalidParams("diagnostic biases must be positive")
-        elif any(v <= 1 for v in values):
+        elif self.default <= 1:
             raise InvalidParams("biases must be strictly greater than 1")
 
-    def effective(self, edge: Edge) -> Fraction:
-        return self.overrides.get(edge, self.default)
-
     @cached_property
-    def scaled(self) -> tuple[int, int, dict[Edge, int]]:
-        """(r, p, over): every bias as an int over one common denominator r,
-        the default's numerator p and each override's in over."""
-        biases = [self.default, *self.overrides.values()]
-        r = lcm(*(b.denominator for b in biases))
-        over = {e: b.numerator * (r // b.denominator) for e, b in self.overrides.items()}
-        return r, self.default.numerator * (r // self.default.denominator), over
+    def scaled(self) -> tuple[int, int]:
+        """(r, p): the bias b = p/r as its denominator and numerator."""
+        return self.default.denominator, self.default.numerator
 
 
 @dataclass(frozen=True)
@@ -125,11 +119,9 @@ class TraversalTrace:
         }
 
 
-def perceived_cost(
-    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, edge: Edge
-) -> Fraction:
-    """b_eff * c(u,v) + c(v->t) for one edge."""
-    return profile.effective(edge) * g.cost(*edge) + dist[edge[1]]
+def perceived_cost(g: TaskGraph, dist: DistanceMap, profile: BiasProfile, edge: Edge) -> Fraction:
+    """b * c(u,v) + c(v->t) for one edge."""
+    return profile.default * g.cost(*edge) + dist[edge[1]]
 
 
 def best_alternative(
@@ -139,27 +131,15 @@ def best_alternative(
 
     exclude_head restricts to alternatives other than one edge, which is how
     chunking thresholds are computed. Raises DeadEnd if nothing qualifies.
-    Scored in ints by `scaled_best_alternative`; only the minimum becomes a
-    `Fraction`.
-    """
-    head, val = scaled_best_alternative(g, dist, profile, u, exclude_head)
-    return head, Fraction(val, profile.scaled[0] * g.scale)
-
-
-def scaled_best_alternative(
-    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, u: str, exclude_head: Optional[str] = None
-) -> tuple[str, int]:
-    """`best_alternative` in ints: the head and its perceived cost times
-    r * g.scale, r the profile's common bias denominator (`BiasProfile.scaled`;
-    b.denominator for a profile without overrides). Of the two that
-    `scaled_top_two` keeps, the runner-up when exclude_head is the best head,
-    else the best.
+    Of `scaled_top_two`'s two int picks, the runner-up when exclude_head is
+    the best head, else the best; only that one becomes a `Fraction`.
     """
     best, runner_up = scaled_top_two(g, dist, profile, u)
     pick = runner_up if best[0] == exclude_head else best
     if pick is None:
         raise DeadEnd(u)
-    return pick
+    head, val = pick
+    return head, Fraction(val, profile.scaled[0] * g.scale)
 
 
 def scaled_top_two(
@@ -167,17 +147,17 @@ def scaled_top_two(
 ) -> tuple[tuple[str, int], Optional[tuple[str, int]]]:
     """The one scorer: u's best (head, perceived cost) and its runner-up,
     the best over the other heads (None when u has one out-edge), each the
-    least head on ties, in `scaled_best_alternative`'s ints: with every bias
-    b = p/r over r and costs and distances over g.scale, b*c + d is
-    (p*C + r*D) / (r * g.scale). Raises DeadEnd when u has no out-edge.
+    least head on ties, in ints: with the bias b = p/r and costs and
+    distances over g.scale, b*c + d is (p*C + r*D) / (r * g.scale). Raises
+    DeadEnd when u has no out-edge.
     """
     scaled = dist.scaled_for(g)
-    r, p, over = profile.scaled
+    r, p = profile.scaled
     best_head = second_head = ""
     best_val: Optional[int] = None
     second_val: Optional[int] = None
     for head, cost in g.scaled_out_edges(u):  # heads ascending: least head wins ties
-        val = over.get((u, head), p) * cost + r * scaled[head]
+        val = p * cost + r * scaled[head]
         if best_val is None or val < best_val:
             second_head, second_val = best_head, best_val
             best_head, best_val = head, val
@@ -205,7 +185,7 @@ def traverse(
     """
     marks = frozenset(chunk_marks)
     scaled = dist.scaled_for(g)
-    r, p, over = profile.scaled
+    r, p = profile.scaled
     cur = g.source if start is None else start
     steps: list[TraceStep] = []
     ties: list[TieEvent] = []
@@ -214,7 +194,7 @@ def traverse(
         out = g.scaled_out_edges(cur)
         if not out:
             raise Stuck(cur)
-        scored = [(over.get((cur, head), p) * c + r * scaled[head], head, c) for head, c in out]
+        scored = [(p * c + r * scaled[head], head, c) for head, c in out]
         winner = min(scored)  # the least value, then the least head
         val = winner[0]
         tied = [s for s in scored if s[0] == val]  # heads ascending
@@ -303,29 +283,36 @@ def simulate_plan(
 
 
 def selective_bias_equivalence_check(
-    g: TaskGraph,
-    plan: ChunkPlan,
-    b: Fraction,
-    edge: Edge,
-    b_prime: Fraction,
+    g: TaskGraph, plan: ChunkPlan, b: Fraction, edge: Edge, b_prime: Fraction
 ) -> bool:
     """Operational definition of induced selective bias.
 
     True iff the bias-b agent crosses u->v in the chunked graph exactly when
     an agent with bias b_prime toward (u, v) (and b elsewhere) crosses it in
-    the original graph.
+    the original graph. b_prime must be positive; it may be 1 or less.
+
+    The b_prime agent scores (u, v) only at u, so it walks as the bias-b
+    agent does until u, and in a DAG it visits u at most once. If the bias-b
+    walk never reaches u, the b_prime agent does not cross. If it does, the
+    b_prime agent crosses iff (b_prime * c(u,v) + d(v), v) is below (alpha,
+    head), the bias-b argmin over u's other out-edges: the least head wins
+    a tie, as in `traverse`. With no other out-edge it crosses.
     """
     if len(plan.chunkings) != 1 or plan.chunkings[0].edge != edge:
         raise InvalidParams("plan must chunk exactly the edge under test")
-    trace, cg = simulate_plan(g, plan, BiasProfile(b))
+    if b_prime <= 0:
+        raise InvalidParams("b_prime must be positive")
+    profile = BiasProfile(b)
+    trace, cg = simulate_plan(g, plan, profile)
     crossed_chunked = walk_follows_chunking(trace.path, cg.chain_of(edge))
-    override = BiasProfile(b, {edge: b_prime}, diagnostic=b_prime <= 1)
-    plain = traverse(g, shortest_to_sink(g), override)
-    path = plain.path
-    crossed_plain = any(
-        path[i] == edge[0] and path[i + 1] == edge[1] for i in range(len(path) - 1)
-    )
-    return crossed_chunked == crossed_plain
+    (u, v), dist = edge, shortest_to_sink(g)
+    if u not in traverse(g, dist, profile, until=(u,)).path:
+        return not crossed_chunked
+    try:
+        head, alpha = best_alternative(g, dist, profile, u, exclude_head=v)
+    except DeadEnd:
+        return crossed_chunked
+    return crossed_chunked == ((b_prime * g.cost(u, v) + dist[v], v) < (alpha, head))
 
 
 def chunking_perceived_by_expansion(

@@ -423,13 +423,10 @@ def _head_then_geometric(
     return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
 
 
-def _fill_masses(
-    ns: Sequence[int], reached: bool, d0: int, big_l: int, x: Fraction
-) -> list[Fraction]:
-    """The masses M_i = n_i / (d0 * L**i) of an int fill, the last cut to x
-    when the fill reached it."""
-    masses = [Fraction(n, d0 * big_l**i) for i, n in enumerate(ns[: len(ns) - reached], 1)]
-    return masses + [x] if reached else masses
+def _fill_masses(ns: Sequence[int], d0: int, big_l: int, x: Fraction) -> list[Fraction]:
+    """The masses M_i = n_i / (d0 * L**i) of an int fill that reached x,
+    the last cut to x."""
+    return [Fraction(n, d0 * big_l**i) for i, n in enumerate(ns[:-1], 1)] + [x]
 
 
 def _greedy_ints(

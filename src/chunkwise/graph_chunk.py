@@ -210,7 +210,7 @@ class GroupNeeds:
 
     def masses(self, e: Edge, ns: Sequence[int]) -> list[Fraction]:
         """A fill of e that reached its cost as `Fraction` masses, the last cut to x."""
-        return _fill_masses(ns, True, self.unit, self.big_l, self.g.cost(*e))
+        return _fill_masses(ns, self.unit, self.big_l, self.g.cost(*e))
 
     def _need(self, e: Edge) -> Optional[int]:
         if self._default.get(e[0]) == e[1]:

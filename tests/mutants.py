@@ -67,13 +67,6 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/agent.py",
-        "val = over.get((u, head), p) * cost",
-        "val = p * cost",
-        "tests/test_scaled_graph.py::test_best_alternative_and_outside_option_match_fractions",
-        "best_alternative: per-edge bias overrides must be read",
-    ),
-    Mutant(
-        "src/chunkwise/agent.py",
         "            if len(marked) == 1:\n",
         "            if marked:\n",
         "tests/test_integer_kernels.py::test_integer_walks_match_the_fraction_walk",
@@ -81,10 +74,25 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/agent.py",
-        "(over.get((cur, head), p) * c + r * scaled[head], head, c)",
-        "(p * c + r * scaled[head], head, c)",
-        "tests/test_agent.py::test_selective_bias_equivalence_examples",
-        "traverse: per-edge bias overrides must be read",
+        "dist[v], v) < (alpha, head)",
+        "dist[v],) <= (alpha,)",
+        "tests/test_agent.py::test_selective_bias_check_at_an_exact_tie_goes_to_the_least_head",
+        "selective_bias_equivalence_check: at a tie the b' agent crosses only toward the least head",
+    ),
+    Mutant(
+        "src/chunkwise/agent.py",
+        "dist[v], v) < (alpha, head)",
+        "dist[v],) < (alpha,)",
+        "tests/test_agent.py::test_selective_bias_check_at_an_exact_tie_goes_to_the_least_head",
+        "selective_bias_equivalence_check: the b' agent crosses a tie when its head is least",
+    ),
+    Mutant(
+        "src/chunkwise/agent.py",
+        "    if u not in traverse(g, dist, profile, until=(u,)).path:\n"
+        "        return not crossed_chunked\n",
+        "",
+        "tests/test_agent.py::test_selective_bias_check_off_the_walk_is_uncrossed_on_both_sides",
+        "selective_bias_equivalence_check: an agent that never reaches u does not cross",
     ),
     Mutant(
         "src/chunkwise/agent.py",
@@ -155,6 +163,13 @@ CATALOGUE = (
         "if big_o is not None and big_o < through:",
         "tests/test_edge_chunk.py::test_evaluate_balanced_chunking_s32",
         "_suffix_walk: tau is the last chain vertex that leaves, not the first",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "    big_c = through = floor = c.numerator * (d // c.denominator)\n",
+        "    big_c = through = c.numerator * (d // c.denominator)\n    floor = _floor(big_o, big_c)\n",
+        "tests/test_edge_chunk.py::test_optimal_edge_chunking_delta_above_x",
+        "_suffix_walk: the last chunk's floor is c(v->t), not min(outside, c(v->t))",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",

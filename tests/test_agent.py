@@ -9,6 +9,7 @@ from chunkwise import (
     BiasProfile,
     Chunking,
     FanSpec,
+    TaskGraph,
     best_alternative,
     chunk_shortest_edge,
     cost_ratio,
@@ -33,10 +34,9 @@ def test_perceived_cost_examples(s32):
     dist = shortest_to_sink(s32)
     prof = BiasProfile(B2)
     assert perceived_cost(s32, dist, prof, ("u", "w")) == 132
-    unbiased = BiasProfile(B2, {("u", "w"): Fraction(1)}, diagnostic=True)
+    unbiased = BiasProfile(Fraction(1), diagnostic=True)
     assert perceived_cost(s32, dist, unbiased, ("u", "w")) == 67
-    eight_sevenths = BiasProfile(B2, {("u", "w"): Fraction(8, 7)})
-    val = perceived_cost(s32, dist, eight_sevenths, ("u", "w"))
+    val = perceived_cost(s32, dist, BiasProfile(Fraction(8, 7)), ("u", "w"))
     assert val == Fraction(8, 7) * 65 + 2 == Fraction(534, 7)
     assert val > 76
 
@@ -49,9 +49,11 @@ def test_perceived_cost_unknown_edge(s32):
 def test_bias_profile_validation():
     with pytest.raises(InvalidParams):
         BiasProfile(Fraction(1))
-    with pytest.raises(InvalidParams):
-        BiasProfile(B2, {("a", "b"): Fraction(1, 2)})
+    for b in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(InvalidParams):
+            BiasProfile(b, diagnostic=True)
     BiasProfile(Fraction(1), diagnostic=True)
+    BiasProfile(Fraction(1, 2), diagnostic=True)
 
 
 def test_best_alternative_examples(s32):
@@ -180,20 +182,43 @@ def test_selective_bias_equivalence_geometric_family():
         checked += 1
 
 
-def test_override_only_changes_decisions_at_the_tail():
-    # Lowering one edge's bias leaves every other vertex's argmin untouched.
-    rng = random.Random(9)
-    for _ in range(30):
-        g = random_task_graph(rng, min_vertices=4, max_vertices=7)
-        dist = shortest_to_sink(g)
-        edges = [e[:2] for e in g.edges]
-        edge = edges[rng.randrange(len(edges))]
-        base = BiasProfile(B2)
-        low = BiasProfile(B2, {edge: Fraction(5, 4)})
-        for u in g.vertices:
-            if u == g.sink or not g.out_edges(u) or u == edge[0]:
-                continue
-            assert best_alternative(g, dist, base, u) == best_alternative(g, dist, low, u)
+def _fork(tested: str, other: str) -> TaskGraph:
+    # s -> tested costs 2 and s -> other costs 1, both then 0 to t. At b = 2
+    # the other edge's perceived cost, alpha, is 2, and b' = 1 scores the
+    # tested edge at 1 * 2 + 0 = 2 too: an exact tie at s.
+    edges = [("s", tested, 2), ("s", other, 1), ("a", "t", 0), ("b", "t", 0)]
+    return TaskGraph(["s", "a", "b", "t"], edges, "s", "t")
+
+
+def test_selective_bias_check_at_an_exact_tie_goes_to_the_least_head():
+    # A one-chunk plan leaves the bias-b agent off the tested edge (4 > 2).
+    # At the tie the b' agent crosses iff the tested head is the least, so
+    # the check fails when it is "a" and holds when it is "b".
+    for tested, other, holds in (("a", "b", False), ("b", "a", True)):
+        plan = single_edge_plan(Chunking("s", tested, (Fraction(2),)))
+        check = selective_bias_equivalence_check(
+            _fork(tested, other), plan, B2, ("s", tested), Fraction(1)
+        )
+        assert check is holds
+
+
+def test_selective_bias_check_off_the_walk_is_uncrossed_on_both_sides():
+    # The bias-b agent goes s -> a -> t (perceived 2 * 1 + 1 = 3 against
+    # 2 * 5 + 5 = 15) and never reaches u, so neither side crosses u -> t,
+    # though u -> t is u's only edge and any b' agent at u would take it.
+    g = TaskGraph(
+        ["s", "a", "u", "t"], [("s", "a", 1), ("s", "u", 5), ("a", "t", 1), ("u", "t", 5)], "s", "t"
+    )
+    plan = single_edge_plan(Chunking("u", "t", (Fraction(1), Fraction(4))))
+    for b_prime in (Fraction(1, 2), Fraction(1), Fraction(3)):
+        assert selective_bias_equivalence_check(g, plan, B2, ("u", "t"), b_prime)
+
+
+def test_selective_bias_check_refuses_a_nonpositive_b_prime():
+    plan = single_edge_plan(Chunking("s", "a", (Fraction(2),)))
+    for b_prime in (Fraction(0), Fraction(-1)):
+        with pytest.raises(InvalidParams):
+            selective_bias_equivalence_check(_fork("a", "b"), plan, B2, ("s", "a"), b_prime)
 
 
 def test_trace_json_round_trip_fields(s32):

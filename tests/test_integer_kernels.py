@@ -73,7 +73,10 @@ def check_fill(big_x, big_c, big_o, caps, d0, k):
     images; returns the int fill."""
     ns, reached, big_l = greedy(big_x, big_c, big_o, caps, k)
     ctx = EdgeContext("u", "v", F(big_x, d0), F(big_c, d0), None if big_o is None else F(big_o, d0))
-    masses = _fill_masses(ns, reached, d0, big_l, ctx.x)
+    if reached:
+        masses = _fill_masses(ns, d0, big_l, ctx.x)
+    else:
+        masses = [F(n, d0 * big_l**i) for i, n in enumerate(ns, 1)]
     assert (masses, reached) == reference_fill(ctx, [(b, F(top, d0)) for b, top in caps], k)
     assert all(type(m) is F for m in masses)
     return ns, reached, big_l
@@ -118,7 +121,7 @@ def fraction_walk(g, profile, marks, start) -> TraversalTrace:
     dist = shortest_to_sink(g)
     cur, steps, ties, total = start or g.source, [], [], F(0)
     while cur != g.sink:
-        scored = [(profile.effective((cur, h)) * c + dist[h], h, c) for h, c in g.out_edges(cur)]
+        scored = [(profile.default * c + dist[h], h, c) for h, c in g.out_edges(cur)]
         best = min(val for val, _, _ in scored)
         tied = sorted((h, c) for val, h, c in scored if val == best)
         winner = tied[0]
@@ -135,8 +138,8 @@ def fraction_walk(g, profile, marks, start) -> TraversalTrace:
 @st.composite
 def plan_walks(draw):
     """A random graph, a plan whose chunks cut each cost on grids of mixed
-    denominators (zero and equal chunks included), a profile with overrides
-    on expanded edges, and a start vertex."""
+    denominators (zero and equal chunks included), a bias, and a start
+    vertex."""
     g = random_task_graph(random.Random(draw(st.integers(0, 2**32 - 1))), 3, 8)
     chunkings = []
     for u, v, c in g.edges:
@@ -148,9 +151,7 @@ def plan_walks(draw):
             chunkings.append(Chunking(u, v, tuple(b - a for a, b in zip(bounds, bounds[1:]))))
     plan = ChunkPlan(chunkings=tuple(chunkings))
     expanded = expand_plan(g, plan).graph
-    edges = [(u, v) for u, v, _ in expanded.edges]
-    picked = draw(st.lists(st.sampled_from(edges), unique=True, max_size=3))
-    profile = BiasProfile(draw(bias), {e: draw(bias) for e in picked})
+    profile = BiasProfile(draw(bias))
     start = draw(st.sampled_from([None, *(v for v in expanded.vertices if v != g.sink)]))
     return g, plan, profile, start
 

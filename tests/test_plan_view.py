@@ -51,10 +51,6 @@ def _random_plan(rng: random.Random, g: TaskGraph) -> ChunkPlan:
     return ChunkPlan(chunkings=tuple(_random_chunking(rng, (u, v), c) for u, v, c in edges))
 
 
-def _random_overrides(rng: random.Random, expanded: TaskGraph) -> dict:
-    return {(u, v): rng.choice(BIASES) for u, v, _ in expanded.edges if rng.random() < 0.15}
-
-
 def test_view_is_the_expanded_graph():
     rng = random.Random(7)
     for _ in range(300):
@@ -72,7 +68,7 @@ def test_view_is_the_expanded_graph():
 
 def test_walk_plan_matches_simulate_plan_byte_for_byte():
     rng = random.Random(2024)
-    walks = ties = shared_tails = inner_starts = overridden = 0
+    walks = ties = shared_tails = inner_starts = 0
     for _ in range(600):
         g = random_task_graph(rng, min_vertices=3, max_vertices=8)
         dist = shortest_to_sink(g)
@@ -82,8 +78,7 @@ def test_walk_plan_matches_simulate_plan_byte_for_byte():
         cg = expand_plan(g, plan)
         originals = frozenset(g.vertices)
         for _ in range(4):
-            overrides = _random_overrides(rng, cg.graph) if rng.random() < 0.5 else {}
-            profile = BiasProfile(rng.choice(BIASES), overrides)
+            profile = BiasProfile(rng.choice(BIASES))
             start = None
             if rng.random() < 0.4:
                 start = rng.choice([v for v in cg.graph.vertices if v != g.sink])
@@ -99,9 +94,8 @@ def test_walk_plan_matches_simulate_plan_byte_for_byte():
             walks += 1
             ties += bool(expected.tie_events)
             inner_starts += start not in (None, g.source)
-            overridden += bool(overrides)
     assert walks == 2400
-    assert min(ties, shared_tails, inner_starts, overridden) > 20
+    assert min(ties, shared_tails, inner_starts) > 20
 
 
 def _raised(call) -> tuple[type, str]:
