@@ -12,11 +12,12 @@ plan's total fits.
 
 `GroupNeeds` is the one per-edge decision every planner reads: how many
 chunks, and which chunking, make a group of types take an edge. It decides
-in the graph's scaled ints from tables built once per plan: each type's
-`persuasion_profile` (its default head, alpha and runner-up at every vertex,
-from `agent.scaled_top_two`), and the group's units, fixed at construction.
-An edge's need is the length of the types' greedy fill (`GroupNeeds.fill`),
-stepped by `edge_chunk`'s int loop from `edge_chunk.scaled_edge_scan`.
+in the graph's scaled ints: the group's units are fixed at construction,
+and each type's unaided choice at a vertex (its default head, alpha and
+runner-up, from `agent.scaled_top_two`) is scored on the first read of one
+of the vertex's out-edges. An edge's need is the length of the types' greedy
+fill (`GroupNeeds.fill`), stepped by `edge_chunk`'s int loop from
+`edge_chunk.scaled_edge_scan`.
 `Fraction`s are built only for the chunkings of a plan's chunked edges: for
 one bias the optimal chunking, for several the kept fill's masses, padded.
 
@@ -33,13 +34,15 @@ one bias.
 
 The DP reads a vertex's moves in the order of a lower bound on what they
 offer and asks for a move's chunks only while it can still win, so
-`GroupNeeds` computes an edge's need on its first read (`LazyEdgeMap`).
+`GroupNeeds` computes an edge's need, and a type's choice at a vertex, on
+its first read (`LazyMap`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Literal, Optional, Sequence, TypeVar
@@ -87,55 +90,29 @@ class BudgetSpec:
         return self.mode == "local" or total <= self.k
 
 
-@dataclass(frozen=True)
-class Persuasion:
-    """One bias's unaided choice at each vertex, scored by
-    `agent.scaled_top_two` over profile.default.denominator * g.scale."""
-
-    profile: BiasProfile
-    default: dict[str, str]  # vertex -> head of the unaided choice
-    scaled_alpha: dict[str, int]  # vertex -> its perceived cost
-    runner_up: dict[str, Optional[tuple[str, int]]]  # vertex -> the next best, None: one edge
-
-
-def persuasion_profile(g: TaskGraph, dist: DistanceMap, b: Fraction) -> Persuasion:
-    """Defaults and alphas, computed on the original graph."""
-    return _persuasion(g, dist, BiasProfile(b), dist.successor)  # every vertex but the sink
-
-
-def _persuasion(
-    g: TaskGraph, dist: DistanceMap, profile: BiasProfile, vertices: Iterable[str]
-) -> Persuasion:
-    """profile's Persuasion at each of vertices, every one with an out-edge."""
-    default: dict[str, str] = {}
-    scaled_alpha: dict[str, int] = {}
-    runner_up: dict[str, Optional[tuple[str, int]]] = {}
-    for u in vertices:
-        (default[u], scaled_alpha[u]), runner_up[u] = scaled_top_two(g, dist, profile, u)
-    return Persuasion(profile, default, scaled_alpha, runner_up)
-
-
+K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 N = TypeVar("N", bound=Hashable)  # a vertex of the DP's graph
 Rows = dict[N, Optional[list[Optional[int]]]]  # a vertex's cost at each budget level
 Picks = dict[N, list[Optional[tuple[N, int]]]]  # its first move's (head, chunks) at each
 
 
-class LazyEdgeMap(dict[Edge, V]):
-    """Edges mapped by compute(e), each value computed and kept on first read,
-    so the map holds only the edges read so far.
+class LazyMap(dict[K, V]):
+    """Keys mapped by compute(key), each value computed and kept on first
+    read, so the map holds only the keys read so far.
 
     The budgeted DP reads an edge's chunk need only when the edge can still
-    win, so a planner hands it this instead of a dict over every edge.
+    win, and a need reads the types' choices only at the edge's tail, so a
+    planner hands out these instead of tables over every edge or vertex.
     The values go with the call that built the map.
     """
 
-    def __init__(self, compute: Callable[[Edge], V]) -> None:
+    def __init__(self, compute: Callable[[K], V]) -> None:
         super().__init__()
         self._compute = compute
 
-    def __missing__(self, e: Edge) -> V:
-        value = self[e] = self._compute(e)
+    def __missing__(self, key: K) -> V:
+        value = self[key] = self._compute(key)
         return value
 
 
@@ -144,22 +121,24 @@ def same_path_fill(
 ) -> Optional[list[Fraction]]:
     """The greedy fill of at most k chunks that every type traverses, its
     masses with the last cut to x, or None when no k-chunking carries them
-    all; the types' caps come from their persuasion at the tail alone."""
-    perss = [_persuasion(g, dist, BiasProfile(b), edge[:1]) for b in dict.fromkeys(biases)]
-    needs = GroupNeeds(g, dist, biases, BudgetSpec("global", k), perss)
-    ns, reached, _ = needs.fill(edge)
+    all."""
+    needs = GroupNeeds(g, dist, biases, BudgetSpec("global", k))
+    ns, reached, _ = needs.fills[edge]
     return needs.masses(edge, ns) if reached else None
 
 
 class GroupNeeds:
     """What it takes to route a group of agent types together through each edge.
 
-    biases may repeat; each distinct one counts once, with its persuasion
-    profile in perss (computed here when not given). need[e] is 0 when e is
-    every type's default edge, None when no budget.k-chunking carries every
-    type, and otherwise the length of the types' same-path fill (`fill`)
-    on first read (for one bias, the count `min_chunks_to_beat` gives at its
-    alpha); a fill that carries e is kept for `chunking`.
+    biases may repeat; each distinct one counts once, with its `BiasProfile`
+    in profiles. Every map here is a `LazyMap`, filled on first read:
+    top_two[i][u] is type i's unaided choice at u and its runner-up, from
+    `agent.scaled_top_two` in ints over b.denominator * g.scale; default[u]
+    is the head every type takes unaided at u, None when two types differ;
+    fills[e] is `fill`'s result for e; need[e] is 0 when e is every type's
+    default edge, None when no budget.k-chunking carries every type, and
+    otherwise the length of the types' same-path fill (for one bias, the
+    count `min_chunks_to_beat` gives at its alpha).
 
     The group's units are fixed here: costs are scaled by R, the lcm of the
     biases' denominators, so caps are ints over unit = R * g.scale; a type
@@ -168,24 +147,29 @@ class GroupNeeds:
     """
 
     def __init__(
-        self, g: TaskGraph, dist: DistanceMap, biases: Sequence[Fraction], budget: BudgetSpec,
-        perss: Sequence[Persuasion] = (),
+        self, g: TaskGraph, dist: DistanceMap, biases: Sequence[Fraction], budget: BudgetSpec
     ) -> None:
         self.g, self.dist, self.budget = g, dist, budget
         self.biases = tuple(dict.fromkeys(biases))
-        self.perss = tuple(perss) or tuple(persuasion_profile(g, dist, b) for b in self.biases)
+        self.profiles = tuple(BiasProfile(b) for b in self.biases)
+        self.top_two = tuple(LazyMap(partial(scaled_top_two, g, dist, p)) for p in self.profiles)
         big_r = self._big_r = lcm(*(b.denominator for b in self.biases))
         big_l = self.big_l = lcm(*(b.numerator for b in self.biases))
         self.unit = big_r * g.scale
         self._types = [
-            (b.denominator * (big_l // b.numerator), big_r // b.denominator, pers)
-            for b, pers in zip(self.biases, self.perss)
+            (b.denominator * (big_l // b.numerator), big_r // b.denominator, top)
+            for b, top in zip(self.biases, self.top_two)
         ]
-        self._default = self.perss[0].default  # vertex -> the head every type takes unaided
-        for pers in self.perss[1:]:
-            self._default = {u: h for u, h in self._default.items() if pers.default[u] == h}
-        self._fills: dict[Edge, list[int]] = {}
-        self.need: LazyEdgeMap[Optional[int]] = LazyEdgeMap(self._need)
+        self.default = LazyMap(self._shared_head)
+        self.fills = LazyMap(self.fill)
+        self.need = LazyMap(self._need)
+
+    def _shared_head(self, u: str) -> Optional[str]:
+        (head, _), _ = self.top_two[0][u]
+        for top in self.top_two[1:]:
+            if top[u][0][0] != head:
+                return None
+        return head
 
     def fill(self, e: Edge) -> tuple[list[int], bool, list[tuple[int, int]]]:
         """The types' greedy fill of e in at most budget.k chunks, by
@@ -201,10 +185,10 @@ class GroupNeeds:
         x, c, outside = scaled_edge_scan(self.g, self.dist, e)
         if outside is None:
             return ([x * big_r * self.big_l], True, []) if k else ([], False, [])
-        bounds = [
-            (w, (pers.scaled_alpha[u] if pers.default[u] != v else pers.runner_up[u][1]) * f)
-            for w, f, pers in self._types
-        ]
+        bounds = []
+        for w, f, top in self._types:
+            (head, alpha), runner_up = top[u]
+            bounds.append((w, (alpha if head != v else runner_up[1]) * f))
         ns, reached = _greedy_ints(x * big_r, c * big_r, outside * big_r, self.big_l, bounds, k)
         return ns, reached, bounds
 
@@ -213,20 +197,17 @@ class GroupNeeds:
         return _fill_masses(ns, self.unit, self.big_l, self.g.cost(*e))
 
     def _need(self, e: Edge) -> Optional[int]:
-        if self._default.get(e[0]) == e[1]:
+        if self.default[e[0]] == e[1]:
             return 0
-        ns, reached, _ = self.fill(e)
-        if not reached:
-            return None
-        self._fills[e] = ns
-        return len(ns)
+        ns, reached, _ = self.fills[e]
+        return len(ns) if reached else None
 
     def chunking(self, e: Edge) -> Chunking:
         """e split into budget.chunks(need[e]) chunks that every type takes;
         need[e] must be at least 1."""
         n = self.budget.chunks(self.need[e])
         if len(self.biases) > 1:
-            return padded_chunking(e, self.masses(e, self._fills[e]), n)
+            return padded_chunking(e, self.masses(e, self.fills[e][0]), n)
         return optimal_edge_chunking(self.g, self.dist, e, self.biases[0], n)[0]
 
 
@@ -341,7 +322,7 @@ def shared_path_plan(
         predicted_cost=predicted * len(biases),
         biases=biases,
     )
-    traces = replay_plan(g, dist, plan, [(pers.profile, path) for pers in needs.perss])
+    traces = replay_plan(g, dist, plan, [(profile, path) for profile in needs.profiles])
     if traces is None or traces[0].total != predicted:
         raise InvariantViolation(f"plan/trace mismatch: planned {path} at {predicted}")
     by_bias = dict(zip(needs.biases, traces))

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Literal, Optional
 
@@ -59,7 +58,7 @@ from .graph import (
 from .graph_chunk import (
     BudgetSpec,
     GroupNeeds,
-    _persuasion,
+    LazyMap,
     cheapest_paths,
     shared_path_plan,
     walk_choices,
@@ -83,11 +82,6 @@ class AgentSet:
     @property
     def m(self) -> int:
         return len(self.biases)
-
-    @cached_property
-    def profiles(self) -> tuple[BiasProfile, ...]:
-        """One BiasProfile per type, built once for this set."""
-        return tuple(BiasProfile(b) for b in self.biases)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +196,17 @@ def _phase_exchange_flipped(
     bt*eps of tail growth; the target's suffix grows as fast as its own cost
     shrinks, so the taker's perceived cost stays pinned while the lower-bias
     type's rises.
+
+    Each tail chunk j is filled until it reaches alpha or the head or target
+    mass runs out, by steps that are never 0 before then. The chain-ruled
+    tail chunks with mass between the target and j share one headroom: the
+    optimal chunking's geometric tail perceives them equally, the siphons
+    leave them alone, and filling a later chunk raises each by the same
+    amount. Chunk j spends its headroom bt times faster (bt**2 against bt
+    per unit in the chain branch, bt against 1 in the outside branch), so
+    their caps never bind first, and a zero chunk never caps, since alpha
+    >= outside. A filled chunk's suffix never changes again, so every tail
+    chunk ends at alpha while head and target mass remain.
     """
     k = len(xs)
     if ti == k - 1:
@@ -223,8 +228,7 @@ def _phase_exchange_flipped(
                     headroom_j / (bt * bt),
                     *_flipped_intermediate_caps(ctx, xs, ti, j, bt, alpha, bt),
                 )
-                if eps <= 0:
-                    break
+                _require(eps > 0, "flipped exchange stalled below alpha")
                 xs[ti] -= eps
                 xs[l_star] -= (bt - 1) * eps
                 xs[j] += bt * eps
@@ -235,8 +239,7 @@ def _phase_exchange_flipped(
                     return
                 blocked = _flipped_intermediate_caps(ctx, xs, ti, j, bt, alpha, Fraction(1))
                 m = min(xs[l_star], headroom_j / bt, *blocked)
-                if m <= 0:
-                    break
+                _require(m > 0, "flipped exchange stalled below alpha")
                 xs[l_star] -= m
                 xs[j] += m
 
@@ -283,30 +286,8 @@ def _check_split_postconditions(
         for j in range(ti + 1):
             _require(_p(ctx, xs, j, bt) == alpha, "head chunk below alpha with tail mass left")
     elif not forward and sum(xs[:ti]) > 0 and xs[ti] > 0:
-        # Tail chunks sit at alpha unless raising any of them further would
-        # push some chunk past alpha (the addable mass is spent).
-        for j in range(ti + 1, len(xs)):
-            if _p(ctx, xs, j, bt) != alpha:
-                _require(
-                    _tail_increase_blocked(ctx, xs, ti, j, bt, alpha),
-                    "tail chunk below alpha while more could be siphoned",
-                )
-
-
-def _tail_increase_blocked(
-    ctx: EdgeContext,
-    xs: list[Fraction],
-    ti: int,
-    j: int,
-    bt: Fraction,
-    alpha: Fraction,
-) -> bool:
-    for lp in range(ti + 1, j):
-        gx_lp = sum(xs[lp + 1 :], ctx.cost_to_sink)
-        if gx_lp < ctx.outside and alpha - _p(ctx, xs, lp, bt) <= 0:
-            return True
-    gx_i = sum(xs[ti + 1 :], ctx.cost_to_sink)
-    return gx_i >= ctx.outside and xs[ti] == 0
+        for j in range(ti + 1, len(xs)):  # see _phase_exchange_flipped
+            _require(_p(ctx, xs, j, bt) == alpha, "tail chunk below alpha with head mass left")
 
 
 def chunk_split(
@@ -372,16 +353,15 @@ def chunk_same_path(
 
     Fills chunks k..1, maximizing each chunk subject to every agent's
     threshold given the mass already placed behind it, in one int fill
-    (`graph_chunk.GroupNeeds.fill`, on the types' persuasion at u); a
-    feasible chunking exists iff this greedy one covers the full edge cost,
-    and the fill and its caps also name why not.
+    (`graph_chunk.GroupNeeds.fill`, on the types' choices at u); a feasible
+    chunking exists iff this greedy one covers the full edge cost, and the
+    fill and its caps also name why not.
     """
     if k < 1:
         raise InvalidParams("k must be >= 1")
     x = g.cost(*edge)
-    perss = [_persuasion(g, dist, profile, edge[:1]) for profile in agents.profiles]
-    needs = GroupNeeds(g, dist, agents.biases, BudgetSpec("local", k), perss)
-    ns, reached, bounds = needs.fill(edge)
+    needs = GroupNeeds(g, dist, agents.biases, BudgetSpec("local", k))
+    ns, reached, bounds = needs.fills[edge]
     if reached:
         return padded_chunking(edge, needs.masses(edge, ns), k)
     if not ns:
@@ -407,11 +387,12 @@ class JointMoves:
     """Every move the two-agent planner asks about for one (g, b1 < b2, budget).
 
     solo[t] is type t's `GroupNeeds` alone and pair the two types' on one
-    shared edge, which reuses the solo tables' persuasion profiles, computed
-    on construction. A move (its witness chunkings), and each `chunk_split`
-    behind one, are computed on first use and kept on this object, never on
-    the module, so their memory goes with the planner or oracle call that
-    built it.
+    shared edge; each table scores a type's choice at a vertex on first
+    read, and pair holds the types' profiles. move[(u, v, z)] (its witness
+    chunkings) and splits[(edge, k, taker)] (a `chunk_split` behind one) are
+    `LazyMap`s too, so every value is computed on first use and kept on this
+    object, never on the module, and its memory goes with the planner or
+    oracle call that built it.
     """
 
     def __init__(self, g: TaskGraph, b1: Fraction, b2: Fraction, budget: BudgetSpec) -> None:
@@ -419,27 +400,23 @@ class JointMoves:
         self.budget = budget
         self.dist = shortest_to_sink(g)
         self.solo = tuple(GroupNeeds(g, self.dist, (b,), budget) for b in (b1, b2))
-        self.pers = tuple(needs.perss[0] for needs in self.solo)
         self.agents = AgentSet((b1, b2))
-        self.pair = GroupNeeds(g, self.dist, (b1, b2), budget, self.pers)
-        self._moves: dict[tuple[str, Optional[str], Optional[str]], Optional[Witnesses]] = {}
-        self._splits: dict[tuple[Edge, int, int], Optional[Chunking]] = {}
+        self.pair = GroupNeeds(g, self.dist, (b1, b2), budget)
+        self.move = LazyMap(self._move)
+        self.splits = LazyMap(self._chunk_split)
 
-    def move(self, u: str, v: Optional[str], z: Optional[str]) -> Optional[Witnesses]:
+    def _move(self, key: tuple[str, Optional[str], Optional[str]]) -> Optional[Witnesses]:
         """The witness chunkings for A1 leaving u by (u, v) while A2 leaves it
         by (u, z): () when no edge is chunked, None when the move is impossible.
 
         v or z is None when that type does not pass u, and the other type is
         then persuaded alone.
         """
-        key = (u, v, z)
-        if key not in self._moves:
-            if v is not None and z is not None and v != z:
-                self._moves[key] = self._split(u, v, z)
-            else:
-                needs = self.pair if v == z else self.solo[v is None]
-                self._moves[key] = self._shared(needs, (u, z if v is None else v))
-        return self._moves[key]
+        u, v, z = key
+        if v is not None and z is not None and v != z:
+            return self._split(u, v, z)
+        needs = self.pair if v == z else self.solo[v is None]
+        return self._shared(needs, (u, z if v is None else v))
 
     def _shared(self, needs: GroupNeeds, e: Edge) -> Optional[Witnesses]:
         """Every type in needs takes e: unchunked on their default edge."""
@@ -473,29 +450,27 @@ class JointMoves:
         """
         sides = ((0, v, i), (1, z, j))
         # Check both unchunked sides before building any split.
-        if any(n == 0 and self.pers[t].default[u] != head for t, head, n in sides):
+        if any(n == 0 and self.solo[t].default[u] != head for t, head, n in sides):
             return None
         witnesses: list[Chunking] = []
         for t, head, n in sides:
             if n:
-                ch = self._chunk_split((u, head), n, t + 1)
+                ch = self.splits[((u, head), n, t + 1)]
                 if ch is None:
                     return None
                 witnesses.append(ch)
         plan = ChunkPlan(chunkings=tuple(witnesses))
-        hops = zip(self.agents.profiles, ((u, v), (u, z)))
+        hops = zip(self.pair.profiles, ((u, v), (u, z)))
         return None if replay_plan(self.g, self.dist, plan, hops) is None else plan.chunkings
 
-    def _chunk_split(self, edge: Edge, k: int, taker: Literal[1, 2]) -> Optional[Chunking]:
-        """chunk_split's chunking, or None when the taker refuses it."""
-        key = (edge, k, taker)
-        if key not in self._splits:
-            b1, b2 = self.agents.biases
-            try:
-                self._splits[key] = chunk_split(self.g, self.dist, edge, b1, b2, k, taker)[0]
-            except TakerRefuses:
-                self._splits[key] = None
-        return self._splits[key]
+    def _chunk_split(self, key: tuple[Edge, int, Literal[1, 2]]) -> Optional[Chunking]:
+        """chunk_split's chunking of edge into k for the taker, or None when
+        the taker refuses it."""
+        edge, k, taker = key
+        try:
+            return chunk_split(self.g, self.dist, edge, *self.agents.biases, k, taker)[0]
+        except TakerRefuses:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +493,7 @@ def _pair_plan(
     next_q = dict(zip(Q, Q[1:]))
     chunkings: list[Chunking] = []
     for u in dict.fromkeys([*next_p, *next_q]):
-        found = moves.move(u, next_p.get(u), next_q.get(u))
+        found = moves.move[(u, next_p.get(u), next_q.get(u))]
         if found is None:
             return None
         chunkings.extend(found)
@@ -532,7 +507,7 @@ def _pair_plan(
     )
     if not budget.fits(plan.total_chunks):
         return None
-    traces = replay_plan(g, moves.dist, plan, zip(moves.agents.profiles, (P, Q)))
+    traces = replay_plan(g, moves.dist, plan, zip(moves.pair.profiles, (P, Q)))
     return None if traces is None else (plan, (traces[0], traces[1]))
 
 
@@ -617,7 +592,7 @@ def _two_agent_dp(moves: JointMoves) -> Optional[tuple[tuple[str, ...], tuple[st
 
     def pair_chunks(pair: tuple[str, str], head: tuple[str, str]) -> Optional[int]:
         if pair[0] == pair[1]:
-            found = moves.move(pair[0], *head)
+            found = moves.move[(pair[0], *head)]
             return None if found is None else budget.charge(sum(ch.k for ch in found))
         mover = int(pair[0] == head[0])  # A1 moved iff its coordinate changed
         return budget.charge(moves.solo[mover].need[(pair[mover], head[mover])])

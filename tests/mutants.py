@@ -253,8 +253,8 @@ CATALOGUE = (
         "src/chunkwise/agent.py",
         "if best_val is None or val < best_val:",
         "if best_val is None or val <= best_val:",
-        "tests/test_graph_chunk.py::test_persuasion_defaults_take_the_least_head_at_a_tie",
-        "persuasion_profile: the least head is the default at a perceived-cost tie",
+        "tests/test_graph_chunk.py::test_group_defaults_take_the_least_head_at_a_tie",
+        "GroupNeeds: the least head is a type's default at a perceived-cost tie",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
@@ -266,10 +266,17 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",
-        "big_r // b.denominator, pers)",
-        "big_r, pers)",
+        "big_r // b.denominator, top)",
+        "big_r, top)",
         "tests/test_graph_chunk.py::test_one_types_needs_are_its_least_persuading_counts",
         "GroupNeeds: a type's alpha over b.denominator * g.scale is rescaled to R * g.scale",
+    ),
+    Mutant(
+        "src/chunkwise/graph_chunk.py",
+        "for top in self.top_two[1:]:",
+        "for top in self.top_two[1:1]:",
+        "tests/test_graph_chunk.py::test_a_group_default_is_one_every_type_takes",
+        "GroupNeeds: an edge is the group's default only when every type takes it unaided",
     ),
     Mutant(
         "src/chunkwise/graph_chunk.py",

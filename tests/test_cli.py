@@ -431,6 +431,19 @@ def test_same_path_golden_output_fixture_matches(s32_path, capsys):
     assert out == (FIXTURES / "golden_same_path_uw_k11.json").read_text()
 
 
+def test_two_type_plan_golden_output_fixture_matches(s32_path, capsys):
+    # Two biases: the 2 type is split onto (u, v) by chunk_split's witness
+    # (211/60, 38/15, 159/20) while the 10 type keeps its default u->z->t.
+    from conftest import FIXTURES
+
+    _, out, _ = run(capsys, "chunk-graph", "-g", str(s32_path), "--biases", "2,10", "-k", "3")
+    assert out == (FIXTURES / "golden_plan_two_type_k3.json").read_text()
+    payload = json.loads(out)
+    assert payload["chunkings"][0]["chunks"] == ["211/60", "38/15", "159/20"]
+    assert payload["planned_paths"] == [["u", "v", "t"], ["u", "z", "t"]]
+    assert payload["predicted_cost"] == "1501/10"
+
+
 def test_split_edge_taker_refuses_is_data(s32_path, capsys):
     # bias 10 cannot be persuaded onto (u, v) with three chunks
     code, out, _ = run(

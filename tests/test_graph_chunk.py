@@ -20,7 +20,7 @@ from chunkwise import (
     simulate_plan,
     traverse,
 )
-from chunkwise.agent import best_alternative, perceived_cost
+from chunkwise.agent import best_alternative, perceived_cost, scaled_top_two
 from chunkwise.edge_chunk import edge_context
 from chunkwise.errors import DeadEnd, InfeasibleChunking, InvalidParams, InvariantViolation
 from chunkwise.expansion import original_path
@@ -28,8 +28,8 @@ from chunkwise.graph import all_paths, path_cost, validate
 from chunkwise.graph_chunk import (
     GroupNeeds,
     cheapest_paths,
-    persuasion_profile,
     same_path_fill,
+    shared_path_plan,
     walk_choices,
 )
 from chunkwise.multi_agent import AgentSet, m_agent_single_path_plan
@@ -218,18 +218,42 @@ def test_a_detour_that_cannot_win_is_never_counted(monkeypatch):
     assert ("s", "d") not in asked
 
 
-def test_persuasion_defaults_take_the_least_head_at_a_tie():
+def test_group_defaults_take_the_least_head_at_a_tie():
     # s->a and s->b look alike to every bias, so the default at s is the
     # least head, and its alpha, in ints over b.denominator * g.scale, is
-    # the tie's perceived cost b * 2 + 1.
+    # the tie's perceived cost b * 2 + 1; the runner-up ties it.
     g = TaskGraph(
         ["s", "a", "b", "t"], [("s", "a", 2), ("a", "t", 1), ("s", "b", 2), ("b", "t", 1)], "s", "t"
     )
     dist = shortest_to_sink(g)
-    for b in (B2, F(5, 2)):
-        pers = persuasion_profile(g, dist, b)
-        assert pers.default == {"s": "a", "a": "t", "b": "t"}
-        assert pers.scaled_alpha["s"] == (b * 2 + 1) * b.denominator * g.scale
+    biases = (B2, F(5, 2))
+    needs = GroupNeeds(g, dist, biases, BudgetSpec("local", 2))
+    assert {u: needs.default[u] for u in "sab"} == {"s": "a", "a": "t", "b": "t"}
+    assert needs.need[("s", "a")] == 0
+    for b, top in zip(biases, needs.top_two):
+        alpha = (b * 2 + 1) * b.denominator * g.scale
+        assert top["s"] == (("a", alpha), ("b", alpha))
+
+
+def test_a_group_default_is_one_every_type_takes():
+    # At s the 3/2 type takes s->a (3/2 + 4 < 0 + 6) and the 3 type s->b
+    # (3 + 4 > 6), so s has no group default: each edge out of s needs
+    # chunks, and the plan keeping both types on s->a chunks it.
+    g = TaskGraph(
+        ["s", "a", "b", "t"], [("s", "a", 1), ("a", "t", 4), ("s", "b", 0), ("b", "t", 6)], "s", "t"
+    )
+    dist = shortest_to_sink(g)
+    biases = (F(3, 2), F(3))
+    needs = GroupNeeds(g, dist, biases, BudgetSpec("local", 2))
+    assert [top["s"][0][0] for top in needs.top_two] == ["a", "b"]
+    assert needs.default["s"] is None
+    assert needs.need[("s", "a")] == len(same_path_fill(g, dist, ("s", "a"), biases, 2)) == 2
+    plan, traces = shared_path_plan(g, biases, BudgetSpec("local", 2))
+    assert [ch.edge for ch in plan.chunkings] == [("s", "a")]
+    assert [trace.total for trace in traces] == [5, 5]
+    for b in biases:
+        trace, cg = simulate_plan(g, plan, BiasProfile(b))
+        assert (original_path(cg, trace.path), trace.total) == (("s", "a", "t"), 5)
 
 
 def _brute_best(g, dist, b, u, exclude):
@@ -242,22 +266,22 @@ def test_the_scorer_and_its_runner_up_match_a_brute_force():
     # One loop keeps the best head and the runner-up, the best over the
     # other heads, least head on ties. On random graphs whose small costs
     # force ties, best_alternative excluding each head (and a non-head) is
-    # the least (perceived cost, head) over the rest, and each persuasion
-    # profile keeps the brute force's best and runner-up.
+    # the least (perceived cost, head) over the rest, and the scorer keeps
+    # the brute force's best and runner-up.
     rng = random.Random(33)
     queries = best_ties = runner_up_ties = 0
     for _ in range(600):
         g = random_task_graph(rng, min_vertices=3, max_vertices=9, max_cost=rng.randint(2, 24))
         dist = shortest_to_sink(g)
         for b in (F(3, 2), B2, F(5, 2), F(3)):
-            profile, pers = BiasProfile(b), persuasion_profile(g, dist, b)
+            profile = BiasProfile(b)
             unit = b.denominator * g.scale
             for u in dist.successor:  # every vertex but the sink
                 best = _brute_best(g, dist, b, u, None)
                 second = _brute_best(g, dist, b, u, best[1])
-                assert (pers.default[u], F(pers.scaled_alpha[u], unit)) == (best[1], best[0])
-                runner_up = None if second is None else (second[1], second[0] * unit)
-                assert pers.runner_up[u] == runner_up
+                (head, alpha), runner_up = scaled_top_two(g, dist, profile, u)
+                assert (head, F(alpha, unit)) == (best[1], best[0])
+                assert runner_up == (None if second is None else (second[1], second[0] * unit))
                 for exclude in [h for h, _ in g.out_edges(u)] + ["no such head"]:
                     queries += 1
                     want = _brute_best(g, dist, b, u, exclude)
@@ -359,17 +383,15 @@ def test_group_needs_match_the_independent_routes(seed, biases, mode, k):
     g = random_task_graph(random.Random(seed), min_vertices=3, max_vertices=7)
     dist = shortest_to_sink(g)
     needs = GroupNeeds(g, dist, sorted(biases), BudgetSpec(mode, k))
-    for b, pers in zip(needs.biases, needs.perss):
-        profile = BiasProfile(b)
+    for b, profile, top in zip(needs.biases, needs.profiles, needs.top_two):
         for u in dist.successor:  # every vertex but the sink
             head, alpha = best_alternative(g, dist, profile, u)
             scores = [(perceived_cost(g, dist, profile, (u, h)), h) for h, _ in g.out_edges(u)]
             assert (alpha, head) == min(scores)
-            assert pers.default[u] == head
-            assert F(pers.scaled_alpha[u], b.denominator * g.scale) == alpha
+            assert top[u][0] == (head, alpha * b.denominator * g.scale)
     for u, v, _ in g.edges:
         need = needs.need[(u, v)]
-        if all(pers.default[u] == v for pers in needs.perss):
+        if all(best_alternative(g, dist, p, u)[0] == v for p in needs.profiles):
             assert need == 0
         elif len(needs.biases) == 1:
             (b,) = needs.biases
@@ -495,7 +517,6 @@ def test_never_chunk_off_path_and_persuasion_soundness():
         dist = shortest_to_sink(g)
         b = F(rng.randint(5, 12), 4)
         k = rng.randint(1, 3)
-        pers = persuasion_profile(g, dist, b)
         for planner in (chunk_graph_local, chunk_graph_global):
             plan, trace = planner(g, b, k)
             path = plan.planned_paths[0]
@@ -505,7 +526,7 @@ def test_never_chunk_off_path_and_persuasion_soundness():
                 u = c.edge[0]
                 from chunkwise import evaluate_chunking
 
-                alpha = F(pers.scaled_alpha[u], b.denominator * g.scale)
+                _, alpha = best_alternative(g, dist, BiasProfile(b), u)
                 assert evaluate_chunking(g, dist, c, b).bottleneck <= alpha
 
 

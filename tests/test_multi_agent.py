@@ -30,6 +30,7 @@ from chunkwise import (
     traverse,
     two_agent_plan,
 )
+from chunkwise.agent import best_alternative
 from chunkwise.cli import main as cli_main
 from chunkwise.edge_chunk import edge_context, min_chunks_to_beat, perceived_chunk_costs
 from chunkwise.errors import (
@@ -42,8 +43,6 @@ from chunkwise.expansion import ChunkPlan, original_path
 from chunkwise.graph import path_cost, validate
 from chunkwise.graph_chunk import (
     GroupNeeds,
-    _persuasion,
-    persuasion_profile,
     same_path_fill,
     shared_path_plan,
     walk_choices,
@@ -384,10 +383,10 @@ def test_same_path_one_type_is_the_saturated_greedy_fill():
 
 
 def test_caps_read_from_the_profiles_are_the_outside_options():
-    # A planner holding the types' persuasion profiles reads a type's cap as
-    # its alpha at the tail, and its runner-up there on that type's default
-    # edge; chunk_same_path reads the same from the types' persuasion at the
-    # tail alone. Every cap must still be the type's outside option.
+    # A group's fill reads a type's cap from its scored choice at the tail:
+    # its alpha there, and its runner-up on that type's default edge. Every
+    # cap must be the type's outside option, whether the tail was scored
+    # for the edge itself or earlier, for another edge out of it.
     rng = random.Random(53)
     defaults = checked = 0
     while checked < 600:
@@ -395,20 +394,19 @@ def test_caps_read_from_the_profiles_are_the_outside_options():
         dist = shortest_to_sink(g)
         b1 = _random_bias(rng)
         agents = AgentSet((b1, b1 + Fraction(rng.randint(1, 8), 4)))
-        perss = [persuasion_profile(g, dist, b) for b in agents.biases]
+        shared = GroupNeeds(g, dist, agents.biases, BudgetSpec("local", 3))
         for u, v, _ in g.edges:
             if len(g.out_edges(u)) < 2:
                 continue
             checked += 1
-            defaults += any(p.default[u] == v for p in perss)
+            heads = [best_alternative(g, dist, BiasProfile(b), u)[0] for b in agents.biases]
+            defaults += v in heads
             # Caps are ints over R * g.scale, R the lcm of the biases' denominators.
             unit = lcm(*(b.denominator for b in agents.biases)) * g.scale
             expected = [outside_alpha(g, dist, b, u, v) * unit for b in agents.biases]
-            at_tail = [_persuasion(g, dist, p, (u,)) for p in agents.profiles]
-            for held in (perss, at_tail):
-                needs = GroupNeeds(g, dist, agents.biases, BudgetSpec("local", 3), held)
+            for needs in (shared, GroupNeeds(g, dist, agents.biases, BudgetSpec("local", 3))):
                 assert needs.unit == unit
-                assert [cap for _, cap in needs.fill((u, v))[2]] == expected
+                assert [cap for _, cap in needs.fills[(u, v)][2]] == expected
     assert defaults > 100
 
 
@@ -461,23 +459,23 @@ def test_same_path_matches_grid_exactly_on_aligned_instances():
 
 def test_joint_move_shared_tail_split(s32):
     moves = JointMoves(s32, B2, F(10), BudgetSpec("local", 3))
-    split = moves.move("u", "v", "z")
+    split = moves.move[("u", "v", "z")]
     assert split is not None
     # A2's default is z, so only (u, v) carries a witness chunking.
     assert [w.edge for w in split] == [("u", "v")]
-    assert moves.move("u", "z", "z") is not None  # both defaults
-    assert moves.move("u", "v", "v") is None  # no chunking of (u,v) that b=10 takes
+    assert moves.move[("u", "z", "z")] is not None  # both defaults
+    assert moves.move[("u", "v", "v")] is None  # no chunking of (u,v) that b=10 takes
 
 
 def test_joint_move_same_edge_infeasible(s32):
-    assert JointMoves(s32, B2, F(3), BudgetSpec("local", 3)).move("u", "v", "v") is None
+    assert JointMoves(s32, B2, F(3), BudgetSpec("local", 3)).move[("u", "v", "v")] is None
 
 
 def test_joint_move_global_minimal_counts(s32):
     moves = JointMoves(s32, B2, F(10), BudgetSpec("global", 3))
     # (u,v) needs all three chunks; (u,z) is A2's default and stays unchunked.
-    assert [ch.k for ch in moves.move("u", "v", "z")] == [3]
-    assert moves.move("u", "z", "z") == ()
+    assert [ch.k for ch in moves.move[("u", "v", "z")]] == [3]
+    assert moves.move[("u", "z", "z")] == ()
 
 
 def _non_monotone_split_moves():
@@ -507,7 +505,7 @@ def test_joint_split_feasibility_is_not_monotone():
 
 
 def test_joint_split_finds_a_pair_below_an_infeasible_full_budget_row():
-    found = _non_monotone_split_moves().move("s", "a", "b")
+    found = _non_monotone_split_moves().move[("s", "a", "b")]
     assert found is not None and sum(ch.k for ch in found) == 2
 
 
@@ -527,7 +525,7 @@ def test_joint_split_is_the_least_feasible_cell_of_the_full_matrix():
             for v, z in product(heads, repeat=2):
                 if v == z:
                     continue
-                found = moves.move(u, v, z)
+                found = moves.move[(u, v, z)]
                 least = None
                 for i, j in cells:
                     wit = moves._split_witnesses(u, v, z, i, j)
@@ -556,7 +554,7 @@ def test_every_accepted_joint_split_replays_on_the_expanded_graph():
             for u in g.vertices:
                 heads = [v for v, _ in g.out_edges(u)]
                 for v, z in permutations(heads, 2):
-                    witnesses = moves.move(u, v, z)
+                    witnesses = moves.move[(u, v, z)]
                     if witnesses is None:
                         continue
                     plan = ChunkPlan(chunkings=witnesses)
@@ -787,7 +785,7 @@ def _assert_dp_charges_a_shared_edge_once(names):
     picked = ma._two_agent_dp(moves)
     assert picked == (path("sdt"), path("sacdt"))
     assert path_cost(g, picked[0]) + path_cost(g, picked[1]) == F(131, 20)
-    assert moves.move(names["d"], names["f"], "t") is None
+    assert moves.move[(names["d"], names["f"], "t")] is None
     planned = ma._pair_plan(moves, *picked)
     assert planned is not None
     plan, traces = two_agent_plan(g, b1, b2, budget)
@@ -847,40 +845,45 @@ def test_two_agent_matches_oracle_k3():
 
 
 def test_two_agent_plan_builds_its_tables_once(monkeypatch):
-    # One two-agent call computes each type's persuasion profile once and
-    # each chunk_split (edge, chunks, taker) once, however often the DP and
-    # the pair plan ask for them.
+    # One two-agent call builds three need tables, one per type and one for
+    # the pair, each holding its own profiles; each table scores a type at
+    # a vertex with scaled_top_two at most once, and the call runs each
+    # chunk_split (edge, chunks, taker) once, however often the DP and the
+    # pair plan ask for them.
     import chunkwise.graph_chunk as gc
     import chunkwise.multi_agent as ma
 
-    profiles: list[Fraction] = []
+    scored: list[tuple] = []
     splits: list[tuple] = []
-    real_profile, real_split = gc.persuasion_profile, ma.chunk_split
+    real_score, real_split = gc.scaled_top_two, ma.chunk_split
 
-    def counting_profile(g, dist, b):
-        profiles.append(b)
-        return real_profile(g, dist, b)
+    def counting_score(g, dist, profile, u):
+        scored.append((id(profile), profile.default, u))
+        return real_score(g, dist, profile, u)
 
     def counting_split(g, dist, edge, b1, b2, k, taker=1):
         splits.append((edge, k, taker))
         return real_split(g, dist, edge, b1, b2, k, taker)
 
-    monkeypatch.setattr(gc, "persuasion_profile", counting_profile)
+    monkeypatch.setattr(gc, "scaled_top_two", counting_score)
     monkeypatch.setattr(ma, "chunk_split", counting_split)
     rng = random.Random(4040)
-    total_splits = 0
+    total_splits = total_scored = 0
     for _ in range(40):
         g = random_task_graph(rng, min_vertices=4, max_vertices=8)
         b1 = _random_bias(rng)
         b2 = b1 + F(rng.randint(1, 8), 4)
         budget = BudgetSpec(rng.choice(("local", "global")), rng.randint(1, 3))
-        profiles.clear()
+        scored.clear()
         splits.clear()
         two_agent_plan(g, b1, b2, budget)
-        assert sorted(profiles) == [b1, b2]
+        assert len(scored) == len(set(scored))
+        assert len({key[0] for key in scored}) <= 4  # each type in its solo table and the pair's
+        assert {key[1] for key in scored} <= {b1, b2}
         assert len(splits) == len(set(splits))
         total_splits += len(splits)
-    assert total_splits > 0  # the split memo was exercised
+        total_scored += len(scored)
+    assert total_splits > 0 and total_scored > 0  # both memos were exercised
 
 
 def _tie_graph():
@@ -1163,7 +1166,6 @@ def test_m_agent_single_path_matches_exhaustive_paths():
     # Exhaustive enumeration over candidate shared paths, each validated by
     # simulating every type, must agree with the planner exactly.
     from chunkwise.graph import all_paths
-    from chunkwise.graph_chunk import persuasion_profile
 
     rng = random.Random(808)
     for _ in range(25):
@@ -1176,7 +1178,7 @@ def test_m_agent_single_path_matches_exhaustive_paths():
         budget = BudgetSpec(mode, k)
         plan, path = m_agent_single_path_plan(g, agents, budget)
         cost = plan.predicted_cost / agents.m
-        perss = [persuasion_profile(g, dist, b) for b in agents.biases]
+        profiles = [BiasProfile(b) for b in agents.biases]
         best = None
         for cand in all_paths(g):
             chunkings = []
@@ -1184,7 +1186,7 @@ def test_m_agent_single_path_matches_exhaustive_paths():
             ok = True
             for i in range(len(cand) - 1):
                 u, v = cand[i], cand[i + 1]
-                if all(p.default[u] == v for p in perss):
+                if all(best_alternative(g, dist, p, u)[0] == v for p in profiles):
                     continue
                 fill = same_path_fill(g, dist, (u, v), agents.biases, k)
                 if fill is None:
@@ -1256,3 +1258,36 @@ def test_two_agent_plan_finds_the_17_4_split_of_s_a():
     for mode in ("local", "global"):
         _, traces = two_agent_plan(_MISS_GRAPH, F(5, 2), F(25, 2), BudgetSpec(mode, 2))
         assert sum(t.total for t in traces) <= F(17, 4), mode
+
+
+# A static plan the two-type planner misses, with b = (3/2, 15/2) and local
+# k = 2: the types part at s, and both edges they leave by are chunked.
+_BOTH_SIDES_GRAPH = _graph([
+    ("s", "a", "7/4"), ("s", "b", "12"), ("s", "c", "12/5"), ("s", "t", "7"),
+    ("a", "c", "2"), ("a", "t", "22"), ("b", "c", "22"), ("c", "t", "15/2"),
+])
+_BOTH_SIDES_PLAN = ChunkPlan(chunkings=(
+    Chunking("s", "c", (F(3, 5), F(9, 5))), Chunking("s", "t", (F(7, 8), F(49, 8))),
+))
+
+
+def test_chunking_both_parting_edges_at_s_costs_169_10():
+    # Chunking (s, c) into (3/5, 9/5) and (s, t) into (7/8, 49/8) keeps the
+    # 3/2 type on s->t for 7 and sends the 15/2 type over s->c->t for
+    # 99/10: 169/10 for the pair, with at most two chunks on each edge.
+    for b, path, cost in ((F(3, 2), "st", 7), (F(15, 2), "sct", F(99, 10))):
+        trace, cg = simulate_plan(_BOTH_SIDES_GRAPH, _BOTH_SIDES_PLAN, BiasProfile(b))
+        assert original_path(cg, trace.path) == tuple(path) and trace.total == cost
+    assert [ch.k for ch in _BOTH_SIDES_PLAN.chunkings] == [2, 2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="each side's split witness is built against the unchunked graph, but "
+    "at s each type also sees the other chain's entry cost, so two_agent_plan "
+    "returns 73/4 with nothing chunked",
+)
+def test_two_agent_plan_finds_the_169_10_plan_chunking_both_sides():
+    _, traces = two_agent_plan(_BOTH_SIDES_GRAPH, F(3, 2), F(15, 2), BudgetSpec("local", 2))
+    assert sum(t.total for t in traces) <= F(169, 10)
