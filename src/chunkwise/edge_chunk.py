@@ -16,13 +16,12 @@ to the sink from chain vertex i, is `_floor(outside, suffix_i + c(v->t))`.
 `optimal_edge_chunking` screens at most three closed-form candidates in
 Python ints: x, c(v->t) and outside over one common denominator, b = p/r,
 and powers of p and p - r. A binary search over the transition vertex finds
-them in O(log k) steps. Bottlenecks compare by exact cross-multiplication,
-and only the candidates tied at the least one become `Fraction` chunks. One
-backward pass in ints over a chunking, its costs over the lcm of their
-denominators, gives its perceived costs, its transition vertex, its sum and
-its bottleneck, for `evaluate_chunking` and `perceived_chunk_costs` alike:
-one `Fraction` per run of equal perceived costs, so a geometric tail builds
-one.
+them in O(log k) steps, and bottlenecks compare by exact cross-multiplication.
+Each candidate tied at the least one is built as int chunks over one unit,
+its tail by `_geometric` as in `chunk_shortest_edge`, and walked backwards
+once in ints (`_suffix_walk`, which `evaluate_chunking` feeds any chunking
+over the lcm of its denominators). `Fraction`s are built only for the output,
+one per run of equal chunks or perceived costs.
 
 An edge's x, c(v->t) and outside option come from one scan of the tail's
 adjacency in the graph's scaled ints, `scaled_edge_scan`; `edge_context` is
@@ -154,30 +153,27 @@ def chunk_shortest_edge(x: Fraction, b: Fraction, k: int) -> tuple[Fraction, ...
     Optimal whenever the chain itself is the shortest route from every chain
     vertex (in particular for edges starting a shortest path). Easy chunks
     first, each later chunk b/(b-1) times harder. With b = p/r this is
-    x * r * (p-r)^(k-i) * p^(i-1) / (p^k - (p-r)^k), built from integer powers.
+    x * r * (p-r)^(k-i) * p^(i-1) / (p^k - (p-r)^k), built in ints by `_geometric`.
     """
     _check_params(b, k)
     if x < 0:
         raise InvalidParams("edge cost must be nonnegative")
-    p, r = b.numerator, b.denominator
-    spow = _powers(p - r, k)
-    num, den = x.numerator * r, x.denominator * (p**k - spow[k])
-    # Powers of p built as the loop goes: a second list of them, read by a
-    # generator, measured 0.9 MB more peak RSS on the edge-deep benchmark.
-    chunks = []
-    ppow = 1  # p**(i-1)
-    for i in range(1, k + 1):
-        chunks.append(Fraction(num * spow[k - i] * ppow, den))
-        ppow *= p
-    return tuple(chunks)
+    chunks, z = _geometric(x.numerator, b.numerator, b.denominator, k)
+    den = x.denominator * z
+    return tuple(Fraction(n, den) for n in chunks)
 
 
-def _powers(base: int, k: int) -> list[int]:
-    """[base**0, ..., base**k]."""
-    powers = [1]
-    for _ in range(k):
-        powers.append(powers[-1] * base)
-    return powers
+def _geometric(mass: int, p: int, r: int, j: int) -> tuple[list[int], int]:
+    """The geometric j-chunking of an int mass at b = p/r: (n_1..n_j, z),
+    chunk i being n_i / z = mass * r * (p-r)^(j-i) * p^(i-1) / (p^j - (p-r)^j)
+    in the mass's unit. Each n_i is p/(p-r) times the one before, exactly."""
+    s = p - r
+    n = mass * r * s ** (j - 1)
+    chunks = [n]
+    for _ in range(j - 1):
+        n = n * p // s
+        chunks.append(n)
+    return chunks, p**j - s**j
 
 
 def delta(g: TaskGraph, dist: DistanceMap, edge: Edge) -> Fraction:
@@ -188,75 +184,91 @@ def delta(g: TaskGraph, dist: DistanceMap, edge: Edge) -> Fraction:
     return ctx.x + ctx.cost_to_sink - ctx.outside
 
 
-def perceived_chunk_costs(
-    ctx: EdgeContext, chunks: tuple[Fraction, ...], b: Fraction
-) -> tuple[Fraction, ...]:
-    """Closed-form p_i for every chunk, exact."""
-    return _suffix_walk(ctx, chunks, b)[0]
-
-
 def evaluate_chunking(
     g: TaskGraph, dist: DistanceMap, chunking: Chunking, b: Fraction
 ) -> ChunkingReport:
     """Evaluate a chunking: perceived costs, transition vertex, bottleneck."""
-    return _evaluate(edge_context(g, dist, chunking.edge), chunking, b)
-
-
-def _evaluate(ctx: EdgeContext, chunking: Chunking, b: Fraction) -> ChunkingReport:
-    perceived, tau, total, bottleneck = _suffix_walk(ctx, chunking.chunks, b)
-    if total != ctx.x:
+    ctx = edge_context(g, dist, chunking.edge)
+    unit, scaled, walk = _walk_chunks(ctx, chunking.chunks, b)
+    if walk[2] != scaled[0]:
         raise InvalidParams(
-            f"chunks sum to {total}, edge ({ctx.tail}, {ctx.head}) costs {ctx.x}"
+            f"chunks sum to {chunking.total}, edge ({ctx.tail}, {ctx.head}) costs {ctx.x}"
         )
-    d = None if ctx.outside is None else ctx.x + ctx.cost_to_sink - ctx.outside
-    bias = (bottleneck - ctx.cost_to_sink) / ctx.x if ctx.x > 0 else Fraction(1)
-    return ChunkingReport(
-        edge=chunking.edge,
-        perceived=perceived,
-        tau=tau,
-        bottleneck=bottleneck,
-        delta=d,
-        selective_bias=bias,
-    )
+    return _report(chunking.edge, unit, scaled, walk, b.denominator)
 
 
-def _suffix_walk(
-    ctx: EdgeContext, chunks: tuple[Fraction, ...], b: Fraction
-) -> tuple[tuple[Fraction, ...], int, Fraction, Fraction]:
-    """One backward pass in ints: (p_1..p_k, tau, the chunks' sum, max p_i).
+Scaled = tuple[int, int, Optional[int]]  # x, c(v->t) and outside over one unit
+Walk = tuple[list[int], int, int, int]  # perceived numerators, tau, sum, their max
 
-    Chunk i < k perceives b*x_i plus the floor of `through`, c(v->t) plus
-    the mass after chunk i. Chain vertex i routes outside iff outside <
-    c(v->t) plus the mass from chunk i on, strictly: at an exact tie the
-    chain is as good as leaving. tau is the last such vertex, else 0.
 
-    Costs are scaled by d, the lcm of the denominators of c(v->t), outside
-    and every chunk, and b = p/r, so p_i = (p*X_i + r*F_i) / (r*d) with X_i
-    the scaled chunk and F_i the scaled floor: each p_i is one `Fraction`
-    built from ints, and the bottleneck is the largest numerator over r*d.
+def _over(f: Fraction, unit: int) -> int:
+    """f over 1/unit, unit a multiple of f's denominator."""
+    return f.numerator * (unit // f.denominator)
+
+
+def _scaled(ctx: EdgeContext, unit: int) -> Scaled:
+    o = ctx.outside
+    return _over(ctx.x, unit), _over(ctx.cost_to_sink, unit), None if o is None else _over(o, unit)
+
+
+def _walk_chunks(
+    ctx: EdgeContext, chunks: Sequence[Fraction], b: Fraction
+) -> tuple[int, Scaled, Walk]:
+    """`_suffix_walk` over exact chunks: (unit, the edge's facts and the walk
+    over it), the unit the lcm of every denominator."""
+    unit = lcm(*{f.denominator for f in (ctx.x, ctx.cost_to_sink, ctx.outside or 0, *chunks)})
+    scaled = _scaled(ctx, unit)
+    xs = [_over(x, unit) for x in chunks]
+    return unit, scaled, _suffix_walk(scaled[1], scaled[2], xs, b.numerator, b.denominator)
+
+
+def _suffix_walk(big_c: int, big_o: Optional[int], xs: Sequence[int], p: int, r: int) -> Walk:
+    """One backward pass in ints over one unit, with c(v->t), outside (None:
+    no way out) and the chunks X_i in it and b = p/r.
+
+    Chunk i perceives p_i = (p*X_i + r*F_i) / (r * unit), F_i the floor of
+    `through`, c(v->t) plus the mass after chunk i. Chain vertex i routes
+    outside iff outside < c(v->t) plus the mass from chunk i on, strictly:
+    at an exact tie the chain is as good as leaving. tau is the last such
+    vertex, else 0; that mass only grows backwards, so every vertex before
+    tau leaves too and the floor stays at outside.
     """
-    c, o = ctx.cost_to_sink, ctx.outside
-    p, r = b.numerator, b.denominator
-    d = lcm(c.denominator, 1 if o is None else o.denominator, *{x.denominator for x in chunks})
-    big_o = None if o is None else o.numerator * (d // o.denominator)
-    big_c = through = floor = c.numerator * (d // c.denominator)
-    rd, tau, top, perceived = r * d, 0, 0, []
-    last = cost = None
-    for i in range(len(chunks), 0, -1):
-        x_i = chunks[i - 1]
-        big_x = x_i.numerator * (d // x_i.denominator)
-        n = p * big_x + r * floor
-        if n != last:
-            last, cost = n, Fraction(n, rd)
-        perceived.append(cost)
-        if n > top:
-            top = n
+    through = floor = big_c
+    tau, perceived = 0, []
+    for i in range(len(xs), 0, -1):
+        big_x = xs[i - 1]
+        perceived.append(p * big_x + r * floor)
         through += big_x
-        if not tau and big_o is not None and big_o < through:
-            tau = i
-        floor = _floor(big_o, through)
+        if not tau:
+            if big_o is not None and big_o < through:
+                tau = i
+            floor = _floor(big_o, through)
     perceived.reverse()
-    return tuple(perceived), tau, Fraction(through - big_c, d), Fraction(top, rd)
+    return perceived, tau, through - big_c, max(perceived)
+
+
+def _runs(ns: Sequence[int], unit: int) -> tuple[Fraction, ...]:
+    """n / unit for each n: one `Fraction` per run of equal numerators."""
+    out: list[Fraction] = []
+    for n in ns:
+        if not out or n != last:
+            last, cost = n, Fraction(n, unit)
+        out.append(cost)
+    return tuple(out)
+
+
+def _report(edge: Edge, unit: int, scaled: Scaled, walk: Walk, r: int) -> ChunkingReport:
+    """A walk over 1/unit at b = p/r as a report, with delta = x + c(v->t) -
+    outside and the selective bias (bottleneck - c(v->t)) / x, 1 when x = 0."""
+    (big_x, big_c, big_o), (perceived, tau, _, top) = scaled, walk
+    return ChunkingReport(
+        edge=edge,
+        perceived=_runs(perceived, r * unit),
+        tau=tau,
+        bottleneck=Fraction(top, r * unit),
+        delta=None if big_o is None else Fraction(big_x + big_c - big_o, unit),
+        selective_bias=Fraction(top - r * big_c, r * big_x) if big_x else Fraction(1),
+    )
 
 
 def optimal_edge_chunking(
@@ -265,12 +277,13 @@ def optimal_edge_chunking(
     """Minimize the bottleneck over all k-chunkings of one edge.
 
     Screens the closed-form candidate set below by each candidate's exact
-    bottleneck, also in closed form and in integers, then builds and
-    evaluates only the candidates tied at the minimum and returns the argmin
-    of (bottleneck, tau, chunk vector). Finding the at most three candidates
-    takes O(log k) screens, each a few powers and O(1) integer
-    multiplications on numbers of O(k) bits; each tied candidate's
-    evaluation is one O(k) pass in ints.
+    bottleneck, also in closed form and in integers. Each candidate tied at
+    the minimum is built as int chunks over one unit and walked once in ints;
+    its sum must be x and its bottleneck the closed form's. The least (tau,
+    chunk vector) among them is returned, the only one given `Fraction`s.
+    Finding the at most three candidates takes O(log k) screens, each a few
+    powers and O(1) integer multiplications on numbers of O(k) bits; each
+    tied candidate's build and walk is one O(k) pass in ints.
 
     * chain on a shortest path (or no outside option): the geometric chunking,
       provably optimal;
@@ -285,6 +298,7 @@ def optimal_edge_chunking(
     """
     _check_params(b, k)
     ctx = edge_context(g, dist, edge)
+    p, r = b.numerator, b.denominator
     low_n, low_d, tied = 1, 0, []  # 1/0 stands above every bottleneck
     for n, m, h, y_n, y_d in _candidates(ctx, b, k):
         # Exact cross-multiplication: every denominator is positive.
@@ -292,18 +306,27 @@ def optimal_edge_chunking(
             low_n, low_d, tied = n, m, [(h, y_n, y_d)]
         elif n * low_d == low_n * m:
             tied.append((h, y_n, y_d))
-    low = Fraction(low_n, low_d)
-    evaluated: list[tuple[Chunking, ChunkingReport]] = []
+    walked = []
     for h, y_n, y_d in tied:
-        chunking = Chunking(*edge, _head_then_geometric(ctx.x, b, k, h, Fraction(y_n, y_d)))
-        report = _evaluate(ctx, chunking, b)
-        if report.bottleneck != low:
+        # Over one unit y_d * z: h head chunks y = y_n / y_d, each y_n * z,
+        # then the geometric chunking of the mass x - h*y on the other k - h.
+        tail, z = _geometric(_over(ctx.x, y_d) - h * y_n, p, r, k - h)
+        unit = y_d * z
+        xs = [y_n * z] * h + tail
+        scaled = _scaled(ctx, unit)
+        walk = _suffix_walk(scaled[1], scaled[2], xs, p, r)
+        _, _, total, top = walk
+        if total != scaled[0] or top * low_d != low_n * r * unit:
             raise InvariantViolation(
-                f"candidate {chunking.chunks} of {edge} evaluates to bottleneck "
-                f"{report.bottleneck}, its closed form gives {low}"
+                f"candidate {_runs(xs, unit)} of {edge} sums to {Fraction(total, unit)} of "
+                f"{ctx.x} at bottleneck {Fraction(top, r * unit)}, not {Fraction(low_n, low_d)}"
             )
-        evaluated.append((chunking, report))
-    return min(evaluated, key=lambda cr: (cr[1].bottleneck, cr[1].tau, cr[0].chunks))
+        walked.append((walk[1], unit, xs, scaled, walk))
+    if len(walked) > 1:  # equal bottlenecks: the least (tau, chunks), over one unit
+        common = lcm(*(w[1] for w in walked))
+        walked.sort(key=lambda w: (w[0], [n * (common // w[1]) for n in w[2]]))
+    _, unit, xs, scaled, walk = walked[0]
+    return Chunking(*edge, _runs(xs, unit)), _report(edge, unit, scaled, walk, r)
 
 
 # (bottleneck numerator, its denominator, h, y numerator, y denominator)
@@ -358,8 +381,8 @@ def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
     x, c, o = ctx.x, ctx.cost_to_sink, ctx.outside
     p, r = b.numerator, b.denominator
     d0 = lcm(x.denominator, c.denominator, 1 if o is None else o.denominator)
-    big_x, big_c = x.numerator * (d0 // x.denominator), c.numerator * (d0 // c.denominator)
-    big_o = 0 if o is None else o.numerator * (d0 // o.denominator)
+    big_x, big_c = _over(x, d0), _over(c, d0)
+    big_o = 0 if o is None else _over(o, d0)
     big_d = big_x + big_c - big_o
 
     def shape(h: int, y_n: int, y_d: int, pk: int, sk: int) -> Candidate:
@@ -415,12 +438,6 @@ def _candidates(ctx: EdgeContext, b: Fraction, k: int) -> Iterator[Candidate]:
     if y_n * (k - 1) > cap * y_d:
         y_n, y_d = cap, k - 1
     yield shape(k - 1, y_n, y_d, p, p - r)
-
-
-def _head_then_geometric(
-    x: Fraction, b: Fraction, k: int, h: int, y: Fraction
-) -> tuple[Fraction, ...]:
-    return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
 
 
 def _fill_masses(ns: Sequence[int], d0: int, big_l: int, x: Fraction) -> list[Fraction]:

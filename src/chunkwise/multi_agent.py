@@ -40,10 +40,10 @@ from .edge_chunk import (
     Chunking,
     EdgeContext,
     _floor,
+    _walk_chunks,
     edge_context,
     optimal_edge_chunking,
     padded_chunking,
-    perceived_chunk_costs,
 )
 from .errors import InfeasibleChunking, InvalidParams, InvariantViolation, TakerRefuses
 from .expansion import ChunkPlan
@@ -336,7 +336,8 @@ def chunk_split(
         _require(all(x >= 0 for x in xs), "siphon phases must keep chunks nonnegative")
         _check_split_postconditions(ctx, xs, ti, bt, alpha, forward)
         chunks = tuple(xs)
-        splits.append((-max(perceived_chunk_costs(ctx, chunks, br)), ti, chunks))
+        unit, _, (_, _, _, top) = _walk_chunks(ctx, chunks, br)
+        splits.append((-Fraction(top, br.denominator * unit), ti, chunks))
     neg_repelled, _, chunks = min(splits)
     return Chunking(*edge, chunks), -neg_repelled
 

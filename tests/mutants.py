@@ -152,31 +152,52 @@ CATALOGUE = (
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
-        "if not tau and big_o is not None and big_o < through:",
-        "if not tau and big_o is not None and big_o <= through:",
+        "if big_o is not None and big_o < through:",
+        "if big_o is not None and big_o <= through:",
         "tests/test_edge_chunk.py::test_transition_vertex_stays_on_the_chain_at_an_exact_tie",
         "_suffix_walk: at an exact tie the chain vertex stays on the chain (tau)",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
-        "if not tau and big_o is not None and big_o < through:",
-        "if big_o is not None and big_o < through:",
+        "        if not tau:\n",
+        "        if True:\n",
         "tests/test_edge_chunk.py::test_evaluate_balanced_chunking_s32",
         "_suffix_walk: tau is the last chain vertex that leaves, not the first",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
-        "    big_c = through = floor = c.numerator * (d // c.denominator)\n",
-        "    big_c = through = c.numerator * (d // c.denominator)\n    floor = _floor(big_o, big_c)\n",
+        "    through = floor = big_c\n",
+        "    through = big_c\n    floor = _floor(big_o, big_c)\n",
         "tests/test_edge_chunk.py::test_optimal_edge_chunking_delta_above_x",
         "_suffix_walk: the last chunk's floor is c(v->t), not min(outside, c(v->t))",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",
-        "        if n != last:\n",
-        "        if cost is None:\n",
+        "        if not out or n != last:\n",
+        "        if not out:\n",
         "tests/test_edge_chunk.py::test_evaluate_geometric_chunking_s32",
-        "_suffix_walk: a perceived cost is reused only while its numerator repeats",
+        "_runs: a Fraction is reused only while its numerator repeats",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "            tied.append((h, y_n, y_d))\n",
+        "            pass\n",
+        "tests/test_edge_chunk.py::test_optimizer_breaks_a_screen_tie_on_tau_and_chunks",
+        "optimal_edge_chunking: every tied candidate is walked, not only the first",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "Fraction(top - r * big_c, r * big_x)",
+        "Fraction(top - big_c, r * big_x)",
+        "tests/test_cli.py::test_large_k_golden_output_fixture_matches",
+        "_report: the selective bias subtracts c(v->t) in the walk's r * unit",
+    ),
+    Mutant(
+        "src/chunkwise/edge_chunk.py",
+        "Fraction(big_x + big_c - big_o, unit)",
+        "Fraction(big_x + big_c, unit)",
+        "tests/test_cli.py::test_optimizer_branch_golden_output_fixtures_match",
+        "_report: delta is x + c(v->t) - outside",
     ),
     Mutant(
         "src/chunkwise/edge_chunk.py",

@@ -421,6 +421,24 @@ def test_large_k_golden_output_fixture_matches(s32_path, capsys):
     assert out == (FIXTURES / "golden_chunk_edge_uv_k64.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "edge, b, k, golden",
+    [
+        # delta <= 0: the geometric chunking
+        ("u,w", "2", "4", "golden_chunk_edge_uw_k4.json"),
+        # x = 0 < delta: three zero chunks, selective bias 1
+        ("u,z", "2", "3", "golden_chunk_edge_uz_k3.json"),
+        # v's only out-edge: no outside option, delta null
+        ("v,t", "7/4", "3", "golden_chunk_edge_vt_k3.json"),
+    ],
+)
+def test_optimizer_branch_golden_output_fixtures_match(s32_path, capsys, edge, b, k, golden):
+    from conftest import FIXTURES
+
+    _, out, _ = run(capsys, "chunk-edge", "-g", str(s32_path), "-e", edge, "-b", b, "-k", k)
+    assert out == (FIXTURES / golden).read_text()
+
+
 def test_same_path_golden_output_fixture_matches(s32_path, capsys):
     # Eleven chunks, the first five zero: the padded greedy fill of two types.
     from conftest import FIXTURES

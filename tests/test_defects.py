@@ -98,14 +98,12 @@ def test_headroom_sign_matters_for_split_phases(s32):
     # compute a negative transfer and move nothing; the corrected headroom
     # produces a chunking that actually repels the higher type.
     from chunkwise import chunk_split
-    from chunkwise.edge_chunk import edge_context, perceived_chunk_costs
     from conftest import outside_alpha
 
     dist = shortest_to_sink(s32)
     chunking, repelled = chunk_split(s32, dist, ("u", "v"), B2, F(10), 3, taker=1)
-    ctx = edge_context(s32, dist, ("u", "v"))
     base, _ = optimal_edge_chunking(s32, dist, ("u", "v"), B2, 3)
-    base_repelled = max(perceived_chunk_costs(ctx, base.chunks, F(10)))
+    base_repelled = max(evaluate_chunking(s32, dist, base, F(10)).perceived)
     assert repelled > base_repelled  # the phases achieved something
     alpha2 = outside_alpha(s32, dist, F(10), "u", "v")
     assert repelled > alpha2  # and the higher type is genuinely repelled

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from chunkwise import (
@@ -21,12 +21,7 @@ from chunkwise import (
     shortest_to_sink,
 )
 from chunkwise.agent import chunking_perceived_by_expansion
-from chunkwise.edge_chunk import (
-    _candidates,
-    _head_then_geometric,
-    edge_context,
-    perceived_chunk_costs,
-)
+from chunkwise.edge_chunk import _candidates, edge_context
 from chunkwise.errors import InvalidParams, NoAlternative
 from chunkwise.expansion import expand_plan, single_edge_plan
 from chunkwise.oracle import (
@@ -254,7 +249,6 @@ def test_evaluation_walk_matches_the_expanded_graph(query):
     expected = chunking_perceived_by_expansion(g, chunking, b)
     assert report.perceived == expected
     assert report.bottleneck == max(expected)
-    assert perceived_chunk_costs(ctx, chunking.chunks, b) == expected
     # tau read off the expanded graph: the last chunk whose tail vertex lies
     # closer to the sink than c(v->t) plus the chunk mass from it on.
     cg = expand_plan(g, single_edge_plan(chunking))
@@ -489,6 +483,12 @@ def _edge_queries(draw):
     return g, edge, b, draw(st.integers(1, 24))
 
 
+def _head_then_geometric(x: F, b: F, k: int, h: int, y: F) -> tuple[F, ...]:
+    # The Fraction route to a candidate: h head chunks y, then the geometric
+    # chunking of the rest over the last k - h chunks.
+    return (y,) * h + chunk_shortest_edge(x - h * y, b, k - h)
+
+
 def _all_candidates(ctx, b: F, k: int) -> list[tuple[int, int, F]]:
     """The optimizer's whole candidate family as (tau, h, y) in `Fraction`s,
     each h head chunks y and then a geometric tail: one or two for every
@@ -566,21 +566,58 @@ def test_candidate_screen_is_exact(query):
 )
 def test_optimizer_evaluates_only_the_screen_ties(monkeypatch, g, k, ties):
     # Every candidate tied at the least screened bottleneck, and no other,
-    # goes through the evaluation pass, on the optimizer's own edge context.
+    # goes through the int walk, once.
     dist = shortest_to_sink(g)
     edge = ("u", "v")
     bottlenecks = [F(n, m) for n, m, *_ in _candidates(edge_context(g, dist, edge), B2, k)]
     assert bottlenecks.count(min(bottlenecks)) == ties
     calls = []
-    evaluate = edge_chunk._evaluate
+    walk = edge_chunk._suffix_walk
 
     def counted(*args):
         calls.append(args)
-        return evaluate(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(edge_chunk, "_evaluate", counted)
+    monkeypatch.setattr(edge_chunk, "_suffix_walk", counted)
     optimal_edge_chunking(g, dist, edge, B2, k)
-    assert len(calls) == bottlenecks.count(min(bottlenecks))
+    assert len(calls) == ties
+
+
+def test_optimizer_breaks_a_screen_tie_on_tau_and_chunks(monkeypatch):
+    # The screen's candidates tie only where they are one chunking, so the
+    # optimizer is fed a two-tie screen here. With c(v->t) = 30 above every
+    # head cost, any chunking whose last chunk is 0 has bottleneck 30: a
+    # 2-heads-of-6 candidate, (6, 6, 0, 0), ties the screen's own (4, 4, 4, 0)
+    # and comes first. Both are walked; both have tau = 4, so the least chunk
+    # vector wins.
+    g = _one_edge(12, 30, 1)
+    dist = shortest_to_sink(g)
+    [own] = _candidates(edge_context(g, dist, ("u", "v")), B2, 4)
+    assert F(own[0], own[1]) == 30
+    monkeypatch.setattr(edge_chunk, "_candidates", lambda ctx, b, k: iter([(30, 1, 2, 6, 1), own]))
+    chunking, report = optimal_edge_chunking(g, dist, ("u", "v"), B2, 4)
+    assert chunking.chunks == (4, 4, 4, 0)
+    assert (report.bottleneck, report.tau) == (30, 4)
+
+
+@seed(0)
+@settings(max_examples=200, deadline=None)
+@given(_edge_queries(), st.integers(1, 64))
+@example((s32_graph(), ("u", "z"), B2, 0), 3)  # x = 0: selective bias 1
+@example((s32_graph(), ("v", "t"), F(7, 4), 0), 3)  # no outside option: delta None
+@example((s32_graph(), ("u", "v"), B2, 0), 1)
+@example((s32_graph(), ("u", "v"), F(7, 4), 0), 256)
+def test_optimizer_reports_what_evaluation_reports(query, k):
+    # The optimizer walks its own int chunks and builds its report from the
+    # walk's ints; evaluating its chunking from the Fractions must give the
+    # same report, field for field, and the expanded graph the same
+    # perceived costs.
+    g, edge, b, _ = query
+    dist = shortest_to_sink(g)
+    chunking, report = optimal_edge_chunking(g, dist, edge, b, k)
+    assert chunking.k == k
+    assert report == evaluate_chunking(g, dist, chunking, b)
+    assert report.perceived == chunking_perceived_by_expansion(g, chunking, b)
 
 
 _LARGE_K_EDGES = {

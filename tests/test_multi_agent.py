@@ -32,7 +32,7 @@ from chunkwise import (
 )
 from chunkwise.agent import best_alternative
 from chunkwise.cli import main as cli_main
-from chunkwise.edge_chunk import edge_context, min_chunks_to_beat, perceived_chunk_costs
+from chunkwise.edge_chunk import edge_context, evaluate_chunking, min_chunks_to_beat
 from chunkwise.errors import (
     InfeasibleChunking,
     InvalidParams,
@@ -131,9 +131,8 @@ def test_split_taker_still_takes_it(s32):
     for taker, edge in ((1, ("u", "v")), (2, ("u", "z"))):
         chunking, _ = chunk_split(s32, dist, edge, B2, F(10), 3, taker=taker)
         bias = B2 if taker == 1 else F(10)
-        ctx = edge_context(s32, dist, edge)
         alpha = outside_alpha(s32, dist, bias, *edge)
-        assert all(p <= alpha for p in perceived_chunk_costs(ctx, chunking.chunks, bias))
+        assert all(p <= alpha for p in evaluate_chunking(s32, dist, chunking, bias).perceived)
         from chunkwise.expansion import single_edge_plan, walk_follows_chunking
 
         trace, cg = simulate_plan(s32, single_edge_plan(chunking), BiasProfile(bias))
@@ -252,7 +251,7 @@ def test_flipped_split_dominates_grid_repellence(seed, pick, num, den, step, k):
     assert sum(chunking.chunks) == ctx.x
     if ctx.outside is not None:
         alpha = outside_alpha(g, dist, b2, *edge)
-        assert max(perceived_chunk_costs(ctx, chunking.chunks, b2)) <= alpha
+        assert evaluate_chunking(g, dist, chunking, b2).bottleneck <= alpha
     grid_best = grid_max_repelled(g, dist, edge, b2, b1, GridSpec(12, k))
     assert grid_best is None or grid_best <= repelled
 
